@@ -3,10 +3,12 @@
 use apparate_core::{
     greedy_tune, GreedyParams, RequestFeedback, ThresholdEvaluator, TuningOutcome,
 };
-use apparate_exec::{BatchExecution, ExecutionPlan, RequestObservations, SampleSemantics};
+use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
 use apparate_sim::{SimDuration, SimTime};
+
+use crate::oracle::OracleSites;
 
 /// Latency saved per request by exiting at each active ramp instead of running
 /// to the model head, at the given reference batch size (µs, one entry per
@@ -35,19 +37,23 @@ pub fn vanilla_policy(plan: &ExecutionPlan) -> VanillaPolicy<impl Fn(u32) -> Sim
 /// at the earliest ramp whose entropy clears its threshold, while the *input*
 /// continues to the model head (which is what keeps accuracy feedback free and
 /// batchmates unaffected, §3.2).
+///
+/// `exit` is that earliest ramp and its observation, as found by
+/// [`ExecutionPlan::first_exit`] or by
+/// [`BatchExecution::earliest_exit`](apparate_exec::BatchExecution::earliest_exit)
+/// over a full execution.
 pub fn exit_outcome(
     plan: &ExecutionPlan,
-    observations: &RequestObservations,
-    thresholds: &[f64],
+    exit: Option<(usize, RampObservation)>,
     batch: u32,
 ) -> RequestOutcome {
     let final_off = SimDuration::from_micros_f64(plan.final_offset_us(batch));
-    match BatchExecution::earliest_exit(observations, thresholds) {
-        Some(ramp) => RequestOutcome {
+    match exit {
+        Some((ramp, observation)) => RequestOutcome {
             release_offset: SimDuration::from_micros_f64(plan.ramp_offset_us(ramp, batch)),
             completion_offset: final_off,
             exit_ramp: Some(ramp),
-            correct: observations.ramp_observations[ramp].agrees,
+            correct: observation.agrees,
         },
         None => RequestOutcome {
             release_offset: final_off,
@@ -113,15 +119,17 @@ impl StaticExitPolicy {
 
 impl ExitPolicy for StaticExitPolicy {
     fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
-        let samples: Vec<SampleSemantics> = batch.iter().map(|r| r.semantics).collect();
-        let exec = self.plan.execute_batch(&samples);
         let b = batch.len() as u32;
         BatchOutcome {
             gpu_time: SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b)),
-            per_request: exec
-                .per_request
+            // Nothing but the release is read, so each request observes its
+            // ramps only up to the first exit.
+            per_request: batch
                 .iter()
-                .map(|obs| exit_outcome(&self.plan, obs, &self.thresholds, b))
+                .map(|r| {
+                    let exit = self.plan.first_exit(&r.semantics, &self.thresholds);
+                    exit_outcome(&self.plan, exit, b)
+                })
                 .collect(),
             profile: None,
         }
@@ -142,12 +150,12 @@ pub fn offline_tuned_thresholds(
     params: GreedyParams,
     reference_batch: u32,
 ) -> TuningOutcome {
-    let records: Vec<RequestFeedback> = calibration
-        .iter()
-        .map(|sample| RequestFeedback {
-            observations: (0..plan.num_ramps())
-                .map(|i| plan.observe(sample, i))
-                .collect(),
+    let records: Vec<RequestFeedback> = plan
+        .execute_batch(calibration)
+        .per_request
+        .into_iter()
+        .map(|obs| RequestFeedback {
+            observations: obs.ramp_observations,
             exited: None,
             correct: true,
             batch_size: reference_batch,
@@ -168,8 +176,7 @@ pub fn offline_tuned_thresholds(
 /// lower-bounds every realisable policy on latency *and* throughput.
 pub struct OracleExitPolicy {
     plan: ExecutionPlan,
-    sites: Vec<LayerId>,
-    capacity: f64,
+    sites: OracleSites,
     name: String,
 }
 
@@ -184,9 +191,8 @@ impl OracleExitPolicy {
         name: impl Into<String>,
     ) -> OracleExitPolicy {
         OracleExitPolicy {
+            sites: OracleSites::new(&plan, sites, capacity),
             plan,
-            sites,
-            capacity,
             name: name.into(),
         }
     }
@@ -195,13 +201,9 @@ impl OracleExitPolicy {
 impl ExitPolicy for OracleExitPolicy {
     fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
         let b = batch.len() as u32;
-        let (gpu_us, releases) = crate::oracle::batch_releases(
-            &self.plan,
-            &self.sites,
-            self.capacity,
-            batch.iter().map(|r| r.semantics),
-            b,
-        );
+        let (gpu_us, releases) =
+            self.sites
+                .batch_releases(&self.plan, batch.iter().map(|r| &r.semantics), b);
         BatchOutcome {
             gpu_time: SimDuration::from_micros_f64(gpu_us),
             per_request: releases

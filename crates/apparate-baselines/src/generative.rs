@@ -7,10 +7,13 @@
 //! still occupies the GPU for the full decoder pass. Vanilla generative
 //! serving is provided by [`apparate_serving::VanillaTokenPolicy`].
 
-use apparate_exec::{BatchExecution, ExecutionPlan, SampleSemantics};
+use apparate_exec::ExecutionPlan;
 use apparate_model::LayerId;
 use apparate_serving::{StepOutcome, TokenOutcome, TokenPolicy, TokenSlot};
 use apparate_sim::{SimDuration, SimTime};
+
+use crate::classification::exit_outcome;
+use crate::oracle::OracleSites;
 
 /// A batch-size → decode-step-time estimator for a plan (full decoder pass
 /// plus active-ramp overheads).
@@ -63,11 +66,15 @@ impl StaticTokenPolicy {
 
 impl TokenPolicy for StaticTokenPolicy {
     fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
-        let samples: Vec<SampleSemantics> = slots.iter().map(|s| s.semantics).collect();
-        let exec = self.plan.execute_batch(&samples);
         let b = slots.len() as u32;
-        let per_token: Vec<TokenOutcome> = exec
-            .per_token_outcomes(&self.plan, &self.thresholds, b)
+        // Tokens are released by the classification rule; nothing but the
+        // release is read, so each token observes ramps up to its first exit.
+        let per_token: Vec<TokenOutcome> = slots
+            .iter()
+            .map(|s| {
+                let exit = self.plan.first_exit(&s.semantics, &self.thresholds);
+                exit_outcome(&self.plan, exit, b).into()
+            })
             .collect();
         StepOutcome {
             gpu_time: step_gpu_time(&per_token),
@@ -94,51 +101,12 @@ pub fn step_gpu_time(per_token: &[TokenOutcome]) -> SimDuration {
         .fold(SimDuration::ZERO, SimDuration::max)
 }
 
-/// Helper extension: map batch observations to token outcomes under a
-/// threshold vector. Kept as a trait-style helper so the adaptive policy in
-/// `apparate-experiments` shares the exact release rule.
-pub trait TokenOutcomes {
-    /// Outcomes for each token of the step, in slot order.
-    fn per_token_outcomes<'a>(
-        &'a self,
-        plan: &'a ExecutionPlan,
-        thresholds: &'a [f64],
-        batch: u32,
-    ) -> Box<dyn Iterator<Item = TokenOutcome> + 'a>;
-}
-
-impl TokenOutcomes for BatchExecution {
-    fn per_token_outcomes<'a>(
-        &'a self,
-        plan: &'a ExecutionPlan,
-        thresholds: &'a [f64],
-        batch: u32,
-    ) -> Box<dyn Iterator<Item = TokenOutcome> + 'a> {
-        let final_off = SimDuration::from_micros_f64(plan.final_offset_us(batch));
-        Box::new(self.per_request.iter().map(move |obs| {
-            match BatchExecution::earliest_exit(obs, thresholds) {
-                Some(ramp) => TokenOutcome {
-                    release_offset: SimDuration::from_micros_f64(plan.ramp_offset_us(ramp, batch)),
-                    exit_ramp: Some(ramp),
-                    correct: obs.ramp_observations[ramp].agrees,
-                },
-                None => TokenOutcome {
-                    release_offset: final_off,
-                    exit_ramp: None,
-                    correct: true,
-                },
-            }
-        }))
-    }
-}
-
 /// Hindsight-optimal token exits: each token is released at the earliest
 /// feasible decoder site whose hypothetical ramp agrees with the full model,
 /// with zero ramp overhead; the step frees the GPU at its slowest token.
 pub struct OracleTokenPolicy {
     plan: ExecutionPlan,
-    sites: Vec<LayerId>,
-    capacity: f64,
+    sites: OracleSites,
     name: String,
 }
 
@@ -151,9 +119,8 @@ impl OracleTokenPolicy {
         name: impl Into<String>,
     ) -> OracleTokenPolicy {
         OracleTokenPolicy {
+            sites: OracleSites::new(&plan, sites, capacity),
             plan,
-            sites,
-            capacity,
             name: name.into(),
         }
     }
@@ -162,13 +129,9 @@ impl OracleTokenPolicy {
 impl TokenPolicy for OracleTokenPolicy {
     fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
         let b = slots.len() as u32;
-        let (gpu_us, releases) = crate::oracle::batch_releases(
-            &self.plan,
-            &self.sites,
-            self.capacity,
-            slots.iter().map(|s| s.semantics),
-            b,
-        );
+        let (gpu_us, releases) =
+            self.sites
+                .batch_releases(&self.plan, slots.iter().map(|s| &s.semantics), b);
         StepOutcome {
             gpu_time: SimDuration::from_micros_f64(gpu_us),
             per_token: releases
@@ -193,7 +156,7 @@ mod tests {
     use super::*;
     use crate::prep::deploy_budget_sites;
     use apparate_core::{ApparateConfig, RampArchitecture};
-    use apparate_exec::SemanticsModel;
+    use apparate_exec::{SampleSemantics, SemanticsModel};
     use apparate_model::zoo;
 
     fn slots(n: usize) -> Vec<TokenSlot> {

@@ -44,7 +44,5 @@ pub use classification::{
     batch_time_fn, exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, vanilla_policy,
     OracleExitPolicy, StaticExitPolicy,
 };
-pub use generative::{
-    step_gpu_time, step_time_fn, OracleTokenPolicy, StaticTokenPolicy, TokenOutcomes,
-};
+pub use generative::{step_gpu_time, step_time_fn, OracleTokenPolicy, StaticTokenPolicy};
 pub use prep::{deploy_all_sites, deploy_budget_sites, RampDeployment};

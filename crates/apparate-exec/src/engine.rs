@@ -13,8 +13,8 @@
 //! truly exit or only results do) belong to the policy layers: Apparate's
 //! controller in `apparate-core` and the baselines in `apparate-baselines`.
 
-use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
-use apparate_model::{LayerId, LayerLatency, ZooModel};
+use crate::semantics::{InputDraws, RampObservation, SampleSemantics, SemanticsModel};
+use apparate_model::{sum_latency_us, LayerId, LayerLatency, ZooModel};
 use serde::{Deserialize, Serialize};
 
 /// A ramp as seen by the execution engine: where it sits, what it costs, and
@@ -29,8 +29,9 @@ pub struct RampPlacement {
     pub capacity: f64,
 }
 
-/// Execution plan: a model plus an ordered set of ramps, with cached
-/// topological positions for fast prefix-latency queries.
+/// Execution plan: a model plus an ordered set of ramps, with each ramp's
+/// topological position, predictive power and cost cached for fast
+/// observation and prefix-latency queries.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     model: ZooModel,
@@ -38,6 +39,22 @@ pub struct ExecutionPlan {
     ramps: Vec<RampPlacement>,
     /// Topological position of each ramp's site (parallel to `ramps`).
     ramp_positions: Vec<usize>,
+    /// [`SemanticsModel::ramp_power`] of each ramp's depth and capacity
+    /// (parallel to `ramps`): one `powf` per ramp per plan, not per
+    /// observation.
+    ramp_powers: Vec<f64>,
+    /// Each ramp's cost (parallel to `ramps`), contiguous for
+    /// [`sum_latency_us`].
+    ramp_costs: Vec<LayerLatency>,
+}
+
+/// Fraction of a `layers`-layer model executed up to topological position
+/// `position`.
+fn depth_fraction_at(position: usize, layers: usize) -> f64 {
+    if layers <= 1 {
+        return 1.0;
+    }
+    position as f64 / (layers - 1) as f64
 }
 
 impl ExecutionPlan {
@@ -57,11 +74,20 @@ impl ExecutionPlan {
             ramp_positions.windows(2).all(|w| w[0] < w[1]),
             "duplicate ramp sites in execution plan"
         );
+        let layers = model.graph.len();
+        let ramp_powers = ramps
+            .iter()
+            .zip(&ramp_positions)
+            .map(|(r, &pos)| semantics.ramp_power(depth_fraction_at(pos, layers), r.capacity))
+            .collect();
+        let ramp_costs = ramps.iter().map(|r| r.cost).collect();
         ExecutionPlan {
             model,
             semantics,
             ramps,
             ramp_positions,
+            ramp_powers,
+            ramp_costs,
         }
     }
 
@@ -93,20 +119,12 @@ impl ExecutionPlan {
     /// Normalised depth of a ramp: fraction of the model's layers executed
     /// before its observation is available.
     pub fn depth_fraction(&self, ramp_idx: usize) -> f64 {
-        let n = self.model.graph.len();
-        if n <= 1 {
-            return 1.0;
-        }
-        self.ramp_positions[ramp_idx] as f64 / (n - 1) as f64
+        depth_fraction_at(self.ramp_positions[ramp_idx], self.model.graph.len())
     }
 
     /// Normalised depth of an arbitrary layer site.
     pub fn depth_fraction_of_site(&self, site: LayerId) -> f64 {
-        let n = self.model.graph.len();
-        if n <= 1 {
-            return 1.0;
-        }
-        self.model.graph.topo_position(site) as f64 / (n - 1) as f64
+        depth_fraction_at(self.model.graph.topo_position(site), self.model.graph.len())
     }
 
     /// Latency of the *original* model (no ramps) for a batch, in µs.
@@ -122,7 +140,7 @@ impl ExecutionPlan {
 
     /// Sum of all active ramps' costs for a batch, in µs.
     pub fn total_ramp_overhead_us(&self, batch: u32) -> f64 {
-        self.ramps.iter().map(|r| r.cost.latency_us(batch)).sum()
+        sum_latency_us(&self.ramp_costs, batch)
     }
 
     /// Offset (from batch start) at which ramp `ramp_idx`'s result is
@@ -133,11 +151,7 @@ impl ExecutionPlan {
             .model
             .latency
             .prefix_us(self.ramp_positions[ramp_idx], batch);
-        let ramp_costs: f64 = self.ramps[..=ramp_idx]
-            .iter()
-            .map(|r| r.cost.latency_us(batch))
-            .sum();
-        prefix + ramp_costs
+        prefix + sum_latency_us(&self.ramp_costs[..=ramp_idx], batch)
     }
 
     /// Offset at which the original model's final result is available when all
@@ -154,30 +168,13 @@ impl ExecutionPlan {
             .prefix_us(self.model.graph.topo_position(site), batch)
     }
 
-    /// Observation of ramp `ramp_idx` for one request.
-    pub fn observe(&self, sample: &SampleSemantics, ramp_idx: usize) -> RampObservation {
-        let ramp = &self.ramps[ramp_idx];
-        self.semantics.observe(
-            sample,
-            ramp.site.0 as u64,
-            self.depth_fraction(ramp_idx),
-            ramp.capacity,
-        )
-    }
-
-    /// Observation a hypothetical ramp at `site` with `capacity` would produce.
-    /// Used by oracles that consider every feasible site.
-    pub fn observe_at_site(
-        &self,
-        sample: &SampleSemantics,
-        site: LayerId,
-        capacity: f64,
-    ) -> RampObservation {
-        self.semantics.observe(
-            sample,
-            site.0 as u64,
-            self.depth_fraction_of_site(site),
-            capacity,
+    /// Observation of ramp `ramp_idx` for the input `input` was drawn from.
+    #[inline]
+    fn observe_input(&self, input: &InputDraws, ramp_idx: usize) -> RampObservation {
+        self.semantics.observe_with(
+            input,
+            self.ramps[ramp_idx].site.0 as u64,
+            self.ramp_powers[ramp_idx],
         )
     }
 
@@ -187,14 +184,48 @@ impl ExecutionPlan {
     pub fn execute_batch(&self, samples: &[SampleSemantics]) -> BatchExecution {
         let per_request = samples
             .iter()
-            .map(|s| RequestObservations {
-                ramp_observations: (0..self.ramps.len()).map(|i| self.observe(s, i)).collect(),
+            .map(|s| {
+                let input = self.semantics.input(s);
+                RequestObservations {
+                    ramp_observations: (0..self.ramps.len())
+                        .map(|i| self.observe_input(&input, i))
+                        .collect(),
+                }
             })
             .collect();
         BatchExecution {
             batch_size: samples.len() as u32,
             per_request,
         }
+    }
+
+    /// The earliest active ramp at which `sample` exits under per-ramp
+    /// `thresholds`, with that ramp's observation; `None` means no exit.
+    ///
+    /// The same answer as [`BatchExecution::earliest_exit`] over
+    /// [`ExecutionPlan::execute_batch`], for policies that read nothing but
+    /// the exit: ramps after the exit, and ramps whose threshold disables
+    /// exiting, are never observed.
+    pub fn first_exit(
+        &self,
+        sample: &SampleSemantics,
+        thresholds: &[f64],
+    ) -> Option<(usize, RampObservation)> {
+        debug_assert_eq!(
+            thresholds.len(),
+            self.ramps.len(),
+            "one threshold per active ramp"
+        );
+        let input = self.semantics.input(sample);
+        thresholds
+            .iter()
+            .take(self.ramps.len())
+            .enumerate()
+            .filter(|&(_, &thr)| thr > 0.0)
+            .find_map(|(i, &thr)| {
+                let obs = self.observe_input(&input, i);
+                (obs.entropy <= thr).then_some((i, obs))
+            })
     }
 
     /// Replace the ramp set, keeping model and semantics (used when the
@@ -225,8 +256,14 @@ impl BatchExecution {
     /// single request, given per-ramp thresholds. `None` means no exit.
     ///
     /// This helper implements the universal exit rule shared by Apparate and
-    /// the static-EE baselines.
+    /// the static-EE baselines (which apply it through
+    /// [`ExecutionPlan::first_exit`], observing only what it reads).
     pub fn earliest_exit(observations: &RequestObservations, thresholds: &[f64]) -> Option<usize> {
+        debug_assert_eq!(
+            thresholds.len(),
+            observations.ramp_observations.len(),
+            "one threshold per observed ramp"
+        );
         observations
             .ramp_observations
             .iter()
@@ -347,6 +384,81 @@ mod tests {
             BatchExecution::earliest_exit(&obs, &[0.5, 0.0, 0.2]),
             Some(2)
         );
+    }
+
+    #[test]
+    fn cached_ramp_constants_match_per_call_derivations_bit_for_bit() {
+        let plan = plan_with_ramps(6);
+        let samples: Vec<SampleSemantics> = (0..64)
+            .map(|i| SampleSemantics::new(i * 7919, (i as f64 * 0.113) % 1.0))
+            .collect();
+        let exec = plan.execute_batch(&samples);
+        for (s, obs) in samples.iter().zip(&exec.per_request) {
+            for (i, ramp) in plan.ramps().iter().enumerate() {
+                let want = plan.semantics().observe(
+                    s,
+                    ramp.site.0 as u64,
+                    plan.depth_fraction(i),
+                    ramp.capacity,
+                );
+                let got = obs.ramp_observations[i];
+                assert_eq!(got.entropy.to_bits(), want.entropy.to_bits());
+                assert_eq!(got.agrees, want.agrees);
+            }
+        }
+        for batch in 1..=32u32 {
+            let costs = |upto: usize| -> f64 {
+                plan.ramps()[..upto]
+                    .iter()
+                    .map(|r| r.cost.latency_us(batch))
+                    .sum()
+            };
+            assert_eq!(
+                plan.total_ramp_overhead_us(batch).to_bits(),
+                costs(plan.num_ramps()).to_bits()
+            );
+            for i in 0..plan.num_ramps() {
+                let prefix = plan.site_prefix_us(plan.ramps()[i].site, batch);
+                assert_eq!(
+                    plan.ramp_offset_us(i, batch).to_bits(),
+                    (prefix + costs(i + 1)).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn first_exit_matches_earliest_exit_over_the_full_batch() {
+        let plan = plan_with_ramps(5);
+        let samples: Vec<SampleSemantics> = (0..300)
+            .map(|i| SampleSemantics::new(i * 31 + 5, (i as f64 * 0.61803) % 1.0))
+            .collect();
+        let exec = plan.execute_batch(&samples);
+        let threshold_sets: [[f64; 5]; 6] = [
+            [0.0; 5],
+            [0.3; 5],
+            [0.0, 0.2, 0.0, 0.4, 0.0],
+            [0.05, 0.0, 0.1, 0.0, 0.9],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.15],
+        ];
+        let mut exits = 0;
+        for thresholds in &threshold_sets {
+            for (s, obs) in samples.iter().zip(&exec.per_request) {
+                let want = BatchExecution::earliest_exit(obs, thresholds);
+                let got = plan.first_exit(s, thresholds);
+                assert_eq!(got.map(|(i, _)| i), want);
+                if let Some((i, o)) = got {
+                    exits += 1;
+                    assert_eq!(
+                        o.entropy.to_bits(),
+                        obs.ramp_observations[i].entropy.to_bits()
+                    );
+                    assert_eq!(o.agrees, obs.ramp_observations[i].agrees);
+                }
+            }
+        }
+        assert!(exits > 0, "the threshold sets must exercise exits");
     }
 
     #[test]

@@ -230,8 +230,9 @@ pub struct FeedbackSender<T> {
     direction: LinkDirection,
 }
 
-// Manual impl: `std::sync::mpsc::Sender` (the offline crossbeam stand-in) is
-// Clone, but deriving would also bound `T: Clone`, which senders don't need.
+// Manual impl: the channel `Sender` (a shared queue handle in the offline
+// crossbeam stand-in) is Clone for any `T`, but deriving would also bound
+// `T: Clone`, which senders don't need.
 impl<T> Clone for FeedbackSender<T> {
     fn clone(&self) -> Self {
         FeedbackSender {

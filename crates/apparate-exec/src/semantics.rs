@@ -18,14 +18,17 @@
 //! 3. **Determinism / order independence**: the observation for (input, ramp
 //!    site) is a pure function of the workload seed, so oracles, counterfactual
 //!    threshold evaluations and candidate-ramp estimates all see exactly what
-//!    the live system saw. This uses [`DeterministicRng::unit_draw`].
+//!    the live system saw. This uses keyed draws
+//!    ([`DeterministicRng::keyed`]): an input's share of the keys is drawn
+//!    once ([`SemanticsModel::input`]) and extended per ramp
+//!    ([`SemanticsModel::observe_with`]).
 //!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
 //! which is what produces the paper's CV-vs-NLP win gap.
 
-use apparate_sim::DeterministicRng;
+use apparate_sim::{DeterministicRng, KeyChain};
 use serde::{Deserialize, Serialize};
 
 /// Semantic description of one input (or one generated token), produced by
@@ -62,6 +65,18 @@ pub struct RampObservation {
     /// This is the accuracy ground truth Apparate gets for free because inputs
     /// always run to completion.
     pub agrees: bool,
+}
+
+/// The per-input part of a sample's ramp observations, shared by every ramp:
+/// the sample's key chain, its difficulty and its depth-independent noise.
+/// Built by [`SemanticsModel::input`].
+#[derive(Debug, Clone, Copy)]
+pub struct InputDraws {
+    /// Key chain after the sample's seed; each ramp extends it by its key.
+    chain: KeyChain,
+    difficulty: f64,
+    /// Per-input margin noise, identical at every depth.
+    input_noise: f64,
 }
 
 /// Calibrated semantics model for one served model.
@@ -127,22 +142,46 @@ impl SemanticsModel {
         (power * c).clamp(0.0, 1.0)
     }
 
-    /// Latent margin between ramp power and input difficulty, plus a stable
-    /// per-(input, ramp) perturbation.
-    fn margin(
-        &self,
-        sample: &SampleSemantics,
-        ramp_key: u64,
-        depth_fraction: f64,
-        capacity: f64,
-    ) -> f64 {
-        let power = self.ramp_power(depth_fraction, capacity);
-        // The per-input noise must be identical across depths so that margin is
-        // monotone in depth for each individual input; the per-ramp component
-        // is small and only breaks ties between nearby ramps.
-        let input_noise = self.rng.normal_draw(&[sample.seed, 1]) * 0.03;
-        let ramp_noise = self.rng.normal_draw(&[sample.seed, ramp_key, 2]) * 0.015;
-        power - sample.difficulty + input_noise + ramp_noise
+    /// The per-input part of every ramp observation of `sample`: its key
+    /// chain, its difficulty and its depth-independent input noise. Draw it
+    /// once per input and pass it to [`SemanticsModel::observe_with`] for
+    /// each ramp.
+    #[inline]
+    pub fn input(&self, sample: &SampleSemantics) -> InputDraws {
+        let chain = self.rng.keyed(&[sample.seed]);
+        InputDraws {
+            chain,
+            difficulty: sample.difficulty,
+            // The per-input noise must be identical across depths so that
+            // margin is monotone in depth for each individual input.
+            input_noise: chain.then(1).normal() * 0.03,
+        }
+    }
+
+    /// Observe what the ramp at `ramp_key` (a stable site identifier, e.g.
+    /// the layer id) with predictive power `power` (see
+    /// [`SemanticsModel::ramp_power`]) reports for the input `input` was
+    /// drawn from. Bit-identical to [`SemanticsModel::observe`] with the
+    /// depth and capacity `power` was computed from.
+    #[inline]
+    pub fn observe_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> RampObservation {
+        let ramp = input.chain.then(ramp_key);
+        // Latent margin between ramp power and input difficulty, plus a stable
+        // per-(input, ramp) perturbation; the per-ramp component is small and
+        // only breaks ties between nearby ramps. The sum keeps this order:
+        // floating-point addition is not associative, and every table is
+        // pinned to these exact bits.
+        let ramp_noise = ramp.then(2).normal() * 0.015;
+        let margin = power - input.difficulty + input.input_noise + ramp_noise;
+        // Entropy: logistic in the negative margin, i.e. confident (low
+        // entropy) when power comfortably exceeds difficulty.
+        let noise_e = ramp.then(3).normal() * self.entropy_noise;
+        let entropy = (1.0 / (1.0 + (margin / self.temperature).exp()) + noise_e).clamp(0.0, 1.0);
+        // Agreement: positive margin means the ramp's best guess matches the
+        // full model, with a little slack for ramp imperfection.
+        let noise_a = ramp.then(4).normal() * self.agreement_noise;
+        let agrees = margin + noise_a > 0.0;
+        RampObservation { entropy, agrees }
     }
 
     /// Observe what the ramp at `ramp_key` (a stable site identifier, e.g. the
@@ -155,16 +194,11 @@ impl SemanticsModel {
         depth_fraction: f64,
         capacity: f64,
     ) -> RampObservation {
-        let margin = self.margin(sample, ramp_key, depth_fraction, capacity);
-        // Entropy: logistic in the negative margin, i.e. confident (low
-        // entropy) when power comfortably exceeds difficulty.
-        let noise_e = self.rng.normal_draw(&[sample.seed, ramp_key, 3]) * self.entropy_noise;
-        let entropy = (1.0 / (1.0 + (margin / self.temperature).exp()) + noise_e).clamp(0.0, 1.0);
-        // Agreement: positive margin means the ramp's best guess matches the
-        // full model, with a little slack for ramp imperfection.
-        let noise_a = self.rng.normal_draw(&[sample.seed, ramp_key, 4]) * self.agreement_noise;
-        let agrees = margin + noise_a > 0.0;
-        RampObservation { entropy, agrees }
+        self.observe_with(
+            &self.input(sample),
+            ramp_key,
+            self.ramp_power(depth_fraction, capacity),
+        )
     }
 
     /// The final model's own "observation": by definition it agrees with
@@ -195,6 +229,56 @@ mod tests {
         (0..n)
             .map(|i| SampleSemantics::new(i, difficulty(i)))
             .collect()
+    }
+
+    /// `observe` as it was before the per-input split: every draw re-keyed
+    /// from the full key list, the margin re-derived per observation.
+    fn reference_observe(
+        m: &SemanticsModel,
+        sample: &SampleSemantics,
+        ramp_key: u64,
+        depth_fraction: f64,
+        capacity: f64,
+    ) -> RampObservation {
+        let power = m.ramp_power(depth_fraction, capacity);
+        let input_noise = m.rng.normal_draw(&[sample.seed, 1]) * 0.03;
+        let ramp_noise = m.rng.normal_draw(&[sample.seed, ramp_key, 2]) * 0.015;
+        let margin = power - sample.difficulty + input_noise + ramp_noise;
+        let noise_e = m.rng.normal_draw(&[sample.seed, ramp_key, 3]) * m.entropy_noise;
+        let entropy = (1.0 / (1.0 + (margin / m.temperature).exp()) + noise_e).clamp(0.0, 1.0);
+        let noise_a = m.rng.normal_draw(&[sample.seed, ramp_key, 4]) * m.agreement_noise;
+        RampObservation {
+            entropy,
+            agrees: margin + noise_a > 0.0,
+        }
+    }
+
+    #[test]
+    fn shared_input_draws_match_the_reference_observation_bit_for_bit() {
+        for (overparam, noise) in [(0.9, None), (0.6, None), (0.7, Some((0.1, 0.05)))] {
+            let mut m = model(overparam);
+            if let Some((e, a)) = noise {
+                m = m.with_noise(e, a);
+            }
+            for i in 0..200u64 {
+                let s = SampleSemantics::new(i.wrapping_mul(0x9E37_79B9), (i as f64 * 0.377) % 1.0);
+                let input = m.input(&s);
+                for (key, depth, capacity) in [
+                    (0u64, 0.0, 1.0),
+                    (17, 0.3, 0.97),
+                    (90, 0.8, 0.9),
+                    (u64::MAX, 1.0, 0.5),
+                ] {
+                    let want = reference_observe(&m, &s, key, depth, capacity);
+                    let fast = m.observe_with(&input, key, m.ramp_power(depth, capacity));
+                    let wrapped = m.observe(&s, key, depth, capacity);
+                    for got in [fast, wrapped] {
+                        assert_eq!(got.entropy.to_bits(), want.entropy.to_bits());
+                        assert_eq!(got.agrees, want.agrees);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

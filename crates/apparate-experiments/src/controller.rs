@@ -34,8 +34,8 @@ use apparate_core::{
     IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp,
 };
 use apparate_exec::{
-    feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost, OverheadReport,
-    ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
+    feedback_link, BatchExecution, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost,
+    OverheadReport, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
 };
 use apparate_serving::{
     BatchOutcome, BatchProfile, ExitPolicy, Request, StepOutcome, TokenPolicy, TokenSlot,
@@ -127,7 +127,11 @@ impl GpuHalf {
         let outcomes: Vec<apparate_serving::RequestOutcome> = exec
             .per_request
             .iter()
-            .map(|obs| exit_outcome(&self.plan, obs, &self.thresholds, b))
+            .map(|obs| {
+                let exit = BatchExecution::earliest_exit(obs, &self.thresholds)
+                    .map(|ramp| (ramp, obs.ramp_observations[ramp]));
+                exit_outcome(&self.plan, exit, b)
+            })
             .collect();
         let num_ramps = self.plan.num_ramps();
         let mut observations = Vec::with_capacity(samples.len() * num_ramps);
@@ -838,14 +842,8 @@ impl TokenPolicy for ApparateTokenPolicy {
         self.samples_scratch
             .extend(slots.iter().map(|s| s.semantics));
         let (_full_pass, outcomes, profile) = self.core.step(&self.samples_scratch, step_start);
-        let per_token: Vec<apparate_serving::TokenOutcome> = outcomes
-            .into_iter()
-            .map(|o| apparate_serving::TokenOutcome {
-                release_offset: o.release_offset,
-                exit_ramp: o.exit_ramp,
-                correct: o.correct,
-            })
-            .collect();
+        let per_token: Vec<apparate_serving::TokenOutcome> =
+            outcomes.into_iter().map(Into::into).collect();
         StepOutcome {
             // §3.4 parallel decoding: the step advances once every token has
             // released; the non-exited suffix overlaps subsequent steps.

@@ -47,6 +47,36 @@ impl LayerLatency {
     }
 }
 
+/// Summed latency of `layers` for a batch of `batch` requests, in
+/// microseconds.
+///
+/// Bit-identical to summing [`LayerLatency::latency_us`] left to right, but
+/// `batch^alpha` is evaluated once per run of consecutive layers sharing an
+/// exponent instead of once per layer (a zoo model's layers all share one).
+/// The power stays outside the inner loop on purpose: a per-layer
+/// "recompute when the exponent changes" branch compiles back into one
+/// `pow` per layer.
+pub fn sum_latency_us(layers: &[LayerLatency], batch: u32) -> f64 {
+    debug_assert!(batch >= 1, "batch must be at least 1");
+    let b = batch as f64;
+    // `Sum for f64` starts from -0.0, the exact additive identity.
+    let mut total = -0.0;
+    let mut rest = layers;
+    while let Some(first) = rest.first() {
+        let alpha = first.batch_alpha;
+        let run = 1 + rest[1..]
+            .iter()
+            .position(|l| l.batch_alpha.to_bits() != alpha.to_bits())
+            .unwrap_or(rest.len() - 1);
+        let scale = b.powf(alpha);
+        total = rest[..run]
+            .iter()
+            .fold(total, |acc, l| acc + (l.fixed_us + l.per_item_us * scale));
+        rest = &rest[run..];
+    }
+    total
+}
+
 /// Latency model for an entire graph: one [`LayerLatency`] per layer, stored
 /// in **topological order**, plus prefix sums for "run up to position k"
 /// queries.
@@ -84,16 +114,13 @@ impl ModelLatency {
 
     /// Total model latency for a batch, in microseconds.
     pub fn total_us(&self, batch: u32) -> f64 {
-        self.per_layer.iter().map(|l| l.latency_us(batch)).sum()
+        sum_latency_us(&self.per_layer, batch)
     }
 
     /// Latency of running the model **up to and including** topological
     /// position `pos`, for a batch.
     pub fn prefix_us(&self, pos: usize, batch: u32) -> f64 {
-        self.per_layer[..=pos]
-            .iter()
-            .map(|l| l.latency_us(batch))
-            .sum()
+        sum_latency_us(&self.per_layer[..=pos], batch)
     }
 
     /// Latency of the layers strictly **after** topological position `pos`.
@@ -291,6 +318,70 @@ mod tests {
         let lat = synthesize_latency(&g, 1_234.0, ComputeShape::Uniform, 0.5, 0.7);
         let cal = lat.calibrated_to(29_400.0);
         assert!((cal.total_us(1) - 29_400.0).abs() < 1e-6);
+    }
+
+    /// The per-layer fold `total_us` / `prefix_us` computed before the
+    /// exponent-once sum.
+    fn reference_sum(layers: &[LayerLatency], batch: u32) -> f64 {
+        layers.iter().map(|l| l.latency_us(batch)).sum()
+    }
+
+    #[test]
+    fn exponent_once_sums_match_the_per_layer_fold_bit_for_bit() {
+        let g = toy_graph(40);
+        let uniform_alpha = synthesize_latency(
+            &g,
+            16_400.0,
+            ComputeShape::FrontLoaded { skew: 5.0 },
+            0.3,
+            0.75,
+        );
+        // Exponents that alternate layer by layer, in runs, and repeat after
+        // a change: every run boundary shape the sum can meet.
+        let alphas = [0.7, 0.9, 0.7, 0.7, 0.7, 0.55, 0.55, 1.0, 0.7, 0.9];
+        let mixed: Vec<LayerLatency> = uniform_alpha
+            .per_layer()
+            .iter()
+            .enumerate()
+            .map(|(i, l)| LayerLatency {
+                batch_alpha: alphas[i % alphas.len()],
+                ..*l
+            })
+            .collect();
+        let alternating: Vec<LayerLatency> = mixed
+            .iter()
+            .enumerate()
+            .map(|(i, l)| LayerLatency {
+                batch_alpha: if i % 2 == 0 { 0.6 } else { 0.8 },
+                ..*l
+            })
+            .collect();
+        for layers in [uniform_alpha.per_layer(), &mixed[..], &alternating[..]] {
+            let lat = ModelLatency::new(layers.to_vec());
+            for batch in 1..=32u32 {
+                assert_eq!(
+                    lat.total_us(batch).to_bits(),
+                    reference_sum(layers, batch).to_bits()
+                );
+                for pos in 0..layers.len() {
+                    assert_eq!(
+                        lat.prefix_us(pos, batch).to_bits(),
+                        reference_sum(&layers[..=pos], batch).to_bits()
+                    );
+                }
+                for start in 0..layers.len() {
+                    let slice = &layers[start..];
+                    assert_eq!(
+                        sum_latency_us(slice, batch).to_bits(),
+                        reference_sum(slice, batch).to_bits()
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            sum_latency_us(&[], 4).to_bits(),
+            reference_sum(&[], 4).to_bits()
+        );
     }
 
     #[test]

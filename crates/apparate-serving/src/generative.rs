@@ -11,7 +11,7 @@
 //! ramp exits (while parallel-decoding the remaining layers, §3.4), FREE uses
 //! one static ramp.
 
-use crate::platform::BatchProfile;
+use crate::platform::{BatchProfile, RequestOutcome};
 use crate::request::Request;
 use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, SampleSemantics};
 use apparate_sim::{SimDuration, SimTime};
@@ -39,6 +39,19 @@ pub struct TokenOutcome {
     pub exit_ramp: Option<usize>,
     /// Whether the released token matches what the original model would emit.
     pub correct: bool,
+}
+
+impl From<RequestOutcome> for TokenOutcome {
+    /// A token is released by the same rule as a classification result; its
+    /// completion offset is dropped because the non-exited suffix layers are
+    /// parallel-decoded and never gate the token (§3.4).
+    fn from(outcome: RequestOutcome) -> TokenOutcome {
+        TokenOutcome {
+            release_offset: outcome.release_offset,
+            exit_ramp: outcome.exit_ramp,
+            correct: outcome.correct,
+        }
+    }
 }
 
 /// Outcome of one decode step.

@@ -11,7 +11,10 @@
 //! We achieve this with hash-derived streams: a [`DeterministicRng`] carries a
 //! 64-bit seed, and [`DeterministicRng::stream`] derives an independent
 //! ChaCha8-based [`RngStream`] from `(seed, key...)` via the SplitMix64 finaliser.
-//! Two streams derived from the same keys are bit-identical.
+//! Two streams derived from the same keys are bit-identical. Single keyed
+//! draws go through a [`KeyChain`], so a caller that draws many times under
+//! a shared key prefix (one input's draws at every ramp) hashes the prefix
+//! once and extends it per draw.
 
 use rand::distributions::Open01;
 use rand::{Rng, SeedableRng};
@@ -50,14 +53,27 @@ impl DeterministicRng {
         }
     }
 
+    /// Start a [`KeyChain`] from `keys`: the key state every draw keyed by
+    /// `keys` (or by any extension of them) starts from.
+    ///
+    /// Callers that draw many times under a shared key prefix derive the
+    /// prefix's chain once and extend it with [`KeyChain::then`], instead of
+    /// re-hashing the prefix for every draw.
+    #[inline]
+    pub fn keyed(&self, keys: &[u64]) -> KeyChain {
+        keys.iter().fold(
+            KeyChain {
+                state: splitmix64(self.seed),
+                len: 0,
+            },
+            |chain, &k| chain.then(k),
+        )
+    }
+
     /// Derive an independent stream keyed by up to three integers
     /// (e.g. request id, ramp position, draw kind).
     pub fn stream(&self, keys: &[u64]) -> RngStream {
-        let mut state = splitmix64(self.seed);
-        for (i, k) in keys.iter().enumerate() {
-            state = splitmix64(state ^ splitmix64(k.wrapping_add(i as u64 + 1)));
-        }
-        RngStream::from_state(state)
+        RngStream::from_state(self.keyed(keys).state)
     }
 
     /// A single deterministic uniform draw in `(0, 1)` for the given keys.
@@ -65,22 +81,58 @@ impl DeterministicRng {
     /// This is the workhorse of the semantics model: cheap, reproducible and
     /// order-independent.
     pub fn unit_draw(&self, keys: &[u64]) -> f64 {
-        let mut state = splitmix64(self.seed);
-        for (i, k) in keys.iter().enumerate() {
-            state = splitmix64(state ^ splitmix64(k.wrapping_add(i as u64 + 1)));
-        }
-        // Map the top 53 bits onto (0, 1); add half an ulp so we never return 0.
-        let mantissa = state >> 11;
-        (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
+        self.keyed(keys).unit()
     }
 
     /// A deterministic standard-normal draw for the given keys
     /// (Box–Muller over two decorrelated unit draws).
     pub fn normal_draw(&self, keys: &[u64]) -> f64 {
-        let u1 = self.unit_draw(keys);
-        let mut keys2: Vec<u64> = keys.to_vec();
-        keys2.push(0xA5A5_5A5A_0F0F_F0F0);
-        let u2 = self.unit_draw(&keys2);
+        self.keyed(keys).normal()
+    }
+}
+
+/// Extra key that decorrelates the second unit draw of [`KeyChain::normal`]
+/// from the first.
+const NORMAL_SECOND_KEY: u64 = 0xA5A5_5A5A_0F0F_F0F0;
+
+/// The hashed state of a key sequence, extendable one key at a time and
+/// allocation-free.
+///
+/// `rng.keyed(&[a, b]).then(c)` is the same state as `rng.keyed(&[a, b, c])`:
+/// each key is mixed in together with its position in the sequence, so a
+/// chain shared by many draws gives exactly the draws the full key lists
+/// would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyChain {
+    state: u64,
+    /// Number of keys mixed in so far (the position of the next key).
+    len: u64,
+}
+
+impl KeyChain {
+    /// The chain extended by one more key.
+    #[inline]
+    pub fn then(self, key: u64) -> KeyChain {
+        KeyChain {
+            state: splitmix64(self.state ^ splitmix64(key.wrapping_add(self.len + 1))),
+            len: self.len + 1,
+        }
+    }
+
+    /// The uniform draw in `(0, 1)` for this key sequence.
+    #[inline]
+    pub fn unit(self) -> f64 {
+        // Map the top 53 bits onto (0, 1); add half an ulp so we never return 0.
+        let mantissa = self.state >> 11;
+        (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
+    }
+
+    /// The standard-normal draw for this key sequence (Box–Muller over this
+    /// chain's unit draw and that of the chain extended by a fixed key).
+    #[inline]
+    pub fn normal(self) -> f64 {
+        let u1 = self.unit();
+        let u2 = self.then(NORMAL_SECOND_KEY).unit();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
@@ -164,6 +216,61 @@ impl RngStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The key derivation `unit_draw` used before [`KeyChain`] existed: the
+    /// whole key list re-hashed from the seed on every call.
+    fn reference_unit_draw(seed: u64, keys: &[u64]) -> f64 {
+        let mut state = splitmix64(seed);
+        for (i, k) in keys.iter().enumerate() {
+            state = splitmix64(state ^ splitmix64(k.wrapping_add(i as u64 + 1)));
+        }
+        let mantissa = state >> 11;
+        (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
+    }
+
+    /// The `Vec`-building `normal_draw` used before [`KeyChain`] existed.
+    fn reference_normal_draw(seed: u64, keys: &[u64]) -> f64 {
+        let u1 = reference_unit_draw(seed, keys);
+        let mut keys2: Vec<u64> = keys.to_vec();
+        keys2.push(0xA5A5_5A5A_0F0F_F0F0);
+        let u2 = reference_unit_draw(seed, &keys2);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    #[test]
+    fn key_chains_match_the_reference_derivation_bit_for_bit() {
+        let keys = [
+            0u64,
+            1,
+            u64::MAX,
+            0xA5A5_5A5A_0F0F_F0F0,
+            0x1234_5678_9ABC_DEF0,
+            7,
+        ];
+        for seed in [0u64, 42, u64::MAX] {
+            let root = DeterministicRng::new(seed).child(0x5EED_5EED);
+            for len in 0..=4 {
+                for offset in 0..2 {
+                    let ks = &keys[offset..offset + len];
+                    let want_u = reference_unit_draw(root.seed(), ks);
+                    let want_n = reference_normal_draw(root.seed(), ks);
+                    assert_eq!(root.unit_draw(ks).to_bits(), want_u.to_bits());
+                    assert_eq!(root.normal_draw(ks).to_bits(), want_n.to_bits());
+                    let chain = root.keyed(ks);
+                    assert_eq!(chain.unit().to_bits(), want_u.to_bits());
+                    assert_eq!(chain.normal().to_bits(), want_n.to_bits());
+                    // Extending a shared prefix one key at a time lands on
+                    // the same state as keying the whole list at once.
+                    let stepped = ks.iter().fold(root.keyed(&[]), |chain, &k| chain.then(k));
+                    assert_eq!(stepped, chain);
+                    if len > 0 {
+                        let split = root.keyed(&ks[..len - 1]).then(ks[len - 1]);
+                        assert_eq!(split.normal().to_bits(), want_n.to_bits());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn streams_are_reproducible() {

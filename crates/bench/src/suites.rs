@@ -166,12 +166,11 @@ fn feedback_window(
     samples: &[SampleSemantics],
     batch_size: u32,
 ) -> Vec<RequestFeedback> {
-    samples
-        .iter()
-        .map(|sample| RequestFeedback {
-            observations: (0..plan.num_ramps())
-                .map(|i| plan.observe(sample, i))
-                .collect(),
+    plan.execute_batch(samples)
+        .per_request
+        .into_iter()
+        .map(|obs| RequestFeedback {
+            observations: obs.ramp_observations,
             exited: None,
             correct: true,
             batch_size,
