@@ -1,8 +1,6 @@
 //! Classification-serving baselines: the [`ExitPolicy`] family.
 
-use apparate_core::{
-    greedy_tune, GreedyParams, RequestFeedback, ThresholdEvaluator, TuningOutcome,
-};
+use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
 use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
@@ -144,26 +142,22 @@ impl ExitPolicy for StaticExitPolicy {
 /// validation split, §3.1) using Apparate's own greedy tuner, and return the
 /// outcome. Wrap the result in a [`StaticExitPolicy`] for the "oneshot-tuned"
 /// baseline: optimal for the bootstrap distribution, blind to drift.
+///
+/// The search runs on the [`IncrementalTuner`], which walks the same
+/// trajectory as [`greedy_tune`](apparate_core::greedy_tune) over the same
+/// records and returns the same outcome, bit for bit.
 pub fn offline_tuned_thresholds(
     plan: &ExecutionPlan,
     calibration: &[SampleSemantics],
     params: GreedyParams,
     reference_batch: u32,
 ) -> TuningOutcome {
-    let records: Vec<RequestFeedback> = plan
-        .execute_batch(calibration)
-        .per_request
-        .into_iter()
-        .map(|obs| RequestFeedback {
-            observations: obs.ramp_observations,
-            exited: None,
-            correct: true,
-            batch_size: reference_batch,
-        })
-        .collect();
+    let mut window = TuningWindow::new(plan.num_ramps(), calibration.len().max(1));
+    for obs in plan.execute_batch(calibration).per_request {
+        window.push(&obs.ramp_observations, None, true, reference_batch);
+    }
     let savings = per_ramp_savings_us(plan, reference_batch);
-    let evaluator = ThresholdEvaluator::new(&records, &savings);
-    greedy_tune(&evaluator, params)
+    IncrementalTuner::new().tune(&window, &savings, params)
 }
 
 /// The deterministic hindsight oracle (§2.2's "optimal early exiting").

@@ -14,7 +14,7 @@
 //! controller in `apparate-core` and the baselines in `apparate-baselines`.
 
 use crate::semantics::{InputDraws, RampObservation, SampleSemantics, SemanticsModel};
-use apparate_model::{sum_latency_us, LayerId, LayerLatency, ZooModel};
+use apparate_model::{LayerId, LayerLatency, ModelLatency, ZooModel};
 use serde::{Deserialize, Serialize};
 
 /// A ramp as seen by the execution engine: where it sits, what it costs, and
@@ -43,9 +43,9 @@ pub struct ExecutionPlan {
     /// (parallel to `ramps`): one `powf` per ramp per plan, not per
     /// observation.
     ramp_powers: Vec<f64>,
-    /// Each ramp's cost (parallel to `ramps`), contiguous for
-    /// [`sum_latency_us`].
-    ramp_costs: Vec<LayerLatency>,
+    /// Each ramp's cost (parallel to `ramps`) as a latency sequence, so
+    /// overhead sums read its prefix table.
+    ramp_costs: ModelLatency,
 }
 
 /// Fraction of a `layers`-layer model executed up to topological position
@@ -80,7 +80,7 @@ impl ExecutionPlan {
             .zip(&ramp_positions)
             .map(|(r, &pos)| semantics.ramp_power(depth_fraction_at(pos, layers), r.capacity))
             .collect();
-        let ramp_costs = ramps.iter().map(|r| r.cost).collect();
+        let ramp_costs = ModelLatency::new(ramps.iter().map(|r| r.cost).collect());
         ExecutionPlan {
             model,
             semantics,
@@ -140,7 +140,7 @@ impl ExecutionPlan {
 
     /// Sum of all active ramps' costs for a batch, in µs.
     pub fn total_ramp_overhead_us(&self, batch: u32) -> f64 {
-        sum_latency_us(&self.ramp_costs, batch)
+        self.ramp_costs.total_us(batch)
     }
 
     /// Offset (from batch start) at which ramp `ramp_idx`'s result is
@@ -151,7 +151,7 @@ impl ExecutionPlan {
             .model
             .latency
             .prefix_us(self.ramp_positions[ramp_idx], batch);
-        prefix + sum_latency_us(&self.ramp_costs[..=ramp_idx], batch)
+        prefix + self.ramp_costs.prefix_us(ramp_idx, batch)
     }
 
     /// Offset at which the original model's final result is available when all
@@ -388,7 +388,18 @@ mod tests {
 
     #[test]
     fn cached_ramp_constants_match_per_call_derivations_bit_for_bit() {
-        let plan = plan_with_ramps(6);
+        let even = plan_with_ramps(6);
+        // Unequal ramp costs, so a reordered overhead sum shows.
+        let plan = even.with_ramps(
+            even.ramps()
+                .iter()
+                .enumerate()
+                .map(|(i, r)| RampPlacement {
+                    cost: r.cost.scaled(1.0 + 0.37 * i as f64),
+                    ..*r
+                })
+                .collect(),
+        );
         let samples: Vec<SampleSemantics> = (0..64)
             .map(|i| SampleSemantics::new(i * 7919, (i as f64 * 0.113) % 1.0))
             .collect();
@@ -406,6 +417,7 @@ mod tests {
                 assert_eq!(got.agrees, want.agrees);
             }
         }
+        // Past the last tabulated batch (16), so the fallback is pinned too.
         for batch in 1..=32u32 {
             let costs = |upto: usize| -> f64 {
                 plan.ramps()[..upto]

@@ -44,7 +44,7 @@ use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, LinkDirection, Telemetry};
 
 /// Counters describing what the controller did during a run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Threshold-tuning rounds executed.
     pub tuning_rounds: usize,
@@ -70,7 +70,7 @@ const TUNING_SAFETY: f64 = 0.6;
 /// deep-ramp thresholds whenever the window happens to contain no hard inputs
 /// at that depth (censoring), which is exactly where drift then bites
 /// hardest. The effective cap scales with the fourth root of the user's
-/// budget relative to 1 % (see `ControllerHalf::tuning_params`): the
+/// budget relative to 1 % (see `tuning_params`): the
 /// confidence bar an exit must clear is part of the same safety margin the
 /// budget buys, which is what makes the Figure 19 sensitivity knob bite.
 const MAX_TUNED_THRESHOLD: f64 = 0.35;
@@ -206,32 +206,55 @@ struct ControllerHalf {
     telemetry: Telemetry,
 }
 
-impl ControllerHalf {
-    /// The (conservative) greedy-search parameters every tuning round uses.
-    fn tuning_params(&self) -> GreedyParams {
-        GreedyParams {
-            // Tune against a fraction of the user's budget: the greedy search
-            // picks the savings-maximal configuration that scrapes the
-            // in-window floor, so its out-of-window accuracy is systematically
-            // below the floor (winner's curse). Spending only part of the
-            // budget in-window keeps the *realised* loss within the
-            // constraint.
-            accuracy_loss_budget: self.config.accuracy_constraint * TUNING_SAFETY,
-            initial_step: self.config.initial_step,
-            smallest_step: self.config.smallest_step,
-            // Budget-relative confidence cap, ∜-scaled: wrong-exit mass is
-            // strongly super-linear in the entropy bar around the calibrated
-            // 0.35 point, so the bar must move much more slowly than the
-            // budget for realised loss to stay inside the constraint at every
-            // grid point. The upper clamp (0.45) marks where wrong-exit mass
-            // explodes under the synthetic semantics model regardless of
-            // budget; the lower keeps a tiny budget from disabling exits.
-            max_threshold: (MAX_TUNED_THRESHOLD
-                * (self.config.accuracy_constraint / REFERENCE_ACCURACY_BUDGET).powf(0.25))
-            .clamp(0.05, 0.45),
-        }
+/// The (conservative) greedy-search parameters every tuning round under
+/// `config` uses, the offline warm start included.
+fn tuning_params(config: &ApparateConfig) -> GreedyParams {
+    GreedyParams {
+        // Tune against a fraction of the user's budget: the greedy search
+        // picks the savings-maximal configuration that scrapes the in-window
+        // floor, so its out-of-window accuracy is systematically below the
+        // floor (winner's curse). Spending only part of the budget in-window
+        // keeps the *realised* loss within the constraint.
+        accuracy_loss_budget: config.accuracy_constraint * TUNING_SAFETY,
+        initial_step: config.initial_step,
+        smallest_step: config.smallest_step,
+        // Budget-relative confidence cap, ∜-scaled: wrong-exit mass is
+        // strongly super-linear in the entropy bar around the calibrated 0.35
+        // point, so the bar must move much more slowly than the budget for
+        // realised loss to stay inside the constraint at every grid point.
+        // The upper clamp (0.45) marks where wrong-exit mass explodes under
+        // the synthetic semantics model regardless of budget; the lower keeps
+        // a tiny budget from disabling exits.
+        max_threshold: (MAX_TUNED_THRESHOLD
+            * (config.accuracy_constraint / REFERENCE_ACCURACY_BUDGET).powf(0.25))
+        .clamp(0.05, 0.45),
     }
+}
 
+/// Warm-start thresholds from offline calibration samples (the bootstrap
+/// validation split, §3.1): the paper tunes initial thresholds on bootstrap
+/// data before serving begins, so the controller does not have to serve a
+/// whole tuning window at thresholds 0 first. `None` when there is nothing
+/// to tune (no samples or no ramps).
+///
+/// The result depends on nothing but its inputs, so a fleet whose replicas
+/// share a deployment, configuration, reference batch and calibration set
+/// tunes once and hands every replica a copy.
+pub(crate) fn warm_start_thresholds(
+    plan: &ExecutionPlan,
+    config: &ApparateConfig,
+    reference_batch: u32,
+    calibration: &[SampleSemantics],
+) -> Option<Vec<f64>> {
+    if calibration.is_empty() || plan.num_ramps() == 0 {
+        return None;
+    }
+    let outcome =
+        offline_tuned_thresholds(plan, calibration, tuning_params(config), reference_batch);
+    Some(outcome.thresholds)
+}
+
+impl ControllerHalf {
     fn accuracy_floor(&self) -> f64 {
         1.0 - self.config.accuracy_constraint
     }
@@ -326,10 +349,10 @@ impl ControllerHalf {
             // the reference greedy search over them.
             let records = self.monitor.tuning_records();
             let evaluator = ThresholdEvaluator::new(&records, &savings);
-            greedy_tune(&evaluator, self.tuning_params())
+            greedy_tune(&evaluator, tuning_params(&self.config))
         } else {
             self.tuner
-                .tune(self.monitor.window(), &savings, self.tuning_params())
+                .tune(self.monitor.window(), &savings, tuning_params(&self.config))
         };
         let thresholds_changed = self.thresholds != outcome.thresholds;
         self.thresholds = outcome.thresholds;
@@ -541,25 +564,13 @@ impl CoordinatedCore {
         self.controller.telemetry = telemetry;
     }
 
-    /// Warm-start thresholds from offline calibration samples (the bootstrap
-    /// validation split, §3.1): the paper tunes initial thresholds on
-    /// bootstrap data before serving begins, so the controller does not have
-    /// to serve a whole tuning window at thresholds 0 first. This happens
-    /// offline — the initial configuration is loaded onto the GPU together
-    /// with the model, so no link transfer is charged.
-    fn warm_start(&mut self, calibration: &[SampleSemantics]) {
-        if calibration.is_empty() || self.controller.plan.num_ramps() == 0 {
-            return;
-        }
-        let outcome = offline_tuned_thresholds(
-            &self.controller.plan,
-            calibration,
-            self.controller.tuning_params(),
-            self.controller.reference_batch,
-        );
-        self.controller.thresholds = outcome.thresholds.clone();
+    /// Load thresholds tuned offline by [`warm_start_thresholds`]. This
+    /// happens offline — the initial configuration is loaded onto the GPU
+    /// together with the model, so no link transfer is charged.
+    fn warm_start(&mut self, thresholds: Vec<f64>) {
+        self.controller.thresholds = thresholds.clone();
         // lint:allow(W001, reason = "offline warm start: the initial configuration is loaded onto the GPU together with the model, before serving begins — no wire delivery exists to poll")
-        self.gpu.thresholds = outcome.thresholds;
+        self.gpu.thresholds = thresholds;
         self.controller.needs_tune = false;
         self.controller.stats.tuning_rounds += 1;
     }
@@ -649,9 +660,22 @@ impl ApparatePolicy {
         calibration: &[SampleSemantics],
         link: LinkCost,
     ) -> ApparatePolicy {
-        let mut policy = ApparatePolicy::with_link(deployment, config, reference_batch, link);
-        policy.core.warm_start(calibration);
-        policy
+        let policy = ApparatePolicy::with_link(deployment, config, reference_batch, link);
+        let thresholds = warm_start_thresholds(
+            &policy.core.controller.plan,
+            &config,
+            reference_batch,
+            calibration,
+        );
+        policy.with_warm_start(thresholds)
+    }
+
+    /// Load offline-tuned thresholds from [`warm_start_thresholds`], if any.
+    pub(crate) fn with_warm_start(mut self, thresholds: Option<Vec<f64>>) -> ApparatePolicy {
+        if let Some(thresholds) = thresholds {
+            self.core.warm_start(thresholds);
+        }
+        self
     }
 
     /// Current per-ramp thresholds *as deployed on the GPU* (the controller's
@@ -790,9 +814,22 @@ impl ApparateTokenPolicy {
         calibration: &[SampleSemantics],
         link: LinkCost,
     ) -> ApparateTokenPolicy {
-        let mut policy = ApparateTokenPolicy::with_link(deployment, config, reference_batch, link);
-        policy.core.warm_start(calibration);
-        policy
+        let policy = ApparateTokenPolicy::with_link(deployment, config, reference_batch, link);
+        let thresholds = warm_start_thresholds(
+            &policy.core.controller.plan,
+            &config,
+            reference_batch,
+            calibration,
+        );
+        policy.with_warm_start(thresholds)
+    }
+
+    /// Load offline-tuned thresholds from [`warm_start_thresholds`], if any.
+    pub(crate) fn with_warm_start(mut self, thresholds: Option<Vec<f64>>) -> ApparateTokenPolicy {
+        if let Some(thresholds) = thresholds {
+            self.core.warm_start(thresholds);
+        }
+        self
     }
 
     /// Current per-ramp thresholds as deployed on the GPU.
@@ -862,7 +899,7 @@ impl TokenPolicy for ApparateTokenPolicy {
 mod tests {
     use super::*;
     use apparate_baselines::deploy_budget_sites;
-    use apparate_core::RampArchitecture;
+    use apparate_core::{ConfigEvaluation, RampArchitecture, RequestFeedback, TuningOutcome};
     use apparate_exec::SemanticsModel;
     use apparate_model::zoo;
 
@@ -1264,5 +1301,72 @@ mod tests {
             now = completed;
         }
         panic!("tuned thresholds never reached the GPU");
+    }
+
+    /// Compare two tuning outcomes bit for bit (`runtime_us` aside).
+    fn assert_same_outcome(fast: &TuningOutcome, oracle: &TuningOutcome) {
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast.thresholds), bits(&oracle.thresholds));
+        let eval_bits =
+            |e: &ConfigEvaluation| [e.accuracy, e.mean_savings_us, e.exit_rate].map(f64::to_bits);
+        assert_eq!(eval_bits(&fast.evaluation), eval_bits(&oracle.evaluation));
+        assert_eq!(fast.evaluations, oracle.evaluations);
+    }
+
+    #[test]
+    fn offline_tuning_matches_the_full_greedy_oracle() {
+        use crate::scenario::{
+            classification_fixture, cv_scenario, generative_calibration, generative_fixture,
+            generative_scenario, nlp_scenario, scenario_config, ReproSizes,
+        };
+        let config = scenario_config();
+        let sizes = ReproSizes::quick();
+        // The CV and NLP validation splits and the generative calibration
+        // tokens every warm start and oneshot baseline tunes on.
+        let mut cases: Vec<(ExecutionPlan, Vec<SampleSemantics>, u32)> = Vec::new();
+        for seed in [42, 7] {
+            for scenario in [
+                cv_scenario(seed, sizes.cv_frames),
+                nlp_scenario(seed, sizes.nlp_requests),
+            ] {
+                let (_, _, dep) = classification_fixture(&scenario, &config);
+                let validation = scenario.workload.bootstrap_split().validation.to_vec();
+                cases.push((dep.plan, validation, scenario.reference_batch));
+            }
+            let scenario = generative_scenario(seed, sizes.gen_requests);
+            let (_, dep) = generative_fixture(&scenario, &config);
+            let calibration = generative_calibration(&scenario.workload);
+            cases.push((dep.plan, calibration, scenario.reference_batch));
+        }
+        let oneshot = GreedyParams {
+            accuracy_loss_budget: config.accuracy_constraint,
+            initial_step: config.initial_step,
+            smallest_step: config.smallest_step,
+            max_threshold: 1.0,
+        };
+        let mut exits = 0;
+        for (plan, calibration, reference_batch) in &cases {
+            // The same observations as per-request records for the full
+            // evaluator.
+            let records: Vec<RequestFeedback> = plan
+                .execute_batch(calibration)
+                .per_request
+                .into_iter()
+                .map(|obs| RequestFeedback {
+                    observations: obs.ramp_observations,
+                    exited: None,
+                    correct: true,
+                    batch_size: *reference_batch,
+                })
+                .collect();
+            let savings = per_ramp_savings_us(plan, *reference_batch);
+            let evaluator = ThresholdEvaluator::new(&records, &savings);
+            for params in [oneshot, tuning_params(&config)] {
+                let fast = offline_tuned_thresholds(plan, calibration, params, *reference_batch);
+                assert_same_outcome(&fast, &greedy_tune(&evaluator, params));
+                exits += fast.thresholds.iter().filter(|&&t| t > 0.0).count();
+            }
+        }
+        assert!(exits > 0, "some tune must open a ramp");
     }
 }

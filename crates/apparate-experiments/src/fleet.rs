@@ -37,7 +37,7 @@ use apparate_serving::{
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
 
-use crate::controller::{ApparatePolicy, ApparateTokenPolicy};
+use crate::controller::{warm_start_thresholds, ApparatePolicy, ApparateTokenPolicy};
 use crate::report::{ComparisonTable, OverheadRow};
 use crate::scenario::{
     classification_fixture, generative_calibration, generative_fixture, generative_requests,
@@ -281,6 +281,30 @@ pub fn run_classification_fleet_over_shards(
     }
 }
 
+/// One warm-started Apparate controller per replica, each traced under its
+/// replica tag. Every replica warm-starts on the same inputs, so the warm
+/// start is tuned once and copied.
+fn apparate_replicas(
+    replicas: usize,
+    dep_budget: &RampDeployment,
+    config: ApparateConfig,
+    reference_batch: u32,
+    validation: &[apparate_exec::SampleSemantics],
+    telemetry: &Telemetry,
+) -> Vec<ApparatePolicy> {
+    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, validation);
+    (0..replicas)
+        .map(|r| {
+            let mut policy = ApparatePolicy::new(dep_budget.clone(), config, reference_batch)
+                .with_warm_start(warm.clone());
+            // Controller events carry this replica's tag and land in its
+            // per-replica buffer, so parallel replicas never contend.
+            policy.set_telemetry(telemetry.for_replica(r as u32));
+            policy
+        })
+        .collect()
+}
+
 /// Serve the pre-computed shards with one Apparate controller per replica and
 /// sum the per-replica coordination charges.
 #[allow(clippy::too_many_arguments)]
@@ -299,20 +323,14 @@ fn apparate_fleet(
     // (config-only) fleet handle so the baseline families stay untraced.
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let mut policies: Vec<ApparatePolicy> = (0..fleet.replicas)
-        .map(|r| {
-            let mut policy = ApparatePolicy::warm_started(
-                dep_budget.clone(),
-                config,
-                reference_batch,
-                validation,
-            );
-            // Controller events carry this replica's tag and land in its
-            // per-replica buffer, so parallel replicas never contend.
-            policy.set_telemetry(telemetry.for_replica(r as u32));
-            policy
-        })
-        .collect();
+    let mut policies = apparate_replicas(
+        fleet.replicas,
+        dep_budget,
+        config,
+        reference_batch,
+        validation,
+        telemetry,
+    );
     // Same ramp-budget-padded estimator contract as the single-replica run:
     // the controller may change its ramp set at runtime, but total ramp
     // overhead never exceeds the user's budget.
@@ -534,6 +552,27 @@ pub fn run_generative_fleet_over_shards(
     }
 }
 
+/// One warm-started Apparate token controller per replica; like
+/// [`apparate_replicas`], the warm start is tuned once and copied.
+fn apparate_token_replicas(
+    replicas: usize,
+    dep_budget: &RampDeployment,
+    config: ApparateConfig,
+    reference_batch: u32,
+    calibration: &[apparate_exec::SampleSemantics],
+    telemetry: &Telemetry,
+) -> Vec<ApparateTokenPolicy> {
+    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, calibration);
+    (0..replicas)
+        .map(|r| {
+            let mut policy = ApparateTokenPolicy::new(dep_budget.clone(), config, reference_batch)
+                .with_warm_start(warm.clone());
+            policy.set_telemetry(telemetry.for_replica(r as u32));
+            policy
+        })
+        .collect()
+}
+
 /// Serve the pre-computed request shards with one Apparate token controller
 /// per replica and sum the per-replica coordination charges.
 #[allow(clippy::too_many_arguments)]
@@ -549,20 +588,14 @@ fn apparate_generative_fleet(
     threads: usize,
 ) -> (GenerativeFleetOutcome, OverheadReport) {
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
-    let mut policies: Vec<ApparateTokenPolicy> = (0..fleet.replicas)
-        .map(|r| {
-            let mut policy = ApparateTokenPolicy::warm_started(
-                dep_budget.clone(),
-                config,
-                reference_batch,
-                calibration,
-            );
-            // Controller events carry this replica's tag and land in its
-            // per-replica buffer, so parallel replicas never contend.
-            policy.set_telemetry(telemetry.for_replica(r as u32));
-            policy
-        })
-        .collect();
+    let mut policies = apparate_token_replicas(
+        fleet.replicas,
+        dep_budget,
+        config,
+        reference_batch,
+        calibration,
+        telemetry,
+    );
     let out = fleet
         .serve(shards, tokens)
         .units(policies.iter_mut().enumerate().map(|(r, p)| {
@@ -831,4 +864,71 @@ pub fn render_fleet_summary(runs: &[FleetRun]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{cv_scenario, generative_scenario};
+
+    fn assert_same_bits(replica: &[f64], single: &[f64]) {
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(replica), bits(single));
+    }
+
+    #[test]
+    fn fleet_replicas_carry_the_single_policy_warm_start() {
+        let scenario = cv_scenario(42, 1_200);
+        let config = scenario_config();
+        let (_, _, dep_budget) = classification_fixture(&scenario, &config);
+        let validation = scenario.workload.bootstrap_split().validation;
+        let single = ApparatePolicy::warm_started(
+            dep_budget.clone(),
+            config,
+            scenario.reference_batch,
+            validation,
+        );
+        assert_eq!(single.stats().tuning_rounds, 1, "the warm start must tune");
+        let replicas = apparate_replicas(
+            3,
+            &dep_budget,
+            config,
+            scenario.reference_batch,
+            validation,
+            &Telemetry::disabled(),
+        );
+        assert_eq!(replicas.len(), 3);
+        for replica in &replicas {
+            assert_same_bits(replica.thresholds(), single.thresholds());
+            assert_eq!(replica.stats(), single.stats());
+        }
+    }
+
+    #[test]
+    fn token_fleet_replicas_carry_the_single_policy_warm_start() {
+        let scenario = generative_scenario(42, 24);
+        let config = scenario_config();
+        let (_, dep_budget) = generative_fixture(&scenario, &config);
+        let calibration = generative_calibration(&scenario.workload);
+        let single = ApparateTokenPolicy::warm_started(
+            dep_budget.clone(),
+            config,
+            scenario.reference_batch,
+            &calibration,
+        );
+        assert_eq!(single.stats().tuning_rounds, 1, "the warm start must tune");
+        let replicas = apparate_token_replicas(
+            3,
+            &dep_budget,
+            config,
+            scenario.reference_batch,
+            &calibration,
+            &Telemetry::disabled(),
+        );
+        assert_eq!(replicas.len(), 3);
+        for replica in &replicas {
+            assert_same_bits(replica.thresholds(), single.thresholds());
+            assert_eq!(replica.stats(), single.stats());
+        }
+    }
 }

@@ -1,5 +1,5 @@
-//! Golden-output check: `repro --quick` and `repro --sweep --quick` at seed
-//! 42 must print exactly the committed tables under `tests/golden/`.
+//! Golden-output check: `repro`, `repro --quick` and `repro --sweep --quick`
+//! at seed 42 must print exactly the committed tables under `tests/golden/`.
 //!
 //! CI's determinism steps only diff `repro` against itself, so a change that
 //! flips one float in the simulation would pass them. This test pins the
@@ -7,8 +7,8 @@
 //! first diverging line. When a change *means* to move the tables, regenerate
 //! the files with
 //! `cargo run --release -p apparate-experiments --bin repro -- --quick --seed 42 > crates/apparate-experiments/tests/golden/repro_quick_seed42.txt`
-//! (and the same with `--sweep` for `repro_sweep_quick_seed42.txt`), and say
-//! why in the change log.
+//! (the same with `--sweep` for `repro_sweep_quick_seed42.txt`, and without
+//! `--quick` for `repro_full_seed42.txt`), and say why in the change log.
 
 use std::path::Path;
 use std::process::Command;
@@ -67,4 +67,13 @@ fn repro_quick_matches_golden_tables() {
 fn repro_sweep_quick_matches_golden_tables() {
     let out = repro(&["--sweep", "--quick", "--seed", "42"]);
     assert_matches_golden("repro_sweep_quick_seed42.txt", &out);
+}
+
+/// The full-size tables: the CV and generative scenarios here are the ones
+/// the benchmark's `cv-steady` and `gen-decode` workloads time, at sizes the
+/// quick tables do not reach.
+#[test]
+fn repro_full_matches_golden_tables() {
+    let out = repro(&["--seed", "42"]);
+    assert_matches_golden("repro_full_seed42.txt", &out);
 }

@@ -17,6 +17,7 @@
 use crate::graph::ModelGraph;
 use crate::layer::LayerKind;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Latency model of a single layer.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -56,7 +57,14 @@ impl LayerLatency {
 /// The power stays outside the inner loop on purpose: a per-layer
 /// "recompute when the exponent changes" branch compiles back into one
 /// `pow` per layer.
-pub fn sum_latency_us(layers: &[LayerLatency], batch: u32) -> f64 {
+fn sum_latency_us(layers: &[LayerLatency], batch: u32) -> f64 {
+    fold_latency_us(layers, batch, |_| {})
+}
+
+/// The left fold behind [`sum_latency_us`], handing every running total to
+/// `visit`: the total after layer `i` is the sum over `layers[..=i]`, bit
+/// for bit, because each run's `batch^alpha` depends only on its exponent.
+fn fold_latency_us(layers: &[LayerLatency], batch: u32, mut visit: impl FnMut(f64)) -> f64 {
     debug_assert!(batch >= 1, "batch must be at least 1");
     let b = batch as f64;
     // `Sum for f64` starts from -0.0, the exact additive identity.
@@ -69,13 +77,22 @@ pub fn sum_latency_us(layers: &[LayerLatency], batch: u32) -> f64 {
             .position(|l| l.batch_alpha.to_bits() != alpha.to_bits())
             .unwrap_or(rest.len() - 1);
         let scale = b.powf(alpha);
-        total = rest[..run]
-            .iter()
-            .fold(total, |acc, l| acc + (l.fixed_us + l.per_item_us * scale));
+        total = rest[..run].iter().fold(total, |acc, l| {
+            let acc = acc + (l.fixed_us + l.per_item_us * scale);
+            visit(acc);
+            acc
+        });
         rest = &rest[run..];
     }
     total
 }
+
+/// Largest batch whose prefix latencies [`ModelLatency`] tabulates; larger
+/// batches fold the layers per call. 16 is the largest batch `repro`,
+/// `repro --sweep`, the examples and perfbench ask for: Clockwork batches
+/// CV and NLP requests up to 8, continuous decoding batches up to 16
+/// sequences.
+const TABLED_BATCHES: u32 = 16;
 
 /// Latency model for an entire graph: one [`LayerLatency`] per layer, stored
 /// in **topological order**, plus prefix sums for "run up to position k"
@@ -84,12 +101,32 @@ pub fn sum_latency_us(layers: &[LayerLatency], batch: u32) -> f64 {
 pub struct ModelLatency {
     /// Per-layer latency in topological order.
     per_layer: Vec<LayerLatency>,
+    /// Running totals of [`sum_latency_us`] over `per_layer` for batches
+    /// `1..=TABLED_BATCHES`: row `b` (from `(b - 1) * len`) holds
+    /// `prefix_us(pos, b)` at `pos`. Serving asks for the same sums several
+    /// times per request, so they are folded once per model; clones of a
+    /// plan share the table.
+    prefix_table: Arc<[f64]>,
 }
 
 impl ModelLatency {
     /// Build from per-layer latencies given in topological order.
     pub fn new(per_layer: Vec<LayerLatency>) -> ModelLatency {
-        ModelLatency { per_layer }
+        let mut prefix_table = Vec::with_capacity(per_layer.len() * TABLED_BATCHES as usize);
+        for batch in 1..=TABLED_BATCHES {
+            fold_latency_us(&per_layer, batch, |running| prefix_table.push(running));
+        }
+        ModelLatency {
+            per_layer,
+            prefix_table: prefix_table.into(),
+        }
+    }
+
+    /// The tabulated prefix sums for `batch`, if it has a row.
+    fn prefix_row(&self, batch: u32) -> Option<&[f64]> {
+        let len = self.per_layer.len();
+        let row = batch.checked_sub(1).filter(|&r| r < TABLED_BATCHES)? as usize;
+        Some(&self.prefix_table[row * len..(row + 1) * len])
     }
 
     /// Number of layers covered.
@@ -114,13 +151,19 @@ impl ModelLatency {
 
     /// Total model latency for a batch, in microseconds.
     pub fn total_us(&self, batch: u32) -> f64 {
-        sum_latency_us(&self.per_layer, batch)
+        match self.prefix_row(batch).and_then(|row| row.last()) {
+            Some(&total) => total,
+            None => sum_latency_us(&self.per_layer, batch),
+        }
     }
 
     /// Latency of running the model **up to and including** topological
     /// position `pos`, for a batch.
     pub fn prefix_us(&self, pos: usize, batch: u32) -> f64 {
-        sum_latency_us(&self.per_layer[..=pos], batch)
+        match self.prefix_row(batch) {
+            Some(row) => row[pos],
+            None => sum_latency_us(&self.per_layer[..=pos], batch),
+        }
     }
 
     /// Latency of the layers strictly **after** topological position `pos`.
@@ -139,9 +182,7 @@ impl ModelLatency {
 
     /// Scale every layer's latency by `factor`, returning a new model.
     pub fn scaled(&self, factor: f64) -> ModelLatency {
-        ModelLatency {
-            per_layer: self.per_layer.iter().map(|l| l.scaled(factor)).collect(),
-        }
+        ModelLatency::new(self.per_layer.iter().map(|l| l.scaled(factor)).collect())
     }
 
     /// Calibrate so the batch-1 total equals `target_us`.
@@ -321,7 +362,7 @@ mod tests {
     }
 
     /// The per-layer fold `total_us` / `prefix_us` computed before the
-    /// exponent-once sum.
+    /// exponent-once sum and the prefix table.
     fn reference_sum(layers: &[LayerLatency], batch: u32) -> f64 {
         layers.iter().map(|l| l.latency_us(batch)).sum()
     }
@@ -358,7 +399,9 @@ mod tests {
             .collect();
         for layers in [uniform_alpha.per_layer(), &mixed[..], &alternating[..]] {
             let lat = ModelLatency::new(layers.to_vec());
-            for batch in 1..=32u32 {
+            // Every tabulated row, then as many batches again through the
+            // per-call fold above the table.
+            for batch in 1..=2 * TABLED_BATCHES {
                 assert_eq!(
                     lat.total_us(batch).to_bits(),
                     reference_sum(layers, batch).to_bits()
@@ -382,6 +425,13 @@ mod tests {
             sum_latency_us(&[], 4).to_bits(),
             reference_sum(&[], 4).to_bits()
         );
+        let empty = ModelLatency::new(Vec::new());
+        for batch in [1, TABLED_BATCHES + 1] {
+            assert_eq!(
+                empty.total_us(batch).to_bits(),
+                reference_sum(&[], batch).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod meta;
 pub mod zoo;
 
 pub use graph::{GraphError, ModelGraph};
-pub use latency::{sum_latency_us, synthesize_latency, ComputeShape, LayerLatency, ModelLatency};
+pub use latency::{synthesize_latency, ComputeShape, LayerLatency, ModelLatency};
 pub use layer::{Layer, LayerId, LayerKind, Stage};
 pub use meta::{ModelDescriptor, ModelFamily, TaskKind};
 pub use zoo::ZooModel;

@@ -383,9 +383,14 @@ impl ServingSimulator {
             if gpu_busy {
                 continue;
             }
-            // GPU is idle: ask the batching policy what to do.
-            let queued: Vec<Request> = queue.iter().cloned().collect();
-            match self.config.policy.decide(&queued, now, estimate_batch_time) {
+            // GPU is idle: ask the batching policy what to do. The policy
+            // reads the queue in place; making the ring contiguous moves
+            // entries at most once per wrap, not once per event.
+            match self
+                .config
+                .policy
+                .decide(queue.make_contiguous(), now, estimate_batch_time)
+            {
                 BatchDecision::Idle => {}
                 BatchDecision::WaitUntil(at) => {
                     events.schedule(at, Event::TimeoutCheck);

@@ -159,9 +159,11 @@ fn greedy_params(accuracy_loss_budget: f64) -> GreedyParams {
     }
 }
 
-/// Build the tuner's observation window from calibration samples, exactly the
-/// way `offline_tuned_thresholds` does.
-fn feedback_window(
+/// The calibration samples as the per-request records the full evaluator
+/// reads (`grid_tune` here): every ramp observed, nothing exited, everything
+/// correct. `offline_tuned_thresholds` pushes the same observations into a
+/// `TuningWindow` for the incremental tuner instead.
+fn calibration_records(
     plan: &apparate_exec::ExecutionPlan,
     samples: &[SampleSemantics],
     batch_size: u32,
@@ -188,7 +190,7 @@ fn tuning(ctx: &BenchContext) -> Vec<BenchReport> {
     let plan = &fx.deployment.plan;
     let split = fx.workload.bootstrap_split();
     let reference_batch = 4u32;
-    let records = feedback_window(plan, split.validation, reference_batch);
+    let records = calibration_records(plan, split.validation, reference_batch);
     let savings = per_ramp_savings_us(plan, reference_batch);
 
     // Grid search is O(levels^ramps), so the Figure 10 comparison point is
