@@ -43,7 +43,7 @@ impl OracleSites {
         let semantics = plan.semantics();
         let input = semantics.input(sample);
         for (idx, (&site, &power)) in self.sites.iter().zip(&self.powers).enumerate() {
-            if semantics.observe_with(&input, site.0 as u64, power).agrees {
+            if semantics.agrees_with(&input, site.0 as u64, power) {
                 return (plan.site_prefix_us(site, batch), Some(idx));
             }
         }
@@ -64,5 +64,45 @@ impl OracleSites {
             .collect();
         let gpu_us = releases.iter().map(|(us, _)| *us).fold(0.0f64, f64::max);
         (gpu_us, releases)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apparate_exec::SemanticsModel;
+    use apparate_model::zoo;
+
+    #[test]
+    fn oracle_exits_at_the_first_site_whose_observation_agrees() {
+        let model = zoo::bert_base();
+        let semantics = SemanticsModel::new(5, model.descriptor.overparameterization);
+        let sites = model.graph.feasible_ramp_sites(None);
+        let plan = ExecutionPlan::vanilla(model, semantics);
+        let capacity = 0.97;
+        let oracle = OracleSites::new(&plan, sites.clone(), capacity);
+        let mut exits = 0;
+        for i in 0..500u64 {
+            let sample = SampleSemantics::new(i * 7919 + 3, (i as f64 * 0.6180) % 1.0);
+            let want = sites.iter().position(|&site| {
+                plan.semantics()
+                    .observe(
+                        &sample,
+                        site.0 as u64,
+                        plan.depth_fraction_of_site(site),
+                        capacity,
+                    )
+                    .agrees
+            });
+            let (release_us, got) = oracle.release_us(&plan, &sample, 4);
+            assert_eq!(got, want);
+            let expected_us = match want {
+                Some(idx) => plan.site_prefix_us(sites[idx], 4),
+                None => plan.vanilla_total_us(4),
+            };
+            assert_eq!(release_us.to_bits(), expected_us.to_bits());
+            exits += usize::from(want.is_some_and(|idx| idx > 0));
+        }
+        assert!(exits > 0, "some inputs must exit past the first site");
     }
 }

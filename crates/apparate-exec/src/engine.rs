@@ -13,7 +13,7 @@
 //! truly exit or only results do) belong to the policy layers: Apparate's
 //! controller in `apparate-core` and the baselines in `apparate-baselines`.
 
-use crate::semantics::{InputDraws, RampObservation, SampleSemantics, SemanticsModel};
+use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
 use apparate_model::{LayerId, LayerLatency, ModelLatency, ZooModel};
 use serde::{Deserialize, Serialize};
 
@@ -168,16 +168,6 @@ impl ExecutionPlan {
             .prefix_us(self.model.graph.topo_position(site), batch)
     }
 
-    /// Observation of ramp `ramp_idx` for the input `input` was drawn from.
-    #[inline]
-    fn observe_input(&self, input: &InputDraws, ramp_idx: usize) -> RampObservation {
-        self.semantics.observe_with(
-            input,
-            self.ramps[ramp_idx].site.0 as u64,
-            self.ramp_powers[ramp_idx],
-        )
-    }
-
     /// Execute a batch: produce, for every request, the observation at every
     /// active ramp. Timing is queried separately because it is identical for
     /// all requests in the batch.
@@ -187,8 +177,13 @@ impl ExecutionPlan {
             .map(|s| {
                 let input = self.semantics.input(s);
                 RequestObservations {
-                    ramp_observations: (0..self.ramps.len())
-                        .map(|i| self.observe_input(&input, i))
+                    ramp_observations: self
+                        .ramps
+                        .iter()
+                        .zip(&self.ramp_powers)
+                        .map(|(r, &power)| {
+                            self.semantics.observe_with(&input, r.site.0 as u64, power)
+                        })
                         .collect(),
                 }
             })
@@ -205,7 +200,8 @@ impl ExecutionPlan {
     /// The same answer as [`BatchExecution::earliest_exit`] over
     /// [`ExecutionPlan::execute_batch`], for policies that read nothing but
     /// the exit: ramps after the exit, and ramps whose threshold disables
-    /// exiting, are never observed.
+    /// exiting, are never observed, and a ramp the input passes draws only
+    /// what decides its entropy comparison.
     pub fn first_exit(
         &self,
         sample: &SampleSemantics,
@@ -223,8 +219,14 @@ impl ExecutionPlan {
             .enumerate()
             .filter(|&(_, &thr)| thr > 0.0)
             .find_map(|(i, &thr)| {
-                let obs = self.observe_input(&input, i);
-                (obs.entropy <= thr).then_some((i, obs))
+                self.semantics
+                    .exit_observation(
+                        &input,
+                        self.ramps[i].site.0 as u64,
+                        self.ramp_powers[i],
+                        thr,
+                    )
+                    .map(|obs| (i, obs))
             })
     }
 
@@ -446,13 +448,15 @@ mod tests {
             .map(|i| SampleSemantics::new(i * 31 + 5, (i as f64 * 0.61803) % 1.0))
             .collect();
         let exec = plan.execute_batch(&samples);
-        let threshold_sets: [[f64; 5]; 6] = [
+        let threshold_sets: [[f64; 5]; 8] = [
             [0.0; 5],
             [0.3; 5],
             [0.0, 0.2, 0.0, 0.4, 0.0],
             [0.05, 0.0, 0.1, 0.0, 0.9],
             [1.0, 0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0, 0.15],
+            [0.01, 0.02, 0.04, 0.06, 0.08],
+            [1.0; 5],
         ];
         let mut exits = 0;
         for thresholds in &threshold_sets {

@@ -21,14 +21,18 @@
 //!    the live system saw. This uses keyed draws
 //!    ([`DeterministicRng::keyed`]): an input's share of the keys is drawn
 //!    once ([`SemanticsModel::input`]) and extended per ramp
-//!    ([`SemanticsModel::observe_with`]).
+//!    ([`SemanticsModel::observe_with`]). A noise draw whose value cannot
+//!    change what the caller reads is skipped: no draw exceeds
+//!    [`NORMAL_BOUND`] standard deviations, so far from a decision
+//!    boundary the noise-free value decides alone (first-exit scans and
+//!    [`SemanticsModel::agrees_with`]).
 //!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
 //! which is what produces the paper's CV-vs-NLP win gap.
 
-use apparate_sim::{DeterministicRng, KeyChain};
+use apparate_sim::{DeterministicRng, KeyChain, NORMAL_BOUND};
 use serde::{Deserialize, Serialize};
 
 /// Semantic description of one input (or one generated token), produced by
@@ -67,6 +71,35 @@ pub struct RampObservation {
     pub agrees: bool,
 }
 
+/// Standard deviation of the per-input margin noise, identical at every
+/// depth.
+const INPUT_NOISE: f64 = 0.03;
+/// Standard deviation of the per-(input, ramp) margin perturbation; small,
+/// it only breaks ties between nearby ramps.
+const RAMP_NOISE: f64 = 0.015;
+/// Standard deviation of the observation noise on the entropy signal.
+const ENTROPY_NOISE: f64 = 0.04;
+/// Standard deviation of the noise on the agreement margin.
+///
+/// Calibrated against the paper's NLP median wins (40–90 %, Figure 13): the
+/// agreement margin must be tighter than the entropy signal's temperature,
+/// otherwise boundary exits at shallow ramps flip agreement so often that
+/// threshold tuning systematically over-prices them and exits collapse onto
+/// the deepest ramps (no latency win). Ramp imperfection is already modelled
+/// by `capacity` and the per-ramp margin perturbation, so this noise only
+/// captures readout disagreement at near-zero margin.
+const AGREEMENT_NOISE: f64 = 0.02;
+/// Temperature of the margin → entropy mapping.
+const TEMPERATURE: f64 = 0.08;
+
+/// Largest magnitude an entropy-noise draw can reach ([`NORMAL_BOUND`]
+/// scaled, and rounding is monotone): a noise-free entropy more than this
+/// above a threshold cannot exit, whatever the draw.
+const ENTROPY_NOISE_BOUND: f64 = NORMAL_BOUND * ENTROPY_NOISE;
+/// Largest magnitude an agreement-noise draw can reach: a margin farther
+/// than this from zero decides agreement by its sign alone.
+const AGREEMENT_NOISE_BOUND: f64 = NORMAL_BOUND * AGREEMENT_NOISE;
+
 /// The per-input part of a sample's ramp observations, shared by every ramp:
 /// the sample's key chain, its difficulty and its depth-independent noise.
 /// Built by [`SemanticsModel::input`].
@@ -79,17 +112,64 @@ pub struct InputDraws {
     input_noise: f64,
 }
 
+/// One (input, ramp) pair's key chain and latent margin. The entropy and
+/// agreement noises extend the chain, and each is drawn only by a caller
+/// whose answer it can change.
+#[derive(Clone, Copy)]
+struct RampDraws {
+    chain: KeyChain,
+    margin: f64,
+}
+
+impl RampDraws {
+    #[inline]
+    fn new(input: &InputDraws, ramp_key: u64, power: f64) -> RampDraws {
+        let chain = input.chain.then(ramp_key);
+        // Latent margin between ramp power and input difficulty, plus a stable
+        // per-(input, ramp) perturbation. The sum keeps this order:
+        // floating-point addition is not associative, and every table is
+        // pinned to these exact bits.
+        let ramp_noise = chain.then(2).normal() * RAMP_NOISE;
+        RampDraws {
+            chain,
+            margin: power - input.difficulty + input.input_noise + ramp_noise,
+        }
+    }
+
+    /// Entropy before observation noise: logistic in the negative margin,
+    /// i.e. confident (low entropy) when power comfortably exceeds
+    /// difficulty.
+    #[inline]
+    fn clean_entropy(self) -> f64 {
+        1.0 / (1.0 + (self.margin / TEMPERATURE).exp())
+    }
+
+    /// The observed entropy: `clean` (this pair's [`RampDraws::clean_entropy`])
+    /// plus the entropy noise, clamped into `[0, 1]`.
+    #[inline]
+    fn entropy_from(self, clean: f64) -> f64 {
+        (clean + self.chain.then(3).normal() * ENTROPY_NOISE).clamp(0.0, 1.0)
+    }
+
+    /// Positive margin means the ramp's best guess matches the full model,
+    /// with a little slack for ramp imperfection.
+    #[inline]
+    fn agrees(self) -> bool {
+        // No noise draw outweighs a margin beyond its bound, so the sum
+        // would take the margin's sign.
+        if self.margin.abs() > AGREEMENT_NOISE_BOUND {
+            self.margin > 0.0
+        } else {
+            self.margin + self.chain.then(4).normal() * AGREEMENT_NOISE > 0.0
+        }
+    }
+}
+
 /// Calibrated semantics model for one served model.
 #[derive(Debug, Clone)]
 pub struct SemanticsModel {
     rng: DeterministicRng,
     overparameterization: f64,
-    /// Observation noise on the entropy signal.
-    entropy_noise: f64,
-    /// Noise on the agreement margin (captures ramp imperfection).
-    agreement_noise: f64,
-    /// Temperature of the margin → entropy mapping.
-    temperature: f64,
 }
 
 impl SemanticsModel {
@@ -101,26 +181,7 @@ impl SemanticsModel {
         SemanticsModel {
             rng: DeterministicRng::new(seed).child(0x5EED_5EED),
             overparameterization: overparameterization.clamp(0.0, 1.0),
-            entropy_noise: 0.04,
-            // Calibrated against the paper's NLP median wins (40–90 %,
-            // Figure 13): the agreement margin must be tighter than the
-            // entropy signal's temperature, otherwise boundary exits at
-            // shallow ramps flip agreement so often that threshold tuning
-            // systematically over-prices them and exits collapse onto the
-            // deepest ramps (no latency win). Ramp imperfection is already
-            // modelled by `capacity` and the per-ramp margin perturbation, so
-            // this noise only captures readout disagreement at near-zero
-            // margin.
-            agreement_noise: 0.02,
-            temperature: 0.08,
         }
-    }
-
-    /// Override the noise parameters (used by sensitivity experiments).
-    pub fn with_noise(mut self, entropy_noise: f64, agreement_noise: f64) -> SemanticsModel {
-        self.entropy_noise = entropy_noise.max(0.0);
-        self.agreement_noise = agreement_noise.max(0.0);
-        self
     }
 
     /// The predictive power available to a ramp placed after a fraction
@@ -154,7 +215,7 @@ impl SemanticsModel {
             difficulty: sample.difficulty,
             // The per-input noise must be identical across depths so that
             // margin is monotone in depth for each individual input.
-            input_noise: chain.then(1).normal() * 0.03,
+            input_noise: chain.then(1).normal() * INPUT_NOISE,
         }
     }
 
@@ -165,23 +226,43 @@ impl SemanticsModel {
     /// depth and capacity `power` was computed from.
     #[inline]
     pub fn observe_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> RampObservation {
-        let ramp = input.chain.then(ramp_key);
-        // Latent margin between ramp power and input difficulty, plus a stable
-        // per-(input, ramp) perturbation; the per-ramp component is small and
-        // only breaks ties between nearby ramps. The sum keeps this order:
-        // floating-point addition is not associative, and every table is
-        // pinned to these exact bits.
-        let ramp_noise = ramp.then(2).normal() * 0.015;
-        let margin = power - input.difficulty + input.input_noise + ramp_noise;
-        // Entropy: logistic in the negative margin, i.e. confident (low
-        // entropy) when power comfortably exceeds difficulty.
-        let noise_e = ramp.then(3).normal() * self.entropy_noise;
-        let entropy = (1.0 / (1.0 + (margin / self.temperature).exp()) + noise_e).clamp(0.0, 1.0);
-        // Agreement: positive margin means the ramp's best guess matches the
-        // full model, with a little slack for ramp imperfection.
-        let noise_a = ramp.then(4).normal() * self.agreement_noise;
-        let agrees = margin + noise_a > 0.0;
-        RampObservation { entropy, agrees }
+        let ramp = RampDraws::new(input, ramp_key, power);
+        RampObservation {
+            entropy: ramp.entropy_from(ramp.clean_entropy()),
+            agrees: ramp.agrees(),
+        }
+    }
+
+    /// The observation of [`SemanticsModel::observe_with`] if its entropy is
+    /// at or below `threshold` (the input exits at this ramp), else `None`.
+    /// The entropy noise is drawn only when it can decide the comparison,
+    /// and the agreement only on an exit.
+    #[inline]
+    pub(crate) fn exit_observation(
+        &self,
+        input: &InputDraws,
+        ramp_key: u64,
+        power: f64,
+        threshold: f64,
+    ) -> Option<RampObservation> {
+        let ramp = RampDraws::new(input, ramp_key, power);
+        let clean = ramp.clean_entropy();
+        if clean - ENTROPY_NOISE_BOUND > threshold {
+            return None;
+        }
+        let entropy = ramp.entropy_from(clean);
+        (entropy <= threshold).then(|| RampObservation {
+            entropy,
+            agrees: ramp.agrees(),
+        })
+    }
+
+    /// Whether the ramp at `ramp_key` with predictive power `power` agrees
+    /// with the full model for `input`: the `agrees` of
+    /// [`SemanticsModel::observe_with`], without the entropy.
+    #[inline]
+    pub fn agrees_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> bool {
+        RampDraws::new(input, ramp_key, power).agrees()
     }
 
     /// Observe what the ramp at `ramp_key` (a stable site identifier, e.g. the
@@ -231,8 +312,9 @@ mod tests {
             .collect()
     }
 
-    /// `observe` as it was before the per-input split: every draw re-keyed
-    /// from the full key list, the margin re-derived per observation.
+    /// `observe` as it was before the per-input split and the split draws:
+    /// every draw re-keyed from the full key list, the margin re-derived and
+    /// all three ramp noises drawn per observation.
     fn reference_observe(
         m: &SemanticsModel,
         sample: &SampleSemantics,
@@ -244,31 +326,31 @@ mod tests {
         let input_noise = m.rng.normal_draw(&[sample.seed, 1]) * 0.03;
         let ramp_noise = m.rng.normal_draw(&[sample.seed, ramp_key, 2]) * 0.015;
         let margin = power - sample.difficulty + input_noise + ramp_noise;
-        let noise_e = m.rng.normal_draw(&[sample.seed, ramp_key, 3]) * m.entropy_noise;
-        let entropy = (1.0 / (1.0 + (margin / m.temperature).exp()) + noise_e).clamp(0.0, 1.0);
-        let noise_a = m.rng.normal_draw(&[sample.seed, ramp_key, 4]) * m.agreement_noise;
+        let noise_e = m.rng.normal_draw(&[sample.seed, ramp_key, 3]) * 0.04;
+        let entropy = (1.0 / (1.0 + (margin / 0.08).exp()) + noise_e).clamp(0.0, 1.0);
+        let noise_a = m.rng.normal_draw(&[sample.seed, ramp_key, 4]) * 0.02;
         RampObservation {
             entropy,
             agrees: margin + noise_a > 0.0,
         }
     }
 
+    /// Ramp sites as (key, depth, capacity).
+    const SITES: [(u64, f64, f64); 4] = [
+        (0, 0.0, 1.0),
+        (17, 0.3, 0.97),
+        (90, 0.8, 0.9),
+        (u64::MAX, 1.0, 0.5),
+    ];
+
     #[test]
     fn shared_input_draws_match_the_reference_observation_bit_for_bit() {
-        for (overparam, noise) in [(0.9, None), (0.6, None), (0.7, Some((0.1, 0.05)))] {
-            let mut m = model(overparam);
-            if let Some((e, a)) = noise {
-                m = m.with_noise(e, a);
-            }
+        for overparam in [0.9, 0.6] {
+            let m = model(overparam);
             for i in 0..200u64 {
                 let s = SampleSemantics::new(i.wrapping_mul(0x9E37_79B9), (i as f64 * 0.377) % 1.0);
                 let input = m.input(&s);
-                for (key, depth, capacity) in [
-                    (0u64, 0.0, 1.0),
-                    (17, 0.3, 0.97),
-                    (90, 0.8, 0.9),
-                    (u64::MAX, 1.0, 0.5),
-                ] {
+                for (key, depth, capacity) in SITES {
                     let want = reference_observe(&m, &s, key, depth, capacity);
                     let fast = m.observe_with(&input, key, m.ramp_power(depth, capacity));
                     let wrapped = m.observe(&s, key, depth, capacity);
@@ -279,6 +361,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Samples whose margin at `site` sits near `target`: the difficulty is
+    /// shifted by the distance between the unshifted margin and `target`.
+    fn samples_near_margin(
+        m: &SemanticsModel,
+        (key, depth, capacity): (u64, f64, f64),
+        target: f64,
+    ) -> Vec<SampleSemantics> {
+        (0..400u64)
+            .filter_map(|i| {
+                let s = SampleSemantics::new(i.wrapping_mul(0x2545_F491) ^ key, 0.5);
+                let margin =
+                    RampDraws::new(&m.input(&s), key, m.ramp_power(depth, capacity)).margin;
+                let difficulty = s.difficulty + margin - target;
+                (0.0..=1.0)
+                    .contains(&difficulty)
+                    .then(|| SampleSemantics::new(s.seed, difficulty))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_draws_match_the_reference_observation_bit_for_bit() {
+        let m = model(0.7);
+        let mut draws = [0usize; 2];
+        for site in SITES {
+            let (key, depth, capacity) = site;
+            let power = m.ramp_power(depth, capacity);
+            // Margins straddling the agreement-noise bound on both sides and
+            // zero, from 1e-12 to 0.03 away.
+            for bound in [-AGREEMENT_NOISE_BOUND, 0.0, AGREEMENT_NOISE_BOUND] {
+                for offset in [-0.03, -1e-3, -1e-12, 0.0, 1e-12, 1e-3, 0.03] {
+                    for s in samples_near_margin(&m, site, bound + offset) {
+                        let want = reference_observe(&m, &s, key, depth, capacity);
+                        let input = m.input(&s);
+                        let ramp = RampDraws::new(&input, key, power);
+                        draws[usize::from(ramp.margin.abs() > AGREEMENT_NOISE_BOUND)] += 1;
+                        assert_eq!(m.agrees_with(&input, key, power), want.agrees);
+                        let got = m.observe_with(&input, key, power);
+                        assert_eq!(got.entropy.to_bits(), want.entropy.to_bits());
+                        assert_eq!(got.agrees, want.agrees);
+                        // Thresholds at the entropy skip boundary, a hair to
+                        // either side, the reference entropy itself, and 1.0.
+                        let skip = ramp.clean_entropy() - ENTROPY_NOISE_BOUND;
+                        for threshold in [
+                            skip - 1e-3,
+                            skip - 1e-12,
+                            skip,
+                            skip + 1e-12,
+                            skip + 1e-3,
+                            want.entropy,
+                            1.0,
+                        ] {
+                            let exit = m.exit_observation(&input, key, power, threshold);
+                            assert_eq!(exit.is_some(), want.entropy <= threshold);
+                            if let Some(obs) = exit {
+                                assert_eq!(obs.entropy.to_bits(), want.entropy.to_bits());
+                                assert_eq!(obs.agrees, want.agrees);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            draws.iter().all(|&n| n > 100),
+            "both agreement paths must be exercised: {draws:?}"
+        );
     }
 
     #[test]

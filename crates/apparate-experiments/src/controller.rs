@@ -86,14 +86,28 @@ struct GpuHalf {
     thresholds: Vec<f64>,
     config_epoch: u64,
     update_rx: FeedbackReceiver<ThresholdUpdate>,
+    /// Updates delivered ahead of an earlier epoch that is still on the
+    /// wire, held until it lands.
+    held: Vec<ThresholdUpdate>,
     telemetry: Telemetry,
 }
 
 impl GpuHalf {
-    /// Apply every configuration update delivered by `now` (later updates
-    /// win; each bumps the configuration epoch stamped on outgoing profiles).
+    /// Apply every configuration update delivered by `now`, in epoch order;
+    /// each sets the configuration epoch stamped on outgoing profiles.
+    ///
+    /// The downlink is a lossless DMA queue, so it is FIFO: update N+1 takes
+    /// effect only after update N. A small thresholds-only update can land
+    /// before the larger ramp-set update issued just ahead of it, and is
+    /// held until that one lands (its thresholds index the new ramp set).
     fn sync(&mut self, now: SimTime) {
-        for update in self.update_rx.poll(now) {
+        self.held.extend(self.update_rx.poll(now));
+        while let Some(next) = self
+            .held
+            .iter()
+            .position(|u| u.config_epoch == self.config_epoch + 1)
+        {
+            let update = self.held.swap_remove(next);
             let ramps_changed = update.ramps.is_some();
             self.telemetry.emit(now, || EventKind::UpdateDelivered {
                 epoch: update.config_epoch,
@@ -104,11 +118,17 @@ impl GpuHalf {
             }
             self.thresholds = update.thresholds;
             self.config_epoch = update.config_epoch;
+            assert_eq!(
+                self.thresholds.len(),
+                self.plan.num_ramps(),
+                "epoch {} deploys one threshold per ramp",
+                self.config_epoch
+            );
         }
         self.telemetry.gauge(
             now,
             "link_down_in_flight",
-            self.update_rx.in_flight() as f64,
+            (self.update_rx.in_flight() + self.held.len()) as f64,
         );
     }
 
@@ -521,6 +541,7 @@ impl CoordinatedCore {
                 thresholds: vec![0.0; num_ramps],
                 config_epoch: 0,
                 update_rx,
+                held: Vec::new(),
                 telemetry: Telemetry::disabled(),
             },
             controller: ControllerHalf {
@@ -1301,6 +1322,53 @@ mod tests {
             now = completed;
         }
         panic!("tuned thresholds never reached the GPU");
+    }
+
+    #[test]
+    fn downlink_updates_apply_in_epoch_order() {
+        // Transfer time dominated by size: a ramp-set update (10 KiB per
+        // ramp) takes over 10 ms, a thresholds-only update well under 1 ms,
+        // so the thresholds-only update issued 1 µs after the ramp-set one
+        // lands first.
+        let link = LinkCost {
+            fixed_us: 10.0,
+            per_kib_us: 1_000.0,
+        };
+        let mut core =
+            CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, true, link);
+        let ramps = core.gpu.plan.num_ramps();
+        assert!(
+            ramps >= 2,
+            "the fixture must leave a ramp after dropping one"
+        );
+        let epoch0 = core.gpu.thresholds.clone();
+        let issued = SimTime::from_millis(5);
+        let controller = &mut core.controller;
+        let mut kept = controller.plan.ramps().to_vec();
+        kept.pop();
+        controller.plan = controller.plan.with_ramps(kept);
+        controller.active_sites.pop();
+        controller.thresholds = vec![0.1; ramps - 1];
+        controller.publish(issued, true);
+        controller.thresholds = vec![0.2; ramps - 1];
+        controller.publish(issued + SimDuration::from_micros(1), false);
+
+        for at_ms in [6, 10, 14] {
+            core.gpu.sync(SimTime::from_millis(at_ms));
+            assert_eq!(
+                core.gpu.update_rx.in_flight(),
+                1,
+                "at {at_ms} ms only the ramp-set update is still on the wire"
+            );
+            assert_eq!(core.gpu.config_epoch, 0, "at {at_ms} ms");
+            assert_eq!(core.gpu.thresholds, epoch0, "at {at_ms} ms");
+            assert_eq!(core.gpu.plan.num_ramps(), ramps, "at {at_ms} ms");
+        }
+        core.gpu.sync(SimTime::from_millis(1_000));
+        assert_eq!(core.gpu.update_rx.in_flight(), 0);
+        assert_eq!(core.gpu.config_epoch, 2);
+        assert_eq!(core.gpu.plan.num_ramps(), ramps - 1);
+        assert_eq!(core.gpu.thresholds, vec![0.2; ramps - 1]);
     }
 
     /// Compare two tuning outcomes bit for bit (`runtime_us` aside).

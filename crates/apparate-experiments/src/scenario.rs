@@ -371,7 +371,7 @@ impl GenerativeScenario {
 }
 
 /// The paper's CV scenario: ResNet-50 over a night-time urban video stream
-/// (strong continuity, hard lighting, scene changes) at 60 fps aggregate.
+/// (strong continuity, hard lighting, scene changes) at 30 fps aggregate.
 pub fn cv_scenario(seed: u64, frames: usize) -> ClassificationScenario {
     let model = zoo::resnet(50);
     let workload = video_workload(

@@ -1,5 +1,6 @@
 //! Golden-output check: `repro`, `repro --quick` and `repro --sweep --quick`
-//! at seed 42 must print exactly the committed tables under `tests/golden/`.
+//! at seed 42, and `repro --quick` and `repro --sweep --quick` at seed 7,
+//! must print exactly the committed tables under `tests/golden/`.
 //!
 //! CI's determinism steps only diff `repro` against itself, so a change that
 //! flips one float in the simulation would pass them. This test pins the
@@ -7,8 +8,9 @@
 //! first diverging line. When a change *means* to move the tables, regenerate
 //! the files with
 //! `cargo run --release -p apparate-experiments --bin repro -- --quick --seed 42 > crates/apparate-experiments/tests/golden/repro_quick_seed42.txt`
-//! (the same with `--sweep` for `repro_sweep_quick_seed42.txt`, and without
-//! `--quick` for `repro_full_seed42.txt`), and say why in the change log.
+//! (the same with `--sweep` for `repro_sweep_quick_seed42.txt`, without
+//! `--quick` for `repro_full_seed42.txt`, and with `--seed 7` for the
+//! `_seed7` files), and say why in the change log.
 
 use std::path::Path;
 use std::process::Command;
@@ -67,6 +69,20 @@ fn repro_quick_matches_golden_tables() {
 fn repro_sweep_quick_matches_golden_tables() {
     let out = repro(&["--sweep", "--quick", "--seed", "42"]);
     assert_matches_golden("repro_sweep_quick_seed42.txt", &out);
+}
+
+/// A second seed, so the draw-skipping fast paths are pinned on inputs the
+/// seed-42 tables do not reach.
+#[test]
+fn repro_quick_matches_golden_tables_at_seed_7() {
+    let out = repro(&["--quick", "--seed", "7"]);
+    assert_matches_golden("repro_quick_seed7.txt", &out);
+}
+
+#[test]
+fn repro_sweep_quick_matches_golden_tables_at_seed_7() {
+    let out = repro(&["--sweep", "--quick", "--seed", "7"]);
+    assert_matches_golden("repro_sweep_quick_seed7.txt", &out);
 }
 
 /// The full-size tables: the CV and generative scenarios here are the ones

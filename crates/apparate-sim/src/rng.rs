@@ -95,6 +95,16 @@ impl DeterministicRng {
 /// from the first.
 const NORMAL_SECOND_KEY: u64 = 0xA5A5_5A5A_0F0F_F0F0;
 
+/// Bound on the magnitude of every [`KeyChain::normal`] draw.
+///
+/// A unit draw is never below 2⁻⁵⁴, so the Box–Muller radius never exceeds
+/// √(−2 ln 2⁻⁵⁴) = √(108 ln 2) ≈ 8.652161, and the cosine never exceeds 1.
+/// The constant is rounded up in its sixth decimal: that guard band keeps a
+/// last-bit rounding in `ln`, `sqrt` or `cos` from ever crossing it, so a
+/// caller may decide a comparison without drawing whenever the draw, at
+/// this magnitude, could not change the outcome.
+pub const NORMAL_BOUND: f64 = 8.652_17;
+
 /// The hashed state of a key sequence, extendable one key at a time and
 /// allocation-free.
 ///
@@ -270,6 +280,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn normal_bound_covers_the_smallest_unit_draw() {
+        let radius = (-2.0 * 2f64.powi(-54).ln()).sqrt();
+        assert!(radius <= NORMAL_BOUND && NORMAL_BOUND - radius < 1e-5);
+        assert!((radius - (108.0 * 2f64.ln()).sqrt()).abs() < 1e-12);
+        // An all-zero state is the smallest unit draw a chain can make.
+        let floor = KeyChain { state: 0, len: 0 };
+        assert_eq!(floor.unit(), 2f64.powi(-54));
+        assert!(floor.normal().abs() <= NORMAL_BOUND);
     }
 
     #[test]

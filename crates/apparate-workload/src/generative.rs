@@ -67,8 +67,9 @@ impl GenerativeConfig {
     }
 }
 
-/// One generative request: its output length and the latent difficulty state
-/// needed to derive per-token semantics lazily and deterministically.
+/// One generative request: its output length and sequence-level mean
+/// difficulty, from which the workload derives each token's difficulty
+/// once, when it is generated.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SequenceSpec {
     /// Request id (index in the workload).
@@ -79,14 +80,25 @@ pub struct SequenceSpec {
     pub sequence_mean: f64,
 }
 
-/// A generative workload: a set of sequences plus a deterministic per-token
-/// difficulty model.
+/// Lags of the AR(1) token-difficulty window: 8 captures > 99 % of the mass
+/// for continuity <= 0.9.
+const AR_WINDOW: usize = 8;
+
+/// Standard deviation of a token's difficulty innovation.
+const INNOVATION_SCALE: f64 = 0.12;
+
+/// A generative workload: a set of sequences plus every token's difficulty,
+/// drawn once from a deterministic per-token model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GenerativeWorkload {
     /// The dataset this mimics.
     pub task: GenerativeTask,
     sequences: Vec<SequenceSpec>,
-    continuity: f64,
+    /// Every token's difficulty, sequence after sequence.
+    difficulties: Vec<f64>,
+    /// Where each sequence's tokens start in `difficulties`, plus the end of
+    /// the last one (one entry more than `sequences`).
+    token_starts: Vec<usize>,
     seed: u64,
 }
 
@@ -95,7 +107,7 @@ impl GenerativeWorkload {
     pub fn generate(config: GenerativeConfig, seed: u64) -> GenerativeWorkload {
         let rng = DeterministicRng::new(seed).child(0x6E6E_7A7A);
         let mut stream = rng.stream(&[config.task as u64]);
-        let sequences = (0..config.requests)
+        let sequences: Vec<SequenceSpec> = (0..config.requests)
             .map(|i| {
                 let output_tokens = match config.task {
                     GenerativeTask::Summarization => {
@@ -114,10 +126,45 @@ impl GenerativeWorkload {
                 }
             })
             .collect();
+        // Token difficulty follows a stationary AR(1) around the sequence
+        // mean, approximated by the last AR_WINDOW innovations with
+        // geometrically decaying weights. Each innovation is drawn once per
+        // token and read by up to AR_WINDOW tokens.
+        let mut weights = [0.0; AR_WINDOW];
+        let mut weight = (1.0 - config.continuity * config.continuity).sqrt();
+        for w in &mut weights {
+            *w = weight;
+            weight *= config.continuity;
+        }
+        let total: usize = sequences.iter().map(|s| s.output_tokens as usize).sum();
+        let mut difficulties = Vec::with_capacity(total);
+        let mut token_starts = Vec::with_capacity(sequences.len() + 1);
+        let mut innovations = Vec::new();
+        for spec in &sequences {
+            token_starts.push(difficulties.len());
+            let keys = DeterministicRng::new(seed)
+                .child(0x70CE4 + spec.request_id)
+                .keyed(&[]);
+            innovations.clear();
+            innovations.extend(
+                (0..spec.output_tokens).map(|t| keys.then(t as u64).normal() * INNOVATION_SCALE),
+            );
+            difficulties.extend((0..innovations.len()).map(|t| {
+                // Newest innovation first: the sum keeps the order the
+                // tables are pinned to.
+                let deviation = weights
+                    .iter()
+                    .zip(innovations[..=t].iter().rev())
+                    .fold(0.0, |deviation, (w, x)| deviation + w * x);
+                (spec.sequence_mean + deviation).clamp(0.0, 1.0)
+            }));
+        }
+        token_starts.push(difficulties.len());
         GenerativeWorkload {
             task: config.task,
             sequences,
-            continuity: config.continuity,
+            difficulties,
+            token_starts,
             seed,
         }
     }
@@ -139,38 +186,25 @@ impl GenerativeWorkload {
 
     /// Total number of tokens across all sequences.
     pub fn total_tokens(&self) -> u64 {
-        self.sequences.iter().map(|s| s.output_tokens as u64).sum()
+        self.difficulties.len() as u64
     }
 
-    /// Deterministic semantics of token `token_index` of request `request_id`.
+    /// Deterministic semantics of token `token_index` of request `request_id`:
+    /// the token's tabled difficulty and a closed-form seed, the same
+    /// however often and in whatever order tokens are queried.
     ///
-    /// Token difficulty follows a stationary AR(1) around the sequence mean; it
-    /// is computed in closed form (mean + decaying mixture of per-token
-    /// innovations) so any token can be queried independently and repeatably.
+    /// # Panics
+    ///
+    /// If the request does not exist or has no token `token_index`.
     pub fn token_semantics(&self, request_id: u64, token_index: u32) -> SampleSemantics {
-        let spec = &self.sequences[request_id as usize];
-        let rng = DeterministicRng::new(self.seed).child(0x70CE4 + request_id);
-        // Approximate AR(1): blend the previous few innovations with
-        // geometrically decaying weights. Window of 8 captures > 99 % of the
-        // mass for continuity <= 0.9.
-        let mut deviation = 0.0f64;
-        let mut weight = (1.0 - self.continuity * self.continuity).sqrt();
-        for lag in 0..8u32 {
-            if lag > token_index {
-                break;
-            }
-            let idx = token_index - lag;
-            let innovation = rng.normal_draw(&[idx as u64]) * 0.12;
-            deviation += weight * innovation;
-            weight *= self.continuity;
-        }
-        let difficulty = (spec.sequence_mean + deviation).clamp(0.0, 1.0);
+        let r = request_id as usize;
+        let tokens = &self.difficulties[self.token_starts[r]..self.token_starts[r + 1]];
         let seed = self
             .seed
             .wrapping_mul(0x9E37_79B9)
             .wrapping_add(request_id << 20)
             .wrapping_add(token_index as u64);
-        SampleSemantics::new(seed, difficulty)
+        SampleSemantics::new(seed, tokens[token_index as usize])
     }
 }
 
@@ -180,6 +214,66 @@ mod tests {
 
     fn workload(task: GenerativeTask) -> GenerativeWorkload {
         GenerativeWorkload::generate(GenerativeConfig::for_task(task, 200), 13)
+    }
+
+    /// `token_semantics` as it was before the token table: the token's
+    /// difficulty re-derived in closed form, its eight innovations drawn
+    /// afresh on every call.
+    fn reference_token_semantics(
+        w: &GenerativeWorkload,
+        continuity: f64,
+        request_id: u64,
+        token_index: u32,
+    ) -> SampleSemantics {
+        let spec = &w.sequences()[request_id as usize];
+        let rng = DeterministicRng::new(w.seed).child(0x70CE4 + request_id);
+        let mut deviation = 0.0f64;
+        let mut weight = (1.0 - continuity * continuity).sqrt();
+        for lag in 0..8u32 {
+            if lag > token_index {
+                break;
+            }
+            let innovation = rng.normal_draw(&[(token_index - lag) as u64]) * 0.12;
+            deviation += weight * innovation;
+            weight *= continuity;
+        }
+        let difficulty = (spec.sequence_mean + deviation).clamp(0.0, 1.0);
+        let seed = w
+            .seed
+            .wrapping_mul(0x9E37_79B9)
+            .wrapping_add(request_id << 20)
+            .wrapping_add(token_index as u64);
+        SampleSemantics::new(seed, difficulty)
+    }
+
+    #[test]
+    fn token_table_matches_the_closed_form_derivation_bit_for_bit() {
+        for task in [
+            GenerativeTask::Summarization,
+            GenerativeTask::QuestionAnswering,
+        ] {
+            let config = GenerativeConfig::for_task(task, 60);
+            for seed in [42, 7] {
+                let w = GenerativeWorkload::generate(config, seed);
+                for spec in w.sequences() {
+                    for t in 0..spec.output_tokens {
+                        let want =
+                            reference_token_semantics(&w, config.continuity, spec.request_id, t);
+                        let got = w.token_semantics(spec.request_id, t);
+                        assert_eq!(got.difficulty.to_bits(), want.difficulty.to_bits());
+                        assert_eq!(got.seed, want.seed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn tokens_past_a_sequence_end_are_rejected() {
+        let w = workload(GenerativeTask::QuestionAnswering);
+        let spec = w.sequences()[0];
+        w.token_semantics(spec.request_id, spec.output_tokens);
     }
 
     #[test]
