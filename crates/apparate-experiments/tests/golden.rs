@@ -1,6 +1,8 @@
 //! Golden-output check: `repro`, `repro --quick` and `repro --sweep --quick`
 //! at seed 42, and `repro --quick` and `repro --sweep --quick` at seed 7,
-//! must print exactly the committed tables under `tests/golden/`.
+//! must print exactly the committed tables under `tests/golden/`, and the
+//! telemetry exports of `repro --quick --seed 42` must keep their committed
+//! lengths and digests.
 //!
 //! CI's determinism steps only diff `repro` against itself, so a change that
 //! flips one float in the simulation would pass them. This test pins the
@@ -92,4 +94,59 @@ fn repro_sweep_quick_matches_golden_tables_at_seed_7() {
 fn repro_full_matches_golden_tables() {
     let out = repro(&["--seed", "42"]);
     assert_matches_golden("repro_full_seed42.txt", &out);
+}
+
+/// The telemetry exports of `repro --quick --seed 42`: flag, byte length and
+/// 64-bit FNV-1a digest. The exports run to megabytes, so the test pins their
+/// digests instead of committing the files.
+const GOLDEN_EXPORTS: [(&str, usize, u64); 3] = [
+    ("--trace-out", 1_662_523, 0xb9dd_8d24_00df_1dfe),
+    ("--metrics-out", 2_156_001, 0x6add_1de3_9746_ecf8),
+    ("--chrome-out", 1_587_759, 0x9bb4_839c_a106_7adb),
+];
+
+/// 64-bit FNV-1a digest of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn repro_quick_telemetry_exports_match_golden_digests() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("golden-exports-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("export directory must be creatable");
+    let paths: Vec<String> = GOLDEN_EXPORTS
+        .iter()
+        .map(|(flag, ..)| dir.join(&flag[2..]).display().to_string())
+        .collect();
+    let mut args = vec!["--quick", "--seed", "42"];
+    for ((flag, ..), path) in GOLDEN_EXPORTS.iter().zip(&paths) {
+        args.extend([*flag, path.as_str()]);
+    }
+    repro(&args);
+    let mut mismatches = Vec::new();
+    for ((flag, len, digest), path) in GOLDEN_EXPORTS.iter().zip(&paths) {
+        let bytes =
+            std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {flag} export {path}: {e}"));
+        let actual = fnv1a64(&bytes);
+        if (bytes.len(), actual) != (*len, *digest) {
+            mismatches.push(format!(
+                "  {flag} export: {} bytes, digest {actual:#018x} \
+                 (golden: {len} bytes, {digest:#018x})",
+                bytes.len()
+            ));
+        }
+    }
+    // Best effort: a leftover directory under the target dir is harmless.
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        mismatches.is_empty(),
+        "telemetry exports of `repro --quick --seed 42` differ from the golden digests:\n{}\n\
+         When a change means to move them, copy the actual lengths and digests into \
+         GOLDEN_EXPORTS; this command prints them again:\n  \
+         cargo test -p apparate-experiments --test golden telemetry_exports",
+        mismatches.join("\n")
+    );
 }

@@ -86,14 +86,16 @@ impl BatchingPolicy {
                 let cap = queued.min(max_batch_size);
                 // Find the largest batch whose completion meets the earliest
                 // deadline among its members. Requests are oldest-first, so the
-                // earliest deadline in a prefix is (usually) the head's.
+                // earliest deadline in a prefix is (usually) the head's; it is
+                // kept as a running minimum over the members added so far.
                 let mut best = 1u32;
-                for b in 1..=cap {
+                let mut earliest_deadline: Option<SimTime> = None;
+                for (b, request) in (1..=cap).zip(queue) {
                     let completion = now + exec_time(b);
-                    let earliest_deadline = queue[..b as usize]
-                        .iter()
-                        .filter_map(|r| r.deadline())
-                        .min();
+                    if let Some(deadline) = request.deadline() {
+                        earliest_deadline =
+                            Some(earliest_deadline.map_or(deadline, |e| e.min(deadline)));
+                    }
                     match earliest_deadline {
                         Some(deadline) if completion > deadline => break,
                         _ => best = b,
@@ -212,6 +214,58 @@ mod tests {
         // Even batch 1 violates the 5 ms SLO at t=20; launch 1 anyway.
         let d = policy.decide(&q, SimTime::from_millis(20), &linear_exec(10));
         assert_eq!(d, BatchDecision::Launch(1));
+    }
+
+    #[test]
+    fn clockwork_caps_the_batch_at_a_tighter_deadline_behind_the_head() {
+        use std::cell::Cell;
+        let policy = BatchingPolicy::Clockwork { max_batch_size: 8 };
+        let request = |i: u64, slo_ms: Option<u64>| {
+            Request::classification(
+                i,
+                SimTime::from_millis(i),
+                SampleSemantics::new(i, 0.5),
+                slo_ms.map(SimDuration::from_millis),
+            )
+        };
+        // At t=5 with 5 ms per item, batch b completes at 5 + 5b. The head's
+        // deadline is 100 ms, but request 2's is 2 + 20 = 22 ms, so batch 3
+        // (20 ms) is the largest that meets it; SLO-less requests, wherever
+        // they sit, must not lift that cap.
+        let queues = [
+            vec![
+                request(0, Some(100)),
+                request(1, Some(100)),
+                request(2, Some(20)),
+                request(3, Some(100)),
+                request(4, Some(100)),
+            ],
+            vec![
+                request(0, None),
+                request(1, Some(100)),
+                request(2, Some(20)),
+                request(3, None),
+                request(4, None),
+            ],
+            vec![
+                request(0, Some(100)),
+                request(1, None),
+                request(2, Some(20)),
+                request(3, None),
+                request(4, Some(100)),
+            ],
+        ];
+        for queue in &queues {
+            let calls = Cell::new(0u32);
+            let counted = |b: u32| {
+                calls.set(calls.get() + 1);
+                SimDuration::from_millis(5 * b as u64)
+            };
+            let d = policy.decide(queue, SimTime::from_millis(5), &counted);
+            assert_eq!(d, BatchDecision::Launch(3), "{queue:?}");
+            // One estimate per batch size tried: 1..=3 fit, 4 is refused.
+            assert_eq!(calls.get(), 4, "{queue:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! A discrete-event loop reproducing the serving pipeline of §2.1: requests
 //! arrive according to a trace, wait in a FIFO queue, are drained into batches
-//! by a [`BatchingPolicy`], and execute on a (single) simulated GPU. The
+//! by a [`BatchingPolicy`], and execute on a (single) simulated GPU. The loop
+//! reads arrivals in trace order through a cursor, merged with an
+//! [`EventQueue`] that holds only GPU-free and batch-timeout events; an
+//! arrival goes first when it ties with one of them. The
 //! pluggable [`ExitPolicy`] decides, per batch, when each request's *result*
 //! is released and how long the batch holds the GPU — this is the hook through
 //! which vanilla serving, Apparate, and every baseline integrate without the
@@ -182,7 +185,7 @@ impl ServingConfig {
 /// Aggregate result of one serving run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServingOutcome {
-    /// Per-request records, in completion order.
+    /// Per-request records, in request-id (arrival) order.
     pub records: Vec<RequestRecord>,
     /// Batch sizes actually launched, in launch order.
     pub batch_sizes: Vec<u32>,
@@ -250,10 +253,10 @@ impl ServingOutcome {
     }
 }
 
-/// Internal discrete events.
+/// Internal discrete events. Arrivals are not events: the loop reads them
+/// from the trace through a cursor.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Arrival(usize),
     GpuFree,
     TimeoutCheck,
 }
@@ -330,25 +333,21 @@ impl ServingSimulator {
                 "one dispatch id per arrival is required"
             );
         }
-        let requests: Vec<Request> = trace
-            .times()
-            .iter()
-            .zip(samples.iter())
-            .enumerate()
-            .map(|(i, (&at, &sem))| Request::classification(i as u64, at, sem, self.config.slo))
-            .collect();
-
+        let arrivals = trace.times();
+        debug_assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrival times must be non-decreasing"
+        );
+        let mut next_arrival = 0usize;
         let mut events: EventQueue<Event> = EventQueue::new();
-        for (i, req) in requests.iter().enumerate() {
-            events.schedule(req.arrival, Event::Arrival(i));
-        }
-
         let mut queue: VecDeque<Request> = VecDeque::new();
+        // The launched batch, drained from the queue into one reused buffer.
+        let mut batch: Vec<Request> = Vec::new();
         let mut gpu_busy = false;
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(requests.len());
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(arrivals.len());
         let mut batch_sizes: Vec<u32> = Vec::new();
         let mut total_gpu_busy = SimDuration::ZERO;
-        let first_arrival = trace.times().first().copied().unwrap_or(SimTime::ZERO);
+        let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
         let mut last_completion = first_arrival;
         let traced = self.telemetry.is_enabled();
         // Rolling early-exit window behind the `exit_rate_rolling` gauge;
@@ -359,27 +358,42 @@ impl ServingSimulator {
         let mut profile_ids: Vec<u64> = Vec::new();
         let mut rolling_hits = 0usize;
 
-        while let Some((now, event)) = events.pop() {
-            match event {
-                Event::Arrival(i) => {
-                    queue.push_back(requests[i].clone());
+        loop {
+            // An arrival goes before a heap event at the same instant, so a
+            // request that arrives as the GPU frees or a batch times out
+            // joins the batch launched at that instant.
+            let now = match arrivals.get(next_arrival) {
+                Some(&at) if events.peek_time().is_none_or(|t| at <= t) => {
+                    let i = next_arrival;
+                    next_arrival += 1;
+                    queue.push_back(Request::classification(
+                        i as u64,
+                        at,
+                        samples[i],
+                        self.config.slo,
+                    ));
                     if traced {
                         if let Some(ids) = &self.dispatch_ids {
                             let request_id = ids[i];
                             let replica = self.telemetry.replica();
-                            self.telemetry.emit(now, || EventKind::Dispatch {
+                            self.telemetry.emit(at, || EventKind::Dispatch {
                                 request_id,
                                 replica,
                             });
                         }
-                        self.telemetry.gauge(now, "queue_depth", queue.len() as f64);
+                        self.telemetry.gauge(at, "queue_depth", queue.len() as f64);
                     }
+                    at
                 }
-                Event::GpuFree => {
-                    gpu_busy = false;
-                }
-                Event::TimeoutCheck => {}
-            }
+                _ => match events.pop() {
+                    Some((at, Event::GpuFree)) => {
+                        gpu_busy = false;
+                        at
+                    }
+                    Some((at, Event::TimeoutCheck)) => at,
+                    None => break,
+                },
+            };
             if gpu_busy {
                 continue;
             }
@@ -393,11 +407,14 @@ impl ServingSimulator {
             {
                 BatchDecision::Idle => {}
                 BatchDecision::WaitUntil(at) => {
-                    events.schedule(at, Event::TimeoutCheck);
+                    // The heap's own clock lags the loop's (arrivals do not
+                    // pass through it), so clamp to the loop's.
+                    events.schedule(at.max(now), Event::TimeoutCheck);
                 }
                 BatchDecision::Launch(size) => {
                     let size = size.min(queue.len() as u32).max(1);
-                    let batch: Vec<Request> = queue.drain(..size as usize).collect();
+                    batch.clear();
+                    batch.extend(queue.drain(..size as usize));
                     let outcome = policy.process_batch(&batch, now);
                     debug_assert_eq!(outcome.per_request.len(), batch.len());
                     if let (Some(sender), Some(profile)) = (feedback, outcome.profile) {
@@ -476,7 +493,9 @@ impl ServingSimulator {
             }
         }
 
-        records.sort_by_key(|r| r.id);
+        // The queue is FIFO and every batch drains its head, so the records
+        // are already in request-id order.
+        debug_assert!(records.windows(2).all(|w| w[0].id < w[1].id));
         ServingOutcome {
             records,
             batch_sizes,
@@ -614,6 +633,202 @@ mod tests {
         let traced = run(Some(Telemetry::recording(TelemetryConfig::default())));
         assert_eq!(plain.records, traced.records);
         assert_eq!(plain.batch_sizes, traced.batch_sizes);
+    }
+
+    /// Events of [`heap_reference`].
+    #[derive(Debug, Clone, Copy)]
+    enum ReferenceEvent {
+        Arrival(usize),
+        GpuFree,
+        TimeoutCheck,
+    }
+
+    /// The serving loop as it stood when every arrival was pre-scheduled into
+    /// one `EventQueue` heap ahead of any GPU-free or timeout event, without
+    /// telemetry or feedback. The cursor loop must match it decision for
+    /// decision; it returns the run's records and launched batch sizes.
+    fn heap_reference(
+        config: &ServingConfig,
+        trace: &ArrivalTrace,
+        samples: &[SampleSemantics],
+        policy: &mut dyn ExitPolicy,
+        estimate_batch_time: &dyn Fn(u32) -> SimDuration,
+    ) -> (Vec<RequestRecord>, Vec<u32>) {
+        let requests: Vec<Request> = trace
+            .times()
+            .iter()
+            .zip(samples)
+            .enumerate()
+            .map(|(i, (&at, &sem))| Request::classification(i as u64, at, sem, config.slo))
+            .collect();
+        let mut events = EventQueue::new();
+        for (i, req) in requests.iter().enumerate() {
+            events.schedule(req.arrival, ReferenceEvent::Arrival(i));
+        }
+        let mut queue: VecDeque<Request> = VecDeque::new();
+        let mut gpu_busy = false;
+        let mut records = Vec::new();
+        let mut batch_sizes = Vec::new();
+        while let Some((now, event)) = events.pop() {
+            match event {
+                ReferenceEvent::Arrival(i) => queue.push_back(requests[i].clone()),
+                ReferenceEvent::GpuFree => gpu_busy = false,
+                ReferenceEvent::TimeoutCheck => {}
+            }
+            if gpu_busy {
+                continue;
+            }
+            match config
+                .policy
+                .decide(queue.make_contiguous(), now, estimate_batch_time)
+            {
+                BatchDecision::Idle => {}
+                BatchDecision::WaitUntil(at) => events.schedule(at, ReferenceEvent::TimeoutCheck),
+                BatchDecision::Launch(size) => {
+                    let size = size.min(queue.len() as u32).max(1);
+                    let batch: Vec<Request> = queue.drain(..size as usize).collect();
+                    let outcome = policy.process_batch(&batch, now);
+                    batch_sizes.push(size);
+                    for (req, out) in batch.iter().zip(&outcome.per_request) {
+                        let released = now + out.release_offset;
+                        records.push(RequestRecord {
+                            id: req.id,
+                            arrival: req.arrival,
+                            batch_start: now,
+                            batch_size: size,
+                            released,
+                            completed: now + out.completion_offset,
+                            exit_ramp: out.exit_ramp,
+                            correct: out.correct,
+                            slo_violated: req.deadline().is_some_and(|d| released > d),
+                        });
+                    }
+                    gpu_busy = true;
+                    events.schedule(now + outcome.gpu_time, ReferenceEvent::GpuFree);
+                }
+            }
+        }
+        records.sort_by_key(|r| r.id);
+        (records, batch_sizes)
+    }
+
+    /// `trace` with every arrival rounded down to a whole millisecond, so
+    /// arrivals tie with the whole-millisecond GPU-free and timeout events.
+    fn whole_millis(trace: &ArrivalTrace) -> ArrivalTrace {
+        ArrivalTrace::from_times(
+            trace
+                .times()
+                .iter()
+                .map(|t| SimTime::from_millis(t.as_micros() / 1000))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn cursor_loop_matches_the_heap_reference_across_policies_traces_and_seeds() {
+        let configs = [
+            ServingConfig {
+                policy: BatchingPolicy::Immediate,
+                slo: None,
+            },
+            ServingConfig::tf_serve(30.0, 4, 2.0),
+            ServingConfig {
+                policy: BatchingPolicy::TfServe {
+                    max_batch_size: 8,
+                    batch_timeout: SimDuration::from_millis(5),
+                },
+                slo: None,
+            },
+            ServingConfig::clockwork(25.0, 8),
+            ServingConfig {
+                policy: BatchingPolicy::Clockwork { max_batch_size: 4 },
+                slo: None,
+            },
+        ];
+        let n = 300;
+        let sems = samples(n);
+        for seed in 1..=8u64 {
+            // Batch-1 capacity is ~83 rps: the rates run from light load to
+            // overload.
+            let rate = 40.0 + 15.0 * seed as f64;
+            let base = [
+                ArrivalTrace::fixed_rate(n, rate),
+                ArrivalTrace::poisson(n, rate, seed),
+                ArrivalTrace::maf_like(n, rate, seed),
+            ];
+            for (trace, config) in base
+                .iter()
+                .flat_map(|t| [t.clone(), whole_millis(t)])
+                .flat_map(|t| configs.iter().map(move |c| (t.clone(), c)))
+            {
+                let label = format!("seed {seed}, {:?}, {} arrivals", config.policy, trace.len());
+                let (want_records, want_batches) = heap_reference(
+                    config,
+                    &trace,
+                    &sems,
+                    &mut VanillaPolicy::new(exec_time),
+                    &exec_time,
+                );
+                let out = ServingSimulator::new(config.clone()).run(
+                    &trace,
+                    &sems,
+                    &mut VanillaPolicy::new(exec_time),
+                    &exec_time,
+                );
+                assert_eq!(out.batch_sizes, want_batches, "{label}");
+                assert_eq!(out.records, want_records, "{label}");
+                assert!(
+                    out.records
+                        .windows(2)
+                        .all(|w| w[0].batch_start <= w[1].batch_start),
+                    "{label}: batch starts decreased"
+                );
+                for r in &out.records {
+                    assert!(
+                        r.arrival <= r.batch_start
+                            && r.batch_start <= r.released
+                            && r.released <= r.completed,
+                        "{label}: request {} is not causal",
+                        r.id
+                    );
+                }
+            }
+        }
+    }
+
+    /// Batch sizes launched for arrivals at `arrivals_ms` under `policy`,
+    /// with no SLO and every batch taking 10 ms.
+    fn batches_for(policy: BatchingPolicy, arrivals_ms: &[u64]) -> Vec<u32> {
+        let ten_ms = |_: u32| SimDuration::from_millis(10);
+        let trace = ArrivalTrace::from_times(
+            arrivals_ms
+                .iter()
+                .map(|&ms| SimTime::from_millis(ms))
+                .collect(),
+        );
+        let sim = ServingSimulator::new(ServingConfig { policy, slo: None });
+        let mut exit = VanillaPolicy::new(ten_ms);
+        sim.run(&trace, &samples(arrivals_ms.len()), &mut exit, &ten_ms)
+            .batch_sizes
+    }
+
+    #[test]
+    fn an_arrival_joins_the_queue_before_a_simultaneous_gpu_free() {
+        // The GPU frees at 10 ms, the instant the third request arrives: it
+        // must find the second and third requests queued together.
+        let policy = BatchingPolicy::Clockwork { max_batch_size: 4 };
+        assert_eq!(batches_for(policy, &[0, 5, 10]), vec![1, 2]);
+    }
+
+    #[test]
+    fn an_arrival_joins_the_queue_before_a_simultaneous_timeout() {
+        // The head's 2 ms batch timeout fires the instant the second request
+        // arrives: the partial batch must include it.
+        let policy = BatchingPolicy::TfServe {
+            max_batch_size: 4,
+            batch_timeout: SimDuration::from_millis(2),
+        };
+        assert_eq!(batches_for(policy, &[0, 2]), vec![2]);
     }
 
     #[test]

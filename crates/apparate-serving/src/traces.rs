@@ -15,13 +15,16 @@ pub struct ArrivalTrace {
 }
 
 impl ArrivalTrace {
-    /// Wrap raw arrival times (must be non-decreasing; enforced by sorting).
+    /// Wrap raw arrival times, sorted into non-decreasing order.
     pub fn from_times(mut times: Vec<SimTime>) -> ArrivalTrace {
         times.sort();
         ArrivalTrace { times }
     }
 
-    /// Arrival times.
+    /// Arrival times, non-decreasing: every constructor keeps them sorted
+    /// (`from_times` sorts; the generators and transforms are monotone), and
+    /// the serving loop relies on it to read arrivals in order through a
+    /// cursor.
     pub fn times(&self) -> &[SimTime] {
         &self.times
     }

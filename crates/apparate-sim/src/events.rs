@@ -1,8 +1,10 @@
 //! A minimal discrete-event queue.
 //!
 //! The serving simulator (in `apparate-serving`) advances virtual time by
-//! popping the earliest scheduled event. Ties are broken by insertion order so
-//! that simulations are fully deterministic.
+//! taking the earlier of its next trace arrival and the earliest event
+//! scheduled here; the queue holds only its GPU-free and batch-timeout
+//! events, never the arrivals. Ties are broken by insertion order so that
+//! simulations are fully deterministic.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
