@@ -153,8 +153,11 @@ pub fn offline_tuned_thresholds(
     reference_batch: u32,
 ) -> TuningOutcome {
     let mut window = TuningWindow::new(plan.num_ramps(), calibration.len().max(1));
-    for obs in plan.execute_batch(calibration).per_request {
-        window.push(&obs.ramp_observations, None, true, reference_batch);
+    let mut row = Vec::with_capacity(plan.num_ramps());
+    for sample in calibration {
+        row.clear();
+        plan.observe_into(sample, &mut row);
+        window.push(&row, None, true, reference_batch);
     }
     let savings = per_ramp_savings_us(plan, reference_batch);
     IncrementalTuner::new().tune(&window, &savings, params)

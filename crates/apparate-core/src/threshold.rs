@@ -229,8 +229,10 @@ struct ColumnCache {
     /// Window length the column was derived at.
     len: usize,
     built: bool,
-    /// Physical slot indices, ascending by this ramp's entropy.
-    slots: Vec<u32>,
+    /// `(entropy, physical slot)` for every slot, ascending by this ramp's
+    /// entropy. The entropies sit next to their slots so sorting and range
+    /// searches read the column contiguously.
+    slots: Vec<(f64, u32)>,
 }
 
 /// The most recent tune, for whole-outcome reuse when nothing changed.
@@ -304,12 +306,11 @@ impl IncrementalTuner {
                 continue;
             }
             col.slots.clear();
-            col.slots.extend(0..window.len() as u32);
-            col.slots.sort_unstable_by(|&a, &b| {
-                window
-                    .entropy(a as usize, r)
-                    .total_cmp(&window.entropy(b as usize, r))
-            });
+            col.slots
+                .extend((0..window.len()).map(|s| (window.entropy(s, r), s as u32)));
+            // Every use of a column counts or updates each slot in a range of
+            // entropies, so the order among equal entropies is immaterial.
+            col.slots.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
             col.window_id = window.id();
             col.version = window.ramp_version(r);
             col.len = window.len();
@@ -321,14 +322,14 @@ impl IncrementalTuner {
     /// threshold from `t` to `p`: slots with `entropy ∈ (t, p]`, or
     /// `entropy ∈ [0, p]` when `t == 0` (a zero threshold means the ramp was
     /// inactive, so even zero-entropy slots change outcome).
-    fn affected_range(&self, window: &TuningWindow, r: usize, t: f64, p: f64) -> (usize, usize) {
+    fn affected_range(&self, r: usize, t: f64, p: f64) -> (usize, usize) {
         let col = &self.columns[r].slots;
         let lo = if t == 0.0 {
             0
         } else {
-            col.partition_point(|&s| window.entropy(s as usize, r) <= t)
+            col.partition_point(|&(e, _)| e <= t)
         };
-        let hi = col.partition_point(|&s| window.entropy(s as usize, r) <= p);
+        let hi = col.partition_point(|&(e, _)| e <= p);
         (lo, hi)
     }
 
@@ -354,7 +355,7 @@ impl IncrementalTuner {
         if window.range_provably_empty(r, t, p) {
             return current;
         }
-        let (lo, hi) = self.affected_range(window, r, t, p);
+        let (lo, hi) = self.affected_range(r, t, p);
         if lo == hi {
             return current;
         }
@@ -362,7 +363,7 @@ impl IncrementalTuner {
         self.scratch_counts.extend_from_slice(&self.exit_counts);
         let mut d_correct: i64 = 0;
         let mut d_exits: i64 = 0;
-        for &s32 in &self.columns[r].slots[lo..hi] {
+        for &(_, s32) in &self.columns[r].slots[lo..hi] {
             let s = s32 as usize;
             match self.current_exit[s] {
                 // Exits at an earlier ramp already; ramp r never sees it.
@@ -488,9 +489,9 @@ impl IncrementalTuner {
                     let new = (old + steps[ramp]).min(threshold_cap);
                     // Commit the winner: replay its delta into the live state.
                     if len > 0 {
-                        let (lo, hi) = self.affected_range(window, ramp, old, new);
+                        let (lo, hi) = self.affected_range(ramp, old, new);
                         for i in lo..hi {
-                            let s = self.columns[ramp].slots[i] as usize;
+                            let s = self.columns[ramp].slots[i].1 as usize;
                             match self.current_exit[s] {
                                 Some(j) if j < ramp => {}
                                 Some(j) => {
@@ -811,6 +812,27 @@ mod tests {
         for seed in [3, 8, 21] {
             let records = window_k(400, seed, savings.len());
             assert_matches_oracle(&mut tuner, &records, &savings, GreedyParams::default());
+        }
+    }
+
+    #[test]
+    fn incremental_matches_oracle_when_entropies_tie() {
+        // Entropies rounded to twentieths put many slots on one value, some
+        // exactly on a candidate threshold, so a column's order among equal
+        // entropies and its `<=` range boundary both come into play.
+        let mut tuner = IncrementalTuner::new();
+        for seed in [2, 5, 9] {
+            let mut records = window(300, seed);
+            for obs in records.iter_mut().flat_map(|r| &mut r.observations) {
+                obs.entropy = (obs.entropy * 20.0).round() / 20.0;
+            }
+            for budget in [0.01, 0.05, 0.2] {
+                let params = GreedyParams {
+                    accuracy_loss_budget: budget,
+                    ..Default::default()
+                };
+                assert_matches_oracle(&mut tuner, &records, &SAVINGS, params);
+            }
         }
     }
 

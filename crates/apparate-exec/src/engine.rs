@@ -175,23 +175,28 @@ impl ExecutionPlan {
         let per_request = samples
             .iter()
             .map(|s| {
-                let input = self.semantics.input(s);
-                RequestObservations {
-                    ramp_observations: self
-                        .ramps
-                        .iter()
-                        .zip(&self.ramp_powers)
-                        .map(|(r, &power)| {
-                            self.semantics.observe_with(&input, r.site.0 as u64, power)
-                        })
-                        .collect(),
-                }
+                let mut ramp_observations = Vec::with_capacity(self.ramps.len());
+                self.observe_into(s, &mut ramp_observations);
+                RequestObservations { ramp_observations }
             })
             .collect();
         BatchExecution {
             batch_size: samples.len() as u32,
             per_request,
         }
+    }
+
+    /// Append `sample`'s observation at every active ramp, in ramp order, to
+    /// `out`: one request's row of [`ExecutionPlan::execute_batch`], for
+    /// callers that keep the rows of a batch in one flat buffer.
+    pub fn observe_into(&self, sample: &SampleSemantics, out: &mut Vec<RampObservation>) {
+        let input = self.semantics.input(sample);
+        out.extend(
+            self.ramps
+                .iter()
+                .zip(&self.ramp_powers)
+                .map(|(r, &power)| self.semantics.observe_with(&input, r.site.0 as u64, power)),
+        );
     }
 
     /// The earliest active ramp at which `sample` exits under per-ramp
@@ -260,14 +265,13 @@ impl BatchExecution {
     /// This helper implements the universal exit rule shared by Apparate and
     /// the static-EE baselines (which apply it through
     /// [`ExecutionPlan::first_exit`], observing only what it reads).
-    pub fn earliest_exit(observations: &RequestObservations, thresholds: &[f64]) -> Option<usize> {
+    pub fn earliest_exit(observations: &[RampObservation], thresholds: &[f64]) -> Option<usize> {
         debug_assert_eq!(
             thresholds.len(),
-            observations.ramp_observations.len(),
+            observations.len(),
             "one threshold per observed ramp"
         );
         observations
-            .ramp_observations
             .iter()
             .zip(thresholds.iter())
             .position(|(obs, &thr)| thr > 0.0 && obs.entropy <= thr)
@@ -373,17 +377,20 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(BatchExecution::earliest_exit(&obs, &[0.0, 0.0, 0.0]), None);
         assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.0, 0.4, 0.0]),
+            BatchExecution::earliest_exit(&obs.ramp_observations, &[0.0, 0.0, 0.0]),
+            None
+        );
+        assert_eq!(
+            BatchExecution::earliest_exit(&obs.ramp_observations, &[0.0, 0.4, 0.0]),
             Some(1)
         );
         assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.9, 0.4, 0.2]),
+            BatchExecution::earliest_exit(&obs.ramp_observations, &[0.9, 0.4, 0.2]),
             Some(0)
         );
         assert_eq!(
-            BatchExecution::earliest_exit(&obs, &[0.5, 0.0, 0.2]),
+            BatchExecution::earliest_exit(&obs.ramp_observations, &[0.5, 0.0, 0.2]),
             Some(2)
         );
     }
@@ -461,7 +468,7 @@ mod tests {
         let mut exits = 0;
         for thresholds in &threshold_sets {
             for (s, obs) in samples.iter().zip(&exec.per_request) {
-                let want = BatchExecution::earliest_exit(obs, thresholds);
+                let want = BatchExecution::earliest_exit(&obs.ramp_observations, thresholds);
                 let got = plan.first_exit(s, thresholds);
                 assert_eq!(got.map(|(i, _)| i), want);
                 if let Some((i, o)) = got {

@@ -23,10 +23,11 @@
 //! tables (the bursty diurnal stream at 2/4/8× capacity, with and without
 //! the SLO-driven admission front end), then the SLO (Figure 17) and
 //! accuracy-constraint (Figure 19) sensitivity grids.
-//! `--threads N` bounds the worker threads fleet replicas run on (default:
-//! available parallelism; `1` forces the sequential path). The thread count
-//! only changes wall-clock time — tables and telemetry exports are
-//! byte-identical for every value.
+//! `--threads N` bounds the worker threads that fleet replicas, and each
+//! comparison table's six policy runs, share (default: available
+//! parallelism; `1` forces the sequential path). Scenarios still run one
+//! after another. The thread count only changes wall-clock time — tables and
+//! telemetry exports are byte-identical for every value.
 //!
 //! The `--*-out` flags enable telemetry: the Apparate runs (baselines stay
 //! untraced) record the structured event trace and the sampled metrics
@@ -79,9 +80,9 @@ impl Args {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.chrome_out.is_some()
     }
 
-    /// The fleet worker-thread count: `--threads N` when given, else the
-    /// machine's available parallelism. Never printed — output must not
-    /// depend on it.
+    /// The worker-thread count of fleet replicas and of each table's policy
+    /// runs: `--threads N` when given, else the machine's available
+    /// parallelism. Never printed — output must not depend on it.
     fn threads(&self) -> usize {
         self.threads.unwrap_or_else(available_threads)
     }
@@ -259,6 +260,7 @@ fn main() {
         args.scenario.unwrap_or(ScenarioSelect::All),
         &telemetry,
         scenario_config().with_full_retune(args.full_retune),
+        args.threads(),
     );
     let mut overhead_rows = Vec::new();
     for run in runs {

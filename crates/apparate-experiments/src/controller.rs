@@ -142,22 +142,22 @@ impl GpuHalf {
         Vec<apparate_serving::RequestOutcome>,
         BatchProfile,
     ) {
-        let exec = self.plan.execute_batch(samples);
         let b = samples.len() as u32;
-        let outcomes: Vec<apparate_serving::RequestOutcome> = exec
-            .per_request
+        let num_ramps = self.plan.num_ramps();
+        // Every request's observations go straight into the profile's flat
+        // rows; its release reads its own row.
+        let mut observations = Vec::with_capacity(samples.len() * num_ramps);
+        let outcomes: Vec<apparate_serving::RequestOutcome> = samples
             .iter()
-            .map(|obs| {
-                let exit = BatchExecution::earliest_exit(obs, &self.thresholds)
-                    .map(|ramp| (ramp, obs.ramp_observations[ramp]));
+            .map(|sample| {
+                let start = observations.len();
+                self.plan.observe_into(sample, &mut observations);
+                let row = &observations[start..];
+                let exit = BatchExecution::earliest_exit(row, &self.thresholds)
+                    .map(|ramp| (ramp, row[ramp]));
                 exit_outcome(&self.plan, exit, b)
             })
             .collect();
-        let num_ramps = self.plan.num_ramps();
-        let mut observations = Vec::with_capacity(samples.len() * num_ramps);
-        for obs in &exec.per_request {
-            observations.extend_from_slice(&obs.ramp_observations);
-        }
         let profile = BatchProfile {
             num_ramps,
             observations,

@@ -15,8 +15,9 @@ use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
 use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
 use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
-    latency_cdf, tpt_cdf, ArrivalTrace, ContinuousBatchingConfig, GenerativeSimulator,
-    LatencySummary, Request, ServingConfig, ServingSimulator, TokenSemantics, VanillaTokenPolicy,
+    latency_cdf, run_queue, tpt_cdf, ArrivalTrace, ContinuousBatchingConfig, ExitPolicy,
+    GenerativeSimulator, LatencySummary, Request, ServingConfig, ServingSimulator, TokenPolicy,
+    TokenSemantics, VanillaTokenPolicy,
 };
 use apparate_sim::{Cdf, DeterministicRng, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -141,7 +142,10 @@ pub struct ScenarioRun {
 /// Run the selected comparison scenarios at the given sizes and return their
 /// tables in a fixed order. This is the reusable entry point behind the
 /// `repro` binary and the `e2e` bench suite: everything is derived from
-/// `seed`, so the same arguments always produce the same tables.
+/// `seed`, so the same arguments always produce the same tables. Each
+/// table's policy runs go one after another on the calling thread, so a call
+/// costs the same work on every machine; [`run_scenarios_traced_config`]
+/// takes a worker count instead.
 pub fn run_scenarios(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> Vec<ComparisonTable> {
     run_scenarios_full(seed, sizes, select)
         .into_iter()
@@ -170,18 +174,22 @@ pub fn run_scenarios_traced(
     select: ScenarioSelect,
     telemetry: &Telemetry,
 ) -> Vec<ScenarioRun> {
-    run_scenarios_traced_config(seed, sizes, select, telemetry, scenario_config())
+    run_scenarios_traced_config(seed, sizes, select, telemetry, scenario_config(), 1)
 }
 
 /// Like [`run_scenarios_traced`] with an explicit controller configuration —
 /// the hook `repro --full-retune` uses to run every scenario with the
-/// full-retune tuning oracle instead of the incremental tuner.
+/// full-retune tuning oracle instead of the incremental tuner — and an
+/// explicit bound on the workers each table's policy runs share (`repro
+/// --threads`). Scenarios run one after another; the thread count changes
+/// wall-clock time only.
 pub fn run_scenarios_traced_config(
     seed: u64,
     sizes: ReproSizes,
     select: ScenarioSelect,
     telemetry: &Telemetry,
     config: ApparateConfig,
+    threads: usize,
 ) -> Vec<ScenarioRun> {
     let mut runs = Vec::new();
     let mut lane = 0u32;
@@ -199,6 +207,7 @@ pub fn run_scenarios_traced_config(
             &cv_scenario(seed, sizes.cv_frames),
             &lane,
             config,
+            threads,
         ));
     }
     if matches!(select, ScenarioSelect::Nlp | ScenarioSelect::All) {
@@ -207,6 +216,7 @@ pub fn run_scenarios_traced_config(
             &nlp_scenario(seed, sizes.nlp_requests),
             &lane,
             config,
+            threads,
         ));
     }
     if matches!(select, ScenarioSelect::Generative | ScenarioSelect::All) {
@@ -215,6 +225,7 @@ pub fn run_scenarios_traced_config(
             &generative_scenario(seed, sizes.gen_requests),
             &lane,
             config,
+            threads,
         ));
     }
     runs
@@ -500,6 +511,104 @@ pub(crate) fn classification_fixture(
     (semantics, trace, dep_budget)
 }
 
+/// The rows of a comparison table, in the order its work queue starts them.
+/// Apparate goes first: it observes every ramp for every request and also
+/// runs the controller, so it is the longest run, and starting it first lets
+/// the other rows share the remaining workers while it runs.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    Apparate,
+    Vanilla,
+    StaticEe,
+    UniformEe,
+    OneshotTuned,
+    Oracle,
+}
+
+impl Row {
+    const QUEUE: [Row; 6] = [
+        Row::Apparate,
+        Row::Vanilla,
+        Row::StaticEe,
+        Row::UniformEe,
+        Row::OneshotTuned,
+        Row::Oracle,
+    ];
+
+    /// The policy name the row prints under.
+    fn name(self) -> &'static str {
+        match self {
+            Row::Apparate => "apparate",
+            Row::Vanilla => "vanilla",
+            Row::StaticEe => "static-ee",
+            Row::UniformEe => "uniform-ee",
+            Row::OneshotTuned => "oneshot-tuned",
+            Row::Oracle => "oracle",
+        }
+    }
+
+    /// Whether the row's latency CDF is kept (see [`ScenarioCdfs`]).
+    fn keeps_cdf(self) -> bool {
+        matches!(self, Row::Vanilla | Row::Apparate)
+    }
+}
+
+/// What one policy run leaves for its scenario's result. Each run summarises
+/// its own outcome, so a table never holds more outcomes than it has workers.
+struct RowRun {
+    summary: LatencySummary,
+    cdf: Option<Cdf>,
+    overhead: Option<OverheadReport>,
+}
+
+/// Assemble a scenario's result from its rows' runs, given in
+/// [`Row::QUEUE`] order. The table lists Apparate between the offline-tuned
+/// baseline and the oracle.
+fn scenario_run(name: &str, metric: &str, requests: u64, runs: Vec<RowRun>) -> ScenarioRun {
+    let Ok([apparate, vanilla, static_ee, uniform_ee, oneshot, oracle]) =
+        <[RowRun; 6]>::try_from(runs)
+    else {
+        unreachable!("the work queue returns one run per row");
+    };
+    let kept = "vanilla and apparate keep their CDFs";
+    ScenarioRun {
+        table: ComparisonTable::new(
+            name.to_string(),
+            metric,
+            vec![
+                vanilla.summary,
+                static_ee.summary,
+                uniform_ee.summary,
+                oneshot.summary,
+                apparate.summary,
+                oracle.summary,
+            ],
+        ),
+        overhead: OverheadRow {
+            scenario: name.to_string(),
+            requests,
+            report: apparate
+                .overhead
+                .expect("the apparate run reports its link"),
+        },
+        cdfs: ScenarioCdfs {
+            vanilla: vanilla.cdf.expect(kept),
+            apparate: apparate.cdf.expect(kept),
+        },
+    }
+}
+
+/// The greedy-search parameters of the `oneshot-tuned` baseline's offline
+/// tune: the user's whole accuracy budget, thresholds up to 1.
+fn oneshot_params(config: &ApparateConfig) -> GreedyParams {
+    GreedyParams {
+        accuracy_loss_budget: config.accuracy_constraint,
+        initial_step: config.initial_step,
+        smallest_step: config.smallest_step,
+        max_threshold: 1.0,
+    }
+}
+
 /// Run the full policy family on a classification scenario.
 pub fn run_classification(scenario: &ClassificationScenario) -> ComparisonTable {
     run_classification_full(scenario).table
@@ -513,27 +622,30 @@ pub fn run_classification_full(scenario: &ClassificationScenario) -> ScenarioRun
 
 /// Like [`run_classification_full`], with a telemetry sink attached to the
 /// Apparate run (platform events, controller events and both link
-/// directions). Baseline runs stay untraced.
+/// directions). Baseline runs stay untraced. The six policy runs go one
+/// after another on the calling thread.
 pub fn run_classification_traced(
     scenario: &ClassificationScenario,
     telemetry: &Telemetry,
 ) -> ScenarioRun {
-    run_classification_traced_config(scenario, telemetry, scenario_config())
+    run_classification_traced_config(scenario, telemetry, scenario_config(), 1)
 }
 
 /// Like [`run_classification_traced`] with an explicit controller
-/// configuration (see [`run_scenarios_traced_config`]).
+/// configuration and thread count (see [`run_scenarios_traced_config`]). The
+/// six policy runs share the scenario's fixtures read-only and run on up to
+/// `threads` workers of one [`run_queue`]; the table is the same for every
+/// thread count.
 pub fn run_classification_traced_config(
     scenario: &ClassificationScenario,
     telemetry: &Telemetry,
     config: ApparateConfig,
+    threads: usize,
 ) -> ScenarioRun {
     let split = scenario.workload.bootstrap_split();
     let serving_samples = split.serving;
-    let n = serving_samples.len();
     let (semantics, trace, dep_budget) = classification_fixture(scenario, &config);
     let sim = ServingSimulator::new(scenario.serving.clone());
-
     let dep_all = deploy_all_sites(
         &scenario.model,
         &semantics,
@@ -541,83 +653,71 @@ pub fn run_classification_traced_config(
         split.train.len(),
     );
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let budget_plan = dep_budget.plan.clone();
-    let all_plan = dep_all.plan.clone();
+    let budget_plan = &dep_budget.plan;
+    let all_plan = &dep_all.plan;
 
-    let mut summaries = Vec::new();
-
-    let vanilla_cdf = {
-        let mut policy = vanilla_policy(&vanilla_plan);
-        let estimate = batch_time_fn(&vanilla_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        summaries.push(LatencySummary::from_outcome("vanilla", &out));
-        latency_cdf(&out)
-    };
-    {
-        let mut policy =
-            StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee");
-        let estimate = batch_time_fn(&budget_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        summaries.push(LatencySummary::from_outcome("static-ee", &out));
-    }
-    {
-        let mut policy =
-            StaticExitPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, "uniform-ee");
-        let estimate = batch_time_fn(&all_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        summaries.push(LatencySummary::from_outcome("uniform-ee", &out));
-    }
-    {
-        let tuned = offline_tuned_thresholds(
-            &budget_plan,
-            split.validation,
-            GreedyParams {
-                accuracy_loss_budget: config.accuracy_constraint,
-                initial_step: config.initial_step,
-                smallest_step: config.smallest_step,
-                max_threshold: 1.0,
-            },
-            scenario.reference_batch,
-        );
-        let mut policy =
-            StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, "oneshot-tuned");
-        let estimate = batch_time_fn(&budget_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        summaries.push(LatencySummary::from_outcome("oneshot-tuned", &out));
-    }
-    let (apparate_out, overhead) = apparate_classification(
-        scenario,
-        config,
-        &trace,
-        serving_samples,
-        split.validation,
-        &dep_budget,
-        &vanilla_plan,
-        telemetry,
-    );
-    summaries.push(LatencySummary::from_outcome("apparate", &apparate_out));
-    let apparate_cdf = latency_cdf(&apparate_out);
-    {
-        let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
-        let mut policy =
-            OracleExitPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, "oracle");
-        let estimate = batch_time_fn(&vanilla_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        summaries.push(LatencySummary::from_outcome("oracle", &out));
-    }
-
-    ScenarioRun {
-        table: ComparisonTable::new(scenario.name.clone(), "latency", summaries),
-        overhead: OverheadRow {
-            scenario: scenario.name.clone(),
-            requests: n as u64,
-            report: overhead,
-        },
-        cdfs: ScenarioCdfs {
-            vanilla: vanilla_cdf,
-            apparate: apparate_cdf,
-        },
-    }
+    let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {
+        let name = row.name();
+        let serve = |plan: &ExecutionPlan, policy: &mut dyn ExitPolicy| {
+            sim.run(&trace, serving_samples, policy, &batch_time_fn(plan))
+        };
+        let (out, overhead) = match row {
+            Row::Apparate => {
+                let (out, overhead) = apparate_classification(
+                    scenario,
+                    config,
+                    &trace,
+                    serving_samples,
+                    split.validation,
+                    &dep_budget,
+                    &vanilla_plan,
+                    telemetry,
+                );
+                (out, Some(overhead))
+            }
+            Row::Vanilla => (
+                serve(&vanilla_plan, &mut vanilla_policy(&vanilla_plan)),
+                None,
+            ),
+            Row::StaticEe => {
+                let mut policy =
+                    StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, name);
+                (serve(budget_plan, &mut policy), None)
+            }
+            Row::UniformEe => {
+                let mut policy =
+                    StaticExitPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, name);
+                (serve(all_plan, &mut policy), None)
+            }
+            Row::OneshotTuned => {
+                let tuned = offline_tuned_thresholds(
+                    budget_plan,
+                    split.validation,
+                    oneshot_params(&config),
+                    scenario.reference_batch,
+                );
+                let mut policy = StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, name);
+                (serve(budget_plan, &mut policy), None)
+            }
+            Row::Oracle => {
+                let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
+                let mut policy =
+                    OracleExitPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, name);
+                (serve(&vanilla_plan, &mut policy), None)
+            }
+        };
+        RowRun {
+            summary: LatencySummary::from_outcome(name, &out),
+            cdf: row.keeps_cdf().then(|| latency_cdf(&out)),
+            overhead,
+        }
+    });
+    scenario_run(
+        &scenario.name,
+        "latency",
+        serving_samples.len() as u64,
+        runs,
+    )
 }
 
 /// Serve a classification scenario with the Apparate policy over the charged
@@ -825,22 +925,23 @@ pub fn run_generative_full(scenario: &GenerativeScenario) -> ScenarioRun {
 
 /// Like [`run_generative_full`], with a telemetry sink attached to the
 /// Apparate run (decode-step events, controller events and both link
-/// directions). Baseline runs stay untraced.
+/// directions). Baseline runs stay untraced. The six policy runs go one
+/// after another on the calling thread.
 pub fn run_generative_traced(scenario: &GenerativeScenario, telemetry: &Telemetry) -> ScenarioRun {
-    run_generative_traced_config(scenario, telemetry, scenario_config())
+    run_generative_traced_config(scenario, telemetry, scenario_config(), 1)
 }
 
 /// Like [`run_generative_traced`] with an explicit controller configuration
-/// (see [`run_scenarios_traced_config`]).
+/// and thread count (see [`run_classification_traced_config`]).
 pub fn run_generative_traced_config(
     scenario: &GenerativeScenario,
     telemetry: &Telemetry,
     config: ApparateConfig,
+    threads: usize,
 ) -> ScenarioRun {
     let requests = generative_requests(scenario);
     let tokens = WorkloadTokens(&scenario.workload);
     let sim = GenerativeSimulator::new(scenario.batching);
-
     let (semantics, dep_budget) = generative_fixture(scenario, &config);
     let dep_all = deploy_all_sites(
         &scenario.model,
@@ -849,83 +950,69 @@ pub fn run_generative_traced_config(
         0,
     );
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let budget_plan = dep_budget.plan.clone();
-    let all_plan = dep_all.plan.clone();
-
+    let budget_plan = &dep_budget.plan;
+    let all_plan = &dep_all.plan;
     // Offline calibration tokens for the oneshot baseline and Apparate's
     // warm start.
     let calibration = generative_calibration(&scenario.workload);
 
-    let mut summaries = Vec::new();
-
-    let vanilla_cdf = {
-        let mut policy = VanillaTokenPolicy::new(|b| {
-            SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b))
-        });
-        let out = sim.run(&requests, &tokens, &mut policy);
-        summaries.push(LatencySummary::from_generative("vanilla", &out));
-        tpt_cdf(&out)
-    };
-    {
-        let mut policy =
-            StaticTokenPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee");
-        let out = sim.run(&requests, &tokens, &mut policy);
-        summaries.push(LatencySummary::from_generative("static-ee", &out));
-    }
-    {
-        let mut policy =
-            StaticTokenPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, "uniform-ee");
-        let out = sim.run(&requests, &tokens, &mut policy);
-        summaries.push(LatencySummary::from_generative("uniform-ee", &out));
-    }
-    {
-        let tuned = offline_tuned_thresholds(
-            &budget_plan,
-            &calibration,
-            GreedyParams {
-                accuracy_loss_budget: config.accuracy_constraint,
-                initial_step: config.initial_step,
-                smallest_step: config.smallest_step,
-                max_threshold: 1.0,
-            },
-            scenario.reference_batch,
-        );
-        let mut policy =
-            StaticTokenPolicy::new(budget_plan.clone(), tuned.thresholds, "oneshot-tuned");
-        let out = sim.run(&requests, &tokens, &mut policy);
-        summaries.push(LatencySummary::from_generative("oneshot-tuned", &out));
-    }
-    let (apparate_out, overhead) = apparate_generative(
-        scenario,
-        config,
-        &requests,
-        &tokens,
-        &calibration,
-        &dep_budget,
-        telemetry,
-    );
-    summaries.push(LatencySummary::from_generative("apparate", &apparate_out));
-    let apparate_cdf = tpt_cdf(&apparate_out);
-    {
-        let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
-        let mut policy =
-            OracleTokenPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, "oracle");
-        let out = sim.run(&requests, &tokens, &mut policy);
-        summaries.push(LatencySummary::from_generative("oracle", &out));
-    }
-
-    ScenarioRun {
-        table: ComparisonTable::new(scenario.name.clone(), "tpt", summaries),
-        overhead: OverheadRow {
-            scenario: scenario.name.clone(),
-            requests: total_tokens(scenario),
-            report: overhead,
-        },
-        cdfs: ScenarioCdfs {
-            vanilla: vanilla_cdf,
-            apparate: apparate_cdf,
-        },
-    }
+    let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {
+        let name = row.name();
+        let serve = |policy: &mut dyn TokenPolicy| sim.run(&requests, &tokens, policy);
+        let (out, overhead) = match row {
+            Row::Apparate => {
+                let (out, overhead) = apparate_generative(
+                    scenario,
+                    config,
+                    &requests,
+                    &tokens,
+                    &calibration,
+                    &dep_budget,
+                    telemetry,
+                );
+                (out, Some(overhead))
+            }
+            Row::Vanilla => {
+                let mut policy = VanillaTokenPolicy::new(|b| {
+                    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b))
+                });
+                (serve(&mut policy), None)
+            }
+            Row::StaticEe => {
+                let mut policy =
+                    StaticTokenPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, name);
+                (serve(&mut policy), None)
+            }
+            Row::UniformEe => {
+                let mut policy =
+                    StaticTokenPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, name);
+                (serve(&mut policy), None)
+            }
+            Row::OneshotTuned => {
+                let tuned = offline_tuned_thresholds(
+                    budget_plan,
+                    &calibration,
+                    oneshot_params(&config),
+                    scenario.reference_batch,
+                );
+                let mut policy =
+                    StaticTokenPolicy::new(budget_plan.clone(), tuned.thresholds, name);
+                (serve(&mut policy), None)
+            }
+            Row::Oracle => {
+                let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
+                let mut policy =
+                    OracleTokenPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, name);
+                (serve(&mut policy), None)
+            }
+        };
+        RowRun {
+            summary: LatencySummary::from_generative(name, &out),
+            cdf: row.keeps_cdf().then(|| tpt_cdf(&out)),
+            overhead,
+        }
+    });
+    scenario_run(&scenario.name, "tpt", total_tokens(scenario), runs)
 }
 
 /// Total tokens a generative scenario emits (the per-token denominator for

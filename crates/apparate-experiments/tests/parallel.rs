@@ -1,17 +1,18 @@
-//! Parallelism determinism suite: the fleet worker-thread count must never
-//! leak into any observable output. Same seed + any `threads` value ⇒
+//! Parallelism determinism suite: the worker-thread count must never leak
+//! into any observable output. Same seed + any `threads` value ⇒
 //! byte-identical win tables, byte-identical telemetry exports (event trace
-//! and metrics JSON-lines), identical coordination bills — for both the
-//! classification fleet and the generative (decode-loop) fleet.
+//! and metrics JSON-lines), identical coordination bills — for the
+//! classification fleet, the generative (decode-loop) fleet and the three
+//! six-policy comparison tables.
 //!
 //! This is the acceptance contract of the `--threads` knob: parallel fleet
-//! execution buys wall-clock time only.
+//! replicas and parallel policy runs buy wall-clock time only.
 
 use apparate_experiments::{
     cv_scenario, generative_scenario, run_classification_fleet_streamed,
     run_classification_fleet_threaded, run_classification_fleet_traced,
     run_generative_fleet_streamed, run_generative_fleet_threaded, run_generative_fleet_traced,
-    scenario_config,
+    run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes, ScenarioSelect,
 };
 use apparate_serving::FleetDispatch;
 use apparate_telemetry::{
@@ -54,6 +55,52 @@ fn generative_artifacts(threads: usize) -> (String, String, String) {
         render_trace_json_lines(&snapshot),
         render_metrics_json_lines(&snapshot),
     )
+}
+
+/// Same, for the CV, NLP and generative comparison tables (six policy runs
+/// each, Apparate traced) plus the §4.5 overhead table, as `repro` prints
+/// them.
+fn comparison_artifacts(threads: usize) -> (String, String, String) {
+    let telemetry = Telemetry::recording(TelemetryConfig::default());
+    let runs = run_scenarios_traced_config(
+        42,
+        ReproSizes::bench(),
+        ScenarioSelect::All,
+        &telemetry,
+        scenario_config(),
+        threads,
+    );
+    assert_eq!(runs.len(), 3, "CV, NLP and generative tables");
+    let mut tables: String = runs.iter().map(|run| run.table.render()).collect();
+    tables
+        .push_str(&OverheadTable::new(runs.into_iter().map(|run| run.overhead).collect()).render());
+    let snapshot = telemetry.snapshot().expect("recording sink");
+    (
+        tables,
+        render_trace_json_lines(&snapshot),
+        render_metrics_json_lines(&snapshot),
+    )
+}
+
+#[test]
+fn comparison_artifacts_are_byte_identical_across_thread_counts() {
+    let (tables1, trace1, metrics1) = comparison_artifacts(1);
+    assert!(!trace1.is_empty(), "the traced runs must record events");
+    for threads in [2, 8] {
+        let (tables, trace, metrics) = comparison_artifacts(threads);
+        assert_eq!(
+            tables1, tables,
+            "comparison tables diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            trace1, trace,
+            "event-trace export diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            metrics1, metrics,
+            "metrics export diverged from sequential at {threads} threads"
+        );
+    }
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //!   slowest replica's; latencies pool across every replica).
 //!
 //! Replicas are independent discrete-event simulations over disjoint shards,
-//! so a [`FleetRun`] executes them on real scoped threads
-//! (`crossbeam::thread::scope`) and still produces *byte-identical* merged
+//! so a [`FleetRun`] executes them on scoped threads through [`run_queue`]
+//! (the workspace's one work queue) and still produces *byte-identical* merged
 //! output for any thread count: each replica records telemetry through its
 //! own [`Telemetry::for_replica`] handle into a per-replica buffer, results
 //! are joined and re-ordered by replica index, and the telemetry snapshot
@@ -53,6 +53,7 @@ use crate::traces::ArrivalTrace;
 use apparate_exec::{FeedbackSender, ProfileRecord, SampleSemantics};
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
+use std::sync::Mutex;
 
 /// How the front-end dispatcher assigns arrivals to replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +95,53 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Run `run(i, item)` for every item on up to `threads` workers sharing one
+/// scoped work queue, and return the results in item order.
+///
+/// An idle worker takes the next unstarted item, so list the longest items
+/// first: a long item then never waits behind short ones. The calling thread
+/// is one of the workers; with `threads == 1` (or one item) it runs every
+/// item itself, in order, and no thread starts. Results are placed by item
+/// index, never by completion order, so the output depends on the thread
+/// count only if `run` does. A panic in an item reaches the caller with its
+/// own payload once every worker has stopped.
+pub fn run_queue<T, O, F>(threads: usize, items: Vec<T>, run: F) -> Vec<O>
+where
+    T: Send,
+    O: Send,
+    F: Fn(usize, T) -> O + Sync,
+{
+    let workers = threads.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Bind the item first so the guard drops before the item runs.
+            let next = queue
+                .lock()
+                .expect("the queue is only locked to take an item, which cannot panic")
+                .next();
+            let Some((i, item)) = next else {
+                break done;
+            };
+            done.push((i, run(i, item)));
+        }
+    };
+    let mut indexed: Vec<(usize, O)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut indexed = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => indexed.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        indexed
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, out)| out).collect()
 }
 
 /// One replica's share of the shared arrival stream.
@@ -243,9 +291,10 @@ impl<'a> TokenReplicaUnit<'a> {
 /// by [`FleetRun::run`].
 ///
 /// Replicas are independent simulations over disjoint shards, so the run
-/// executes them on up to `threads` scoped worker threads (replica `i` goes
-/// to worker `i % threads`) and joins into replica-index order. `threads == 1`
-/// is the plain sequential loop. Output is *identical for any thread count*:
+/// executes them through [`run_queue`] on up to `threads` workers (an idle
+/// worker takes the next unstarted replica) and returns them in replica-index
+/// order. `threads == 1` is the plain sequential loop. Output is *identical
+/// for any thread count*:
 /// each replica's telemetry lands in its own [`Telemetry::for_replica`]
 /// buffer and per-replica outcomes are merged by replica index, never by
 /// completion order.
@@ -312,53 +361,12 @@ impl<U, F> FleetRun<U, F> {
             self.replicas,
             "one unit per replica is required"
         );
-        let threads = self.threads.clamp(1, self.replicas);
         let labels: Vec<String> = self.units.iter().map(|u| u.unit_label().into()).collect();
-        let telemetry = self.telemetry;
+        let telemetry = &self.telemetry;
         let run_replica = &self.run_replica;
-        let per_replica: Vec<O> = if threads <= 1 {
-            // Sequential path: exactly the pre-parallel fleet behaviour.
-            self.units
-                .into_iter()
-                .enumerate()
-                .map(|(r, unit)| run_replica(r, unit, telemetry.for_replica(r as u32)))
-                .collect()
-        } else {
-            // Round-robin replicas over `threads` scoped workers. Results are
-            // re-ordered by replica index after the join, and telemetry goes
-            // through per-replica handles, so the merged outcome does not
-            // depend on scheduling.
-            let mut buckets: Vec<Vec<(usize, U)>> = (0..threads).map(|_| Vec::new()).collect();
-            for (r, unit) in self.units.into_iter().enumerate() {
-                buckets[r % threads].push((r, unit));
-            }
-            let mut indexed: Vec<(usize, O)> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        let telemetry = telemetry.clone();
-                        s.spawn(move |_| {
-                            bucket
-                                .into_iter()
-                                .map(|(r, unit)| {
-                                    (r, run_replica(r, unit, telemetry.for_replica(r as u32)))
-                                })
-                                .collect::<Vec<(usize, O)>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            indexed.sort_by_key(|&(r, _)| r);
-            indexed.into_iter().map(|(_, outcome)| outcome).collect()
-        };
+        let per_replica = run_queue(self.threads, self.units, |r, unit| {
+            run_replica(r, unit, telemetry.for_replica(r as u32))
+        });
         FleetOutcome {
             per_replica,
             shard_sizes: self.shard_sizes,
@@ -887,6 +895,80 @@ mod tests {
 
     fn exec_time(b: u32) -> SimDuration {
         SimDuration::from_millis(10 + 2 * b as u64)
+    }
+
+    /// The running thread's id, for the queue tests below that check which
+    /// worker ran an item.
+    fn thread_id() -> std::thread::ThreadId {
+        // lint:allow(D003, reason = "the work-queue tests check which worker ran an item; no table or export reads it")
+        std::thread::current().id()
+    }
+
+    #[test]
+    fn run_queue_returns_results_in_item_order_whatever_the_finish_order() {
+        use std::sync::mpsc::channel;
+        // Item 0 waits for item 1 to finish and item 1 for item 2, so the
+        // items finish in reverse order; each waiting item holds one worker,
+        // which is why the queue needs all three.
+        for threads in [3, 8] {
+            let (one_done, after_one) = channel();
+            let (two_done, after_two) = channel();
+            let items = vec![
+                (None, Some(after_one)),
+                (Some(one_done), Some(after_two)),
+                (Some(two_done), None),
+            ];
+            let finished = Mutex::new(Vec::new());
+            let out = run_queue(threads, items, |i, (done, after)| {
+                if let Some(after) = after {
+                    after.recv().expect("the next item reports before exiting");
+                }
+                finished.lock().expect("no panics").push(i);
+                if let Some(done) = done {
+                    done.send(()).expect("the previous item is waiting");
+                }
+                i * 10
+            });
+            assert_eq!(out, vec![0, 10, 20], "results in item order at {threads}");
+            assert_eq!(finished.into_inner().expect("no panics"), vec![2, 1, 0]);
+        }
+    }
+
+    #[test]
+    fn run_queue_reraises_a_worker_panic_on_the_caller() {
+        // Both items wait at a two-party barrier, so each of the two workers
+        // holds one: the item on the spawned worker panics, the caller's
+        // completes, and the spawned worker's payload must reach the caller.
+        let caller = thread_id();
+        let barrier = std::sync::Barrier::new(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_queue(2, vec![(); 2], |i, ()| {
+                barrier.wait();
+                if thread_id() != caller {
+                    panic!("item {i} failed on a spawned worker");
+                }
+                i
+            })
+        }));
+        let payload = result.expect_err("the worker's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic carries a String");
+        assert!(message.ends_with("failed on a spawned worker"), "{message}");
+    }
+
+    #[test]
+    fn run_queue_on_one_thread_runs_items_in_order_on_the_caller() {
+        let caller = thread_id();
+        let order = Mutex::new(Vec::new());
+        let out = run_queue(1, vec!['a', 'b', 'c'], |i, c| {
+            assert_eq!(thread_id(), caller);
+            order.lock().expect("no panics").push(i);
+            (i, c)
+        });
+        assert_eq!(out, vec![(0, 'a'), (1, 'b'), (2, 'c')]);
+        assert_eq!(order.into_inner().expect("no panics"), vec![0, 1, 2]);
+        assert!(run_queue(4, Vec::<u8>::new(), |_, b| b).is_empty());
     }
 
     #[test]

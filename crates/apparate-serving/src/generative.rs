@@ -315,7 +315,13 @@ impl GenerativeSimulator {
         // (the hottest loop in the simulator).
         let mut slots: Vec<TokenSlot> = Vec::new();
         let mut profile_ids: Vec<u64> = Vec::new();
-        let mut tokens: Vec<TokenRecord> = Vec::new();
+        // Every sequence emits exactly `max(output_tokens, 1)` records.
+        let mut tokens: Vec<TokenRecord> = Vec::with_capacity(
+            requests
+                .iter()
+                .map(|r| r.output_tokens.max(1) as usize)
+                .sum(),
+        );
         let mut batch_sizes: Vec<u32> = Vec::new();
         let mut gpu_busy = SimDuration::ZERO;
         let first_arrival = pending.front().map(|r| r.arrival).unwrap_or(SimTime::ZERO);

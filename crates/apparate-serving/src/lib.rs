@@ -40,7 +40,7 @@ pub mod traces;
 
 pub use batching::{BatchDecision, BatchingPolicy};
 pub use fleet::{
-    available_threads, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
+    available_threads, run_queue, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
     FleetOutcomeView, FleetRun, FleetUnit, GenerativeFleetOutcome, GenerativeReplicaFleet,
     ReplicaFleet, ReplicaOutcome, ReplicaUnit, RequestShard, TokenReplicaUnit, TraceShard,
 };
