@@ -1,9 +1,15 @@
-//! Classification-serving baselines: the [`ExitPolicy`] family.
+//! The baseline policy family. Each type implements both serving hooks:
+//! [`ExitPolicy`] for classification batches and [`TokenPolicy`] for decode
+//! steps, releasing a token by the same rule as a classification result
+//! (§3.4).
 
 use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
 use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
 use apparate_model::LayerId;
-use apparate_serving::{BatchOutcome, ExitPolicy, Request, RequestOutcome, VanillaPolicy};
+use apparate_serving::{
+    BatchOutcome, ExitPolicy, Request, RequestOutcome, StepOutcome, TokenPolicy, TokenSlot,
+    VanillaPolicy,
+};
 use apparate_sim::{SimDuration, SimTime};
 
 use crate::oracle::OracleSites;
@@ -25,7 +31,7 @@ pub fn batch_time_fn(plan: &ExecutionPlan) -> impl Fn(u32) -> SimDuration + '_ {
 }
 
 /// Vanilla serving for a model: every input runs the whole original model with
-/// no ramps and no overhead.
+/// no ramps and no overhead (a batch, or a decode step's full decoder pass).
 pub fn vanilla_policy(plan: &ExecutionPlan) -> VanillaPolicy<impl Fn(u32) -> SimDuration + '_> {
     VanillaPolicy::new(|batch| SimDuration::from_micros_f64(plan.vanilla_total_us(batch)))
 }
@@ -67,7 +73,8 @@ pub fn exit_outcome(
 /// With uniform thresholds this is the BranchyNet/DeeBERT deployment mode the
 /// paper argues against (§2.2); with offline-tuned thresholds (see
 /// [`offline_tuned_thresholds`]) it becomes the "tune once, then drift"
-/// baseline of Figure 5.
+/// baseline of Figure 5. On the decode path it is the FREE-style static
+/// configuration for generative serving.
 pub struct StaticExitPolicy {
     plan: ExecutionPlan,
     thresholds: Vec<f64>,
@@ -113,24 +120,41 @@ impl StaticExitPolicy {
     pub fn thresholds(&self) -> &[f64] {
         &self.thresholds
     }
-}
 
-impl ExitPolicy for StaticExitPolicy {
-    fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
-        let b = batch.len() as u32;
+    /// Release each sample at its first ramp whose entropy clears the
+    /// threshold. Nothing but the release is read, so each sample observes
+    /// its ramps only up to the first exit.
+    fn release<'a>(
+        &self,
+        samples: impl ExactSizeIterator<Item = &'a SampleSemantics>,
+    ) -> BatchOutcome {
+        let b = samples.len() as u32;
         BatchOutcome {
             gpu_time: SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b)),
-            // Nothing but the release is read, so each request observes its
-            // ramps only up to the first exit.
-            per_request: batch
-                .iter()
-                .map(|r| {
-                    let exit = self.plan.first_exit(&r.semantics, &self.thresholds);
+            per_request: samples
+                .map(|sample| {
+                    let exit = self.plan.first_exit(sample, &self.thresholds);
                     exit_outcome(&self.plan, exit, b)
                 })
                 .collect(),
             profile: None,
         }
+    }
+}
+
+impl ExitPolicy for StaticExitPolicy {
+    fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
+        self.release(batch.iter().map(|r| &r.semantics))
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl TokenPolicy for StaticExitPolicy {
+    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
+        self.release(slots.iter().map(|s| &s.semantics)).into()
     }
 
     fn name(&self) -> &str {
@@ -169,8 +193,9 @@ pub fn offline_tuned_thresholds(
 /// ramp agrees with the full model — knowledge only hindsight (or a
 /// deterministic, splittable semantics model) can provide — and pays no ramp
 /// overhead at all. Accuracy is exactly that of the original model, and the
-/// batch frees the GPU as soon as its slowest member exits, so the oracle
-/// lower-bounds every realisable policy on latency *and* throughput.
+/// batch (or decode step) frees the GPU as soon as its slowest member exits,
+/// so the oracle lower-bounds every realisable policy on latency *and*
+/// throughput.
 pub struct OracleExitPolicy {
     plan: ExecutionPlan,
     sites: OracleSites,
@@ -193,14 +218,15 @@ impl OracleExitPolicy {
             name: name.into(),
         }
     }
-}
 
-impl ExitPolicy for OracleExitPolicy {
-    fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
-        let b = batch.len() as u32;
-        let (gpu_us, releases) =
-            self.sites
-                .batch_releases(&self.plan, batch.iter().map(|r| &r.semantics), b);
+    /// Release each sample at its earliest agreeing site; the batch frees the
+    /// GPU at its slowest release.
+    fn release<'a>(
+        &self,
+        samples: impl ExactSizeIterator<Item = &'a SampleSemantics>,
+    ) -> BatchOutcome {
+        let b = samples.len() as u32;
+        let (gpu_us, releases) = self.sites.batch_releases(&self.plan, samples, b);
         BatchOutcome {
             gpu_time: SimDuration::from_micros_f64(gpu_us),
             per_request: releases
@@ -217,6 +243,22 @@ impl ExitPolicy for OracleExitPolicy {
                 .collect(),
             profile: None,
         }
+    }
+}
+
+impl ExitPolicy for OracleExitPolicy {
+    fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
+        self.release(batch.iter().map(|r| &r.semantics))
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl TokenPolicy for OracleExitPolicy {
+    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
+        self.release(slots.iter().map(|s| &s.semantics)).into()
     }
 
     fn name(&self) -> &str {
@@ -278,6 +320,69 @@ mod tests {
         }
     }
 
+    /// Serve `samples` as one batch through `batch_policy` and as one decode
+    /// step through `step_policy`: each token must be released as its batch
+    /// result is, and the step must free the GPU at its slowest release
+    /// (§3.4). Returns the batch outcome.
+    fn assert_step_releases_like_batch(
+        batch_policy: &mut dyn ExitPolicy,
+        step_policy: &mut dyn TokenPolicy,
+        samples: &[SampleSemantics],
+    ) -> BatchOutcome {
+        let requests: Vec<Request> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Request::classification(i as u64, SimTime::ZERO, s, None))
+            .collect();
+        let slots: Vec<TokenSlot> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, &semantics)| TokenSlot {
+                request_id: i as u64,
+                token_index: 0,
+                semantics,
+            })
+            .collect();
+        let batch = batch_policy.process_batch(&requests, SimTime::ZERO);
+        let step = step_policy.process_step(&slots, SimTime::ZERO);
+        assert_eq!(step.per_token.len(), batch.per_request.len());
+        for (token, result) in step.per_token.iter().zip(&batch.per_request) {
+            assert_eq!(token.release_offset, result.release_offset);
+            assert_eq!(token.exit_ramp, result.exit_ramp);
+            assert_eq!(token.correct, result.correct);
+        }
+        let slowest = batch.per_request.iter().map(|o| o.release_offset).max();
+        assert_eq!(Some(step.gpu_time), slowest);
+        batch
+    }
+
+    #[test]
+    fn static_decode_step_releases_like_a_batch() {
+        let dep = cv_plan();
+        let samples = easy_samples(16);
+        let batch = assert_step_releases_like_batch(
+            &mut StaticExitPolicy::uniform(dep.plan.clone(), 0.25, "static-ee"),
+            &mut StaticExitPolicy::uniform(dep.plan.clone(), 0.25, "static-ee"),
+            &samples,
+        );
+        assert!(batch.per_request.iter().any(|o| o.exit_ramp.is_some()));
+    }
+
+    #[test]
+    fn oracle_decode_step_releases_like_a_batch() {
+        let dep = cv_plan();
+        let vanilla_plan = dep.plan.with_ramps(Vec::new());
+        let sites: Vec<LayerId> = dep.all_sites.iter().map(|s| s.site).collect();
+        let oracle =
+            || OracleExitPolicy::new(vanilla_plan.clone(), sites.clone(), dep.capacity, "oracle");
+        let batch =
+            assert_step_releases_like_batch(&mut oracle(), &mut oracle(), &easy_samples(16));
+        assert!(batch.per_request.iter().any(|o| o.exit_ramp.is_some()));
+        // The oracle's batch also frees the GPU at its slowest release.
+        let slowest = batch.per_request.iter().map(|o| o.release_offset).max();
+        assert_eq!(Some(batch.gpu_time), slowest);
+    }
+
     #[test]
     fn zero_thresholds_never_exit() {
         let dep = cv_plan();
@@ -321,8 +426,9 @@ mod tests {
         });
         let estimate = batch_time_fn(&vanilla_plan);
         let out = sim.run(&trace, &samples, &mut oracle, &estimate);
-        assert!((out.accuracy() - 1.0).abs() < 1e-12);
-        assert!(out.exit_rate() > 0.5);
+        let summary = apparate_serving::LatencySummary::from_outcome("oracle", &out);
+        assert!((summary.accuracy - 1.0).abs() < 1e-12);
+        assert!(summary.exit_rate > 0.5);
 
         // Head-to-head at identical arrivals: the oracle's median beats vanilla.
         let mut vanilla = vanilla_policy(&vanilla_plan);

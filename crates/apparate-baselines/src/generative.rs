@@ -1,155 +1,23 @@
-//! Generative (token-level) baselines: the [`TokenPolicy`] family.
+//! Generative (token-level) names of the baseline family.
 //!
 //! Token early exits mirror the classification story (§3.4): a decode step
 //! evaluates every active sequence, a token's result is released at the first
 //! ramp whose entropy clears its threshold, and the remaining layers are
-//! parallel-decoded so the KV state stays correct — which is why the step
-//! still occupies the GPU for the full decoder pass. Vanilla generative
-//! serving is provided by [`apparate_serving::VanillaTokenPolicy`].
+//! parallel-decoded so the KV state stays correct. Each baseline type
+//! therefore implements both serving hooks, and the token-path names below
+//! are aliases of the classification types. Vanilla generative serving is
+//! [`apparate_serving::VanillaTokenPolicy`].
 
-use apparate_exec::ExecutionPlan;
-use apparate_model::LayerId;
-use apparate_serving::{StepOutcome, TokenOutcome, TokenPolicy, TokenSlot};
-use apparate_sim::{SimDuration, SimTime};
-
-use crate::classification::exit_outcome;
-use crate::oracle::OracleSites;
-
-/// A batch-size → decode-step-time estimator for a plan (full decoder pass
-/// plus active-ramp overheads).
-pub fn step_time_fn(plan: &ExecutionPlan) -> impl Fn(u32) -> SimDuration + '_ {
-    |batch| SimDuration::from_micros_f64(plan.gpu_batch_time_us(batch))
-}
+use crate::classification::{OracleExitPolicy, StaticExitPolicy};
 
 /// Fixed-ramp, fixed-threshold token-level early exits — the FREE-style
 /// static configuration for generative serving.
-pub struct StaticTokenPolicy {
-    plan: ExecutionPlan,
-    thresholds: Vec<f64>,
-    name: String,
-}
-
-impl StaticTokenPolicy {
-    /// Create a static token policy; one threshold per active ramp of `plan`.
-    pub fn new(
-        plan: ExecutionPlan,
-        thresholds: Vec<f64>,
-        name: impl Into<String>,
-    ) -> StaticTokenPolicy {
-        assert_eq!(
-            thresholds.len(),
-            plan.num_ramps(),
-            "one threshold per active ramp"
-        );
-        StaticTokenPolicy {
-            plan,
-            thresholds,
-            name: name.into(),
-        }
-    }
-
-    /// Same threshold on every ramp.
-    pub fn uniform(
-        plan: ExecutionPlan,
-        threshold: f64,
-        name: impl Into<String>,
-    ) -> StaticTokenPolicy {
-        let thresholds = vec![threshold; plan.num_ramps()];
-        StaticTokenPolicy::new(plan, thresholds, name)
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
-    }
-}
-
-impl TokenPolicy for StaticTokenPolicy {
-    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
-        let b = slots.len() as u32;
-        // Tokens are released by the classification rule; nothing but the
-        // release is read, so each token observes ramps up to its first exit.
-        let per_token: Vec<TokenOutcome> = slots
-            .iter()
-            .map(|s| {
-                let exit = self.plan.first_exit(&s.semantics, &self.thresholds);
-                exit_outcome(&self.plan, exit, b).into()
-            })
-            .collect();
-        StepOutcome {
-            gpu_time: step_gpu_time(&per_token),
-            per_token,
-            profile: None,
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// Decode-step GPU time under token-level early exits: the step advances once
-/// its slowest token has released (§3.4's parallel decoding lets the
-/// non-exited suffix layers — needed only to materialise KV state — overlap
-/// the following steps, so they do not gate the next token). A token that
-/// never exits releases at the full decoder pass, so a single hard token
-/// still holds the step for the whole model.
-pub fn step_gpu_time(per_token: &[TokenOutcome]) -> SimDuration {
-    per_token
-        .iter()
-        .map(|t| t.release_offset)
-        .fold(SimDuration::ZERO, SimDuration::max)
-}
+pub type StaticTokenPolicy = StaticExitPolicy;
 
 /// Hindsight-optimal token exits: each token is released at the earliest
 /// feasible decoder site whose hypothetical ramp agrees with the full model,
 /// with zero ramp overhead; the step frees the GPU at its slowest token.
-pub struct OracleTokenPolicy {
-    plan: ExecutionPlan,
-    sites: OracleSites,
-    name: String,
-}
-
-impl OracleTokenPolicy {
-    /// Create a token oracle over the given decoder sites.
-    pub fn new(
-        plan: ExecutionPlan,
-        sites: Vec<LayerId>,
-        capacity: f64,
-        name: impl Into<String>,
-    ) -> OracleTokenPolicy {
-        OracleTokenPolicy {
-            sites: OracleSites::new(&plan, sites, capacity),
-            plan,
-            name: name.into(),
-        }
-    }
-}
-
-impl TokenPolicy for OracleTokenPolicy {
-    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
-        let b = slots.len() as u32;
-        let (gpu_us, releases) =
-            self.sites
-                .batch_releases(&self.plan, slots.iter().map(|s| &s.semantics), b);
-        StepOutcome {
-            gpu_time: SimDuration::from_micros_f64(gpu_us),
-            per_token: releases
-                .into_iter()
-                .map(|(us, ramp)| TokenOutcome {
-                    release_offset: SimDuration::from_micros_f64(us),
-                    exit_ramp: ramp,
-                    correct: true,
-                })
-                .collect(),
-            profile: None,
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
+pub type OracleTokenPolicy = OracleExitPolicy;
 
 #[cfg(test)]
 mod tests {
@@ -157,7 +25,9 @@ mod tests {
     use crate::prep::deploy_budget_sites;
     use apparate_core::{ApparateConfig, RampArchitecture};
     use apparate_exec::{SampleSemantics, SemanticsModel};
-    use apparate_model::zoo;
+    use apparate_model::{zoo, LayerId};
+    use apparate_serving::{TokenPolicy, TokenSlot};
+    use apparate_sim::{SimDuration, SimTime};
 
     fn slots(n: usize) -> Vec<TokenSlot> {
         (0..n)

@@ -3,8 +3,10 @@
 //! The paper's headline claims are *comparative*: Apparate's adaptive
 //! controller versus serving without early exits and versus prior static
 //! early-exit schemes (§2.2, §4.2–4.4). This crate provides those comparison
-//! points as first-class [`ExitPolicy`](apparate_serving::ExitPolicy) /
-//! [`TokenPolicy`](apparate_serving::TokenPolicy) implementations:
+//! points as first-class policies. Each family is one type that implements
+//! both [`ExitPolicy`](apparate_serving::ExitPolicy) for classification
+//! batches and [`TokenPolicy`](apparate_serving::TokenPolicy) for decode
+//! steps, which it releases by the same rule (§3.4):
 //!
 //! * **vanilla** — no ramps, the original model only (via
 //!   [`apparate_serving::VanillaPolicy`]; [`classification::vanilla_policy`]
@@ -25,8 +27,8 @@
 //!   `apparate-sim::rng`, the oracle sees *exactly* what any live policy would
 //!   have seen, making it a true latency lower bound at full accuracy.
 //!
-//! [`generative`] mirrors the same family for token-level early exits in the
-//! continuous-batching decode loop.
+//! [`generative`] names the same types for the continuous-batching decode
+//! loop (`StaticTokenPolicy`, `OracleTokenPolicy`).
 //!
 //! Entry points: [`prep::deploy_budget_sites`] / [`prep::deploy_all_sites`]
 //! to prepare a ramp deployment, then any of the policy constructors above;
@@ -44,5 +46,5 @@ pub use classification::{
     batch_time_fn, exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, vanilla_policy,
     OracleExitPolicy, StaticExitPolicy,
 };
-pub use generative::{step_gpu_time, step_time_fn, OracleTokenPolicy, StaticTokenPolicy};
+pub use generative::{OracleTokenPolicy, StaticTokenPolicy};
 pub use prep::{deploy_all_sites, deploy_budget_sites, RampDeployment};

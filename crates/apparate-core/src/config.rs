@@ -31,11 +31,6 @@ pub struct ApparateConfig {
     pub initial_step: f64,
     /// Smallest step size; the search stops refining below this (0.01).
     pub smallest_step: f64,
-    /// For generative serving: flush accumulated exited tokens through the
-    /// remaining layers once this many are pending (§4.4: "regularly flushes a
-    /// batch decoding once the ramp accumulates a pre-specified number of
-    /// exited tokens").
-    pub generative_flush_tokens: usize,
     /// Run every tuning round as a full greedy re-tune over the materialised
     /// window instead of the incremental delta tuner. The two produce
     /// identical configurations (the incremental tuner replays the exact
@@ -54,7 +49,6 @@ impl Default for ApparateConfig {
             tuning_window: 64,
             initial_step: 0.1,
             smallest_step: 0.01,
-            generative_flush_tokens: 8,
             full_retune: false,
         }
     }

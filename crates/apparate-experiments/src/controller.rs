@@ -198,10 +198,6 @@ struct ControllerHalf {
     reference_batch: u32,
     /// Per-feasible-site per-exit savings (µs) at the reference batch.
     site_savings_us: Vec<f64>,
-    /// Whether ramp adjustment is enabled. Both the classification and the
-    /// token controller run it by default; tests disable it to isolate
-    /// threshold tuning.
-    adjust_enabled: bool,
     /// Per-active-ramp exit counts since the last adjustment round. Tracked
     /// here (not via the monitor) so a no-op adjustment round does not have to
     /// clear the threshold-tuning window.
@@ -360,9 +356,6 @@ impl ControllerHalf {
         if !initial_due && !violation_due {
             return;
         }
-        if self.monitor.tuning_window_len() == 0 {
-            return;
-        }
         let savings = per_ramp_savings_us(&self.plan, self.reference_batch);
         let outcome = if self.config.full_retune {
             // The materialising oracle: rebuild per-request records and run
@@ -396,8 +389,7 @@ impl ControllerHalf {
         // all-zero thresholds nothing exits, every ramp's utility is pure
         // overhead, and the adjuster would (correctly, but uselessly)
         // deactivate the entire deployment before it ever got a chance.
-        if !self.adjust_enabled
-            || self.needs_tune
+        if self.needs_tune
             || self.plan.num_ramps() == 0
             || self.adjust_requests < self.config.ramp_adjust_period as u64
         {
@@ -513,7 +505,6 @@ impl CoordinatedCore {
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
-        adjust_enabled: bool,
         link: LinkCost,
     ) -> CoordinatedCore {
         config.validate().expect("valid Apparate configuration");
@@ -555,7 +546,6 @@ impl CoordinatedCore {
                 capacity,
                 reference_batch,
                 site_savings_us,
-                adjust_enabled,
                 adjust_exits: vec![0; num_ramps],
                 adjust_requests: 0,
                 needs_tune: true,
@@ -621,14 +611,32 @@ impl CoordinatedCore {
     }
 }
 
-/// Apparate's adaptive [`ExitPolicy`] for classification serving.
+/// Apparate's adaptive policy: the [`ExitPolicy`] for classification
+/// serving and the [`TokenPolicy`] for generative decode steps, over one
+/// GPU-half/controller-half pair.
+///
+/// Both paths run the full loop: profiling records arrive over the charged
+/// uplink, thresholds are re-tuned, and every `ramp_adjust_period` delivered
+/// observations the controller re-selects the active ramp set by hindsight
+/// latency savings vs. overhead (Algorithm 2) — deactivating negative-utility
+/// ramps, trialling replacements, probing earlier sites. Generative ramps
+/// reuse the decoder head at every block (§3.1), so training a candidate is
+/// free, but which decoder depths pay for their evaluation overhead still
+/// depends on the token stream. Every ramp-set change ships over the
+/// downlink with epoch gating (batches or steps completed before delivery
+/// still ran the old set; stale-epoch records are dropped) and is followed
+/// by a threshold re-tune once the window refills with new-epoch records.
 pub struct ApparatePolicy {
     core: CoordinatedCore,
     name: String,
-    /// Reusable per-batch semantics buffer: `process_batch` runs once per
-    /// served batch, so its staging allocation must not be per-call.
+    /// Reusable per-batch semantics buffer: `process_batch` and
+    /// `process_step` run once per batch or decode step, so their staging
+    /// allocation must not be per-call.
     samples_scratch: Vec<SampleSemantics>,
 }
+
+/// The token-path name of [`ApparatePolicy`].
+pub type ApparateTokenPolicy = ApparatePolicy;
 
 impl ApparatePolicy {
     /// Deploy Apparate over a prepared ramp deployment with all-zero initial
@@ -650,14 +658,15 @@ impl ApparatePolicy {
         link: LinkCost,
     ) -> ApparatePolicy {
         ApparatePolicy {
-            core: CoordinatedCore::new(deployment, config, reference_batch, true, link),
+            core: CoordinatedCore::new(deployment, config, reference_batch, link),
             name: "apparate".to_string(),
             samples_scratch: Vec::new(),
         }
     }
 
     /// Deploy Apparate with thresholds warm-started on offline calibration
-    /// samples (the bootstrap validation split, §3.1), then adapt online.
+    /// samples (the bootstrap validation split, or calibration tokens, §3.1),
+    /// then adapt online.
     pub fn warm_started(
         deployment: RampDeployment,
         config: ApparateConfig,
@@ -732,8 +741,9 @@ impl ApparatePolicy {
     }
 
     /// The uplink producer handle: pass this to
-    /// [`apparate_serving::ServingSimulator::run_with_feedback`] so the
-    /// platform streams each batch's profile to the controller.
+    /// [`apparate_serving::ServingSimulator::run_with_feedback`] or
+    /// [`apparate_serving::GenerativeSimulator::run_with_feedback`] so the
+    /// platform streams each batch's or step's profile to the controller.
     pub fn feedback_sender(&self) -> FeedbackSender<ProfileRecord> {
         self.core.profile_tx.clone()
     }
@@ -742,19 +752,27 @@ impl ApparatePolicy {
     pub fn overhead_report(&self) -> OverheadReport {
         self.core.overhead_report()
     }
-}
 
-impl ExitPolicy for ApparatePolicy {
-    fn process_batch(&mut self, batch: &[Request], batch_start: SimTime) -> BatchOutcome {
+    /// One batch or decode step over `samples`, in batch order, at `start`.
+    fn release<'a>(
+        &mut self,
+        samples: impl Iterator<Item = &'a SampleSemantics>,
+        start: SimTime,
+    ) -> BatchOutcome {
         self.samples_scratch.clear();
-        self.samples_scratch
-            .extend(batch.iter().map(|r| r.semantics));
-        let (gpu_time, per_request, profile) = self.core.step(&self.samples_scratch, batch_start);
+        self.samples_scratch.extend(samples.copied());
+        let (gpu_time, per_request, profile) = self.core.step(&self.samples_scratch, start);
         BatchOutcome {
             gpu_time,
             per_request,
             profile: Some(profile),
         }
+    }
+}
+
+impl ExitPolicy for ApparatePolicy {
+    fn process_batch(&mut self, batch: &[Request], batch_start: SimTime) -> BatchOutcome {
+        self.release(batch.iter().map(|r| &r.semantics), batch_start)
     }
 
     fn name(&self) -> &str {
@@ -762,153 +780,10 @@ impl ExitPolicy for ApparatePolicy {
     }
 }
 
-/// Apparate's adaptive [`TokenPolicy`] for generative serving.
-///
-/// Token-level adaptation runs the full Algorithm 2 loop, exactly as the
-/// classification controller does: decode-step [`ProfileRecord`]s arrive over
-/// the charged uplink, and every `ramp_adjust_period` delivered token
-/// observations the controller re-selects the active ramp set by hindsight
-/// latency savings vs. overhead — deactivating negative-utility ramps,
-/// trialling replacements, probing earlier sites. Generative ramps reuse the
-/// decoder head at every block (§3.1), so the *training* of a candidate is
-/// free, but the placement question is real: which decoder depths pay for
-/// their evaluation overhead depends on the token stream. Every ramp-set
-/// change ships over the downlink with the same epoch gating as the
-/// classification path (decode steps completed before delivery still ran the
-/// old set; stale-epoch records are dropped), and is followed by a threshold
-/// re-tune once the window refills with new-epoch records.
-pub struct ApparateTokenPolicy {
-    core: CoordinatedCore,
-    name: String,
-    /// Reusable per-step semantics buffer: the decode loop calls
-    /// `process_step` once per token step, so staging must not allocate.
-    samples_scratch: Vec<SampleSemantics>,
-}
-
-impl ApparateTokenPolicy {
-    /// Deploy the token controller over a prepared ramp deployment with the
-    /// paper's default PCIe link cost.
-    pub fn new(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-    ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy::with_link(deployment, config, reference_batch, LinkCost::default())
-    }
-
-    /// Deploy the token controller with an explicit link cost model.
-    pub fn with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        link: LinkCost,
-    ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy {
-            core: CoordinatedCore::new(deployment, config, reference_batch, true, link),
-            name: "apparate".to_string(),
-            samples_scratch: Vec::new(),
-        }
-    }
-
-    /// Deploy the token controller with thresholds warm-started on offline
-    /// calibration tokens, then adapt online.
-    pub fn warm_started(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        calibration: &[SampleSemantics],
-    ) -> ApparateTokenPolicy {
-        ApparateTokenPolicy::warm_started_with_link(
-            deployment,
-            config,
-            reference_batch,
-            calibration,
-            LinkCost::default(),
-        )
-    }
-
-    /// Warm-started token controller with an explicit link cost model.
-    pub fn warm_started_with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        calibration: &[SampleSemantics],
-        link: LinkCost,
-    ) -> ApparateTokenPolicy {
-        let policy = ApparateTokenPolicy::with_link(deployment, config, reference_batch, link);
-        let thresholds = warm_start_thresholds(
-            &policy.core.controller.plan,
-            &config,
-            reference_batch,
-            calibration,
-        );
-        policy.with_warm_start(thresholds)
-    }
-
-    /// Load offline-tuned thresholds from [`warm_start_thresholds`], if any.
-    pub(crate) fn with_warm_start(mut self, thresholds: Option<Vec<f64>>) -> ApparateTokenPolicy {
-        if let Some(thresholds) = thresholds {
-            self.core.warm_start(thresholds);
-        }
-        self
-    }
-
-    /// Current per-ramp thresholds as deployed on the GPU.
-    pub fn thresholds(&self) -> &[f64] {
-        &self.core.gpu.thresholds
-    }
-
-    /// Currently active feasible-site indices (controller view; the GPU
-    /// converges one downlink delivery later).
-    pub fn active_sites(&self) -> &[usize] {
-        &self.core.controller.active_sites
-    }
-
-    /// Number of ramps in the plan the GPU is *currently executing* — trails
-    /// [`ApparateTokenPolicy::active_sites`] by the downlink latency after a
-    /// ramp-set change.
-    pub fn deployed_ramps(&self) -> usize {
-        self.core.gpu.plan.num_ramps()
-    }
-
-    /// Adaptation counters.
-    pub fn stats(&self) -> ControllerStats {
-        self.core.controller.stats
-    }
-
-    /// Attach a telemetry sink (see [`ApparatePolicy::set_telemetry`]); call
-    /// before [`ApparateTokenPolicy::feedback_sender`].
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.core.set_telemetry(telemetry);
-    }
-
-    /// The uplink producer handle for
-    /// [`apparate_serving::GenerativeSimulator::run_with_feedback`].
-    pub fn feedback_sender(&self) -> FeedbackSender<ProfileRecord> {
-        self.core.profile_tx.clone()
-    }
-
-    /// Coordination charges accumulated so far, both directions (§4.5).
-    pub fn overhead_report(&self) -> OverheadReport {
-        self.core.overhead_report()
-    }
-}
-
-impl TokenPolicy for ApparateTokenPolicy {
+impl TokenPolicy for ApparatePolicy {
     fn process_step(&mut self, slots: &[TokenSlot], step_start: SimTime) -> StepOutcome {
-        self.samples_scratch.clear();
-        self.samples_scratch
-            .extend(slots.iter().map(|s| s.semantics));
-        let (_full_pass, outcomes, profile) = self.core.step(&self.samples_scratch, step_start);
-        let per_token: Vec<apparate_serving::TokenOutcome> =
-            outcomes.into_iter().map(Into::into).collect();
-        StepOutcome {
-            // §3.4 parallel decoding: the step advances once every token has
-            // released; the non-exited suffix overlaps subsequent steps.
-            gpu_time: apparate_baselines::step_gpu_time(&per_token),
-            per_token,
-            profile: Some(profile),
-        }
+        self.release(slots.iter().map(|s| &s.semantics), step_start)
+            .into()
     }
 
     fn name(&self) -> &str {
@@ -1179,6 +1054,37 @@ mod tests {
     }
 
     #[test]
+    fn apparate_decode_step_releases_like_a_batch() {
+        // Two fresh controllers over one warm start: one serves the samples
+        // as a batch, the other as a decode step. The step must release each
+        // token as the batch released its result and free the GPU at its
+        // slowest release (§3.4).
+        let config = ApparateConfig::default();
+        let deployment = token_deployment(3);
+        let warm = warm_start_thresholds(&deployment.plan, &config, 8, &token_calibration(256));
+        assert!(warm.is_some(), "the warm start must tune");
+        let fresh =
+            || ApparatePolicy::new(deployment.clone(), config, 8).with_warm_start(warm.clone());
+        let step_slots = slots(0, 8);
+        let batch: Vec<Request> = step_slots
+            .iter()
+            .map(|s| Request::classification(s.request_id, SimTime::ZERO, s.semantics, None))
+            .collect();
+        let batch_out = fresh().process_batch(&batch, SimTime::ZERO);
+        let step_out = fresh().process_step(&step_slots, SimTime::ZERO);
+        assert_eq!(step_out.per_token.len(), batch_out.per_request.len());
+        for (token, result) in step_out.per_token.iter().zip(&batch_out.per_request) {
+            assert_eq!(token.release_offset, result.release_offset);
+            assert_eq!(token.exit_ramp, result.exit_ramp);
+            assert_eq!(token.correct, result.correct);
+        }
+        assert!(batch_out.per_request.iter().any(|o| o.exit_ramp.is_some()));
+        let slowest = batch_out.per_request.iter().map(|o| o.release_offset).max();
+        assert_eq!(Some(step_out.gpu_time), slowest);
+        assert!(step_out.profile.is_some() && batch_out.profile.is_some());
+    }
+
+    #[test]
     fn traced_controller_events_reconcile_with_stats() {
         use apparate_telemetry::{Telemetry, TelemetryConfig};
         let calibration = token_calibration(256);
@@ -1334,8 +1240,7 @@ mod tests {
             fixed_us: 10.0,
             per_kib_us: 1_000.0,
         };
-        let mut core =
-            CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, true, link);
+        let mut core = CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, link);
         let ramps = core.gpu.plan.num_ramps();
         assert!(
             ramps >= 2,

@@ -23,21 +23,19 @@
 //! loop, ramp-set adjustment included — over its own charged link. Its tables
 //! read in TPT (time-per-token) instead of response latency.
 
-use apparate_baselines::{
-    batch_time_fn, vanilla_policy, RampDeployment, StaticExitPolicy, StaticTokenPolicy,
-};
+use apparate_baselines::{batch_time_fn, vanilla_policy, RampDeployment, StaticExitPolicy};
 use apparate_core::ApparateConfig;
-use apparate_exec::{LinkStats, OverheadReport};
+use apparate_exec::OverheadReport;
 use apparate_serving::{
     available_threads, shard_arrivals, stream_arrivals, AdmissionConfig, FleetDispatch,
     FleetOutcome, FleetOutcomeView, GenerativeFleetOutcome, GenerativeReplicaFleet, IngestSession,
     IngestStats, LatencySummary, ReplicaFleet, ReplicaUnit, RequestShard, ServingOutcome,
-    TokenReplicaUnit, TraceShard, VanillaTokenPolicy,
+    TokenReplicaUnit, TraceShard,
 };
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
 
-use crate::controller::{warm_start_thresholds, ApparatePolicy, ApparateTokenPolicy};
+use crate::controller::{warm_start_thresholds, ApparatePolicy};
 use crate::report::{ComparisonTable, OverheadRow};
 use crate::scenario::{
     classification_fixture, generative_calibration, generative_fixture, generative_requests,
@@ -70,11 +68,20 @@ impl FleetRun {
     }
 }
 
-/// Sum one direction's link statistics across replicas.
-fn add_stats(total: &mut LinkStats, part: &LinkStats) {
-    total.messages += part.messages;
-    total.bytes += part.bytes;
-    total.total_latency += part.total_latency;
+/// The replicas' coordination charges, summed per direction.
+fn fleet_overhead(policies: &[ApparatePolicy]) -> OverheadReport {
+    let mut total = OverheadReport::default();
+    for report in policies.iter().map(ApparatePolicy::overhead_report) {
+        for (sum, part) in [
+            (&mut total.uplink, report.uplink),
+            (&mut total.downlink, report.downlink),
+        ] {
+            sum.messages += part.messages;
+            sum.bytes += part.bytes;
+            sum.total_latency += part.total_latency;
+        }
+    }
+    total
 }
 
 /// Run the vanilla, static-EE and Apparate fleets of `replicas` replicas over
@@ -99,33 +106,22 @@ pub fn run_classification_fleet_threaded(
     dispatch: FleetDispatch,
     threads: usize,
 ) -> FleetRun {
-    run_classification_fleet_with_config(scenario, replicas, dispatch, scenario_config(), threads)
-}
-
-/// Like [`run_classification_fleet_threaded`], with an explicit controller
-/// config.
-pub fn run_classification_fleet_with_config(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    config: ApparateConfig,
-    threads: usize,
-) -> FleetRun {
     run_classification_fleet_traced(
         scenario,
         replicas,
         dispatch,
-        config,
+        scenario_config(),
         &Telemetry::disabled(),
         threads,
     )
 }
 
-/// Like [`run_classification_fleet_with_config`], with a telemetry sink
-/// attached to the Apparate fleet's run: the dispatcher traces its per-arrival
-/// decisions, every replica's serving events land in that replica's buffer
-/// (derived via [`Telemetry::for_replica`]), and each replica's controller and
-/// links are traced. The vanilla and static-EE fleets stay untraced.
+/// Like [`run_classification_fleet_threaded`], with an explicit controller
+/// config and a telemetry sink attached to the Apparate fleet's run: the
+/// dispatcher traces its per-arrival decisions, every replica's serving
+/// events land in that replica's buffer (derived via
+/// [`Telemetry::for_replica`]), and each replica's controller and links are
+/// traced. The vanilla and static-EE fleets stay untraced.
 pub fn run_classification_fleet_traced(
     scenario: &ClassificationScenario,
     replicas: usize,
@@ -282,17 +278,18 @@ pub fn run_classification_fleet_over_shards(
 }
 
 /// One warm-started Apparate controller per replica, each traced under its
-/// replica tag. Every replica warm-starts on the same inputs, so the warm
-/// start is tuned once and copied.
+/// replica tag, for either path. Every replica warm-starts on the same
+/// inputs (the validation split, or calibration tokens), so the warm start is
+/// tuned once and copied.
 fn apparate_replicas(
     replicas: usize,
     dep_budget: &RampDeployment,
     config: ApparateConfig,
     reference_batch: u32,
-    validation: &[apparate_exec::SampleSemantics],
+    calibration: &[apparate_exec::SampleSemantics],
     telemetry: &Telemetry,
 ) -> Vec<ApparatePolicy> {
-    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, validation);
+    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, calibration);
     (0..replicas)
         .map(|r| {
             let mut policy = ApparatePolicy::new(dep_budget.clone(), config, reference_batch)
@@ -345,13 +342,7 @@ fn apparate_fleet(
         }))
         .threads(threads)
         .run();
-    let mut overhead = OverheadReport::default();
-    for policy in &policies {
-        let report = policy.overhead_report();
-        add_stats(&mut overhead.uplink, &report.uplink);
-        add_stats(&mut overhead.downlink, &report.downlink);
-    }
-    (out, overhead)
+    (out, fleet_overhead(&policies))
 }
 
 /// Run the vanilla, static-EE and Apparate token-policy fleets of `replicas`
@@ -418,9 +409,9 @@ fn generative_service_estimate(dep_budget: &RampDeployment) -> SimDuration {
 /// Like [`run_generative_fleet_threaded`], with the replay sharding step
 /// replaced by streaming ingest: whole sequences are offered one at a time
 /// through an [`IngestSession`] in passthrough mode, each weighted by its
-/// projected decode time (`output_tokens × per-token estimate`), reproducing
-/// the batch [`apparate_serving::shard_requests`] decisions exactly — so the
-/// resulting table is byte-identical to [`run_generative_fleet`].
+/// projected decode time, reproducing the batch
+/// [`apparate_serving::shard_requests`] decisions exactly — so the resulting
+/// table is byte-identical to [`run_generative_fleet`].
 pub fn run_generative_fleet_streamed(
     scenario: &GenerativeScenario,
     replicas: usize,
@@ -433,10 +424,10 @@ pub fn run_generative_fleet_streamed(
     let requests = generative_requests(scenario);
     let mut session = IngestSession::new(replicas, dispatch, per_token_estimate);
     for request in &requests {
-        let service = SimDuration::from_micros_f64(
-            per_token_estimate.as_micros() as f64 * request.output_tokens.max(1) as f64,
+        session.offer_weighted(
+            request.arrival,
+            request.projected_decode(per_token_estimate),
         );
-        session.offer_weighted(request.arrival, service);
     }
     let streamed = session.finish();
     // Rebuild whole-sequence shards from the streamed dispatch decisions:
@@ -484,11 +475,7 @@ pub fn run_generative_fleet_over_shards(
     // Vanilla fleet.
     {
         let mut policies: Vec<_> = (0..replicas)
-            .map(|_| {
-                VanillaTokenPolicy::new(|b| {
-                    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b))
-                })
-            })
+            .map(|_| vanilla_policy(&vanilla_plan))
             .collect();
         let out = fleet
             .serve(shards, &tokens)
@@ -505,7 +492,7 @@ pub fn run_generative_fleet_over_shards(
     // Static-EE fleet (fixed ramps, fixed threshold, no controller).
     {
         let mut policies: Vec<_> = (0..replicas)
-            .map(|_| StaticTokenPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee"))
+            .map(|_| StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee"))
             .collect();
         let out = fleet
             .serve(shards, &tokens)
@@ -552,27 +539,6 @@ pub fn run_generative_fleet_over_shards(
     }
 }
 
-/// One warm-started Apparate token controller per replica; like
-/// [`apparate_replicas`], the warm start is tuned once and copied.
-fn apparate_token_replicas(
-    replicas: usize,
-    dep_budget: &RampDeployment,
-    config: ApparateConfig,
-    reference_batch: u32,
-    calibration: &[apparate_exec::SampleSemantics],
-    telemetry: &Telemetry,
-) -> Vec<ApparateTokenPolicy> {
-    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, calibration);
-    (0..replicas)
-        .map(|r| {
-            let mut policy = ApparateTokenPolicy::new(dep_budget.clone(), config, reference_batch)
-                .with_warm_start(warm.clone());
-            policy.set_telemetry(telemetry.for_replica(r as u32));
-            policy
-        })
-        .collect()
-}
-
 /// Serve the pre-computed request shards with one Apparate token controller
 /// per replica and sum the per-replica coordination charges.
 #[allow(clippy::too_many_arguments)]
@@ -588,7 +554,7 @@ fn apparate_generative_fleet(
     threads: usize,
 ) -> (GenerativeFleetOutcome, OverheadReport) {
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
-    let mut policies = apparate_token_replicas(
+    let mut policies = apparate_replicas(
         fleet.replicas,
         dep_budget,
         config,
@@ -604,13 +570,7 @@ fn apparate_generative_fleet(
         }))
         .threads(threads)
         .run();
-    let mut overhead = OverheadReport::default();
-    for policy in &policies {
-        let report = policy.overhead_report();
-        add_stats(&mut overhead.uplink, &report.uplink);
-        add_stats(&mut overhead.downlink, &report.downlink);
-    }
-    (out, overhead)
+    (out, fleet_overhead(&policies))
 }
 
 /// Result of one overload run: the same scenario served by the Apparate fleet
@@ -910,14 +870,14 @@ mod tests {
         let config = scenario_config();
         let (_, dep_budget) = generative_fixture(&scenario, &config);
         let calibration = generative_calibration(&scenario.workload);
-        let single = ApparateTokenPolicy::warm_started(
+        let single = ApparatePolicy::warm_started(
             dep_budget.clone(),
             config,
             scenario.reference_batch,
             &calibration,
         );
         assert_eq!(single.stats().tuning_rounds, 1, "the warm start must tune");
-        let replicas = apparate_token_replicas(
+        let replicas = apparate_replicas(
             3,
             &dep_budget,
             config,

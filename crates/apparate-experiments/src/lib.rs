@@ -35,20 +35,18 @@ pub use controller::{ApparatePolicy, ApparateTokenPolicy, ControllerStats};
 pub use fleet::{
     render_admission_summary, render_fleet_summary, run_admission_fleet, run_classification_fleet,
     run_classification_fleet_over_shards, run_classification_fleet_streamed,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_classification_fleet_with_config, run_generative_fleet, run_generative_fleet_over_shards,
-    run_generative_fleet_streamed, run_generative_fleet_threaded, run_generative_fleet_traced,
-    AdmissionFleetRun, FleetRun,
+    run_classification_fleet_threaded, run_classification_fleet_traced, run_generative_fleet,
+    run_generative_fleet_over_shards, run_generative_fleet_streamed, run_generative_fleet_threaded,
+    run_generative_fleet_traced, AdmissionFleetRun, FleetRun,
 };
 pub use report::{ComparisonTable, OverheadRow, OverheadTable, PolicyRow};
 pub use scenario::{
     cv_scenario, diurnal_scenario, generative_calibration, generative_requests,
     generative_scenario, nlp_scenario, run_classification, run_classification_duel,
-    run_classification_full, run_classification_overhead, run_classification_traced,
-    run_classification_traced_config, run_generative, run_generative_full, run_generative_overhead,
-    run_generative_traced, run_generative_traced_config, run_overhead, run_scenarios,
-    run_scenarios_full, run_scenarios_traced, run_scenarios_traced_config, scenario_config,
-    ClassificationScenario, DuelRun, GenerativeScenario, ReproSizes, ScenarioCdfs, ScenarioRun,
-    ScenarioSelect, SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
+    run_classification_full, run_classification_overhead, run_classification_traced_config,
+    run_generative_full, run_generative_overhead, run_generative_traced_config, run_overhead,
+    run_scenarios, run_scenarios_traced_config, scenario_config, ClassificationScenario, DuelRun,
+    GenerativeScenario, ReproSizes, ScenarioCdfs, ScenarioRun, ScenarioSelect, SensitivityGrid,
+    TraceKind, WorkloadTokens, STATIC_THRESHOLD,
 };
 pub use sweep::{accuracy_sweep, sensitivity_sweeps, slo_sweep, SweepPoint, SweepTable};

@@ -9,7 +9,7 @@
 
 use apparate_baselines::{
     batch_time_fn, deploy_all_sites, deploy_budget_sites, offline_tuned_thresholds, vanilla_policy,
-    OracleExitPolicy, OracleTokenPolicy, RampDeployment, StaticExitPolicy, StaticTokenPolicy,
+    OracleExitPolicy, RampDeployment, StaticExitPolicy,
 };
 use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
 use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
@@ -17,7 +17,7 @@ use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
     latency_cdf, run_queue, tpt_cdf, ArrivalTrace, ContinuousBatchingConfig, ExitPolicy,
     GenerativeSimulator, LatencySummary, Request, ServingConfig, ServingSimulator, TokenPolicy,
-    TokenSemantics, VanillaTokenPolicy,
+    TokenSemantics,
 };
 use apparate_sim::{Cdf, DeterministicRng, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -26,7 +26,7 @@ use apparate_workload::{
     GenerativeWorkload, VideoConfig, Workload,
 };
 
-use crate::controller::{ApparatePolicy, ApparateTokenPolicy};
+use crate::controller::ApparatePolicy;
 use crate::report::{ComparisonTable, OverheadRow, OverheadTable};
 
 /// Fixed threshold used by the static baselines: conservative enough to hold
@@ -141,48 +141,30 @@ pub struct ScenarioRun {
 
 /// Run the selected comparison scenarios at the given sizes and return their
 /// tables in a fixed order. This is the reusable entry point behind the
-/// `repro` binary and the `e2e` bench suite: everything is derived from
-/// `seed`, so the same arguments always produce the same tables. Each
-/// table's policy runs go one after another on the calling thread, so a call
-/// costs the same work on every machine; [`run_scenarios_traced_config`]
-/// takes a worker count instead.
+/// `e2e` bench suite: everything is derived from `seed`, so the same
+/// arguments always produce the same tables. Each table's policy runs go one
+/// after another on the calling thread, so a call costs the same work on
+/// every machine; [`run_scenarios_traced_config`] takes a worker count
+/// instead.
 pub fn run_scenarios(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> Vec<ComparisonTable> {
-    run_scenarios_full(seed, sizes, select)
+    let telemetry = Telemetry::disabled();
+    run_scenarios_traced_config(seed, sizes, select, &telemetry, scenario_config(), 1)
         .into_iter()
         .map(|run| run.table)
         .collect()
 }
 
-/// Like [`run_scenarios`], but additionally returns each scenario's §4.5
-/// overhead charges (the `overhead` experiment).
-pub fn run_scenarios_full(
-    seed: u64,
-    sizes: ReproSizes,
-    select: ScenarioSelect,
-) -> Vec<ScenarioRun> {
-    run_scenarios_traced(seed, sizes, select, &Telemetry::disabled())
-}
-
-/// Like [`run_scenarios_full`], with a telemetry sink attached to each
-/// scenario's *Apparate* run (baselines stay untraced — the trace describes
-/// the system under study, not the comparison family). Scenario `i` is tagged
-/// as replica lane `i`, so per-scenario series never interleave; fleet runs
-/// re-tag per actual replica instead.
-pub fn run_scenarios_traced(
-    seed: u64,
-    sizes: ReproSizes,
-    select: ScenarioSelect,
-    telemetry: &Telemetry,
-) -> Vec<ScenarioRun> {
-    run_scenarios_traced_config(seed, sizes, select, telemetry, scenario_config(), 1)
-}
-
-/// Like [`run_scenarios_traced`] with an explicit controller configuration —
+/// Like [`run_scenarios`], but returns each scenario's §4.5 overhead charges
+/// and CDFs too, with a telemetry sink attached to each scenario's *Apparate*
+/// run (baselines stay untraced — the trace describes the system under
+/// study, not the comparison family), an explicit controller configuration —
 /// the hook `repro --full-retune` uses to run every scenario with the
 /// full-retune tuning oracle instead of the incremental tuner — and an
 /// explicit bound on the workers each table's policy runs share (`repro
-/// --threads`). Scenarios run one after another; the thread count changes
-/// wall-clock time only.
+/// --threads`). Scenario `i` is tagged as replica lane `i`, so per-scenario
+/// series never interleave; fleet runs re-tag per actual replica instead.
+/// Scenarios run one after another; the thread count changes wall-clock time
+/// only.
 pub fn run_scenarios_traced_config(
     seed: u64,
     sizes: ReproSizes,
@@ -233,8 +215,8 @@ pub fn run_scenarios_traced_config(
 
 /// The `overhead` scenario: run *only* the Apparate policy over the selected
 /// workloads and collect its coordination charges, rendered as one §4.5-style
-/// table. Much cheaper than [`run_scenarios_full`] — the baseline family pays
-/// no link cost, so it is not simulated here.
+/// table. Much cheaper than [`run_scenarios_traced_config`] — the baseline
+/// family pays no link cost, so it is not simulated here.
 pub fn run_overhead(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> OverheadTable {
     let mut rows = Vec::new();
     if matches!(select, ScenarioSelect::Cv | ScenarioSelect::All) {
@@ -615,26 +597,18 @@ pub fn run_classification(scenario: &ClassificationScenario) -> ComparisonTable 
 }
 
 /// Run the full policy family on a classification scenario, also returning
-/// the Apparate run's coordination charges.
+/// the Apparate run's coordination charges. The six policy runs go one after
+/// another on the calling thread.
 pub fn run_classification_full(scenario: &ClassificationScenario) -> ScenarioRun {
-    run_classification_traced(scenario, &Telemetry::disabled())
+    run_classification_traced_config(scenario, &Telemetry::disabled(), scenario_config(), 1)
 }
 
 /// Like [`run_classification_full`], with a telemetry sink attached to the
 /// Apparate run (platform events, controller events and both link
-/// directions). Baseline runs stay untraced. The six policy runs go one
-/// after another on the calling thread.
-pub fn run_classification_traced(
-    scenario: &ClassificationScenario,
-    telemetry: &Telemetry,
-) -> ScenarioRun {
-    run_classification_traced_config(scenario, telemetry, scenario_config(), 1)
-}
-
-/// Like [`run_classification_traced`] with an explicit controller
-/// configuration and thread count (see [`run_scenarios_traced_config`]). The
-/// six policy runs share the scenario's fixtures read-only and run on up to
-/// `threads` workers of one [`run_queue`]; the table is the same for every
+/// directions; baseline runs stay untraced), an explicit controller
+/// configuration and a thread count (see [`run_scenarios_traced_config`]).
+/// The six policy runs share the scenario's fixtures read-only and run on up
+/// to `threads` workers of one [`run_queue`]; the table is the same for every
 /// thread count.
 pub fn run_classification_traced_config(
     scenario: &ClassificationScenario,
@@ -912,27 +886,18 @@ pub(crate) fn generative_fixture(
     (semantics, dep_budget)
 }
 
-/// Run the full policy family on a generative scenario.
-pub fn run_generative(scenario: &GenerativeScenario) -> ComparisonTable {
-    run_generative_full(scenario).table
-}
-
 /// Run the full policy family on a generative scenario, also returning the
-/// Apparate run's coordination charges.
+/// Apparate run's coordination charges. The six policy runs go one after
+/// another on the calling thread.
 pub fn run_generative_full(scenario: &GenerativeScenario) -> ScenarioRun {
-    run_generative_traced(scenario, &Telemetry::disabled())
+    run_generative_traced_config(scenario, &Telemetry::disabled(), scenario_config(), 1)
 }
 
 /// Like [`run_generative_full`], with a telemetry sink attached to the
 /// Apparate run (decode-step events, controller events and both link
-/// directions). Baseline runs stay untraced. The six policy runs go one
-/// after another on the calling thread.
-pub fn run_generative_traced(scenario: &GenerativeScenario, telemetry: &Telemetry) -> ScenarioRun {
-    run_generative_traced_config(scenario, telemetry, scenario_config(), 1)
-}
-
-/// Like [`run_generative_traced`] with an explicit controller configuration
-/// and thread count (see [`run_classification_traced_config`]).
+/// directions; baseline runs stay untraced), an explicit controller
+/// configuration and a thread count (see
+/// [`run_classification_traced_config`]).
 pub fn run_generative_traced_config(
     scenario: &GenerativeScenario,
     telemetry: &Telemetry,
@@ -972,20 +937,15 @@ pub fn run_generative_traced_config(
                 );
                 (out, Some(overhead))
             }
-            Row::Vanilla => {
-                let mut policy = VanillaTokenPolicy::new(|b| {
-                    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b))
-                });
-                (serve(&mut policy), None)
-            }
+            Row::Vanilla => (serve(&mut vanilla_policy(&vanilla_plan)), None),
             Row::StaticEe => {
                 let mut policy =
-                    StaticTokenPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, name);
+                    StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, name);
                 (serve(&mut policy), None)
             }
             Row::UniformEe => {
                 let mut policy =
-                    StaticTokenPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, name);
+                    StaticExitPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, name);
                 (serve(&mut policy), None)
             }
             Row::OneshotTuned => {
@@ -995,14 +955,13 @@ pub fn run_generative_traced_config(
                     oneshot_params(&config),
                     scenario.reference_batch,
                 );
-                let mut policy =
-                    StaticTokenPolicy::new(budget_plan.clone(), tuned.thresholds, name);
+                let mut policy = StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, name);
                 (serve(&mut policy), None)
             }
             Row::Oracle => {
                 let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
                 let mut policy =
-                    OracleTokenPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, name);
+                    OracleExitPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, name);
                 (serve(&mut policy), None)
             }
         };
@@ -1038,7 +997,7 @@ fn apparate_generative(
     telemetry: &Telemetry,
 ) -> (apparate_serving::GenerativeOutcome, OverheadReport) {
     let sim = GenerativeSimulator::new(scenario.batching).with_telemetry(telemetry.clone());
-    let mut policy = ApparateTokenPolicy::warm_started(
+    let mut policy = ApparatePolicy::warm_started(
         dep_budget.clone(),
         config,
         scenario.reference_batch,

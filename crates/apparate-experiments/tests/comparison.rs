@@ -3,7 +3,7 @@
 
 use apparate_experiments::{
     cv_scenario, generative_scenario, nlp_scenario, run_classification, run_classification_full,
-    run_generative, ComparisonTable,
+    run_generative_full, ComparisonTable,
 };
 
 /// Quick but non-trivial CV scenario: 2 500 frames → 2 250 served requests
@@ -144,7 +144,7 @@ fn controller_in_the_loop_is_deterministic_with_charged_link() {
 
 #[test]
 fn generative_comparison_holds_and_is_deterministic() {
-    let build = || run_generative(&generative_scenario(42, 40));
+    let build = || run_generative_full(&generative_scenario(42, 40)).table;
     let table = build();
     assert_eq!(table.rows.len(), 6, "six policies are compared");
     let apparate = table.row("apparate").expect("apparate row");

@@ -9,14 +9,16 @@
 //!   (round-robin, or least-loaded via a virtual-backlog estimate);
 //! * [`shard_arrivals`] / [`TraceShard`] — deterministic sharding of one
 //!   shared [`ArrivalTrace`] into per-replica sub-traces that preserve
-//!   absolute arrival times (replicas run in parallel wall-clock time);
+//!   absolute arrival times (replicas run in parallel wall-clock time), a
+//!   fold over the streaming front end's [`IncrementalDispatcher`];
 //! * [`ReplicaFleet::serve`] / [`GenerativeReplicaFleet::serve`] — build a
 //!   [`FleetRun`]: named per-replica units ([`ReplicaUnit`] /
 //!   [`TokenReplicaUnit`]) over shared read-only shards and samples, with an
 //!   explicit [`FleetRun::threads`] knob (default: available parallelism,
 //!   `1` ⇒ the sequential path);
 //! * [`FleetOutcome`] — per-replica outcomes aggregated into fleet-level
-//!   views via the [`FleetOutcomeView`] trait (the fleet makespan is the
+//!   views via the [`FleetOutcomeView`] trait, whose summary is
+//!   [`LatencySummary::of`] over the replicas (the fleet makespan is the
 //!   slowest replica's; latencies pool across every replica).
 //!
 //! Replicas are independent discrete-event simulations over disjoint shards,
@@ -46,12 +48,13 @@
 use crate::generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, TokenPolicy, TokenSemantics,
 };
-use crate::metrics::LatencySummary;
+use crate::ingest::IncrementalDispatcher;
+use crate::metrics::{LatencySummary, ReplicaOutcome};
 use crate::platform::{ExitPolicy, ServingConfig, ServingOutcome, ServingSimulator};
 use crate::request::Request;
 use crate::traces::ArrivalTrace;
 use apparate_exec::{FeedbackSender, ProfileRecord, SampleSemantics};
-use apparate_sim::{Percentiles, SimDuration};
+use apparate_sim::SimDuration;
 use apparate_telemetry::Telemetry;
 use std::sync::Mutex;
 
@@ -172,25 +175,12 @@ pub fn shard_arrivals(
     dispatch: FleetDispatch,
     service_estimate: SimDuration,
 ) -> Vec<TraceShard> {
-    assert!(replicas >= 1, "a fleet needs at least one replica");
-    let mut times: Vec<Vec<apparate_sim::SimTime>> = vec![Vec::new(); replicas];
+    let mut dispatcher = IncrementalDispatcher::new(replicas, dispatch);
+    let mut times = vec![Vec::new(); replicas];
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); replicas];
-    // Virtual finish time of each replica's modelled backlog (LeastLoaded).
-    let mut backlog = vec![apparate_sim::SimTime::ZERO; replicas];
     for (i, &at) in trace.times().iter().enumerate() {
-        let r = match dispatch {
-            FleetDispatch::RoundRobin => i % replicas,
-            FleetDispatch::LeastLoaded => {
-                // The replica whose modelled backlog drains first; ties break
-                // toward the lowest index, keeping the assignment total-order
-                // deterministic.
-                let r = (0..replicas)
-                    .min_by_key(|&r| (backlog[r], r))
-                    .expect("replicas >= 1");
-                backlog[r] = backlog[r].max(at) + service_estimate;
-                r
-            }
-        };
+        let r = dispatcher.select();
+        dispatcher.commit(r, at, service_estimate, true);
         times[r].push(at);
         indices[r].push(i);
     }
@@ -497,94 +487,8 @@ pub struct FleetOutcome<O> {
 /// per-token TPT values; "units" are tokens).
 pub type GenerativeFleetOutcome = FleetOutcome<GenerativeOutcome>;
 
-/// What one replica's outcome must expose for fleet-level aggregation. The
-/// "unit" is the per-sample granularity of the domain: one served request for
-/// classification, one emitted token for generative decode.
-pub trait ReplicaOutcome {
-    /// Units produced by this replica.
-    fn unit_count(&self) -> usize;
-    /// Units whose released result matched the original model.
-    fn correct_units(&self) -> usize;
-    /// Units released through an early-exit ramp.
-    fn exited_units(&self) -> usize;
-    /// Units that violated their latency SLO.
-    fn violated_units(&self) -> usize;
-    /// Per-unit latency samples in milliseconds (response latency for
-    /// classification, time-per-token for generative).
-    fn unit_samples_ms(&self) -> Vec<f64>;
-    /// Wall-clock span of this replica's run.
-    fn replica_makespan(&self) -> SimDuration;
-    /// Batch sizes this replica launched, in launch order.
-    fn batch_sizes(&self) -> &[u32];
-}
-
-impl ReplicaOutcome for ServingOutcome {
-    fn unit_count(&self) -> usize {
-        self.records.len()
-    }
-
-    fn correct_units(&self) -> usize {
-        self.records.iter().filter(|r| r.correct).count()
-    }
-
-    fn exited_units(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.exit_ramp.is_some())
-            .count()
-    }
-
-    fn violated_units(&self) -> usize {
-        self.records.iter().filter(|r| r.slo_violated).count()
-    }
-
-    fn unit_samples_ms(&self) -> Vec<f64> {
-        self.latencies_ms()
-    }
-
-    fn replica_makespan(&self) -> SimDuration {
-        self.makespan
-    }
-
-    fn batch_sizes(&self) -> &[u32] {
-        &self.batch_sizes
-    }
-}
-
-impl ReplicaOutcome for GenerativeOutcome {
-    fn unit_count(&self) -> usize {
-        self.tokens.len()
-    }
-
-    fn correct_units(&self) -> usize {
-        self.tokens.iter().filter(|t| t.correct).count()
-    }
-
-    fn exited_units(&self) -> usize {
-        self.tokens.iter().filter(|t| t.exit_ramp.is_some()).count()
-    }
-
-    fn violated_units(&self) -> usize {
-        self.tokens.iter().filter(|t| t.slo_violated).count()
-    }
-
-    fn unit_samples_ms(&self) -> Vec<f64> {
-        self.tpt_ms()
-    }
-
-    fn replica_makespan(&self) -> SimDuration {
-        self.makespan
-    }
-
-    fn batch_sizes(&self) -> &[u32] {
-        &self.batch_sizes
-    }
-}
-
-/// Fleet-level aggregation views, implemented once over any
-/// [`FleetOutcome<O>`] whose per-replica outcome is a [`ReplicaOutcome`] —
-/// this one generic surface replaces the former duplicated
-/// classification/generative impls.
+/// Fleet-level views, implemented once over any [`FleetOutcome<O>`] whose
+/// per-replica outcome is a [`ReplicaOutcome`].
 pub trait FleetOutcomeView {
     /// Total units produced across the fleet (requests or tokens).
     fn total_units(&self) -> usize;
@@ -593,21 +497,10 @@ pub trait FleetOutcomeView {
     /// Fleet makespan: replicas run in parallel, so the fleet finishes when
     /// its slowest replica does.
     fn makespan(&self) -> SimDuration;
-    /// Fleet throughput in units per second: total units over the fleet
-    /// makespan.
-    fn throughput(&self) -> f64;
     /// Latency samples pooled across every replica, in milliseconds.
     fn pooled_samples_ms(&self) -> Vec<f64>;
-    /// Unit-weighted accuracy across the fleet (1.0 when empty).
-    fn accuracy(&self) -> f64;
-    /// Unit-weighted early-exit rate across the fleet.
-    fn exit_rate(&self) -> f64;
-    /// Unit-weighted SLO violation rate across the fleet.
-    fn slo_violation_rate(&self) -> f64;
-    /// Batch-weighted mean batch size across the fleet.
-    fn mean_batch_size(&self) -> f64;
-    /// Summarise the fleet run over the pooled samples, the way the
-    /// single-replica [`LatencySummary`] constructors do.
+    /// Summarise the fleet run over its pooled replicas
+    /// ([`LatencySummary::of`]).
     fn summary(&self, policy: &str) -> LatencySummary;
 }
 
@@ -628,14 +521,6 @@ impl<O: ReplicaOutcome> FleetOutcomeView for FleetOutcome<O> {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    fn throughput(&self) -> f64 {
-        let secs = self.makespan().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.total_units() as f64 / secs
-    }
-
     fn pooled_samples_ms(&self) -> Vec<f64> {
         self.per_replica
             .iter()
@@ -643,101 +528,8 @@ impl<O: ReplicaOutcome> FleetOutcomeView for FleetOutcome<O> {
             .collect()
     }
 
-    fn accuracy(&self) -> f64 {
-        let total = self.total_units();
-        if total == 0 {
-            return 1.0;
-        }
-        let correct: usize = self.per_replica.iter().map(|o| o.correct_units()).sum();
-        correct as f64 / total as f64
-    }
-
-    fn exit_rate(&self) -> f64 {
-        let total = self.total_units();
-        if total == 0 {
-            return 0.0;
-        }
-        let exited: usize = self.per_replica.iter().map(|o| o.exited_units()).sum();
-        exited as f64 / total as f64
-    }
-
-    fn slo_violation_rate(&self) -> f64 {
-        let total = self.total_units();
-        if total == 0 {
-            return 0.0;
-        }
-        let violated: usize = self.per_replica.iter().map(|o| o.violated_units()).sum();
-        violated as f64 / total as f64
-    }
-
-    fn mean_batch_size(&self) -> f64 {
-        let batches: usize = self.per_replica.iter().map(|o| o.batch_sizes().len()).sum();
-        if batches == 0 {
-            return 0.0;
-        }
-        let items: u64 = self
-            .per_replica
-            .iter()
-            .flat_map(|o| o.batch_sizes().iter().map(|&b| b as u64))
-            .sum();
-        items as f64 / batches as f64
-    }
-
     fn summary(&self, policy: &str) -> LatencySummary {
-        LatencySummary {
-            policy: policy.to_string(),
-            latency_ms: Percentiles::from_samples(&self.pooled_samples_ms()),
-            accuracy: self.accuracy(),
-            throughput: self.throughput(),
-            mean_batch_size: self.mean_batch_size(),
-            slo_violation_rate: self.slo_violation_rate(),
-            exit_rate: self.exit_rate(),
-        }
-    }
-}
-
-impl FleetOutcome<ServingOutcome> {
-    /// Total requests served across the fleet.
-    pub fn total_requests(&self) -> usize {
-        self.total_units()
-    }
-
-    /// Response latencies pooled across every replica, in milliseconds.
-    pub fn latencies_ms(&self) -> Vec<f64> {
-        self.pooled_samples_ms()
-    }
-
-    /// Fleet throughput in requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        self.throughput()
-    }
-}
-
-impl FleetOutcome<GenerativeOutcome> {
-    /// Total tokens emitted across the fleet.
-    pub fn total_tokens(&self) -> usize {
-        self.total_units()
-    }
-
-    /// Total completed requests across the fleet.
-    pub fn completed_requests(&self) -> usize {
-        self.per_replica.iter().map(|o| o.completed_requests).sum()
-    }
-
-    /// Time-per-token values pooled across every replica, in milliseconds.
-    pub fn tpt_ms(&self) -> Vec<f64> {
-        self.pooled_samples_ms()
-    }
-
-    /// Fleet generation throughput in tokens per second.
-    pub fn tokens_per_second(&self) -> f64 {
-        self.throughput()
-    }
-
-    /// Token-weighted agreement rate with the original model across the
-    /// fleet.
-    pub fn sequence_accuracy(&self) -> f64 {
-        self.accuracy()
+        LatencySummary::of(policy, &self.per_replica)
     }
 }
 
@@ -753,38 +545,27 @@ pub struct RequestShard {
 /// Deterministically shard a shared generative request stream across
 /// `replicas` replicas. Whole sequences are dispatched (a sequence's decode
 /// steps are stateful, so it cannot migrate); the [`FleetDispatch::LeastLoaded`]
-/// backlog model therefore weights each request by its output length:
-/// `output_tokens × per_token_estimate`, the decode time a front end would
-/// project from the model's batch-1 step time. `requests` must be in arrival
-/// order (the order the front end observes them).
+/// backlog model therefore weights each request by its output length
+/// ([`Request::projected_decode`] from the model's batch-1 step time).
+/// `requests` must be in arrival order (the order the front end observes
+/// them).
 pub fn shard_requests(
     requests: &[Request],
     replicas: usize,
     dispatch: FleetDispatch,
     per_token_estimate: SimDuration,
 ) -> Vec<RequestShard> {
-    assert!(replicas >= 1, "a fleet needs at least one replica");
+    let mut dispatcher = IncrementalDispatcher::new(replicas, dispatch);
     let mut shards: Vec<RequestShard> = (0..replicas)
         .map(|_| RequestShard {
             requests: Vec::new(),
             indices: Vec::new(),
         })
         .collect();
-    let mut backlog = vec![apparate_sim::SimTime::ZERO; replicas];
     for (i, request) in requests.iter().enumerate() {
-        let r = match dispatch {
-            FleetDispatch::RoundRobin => i % replicas,
-            FleetDispatch::LeastLoaded => {
-                let r = (0..replicas)
-                    .min_by_key(|&r| (backlog[r], r))
-                    .expect("replicas >= 1");
-                let service = SimDuration::from_micros_f64(
-                    per_token_estimate.as_micros() as f64 * request.output_tokens.max(1) as f64,
-                );
-                backlog[r] = backlog[r].max(request.arrival) + service;
-                r
-            }
-        };
+        let r = dispatcher.select();
+        let service = request.projected_decode(per_token_estimate);
+        dispatcher.commit(r, request.arrival, service, true);
         shards[r].requests.push(request.clone());
         shards[r].indices.push(i);
     }
@@ -886,6 +667,7 @@ mod tests {
     use super::*;
     use crate::batching::BatchingPolicy;
     use crate::platform::VanillaPolicy;
+    use apparate_sim::Percentiles;
 
     fn samples(n: usize) -> Vec<SampleSemantics> {
         (0..n)
@@ -1074,17 +856,17 @@ mod tests {
             },
         );
         let out = vanilla_fleet_run(&fleet, &trace, &shared, 1);
-        assert_eq!(out.total_requests(), n);
+        assert_eq!(out.total_units(), n);
         assert_eq!(out.shard_sizes.iter().sum::<usize>(), n);
         assert!(out.min_shard() > 0);
-        assert!(out.accuracy() >= 1.0 - 1e-12);
-        assert_eq!(out.exit_rate(), 0.0);
-        assert!(out.throughput_rps() > 0.0);
+        let summary = out.summary("vanilla");
+        assert!(summary.accuracy >= 1.0 - 1e-12);
+        assert_eq!(summary.exit_rate, 0.0);
+        assert!(summary.throughput > 0.0);
         assert_eq!(
             out.labels,
             vec!["vanilla-0", "vanilla-1", "vanilla-2", "vanilla-3"]
         );
-        let summary = out.summary("vanilla");
         assert_eq!(summary.latency_ms.count, n);
     }
 
@@ -1109,8 +891,8 @@ mod tests {
             assert_eq!(sequential.shard_sizes, parallel.shard_sizes);
             assert_eq!(sequential.labels, parallel.labels);
             assert_eq!(
-                sequential.latencies_ms(),
-                parallel.latencies_ms(),
+                sequential.pooled_samples_ms(),
+                parallel.pooled_samples_ms(),
                 "pooled latencies diverged at {threads} threads"
             );
             for (s, p) in sequential.per_replica.iter().zip(&parallel.per_replica) {
@@ -1146,7 +928,7 @@ mod tests {
         let (out1, snap1) = run(1);
         for threads in [2, 8] {
             let (outn, snapn) = run(threads);
-            assert_eq!(out1.latencies_ms(), outn.latencies_ms());
+            assert_eq!(out1.pooled_samples_ms(), outn.pooled_samples_ms());
             assert_eq!(
                 snap1.events, snapn.events,
                 "trace diverged at {threads} threads"
@@ -1289,14 +1071,15 @@ mod tests {
             },
         );
         let out = vanilla_generative_run(&fleet, &requests, 1);
-        assert_eq!(out.total_tokens(), 24 * 15);
-        assert_eq!(out.completed_requests(), 24);
+        assert_eq!(out.total_units(), 24 * 15);
+        let completed: usize = out.per_replica.iter().map(|o| o.completed_requests).sum();
+        assert_eq!(completed, 24);
         assert_eq!(out.shard_sizes.iter().sum::<usize>(), 24);
         assert!(out.min_shard() > 0);
-        assert!(out.sequence_accuracy() >= 1.0 - 1e-12);
-        assert_eq!(out.exit_rate(), 0.0);
-        assert!(out.tokens_per_second() > 0.0);
         let summary = out.summary("vanilla");
+        assert!(summary.accuracy >= 1.0 - 1e-12);
+        assert_eq!(summary.exit_rate, 0.0);
+        assert!(summary.throughput > 0.0);
         assert_eq!(summary.latency_ms.count, 24 * 15);
         // Replicas decode in parallel: the fleet makespan is the slowest
         // replica's, not the sum.
@@ -1308,8 +1091,8 @@ mod tests {
             let again = vanilla_generative_run(&fleet, &requests, threads);
             assert_eq!(out.shard_sizes, again.shard_sizes);
             assert_eq!(
-                out.tpt_ms(),
-                again.tpt_ms(),
+                out.pooled_samples_ms(),
+                again.pooled_samples_ms(),
                 "diverged at {threads} threads"
             );
         }
@@ -1336,14 +1119,14 @@ mod tests {
         };
         let single = run(1);
         let quad = run(4);
+        let single_tps = single.summary("vanilla").throughput;
+        let quad_tps = quad.summary("vanilla").throughput;
         assert!(
-            quad.tokens_per_second() > 2.5 * single.tokens_per_second(),
-            "4-replica fleet bandwidth {} tok/s should far exceed saturated single-replica {}",
-            quad.tokens_per_second(),
-            single.tokens_per_second()
+            quad_tps > 2.5 * single_tps,
+            "4-replica fleet bandwidth {quad_tps} tok/s should far exceed saturated single-replica {single_tps}"
         );
-        let single_p50 = Percentiles::from_samples(&single.tpt_ms()).p50;
-        let quad_p50 = Percentiles::from_samples(&quad.tpt_ms()).p50;
+        let single_p50 = Percentiles::from_samples(&single.pooled_samples_ms()).p50;
+        let quad_p50 = Percentiles::from_samples(&quad.pooled_samples_ms()).p50;
         assert!(
             quad_p50 < single_p50,
             "4-replica median TPT {quad_p50} ms should beat single-replica {single_p50} ms"
@@ -1367,7 +1150,7 @@ mod tests {
         )
         .with_telemetry(telemetry.clone());
         let out = vanilla_fleet_run(&fleet, &trace, &shared, 2);
-        assert_eq!(out.total_requests(), n);
+        assert_eq!(out.total_units(), n);
         let snap = telemetry.snapshot().expect("recording");
         // One dispatch event per arrival, and the per-event replica tag agrees
         // with the round-robin assignment.
@@ -1450,21 +1233,19 @@ mod tests {
         )
         .with_telemetry(telemetry.clone());
         let out = vanilla_generative_run(&fleet, &requests, 2);
-        assert_eq!(out.total_tokens(), 24 * 15);
-        // The pooled fleet rate reflects per-token SLO outcomes and matches
-        // the summary row.
-        let rate = out.slo_violation_rate();
+        assert_eq!(out.total_units(), 24 * 15);
+        // The summary row's pooled rate reflects the per-token SLO outcomes.
+        let violated: usize = out
+            .per_replica
+            .iter()
+            .map(|o| o.tokens.iter().filter(|t| t.slo_violated).count())
+            .sum();
+        let rate = out.summary("apparate").slo_violation_rate;
         assert!(rate > 0.0, "strict TBT SLO must be violated under batching");
-        assert_eq!(out.summary("apparate").slo_violation_rate, rate);
+        assert_eq!(rate, violated as f64 / out.total_units() as f64);
         let snap = telemetry.snapshot().expect("recording");
         assert_eq!(snap.count_kind("dispatch"), 24);
-        assert_eq!(
-            snap.counter_total("slo_violations") as usize,
-            out.per_replica
-                .iter()
-                .map(|o| o.tokens.iter().filter(|t| t.slo_violated).count())
-                .sum::<usize>()
-        );
+        assert_eq!(snap.counter_total("slo_violations") as usize, violated);
     }
 
     #[test]
@@ -1482,7 +1263,7 @@ mod tests {
         let run = |replicas: usize| {
             let fleet = ReplicaFleet::new(replicas, FleetDispatch::LeastLoaded, config.clone());
             let out = vanilla_fleet_run(&fleet, &trace, &shared, 1);
-            Percentiles::from_samples(&out.latencies_ms()).p50
+            Percentiles::from_samples(&out.pooled_samples_ms()).p50
         };
         let single = run(1);
         let quad = run(4);

@@ -9,9 +9,11 @@
 //! injected through a policy trait ([`TokenPolicy`]): vanilla serving releases
 //! each token when the decode step finishes, Apparate releases it when its
 //! ramp exits (while parallel-decoding the remaining layers, §3.4), FREE uses
-//! one static ramp.
+//! one static ramp. Every policy type implements both hooks: a decode step
+//! is released by the batch rule and converted with
+//! `StepOutcome::from(BatchOutcome)`.
 
-use crate::platform::{BatchProfile, RequestOutcome};
+use crate::platform::{BatchOutcome, BatchProfile, RequestOutcome, VanillaPolicy};
 use crate::request::Request;
 use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, SampleSemantics};
 use apparate_sim::{SimDuration, SimTime};
@@ -66,6 +68,26 @@ pub struct StepOutcome {
     pub profile: Option<BatchProfile>,
 }
 
+impl From<BatchOutcome> for StepOutcome {
+    /// A decode step released by the classification rule: each token takes
+    /// its result's release, and the step advances once its slowest token
+    /// has released. §3.4's parallel decoding lets the non-exited suffix
+    /// layers, needed only to materialise KV state, overlap the following
+    /// steps, so they do not gate the next token; a token that never exits
+    /// releases at the full decoder pass and holds the step for it.
+    fn from(batch: BatchOutcome) -> StepOutcome {
+        let per_token: Vec<TokenOutcome> = batch.per_request.into_iter().map(Into::into).collect();
+        StepOutcome {
+            gpu_time: per_token
+                .iter()
+                .map(|t| t.release_offset)
+                .fold(SimDuration::ZERO, SimDuration::max),
+            per_token,
+            profile: batch.profile,
+        }
+    }
+}
+
 /// Policy deciding token release times within each decode step.
 pub trait TokenPolicy {
     /// Process one decode step over the given slots.
@@ -77,49 +99,9 @@ pub trait TokenPolicy {
     }
 }
 
-/// Vanilla generative serving: each token is released when its decode step
-/// completes; the step time is the full decoder latency for the batch.
-pub struct VanillaTokenPolicy<F>
-where
-    F: Fn(u32) -> SimDuration,
-{
-    decode_time: F,
-}
-
-impl<F> VanillaTokenPolicy<F>
-where
-    F: Fn(u32) -> SimDuration,
-{
-    /// Create from a batch-size → decode-step-time function.
-    pub fn new(decode_time: F) -> Self {
-        VanillaTokenPolicy { decode_time }
-    }
-}
-
-impl<F> TokenPolicy for VanillaTokenPolicy<F>
-where
-    F: Fn(u32) -> SimDuration,
-{
-    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
-        let gpu_time = (self.decode_time)(slots.len() as u32);
-        StepOutcome {
-            gpu_time,
-            per_token: slots
-                .iter()
-                .map(|_| TokenOutcome {
-                    release_offset: gpu_time,
-                    exit_ramp: None,
-                    correct: true,
-                })
-                .collect(),
-            profile: None,
-        }
-    }
-
-    fn name(&self) -> &str {
-        "vanilla"
-    }
-}
+/// Vanilla generative serving: [`VanillaPolicy`] over a batch-size →
+/// decode-step-time function releases each token when its step completes.
+pub type VanillaTokenPolicy<F> = VanillaPolicy<F>;
 
 /// Record of one emitted token.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -164,50 +146,6 @@ impl GenerativeOutcome {
     /// Time-per-token values in milliseconds.
     pub fn tpt_ms(&self) -> Vec<f64> {
         self.tokens.iter().map(|t| t.tpt.as_millis_f64()).collect()
-    }
-
-    /// Token-level agreement rate with the original model — the proxy for the
-    /// sequence-level ROUGE-L / F1 scores the paper reports.
-    pub fn sequence_accuracy(&self) -> f64 {
-        if self.tokens.is_empty() {
-            return 1.0;
-        }
-        self.tokens.iter().filter(|t| t.correct).count() as f64 / self.tokens.len() as f64
-    }
-
-    /// Fraction of tokens that exited at a ramp.
-    pub fn exit_rate(&self) -> f64 {
-        if self.tokens.is_empty() {
-            return 0.0;
-        }
-        self.tokens.iter().filter(|t| t.exit_ramp.is_some()).count() as f64
-            / self.tokens.len() as f64
-    }
-
-    /// Generation throughput in tokens per second.
-    pub fn tokens_per_second(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.tokens.len() as f64 / secs
-    }
-
-    /// Mean decode-step batch size.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batch_sizes.is_empty() {
-            return 0.0;
-        }
-        self.batch_sizes.iter().map(|&b| b as f64).sum::<f64>() / self.batch_sizes.len() as f64
-    }
-
-    /// Fraction of tokens whose inter-token time violated the TBT SLO
-    /// (0 when the run was configured without one).
-    pub fn slo_violation_rate(&self) -> f64 {
-        if self.tokens.is_empty() {
-            return 0.0;
-        }
-        self.tokens.iter().filter(|t| t.slo_violated).count() as f64 / self.tokens.len() as f64
     }
 }
 
@@ -448,6 +386,7 @@ impl GenerativeSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::LatencySummary;
     use crate::traces::ArrivalTrace;
 
     struct UniformTokens;
@@ -489,8 +428,9 @@ mod tests {
         let out = sim.run(&requests, &UniformTokens, &mut policy);
         assert_eq!(out.tokens.len(), 10 * 20);
         assert_eq!(out.completed_requests, 10);
-        assert!(out.sequence_accuracy() >= 1.0 - 1e-12);
-        assert_eq!(out.exit_rate(), 0.0);
+        let summary = LatencySummary::from_generative("vanilla", &out);
+        assert!(summary.accuracy >= 1.0 - 1e-12);
+        assert_eq!(summary.exit_rate, 0.0);
     }
 
     #[test]
@@ -524,11 +464,8 @@ mod tests {
         });
         let mut policy = VanillaTokenPolicy::new(decode_time);
         let out = sim.run(&requests, &UniformTokens, &mut policy);
-        assert!(
-            out.mean_batch_size() > 7.0,
-            "mean batch {}",
-            out.mean_batch_size()
-        );
+        let mean_batch = LatencySummary::from_generative("vanilla", &out).mean_batch_size;
+        assert!(mean_batch > 7.0, "mean batch {mean_batch}");
     }
 
     #[test]
@@ -575,7 +512,7 @@ mod tests {
         let mut policy = VanillaTokenPolicy::new(decode_time);
         let out = sim.run(&requests, &UniformTokens, &mut policy);
         assert!(out.makespan > SimDuration::ZERO);
-        assert!(out.tokens_per_second() > 0.0);
+        assert!(LatencySummary::from_generative("vanilla", &out).throughput > 0.0);
         assert!(out.gpu_busy <= out.makespan);
     }
 
@@ -592,16 +529,15 @@ mod tests {
             let mut policy = VanillaTokenPolicy::new(decode_time);
             sim.run(&requests, &UniformTokens, &mut policy)
         };
+        let rate = |out: &GenerativeOutcome| {
+            LatencySummary::from_generative("vanilla", out).slo_violation_rate
+        };
         let without = run(None);
-        assert_eq!(without.slo_violation_rate(), 0.0);
+        assert_eq!(rate(&without), 0.0);
         let strict = run(Some(SimDuration::from_millis(15)));
-        assert!(
-            strict.slo_violation_rate() > 0.5,
-            "rate {}",
-            strict.slo_violation_rate()
-        );
+        assert!(rate(&strict) > 0.5, "rate {}", rate(&strict));
         let generous = run(Some(SimDuration::from_millis(60)));
-        assert_eq!(generous.slo_violation_rate(), 0.0);
+        assert_eq!(rate(&generous), 0.0);
         // The SLO accounting must not perturb the simulated schedule.
         assert_eq!(without.batch_sizes, strict.batch_sizes);
         assert_eq!(without.makespan, strict.makespan);

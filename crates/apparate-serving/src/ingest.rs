@@ -6,12 +6,12 @@
 //! overload it must decide *per arrival* whether to admit, pace or shed —
 //! before knowing anything about the future. This module is that front end:
 //!
-//! * [`IncrementalDispatcher`] — the one-event-at-a-time counterpart of
+//! * [`IncrementalDispatcher`] — the one dispatch rule: one round-robin /
+//!   least-loaded decision per offered arrival.
 //!   [`shard_arrivals`](crate::fleet::shard_arrivals) /
-//!   [`shard_requests`](crate::fleet::shard_requests). On the same arrival
-//!   prefix it makes *exactly* the batch path's round-robin / least-loaded
-//!   decisions (same formulas, same tie-breaks), so trace replay and
-//!   streamed ingest of the same events agree replica-for-replica.
+//!   [`shard_requests`](crate::fleet::shard_requests) fold over it, so trace
+//!   replay and streamed ingest of the same events agree
+//!   replica-for-replica.
 //! * [`AdmissionController`] — a rate-slew loop in the bark `RateAdjust`
 //!   idiom: start/stop hysteresis thresholds on the observed queueing delay
 //!   vs. the SLO headroom, a cubic proportional gain, and a hard ±1 % clamp
@@ -54,8 +54,8 @@ pub const PACE_MIN_PPM: u64 = PACE_BASE_PPM / 100 * 99;
 /// Upper pacing clamp: one percent above base (bark's `rate * 101 / 100`).
 pub const PACE_MAX_PPM: u64 = PACE_BASE_PPM / 100 * 101;
 
-/// The incremental counterpart of the batch sharding path: one dispatch
-/// decision per offered arrival, with the batch formulas reproduced exactly.
+/// The fleet's dispatch rule: one decision per offered arrival, shared by the
+/// batch sharding path (which folds over it) and streaming ingest.
 ///
 /// [`FleetDispatch::RoundRobin`] assigns offered arrival `i` to replica
 /// `i % replicas` — the cursor advances for *every* offered arrival, admitted
@@ -101,8 +101,7 @@ impl IncrementalDispatcher {
     }
 
     /// The replica the *next* offered arrival would be routed to, without
-    /// committing anything. Matches `shard_arrivals` / `shard_requests` on
-    /// the same prefix: `offered % replicas` for round-robin, the
+    /// committing anything: `offered % replicas` for round-robin, the
     /// smallest-backlog replica (ties toward the lowest index) for
     /// least-loaded.
     pub fn select(&self) -> usize {
@@ -116,8 +115,8 @@ impl IncrementalDispatcher {
 
     /// Commit the arrival just [selected](IncrementalDispatcher::select):
     /// advance the round-robin cursor and, when the arrival was admitted,
-    /// charge the replica's modelled backlog by `service` exactly the way the
-    /// batch path does (`backlog = max(backlog, at) + service`).
+    /// charge the replica's modelled backlog by `service`
+    /// (`backlog = max(backlog, at) + service`).
     pub fn commit(&mut self, replica: usize, at: SimTime, service: SimDuration, admitted: bool) {
         self.offered += 1;
         if admitted {
@@ -470,10 +469,10 @@ impl IngestSession {
         self.offer_weighted(at, self.service_estimate)
     }
 
-    /// Offer one arrival with an explicit service weight (generative: the
-    /// per-token estimate times the request's output length, mirroring
-    /// [`shard_requests`](crate::fleet::shard_requests)). Arrival times must
-    /// be offered in non-decreasing order.
+    /// Offer one arrival with an explicit service weight (generative:
+    /// [`Request::projected_decode`](crate::request::Request::projected_decode),
+    /// as in [`shard_requests`](crate::fleet::shard_requests)). Arrival times
+    /// must be offered in non-decreasing order.
     pub fn offer_weighted(&mut self, at: SimTime, service: SimDuration) -> AdmissionDecision {
         let index = self.dispatcher.offered();
         // Delivered-only feedback refinement: poll at the arrival timestamp,

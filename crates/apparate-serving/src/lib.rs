@@ -10,17 +10,20 @@
 //!   [`ExitPolicy`] hook through which Apparate and every baseline
 //!   integrate.
 //! * [`generative`] — continuous-batching decode loop with the analogous
-//!   [`TokenPolicy`] hook.
+//!   [`TokenPolicy`] hook. Every policy type implements both hooks and
+//!   releases a decode step by the batch rule ([`StepOutcome`] from a
+//!   [`BatchOutcome`]), so [`VanillaTokenPolicy`] is [`VanillaPolicy`].
 //! * [`fleet`] — multi-replica scale-out: deterministic sharding of one
 //!   shared workload across N replicas (round-robin / least-loaded dispatch)
 //!   and fleet-level outcome aggregation, for both classification arrival
 //!   traces and generative request streams (whole sequences dispatched,
 //!   backlog weighted by output length).
-//! * [`ingest`] — streaming front end: incremental (one-event-at-a-time)
-//!   dispatch matching the batch sharding path, bounded per-replica
-//!   admission queues, and an SLO-driven rate-slew pacing controller with
-//!   hysteresis and load shedding (bark's `RateAdjust` idiom).
-//! * [`metrics`] — latency/accuracy/throughput summaries and win computations.
+//! * [`ingest`] — streaming front end: the [`IncrementalDispatcher`] that
+//!   the batch sharding path folds over too, bounded per-replica admission
+//!   queues, and an SLO-driven rate-slew pacing controller with hysteresis
+//!   and load shedding (bark's `RateAdjust` idiom).
+//! * [`metrics`] — [`LatencySummary::of`], the one summary of a run or a
+//!   fleet on either path, and win computations.
 //!
 //! Entry points: [`ServingSimulator::run`] (single replica),
 //! [`ReplicaFleet::serve`] (fleet, wall-clock parallel via [`FleetRun`]),
@@ -42,7 +45,7 @@ pub use batching::{BatchDecision, BatchingPolicy};
 pub use fleet::{
     available_threads, run_queue, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
     FleetOutcomeView, FleetRun, FleetUnit, GenerativeFleetOutcome, GenerativeReplicaFleet,
-    ReplicaFleet, ReplicaOutcome, ReplicaUnit, RequestShard, TokenReplicaUnit, TraceShard,
+    ReplicaFleet, ReplicaUnit, RequestShard, TokenReplicaUnit, TraceShard,
 };
 pub use generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, StepOutcome, TokenOutcome,
@@ -53,7 +56,7 @@ pub use ingest::{
     IncrementalDispatcher, IngestOutcome, IngestSession, IngestStats, PACE_BASE_PPM, PACE_MAX_PPM,
     PACE_MIN_PPM,
 };
-pub use metrics::{latency_cdf, tpt_cdf, LatencySummary, LatencyWins};
+pub use metrics::{latency_cdf, tpt_cdf, LatencySummary, LatencyWins, ReplicaOutcome};
 pub use platform::{
     BatchOutcome, BatchProfile, ExitPolicy, RequestOutcome, ServingConfig, ServingOutcome,
     ServingSimulator, VanillaPolicy,

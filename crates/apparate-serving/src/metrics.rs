@@ -3,13 +3,100 @@
 //! The paper's headline numbers are *latency wins*: the percentage reduction
 //! in a latency percentile relative to vanilla serving, under unchanged
 //! throughput and an accuracy constraint. This module turns raw
-//! [`ServingOutcome`]s / [`GenerativeOutcome`]s into those summaries.
+//! [`ServingOutcome`]s / [`GenerativeOutcome`]s into those summaries:
+//! [`LatencySummary::of`] is the one definition of every summary metric, for
+//! one run or for a fleet's pooled replicas, on either path.
 
 use crate::generative::GenerativeOutcome;
 use crate::platform::ServingOutcome;
 use apparate_sim::stats::percent_improvement;
-use apparate_sim::{Cdf, Percentiles};
+use apparate_sim::{Cdf, Percentiles, SimDuration};
 use serde::{Deserialize, Serialize};
+
+/// What one run's outcome must expose to be summarised, alone or pooled with
+/// a fleet's other replicas. The "unit" is the per-sample granularity of the
+/// domain: one served request for classification, one emitted token for
+/// generative decode.
+pub trait ReplicaOutcome {
+    /// Units produced by this replica.
+    fn unit_count(&self) -> usize;
+    /// Units whose released result matched the original model.
+    fn correct_units(&self) -> usize;
+    /// Units released through an early-exit ramp.
+    fn exited_units(&self) -> usize;
+    /// Units that violated their latency SLO.
+    fn violated_units(&self) -> usize;
+    /// Per-unit latency samples in milliseconds (response latency for
+    /// classification, time-per-token for generative).
+    fn unit_samples_ms(&self) -> Vec<f64>;
+    /// Wall-clock span of this replica's run.
+    fn replica_makespan(&self) -> SimDuration;
+    /// Batch sizes this replica launched, in launch order.
+    fn batch_sizes(&self) -> &[u32];
+}
+
+impl ReplicaOutcome for ServingOutcome {
+    fn unit_count(&self) -> usize {
+        self.records.len()
+    }
+
+    fn correct_units(&self) -> usize {
+        self.records.iter().filter(|r| r.correct).count()
+    }
+
+    fn exited_units(&self) -> usize {
+        self.records
+            .iter()
+            .filter(|r| r.exit_ramp.is_some())
+            .count()
+    }
+
+    fn violated_units(&self) -> usize {
+        self.records.iter().filter(|r| r.slo_violated).count()
+    }
+
+    fn unit_samples_ms(&self) -> Vec<f64> {
+        self.latencies_ms()
+    }
+
+    fn replica_makespan(&self) -> SimDuration {
+        self.makespan
+    }
+
+    fn batch_sizes(&self) -> &[u32] {
+        &self.batch_sizes
+    }
+}
+
+impl ReplicaOutcome for GenerativeOutcome {
+    fn unit_count(&self) -> usize {
+        self.tokens.len()
+    }
+
+    fn correct_units(&self) -> usize {
+        self.tokens.iter().filter(|t| t.correct).count()
+    }
+
+    fn exited_units(&self) -> usize {
+        self.tokens.iter().filter(|t| t.exit_ramp.is_some()).count()
+    }
+
+    fn violated_units(&self) -> usize {
+        self.tokens.iter().filter(|t| t.slo_violated).count()
+    }
+
+    fn unit_samples_ms(&self) -> Vec<f64> {
+        self.tpt_ms()
+    }
+
+    fn replica_makespan(&self) -> SimDuration {
+        self.makespan
+    }
+
+    fn batch_sizes(&self) -> &[u32] {
+        &self.batch_sizes
+    }
+}
 
 /// Latency + accuracy + throughput summary of one serving run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -18,7 +105,9 @@ pub struct LatencySummary {
     pub policy: String,
     /// Latency percentiles in milliseconds.
     pub latency_ms: Percentiles,
-    /// Accuracy relative to the original model.
+    /// Accuracy relative to the original model (for generative runs,
+    /// token-level agreement: the proxy for the paper's sequence-level
+    /// ROUGE-L / F1 scores).
     pub accuracy: f64,
     /// Throughput in requests (or tokens) per second.
     pub throughput: f64,
@@ -32,17 +121,55 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarise a classification serving outcome.
-    pub fn from_outcome(policy: impl Into<String>, outcome: &ServingOutcome) -> LatencySummary {
+    /// Summarise one run (a one-element slice) or a fleet's replicas. The
+    /// replicas run in parallel, so throughput divides every unit by the
+    /// slowest replica's makespan; latencies pool across replicas, and the
+    /// rates divide summed unit counts (accuracy reads 1.0 with no units,
+    /// the other rates 0.0). Mean batch size weights every launched batch
+    /// equally.
+    pub fn of<O: ReplicaOutcome>(policy: impl Into<String>, outcomes: &[O]) -> LatencySummary {
+        let units: usize = outcomes.iter().map(O::unit_count).sum();
+        let share = |count: fn(&O) -> usize, empty: f64| {
+            if units == 0 {
+                return empty;
+            }
+            outcomes.iter().map(count).sum::<usize>() as f64 / units as f64
+        };
+        let secs = outcomes
+            .iter()
+            .map(O::replica_makespan)
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+            .as_secs_f64();
+        let batches: usize = outcomes.iter().map(|o| o.batch_sizes().len()).sum();
+        let batched: u64 = outcomes
+            .iter()
+            .flat_map(|o| o.batch_sizes())
+            .map(|&b| b as u64)
+            .sum();
+        let samples: Vec<f64> = outcomes.iter().flat_map(O::unit_samples_ms).collect();
         LatencySummary {
             policy: policy.into(),
-            latency_ms: Percentiles::from_samples(&outcome.latencies_ms()),
-            accuracy: outcome.accuracy(),
-            throughput: outcome.throughput_rps(),
-            mean_batch_size: outcome.mean_batch_size(),
-            slo_violation_rate: outcome.slo_violation_rate(),
-            exit_rate: outcome.exit_rate(),
+            latency_ms: Percentiles::from_samples(&samples),
+            accuracy: share(O::correct_units, 1.0),
+            throughput: if secs <= 0.0 {
+                0.0
+            } else {
+                units as f64 / secs
+            },
+            mean_batch_size: if batches == 0 {
+                0.0
+            } else {
+                batched as f64 / batches as f64
+            },
+            slo_violation_rate: share(O::violated_units, 0.0),
+            exit_rate: share(O::exited_units, 0.0),
         }
+    }
+
+    /// Summarise a classification serving outcome.
+    pub fn from_outcome(policy: impl Into<String>, outcome: &ServingOutcome) -> LatencySummary {
+        LatencySummary::of(policy, std::slice::from_ref(outcome))
     }
 
     /// Summarise a generative outcome (latencies are per-token).
@@ -50,15 +177,7 @@ impl LatencySummary {
         policy: impl Into<String>,
         outcome: &GenerativeOutcome,
     ) -> LatencySummary {
-        LatencySummary {
-            policy: policy.into(),
-            latency_ms: Percentiles::from_samples(&outcome.tpt_ms()),
-            accuracy: outcome.sequence_accuracy(),
-            throughput: outcome.tokens_per_second(),
-            mean_batch_size: outcome.mean_batch_size(),
-            slo_violation_rate: outcome.slo_violation_rate(),
-            exit_rate: outcome.exit_rate(),
-        }
+        LatencySummary::of(policy, std::slice::from_ref(outcome))
     }
 }
 

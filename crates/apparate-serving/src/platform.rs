@@ -13,6 +13,7 @@
 //! directly atop existing serving platforms").
 
 use crate::batching::{BatchDecision, BatchingPolicy};
+use crate::generative::{StepOutcome, TokenPolicy, TokenSlot};
 use crate::request::{Request, RequestRecord};
 use crate::traces::ArrivalTrace;
 use apparate_exec::{
@@ -107,7 +108,7 @@ pub trait ExitPolicy {
 }
 
 /// Vanilla serving: every input runs the whole original model; the result is
-/// released when the batch finishes.
+/// released when the batch (or decode step) finishes.
 #[derive(Debug, Clone)]
 pub struct VanillaPolicy<F>
 where
@@ -124,6 +125,22 @@ where
     pub fn new(exec_time: F) -> Self {
         VanillaPolicy { exec_time }
     }
+
+    /// Every one of `units` inputs released when the whole model finishes.
+    fn release(&self, units: usize) -> BatchOutcome {
+        let gpu_time = (self.exec_time)(units as u32);
+        let outcome = RequestOutcome {
+            release_offset: gpu_time,
+            completion_offset: gpu_time,
+            exit_ramp: None,
+            correct: true,
+        };
+        BatchOutcome {
+            gpu_time,
+            per_request: vec![outcome; units],
+            profile: None,
+        }
+    }
 }
 
 impl<F> ExitPolicy for VanillaPolicy<F>
@@ -131,20 +148,20 @@ where
     F: Fn(u32) -> SimDuration,
 {
     fn process_batch(&mut self, batch: &[Request], _batch_start: SimTime) -> BatchOutcome {
-        let gpu_time = (self.exec_time)(batch.len() as u32);
-        BatchOutcome {
-            gpu_time,
-            per_request: batch
-                .iter()
-                .map(|_| RequestOutcome {
-                    release_offset: gpu_time,
-                    completion_offset: gpu_time,
-                    exit_ramp: None,
-                    correct: true,
-                })
-                .collect(),
-            profile: None,
-        }
+        self.release(batch.len())
+    }
+
+    fn name(&self) -> &str {
+        "vanilla"
+    }
+}
+
+impl<F> TokenPolicy for VanillaPolicy<F>
+where
+    F: Fn(u32) -> SimDuration,
+{
+    fn process_step(&mut self, slots: &[TokenSlot], _step_start: SimTime) -> StepOutcome {
+        self.release(slots.len()).into()
     }
 
     fn name(&self) -> &str {
@@ -205,51 +222,6 @@ impl ServingOutcome {
             .iter()
             .map(|r| r.latency().as_millis_f64())
             .collect()
-    }
-
-    /// Mean batch size across launched batches.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batch_sizes.is_empty() {
-            return 0.0;
-        }
-        self.batch_sizes.iter().map(|&b| b as f64).sum::<f64>() / self.batch_sizes.len() as f64
-    }
-
-    /// Throughput in requests per second (completed requests over makespan).
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.records.len() as f64 / secs
-    }
-
-    /// Fraction of requests whose released result matches the original model.
-    pub fn accuracy(&self) -> f64 {
-        if self.records.is_empty() {
-            return 1.0;
-        }
-        self.records.iter().filter(|r| r.correct).count() as f64 / self.records.len() as f64
-    }
-
-    /// Fraction of requests that violated their SLO.
-    pub fn slo_violation_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.slo_violated).count() as f64 / self.records.len() as f64
-    }
-
-    /// Fraction of requests whose result exited at a ramp.
-    pub fn exit_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .filter(|r| r.exit_ramp.is_some())
-            .count() as f64
-            / self.records.len() as f64
     }
 }
 
@@ -509,6 +481,7 @@ impl ServingSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::LatencySummary;
     use apparate_sim::Percentiles;
 
     fn samples(n: usize) -> Vec<SampleSemantics> {
@@ -532,9 +505,10 @@ mod tests {
         let mut policy = VanillaPolicy::new(exec_time);
         let out = sim.run(&trace, &samples(50), &mut policy, &exec_time);
         assert_eq!(out.records.len(), 50);
-        assert!(out.accuracy() >= 1.0 - 1e-12);
-        assert_eq!(out.exit_rate(), 0.0);
-        assert!(out.mean_batch_size() >= 1.0);
+        let summary = LatencySummary::from_outcome("vanilla", &out);
+        assert!(summary.accuracy >= 1.0 - 1e-12);
+        assert_eq!(summary.exit_rate, 0.0);
+        assert!(summary.mean_batch_size >= 1.0);
         // Requests arrive every 50 ms and take 12 ms, so no queueing.
         let p = Percentiles::from_samples(&out.latencies_ms());
         assert!((p.p50 - 12.0).abs() < 0.5, "p50 {}", p.p50);
@@ -558,7 +532,9 @@ mod tests {
         };
         let small = run(1);
         let large = run(8);
-        assert!(large.mean_batch_size() > small.mean_batch_size());
+        let mean_batch =
+            |out: &ServingOutcome| LatencySummary::from_outcome("vanilla", out).mean_batch_size;
+        assert!(mean_batch(&large) > mean_batch(&small));
         // Larger batches finish the backlog sooner (higher throughput)...
         assert!(large.makespan < small.makespan);
         // ...but the un-queued latency of an individual request is worse than
@@ -577,11 +553,8 @@ mod tests {
         let mut policy = VanillaPolicy::new(exec_time);
         let out = sim.run(&trace, &samples(100), &mut policy, &exec_time);
         assert_eq!(out.records.len(), 100);
-        assert!(
-            out.slo_violation_rate() < 0.05,
-            "violation rate {}",
-            out.slo_violation_rate()
-        );
+        let rate = LatencySummary::from_outcome("vanilla", &out).slo_violation_rate;
+        assert!(rate < 0.05, "violation rate {rate}");
     }
 
     #[test]
@@ -591,7 +564,7 @@ mod tests {
         let mut policy = VanillaPolicy::new(exec_time);
         let out = sim.run(&trace, &samples(300), &mut policy, &exec_time);
         assert!(out.gpu_busy <= out.makespan + SimDuration::from_millis(1));
-        assert!(out.throughput_rps() > 0.0);
+        assert!(LatencySummary::from_outcome("vanilla", &out).throughput > 0.0);
     }
 
     #[test]
@@ -829,6 +802,36 @@ mod tests {
             batch_timeout: SimDuration::from_millis(2),
         };
         assert_eq!(batches_for(policy, &[0, 2]), vec![2]);
+    }
+
+    #[test]
+    fn vanilla_decode_step_releases_like_a_batch() {
+        let sems = samples(6);
+        let batch: Vec<Request> = sems
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Request::classification(i as u64, SimTime::ZERO, s, None))
+            .collect();
+        let slots: Vec<TokenSlot> = sems
+            .iter()
+            .enumerate()
+            .map(|(i, &semantics)| TokenSlot {
+                request_id: i as u64,
+                token_index: 0,
+                semantics,
+            })
+            .collect();
+        let batch_out = VanillaPolicy::new(exec_time).process_batch(&batch, SimTime::ZERO);
+        let step_out = VanillaPolicy::new(exec_time).process_step(&slots, SimTime::ZERO);
+        assert_eq!(step_out.per_token.len(), batch_out.per_request.len());
+        for (token, result) in step_out.per_token.iter().zip(&batch_out.per_request) {
+            assert_eq!(token.release_offset, result.release_offset);
+            assert_eq!(token.exit_ramp, result.exit_ramp);
+            assert_eq!(token.correct, result.correct);
+        }
+        let slowest = batch_out.per_request.iter().map(|o| o.release_offset).max();
+        assert_eq!(Some(step_out.gpu_time), slowest);
+        assert_eq!(step_out.gpu_time, exec_time(6));
     }
 
     #[test]

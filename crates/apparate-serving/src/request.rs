@@ -57,6 +57,15 @@ impl Request {
     pub fn deadline(&self) -> Option<SimTime> {
         self.slo.map(|slo| self.arrival + slo)
     }
+
+    /// The decode time a front end projects for this request when it
+    /// dispatches whole sequences: its output length (at least one token)
+    /// times the per-token estimate.
+    pub fn projected_decode(&self, per_token: SimDuration) -> SimDuration {
+        SimDuration::from_micros_f64(
+            per_token.as_micros() as f64 * self.output_tokens.max(1) as f64,
+        )
+    }
 }
 
 /// What happened to one request, as recorded by the serving simulator.
