@@ -81,20 +81,51 @@ mod tests {
         let plan = ExecutionPlan::vanilla(model, semantics);
         let capacity = 0.97;
         let oracle = OracleSites::new(&plan, sites.clone(), capacity);
+        let agrees_at = |sample: &SampleSemantics, site: LayerId| {
+            plan.semantics()
+                .observe(
+                    sample,
+                    site.0 as u64,
+                    plan.depth_fraction_of_site(site),
+                    capacity,
+                )
+                .agrees
+        };
+        // Spread difficulties, and difficulties a hair either side of where
+        // an input's agreement at one site flips: the margin plus the
+        // agreement noise, both near zero there, falls monotonically with
+        // the difficulty, so bisection finds the edge to the last bit.
+        let mut samples: Vec<SampleSemantics> = (0..500u64)
+            .map(|i| SampleSemantics::new(i * 7919 + 3, (i as f64 * 0.6180) % 1.0))
+            .collect();
+        for i in 0..40u64 {
+            let seed = i * 104_729 + 11;
+            let site = sites[i as usize * 7 % sites.len()];
+            let (mut agree, mut differ) = (0.0f64, 1.0f64);
+            if !agrees_at(&SampleSemantics::new(seed, agree), site)
+                || agrees_at(&SampleSemantics::new(seed, differ), site)
+            {
+                continue;
+            }
+            while differ - agree > f64::EPSILON {
+                let mid = 0.5 * (agree + differ);
+                if agrees_at(&SampleSemantics::new(seed, mid), site) {
+                    agree = mid;
+                } else {
+                    differ = mid;
+                }
+            }
+            for edge in [agree, differ] {
+                for offset in [-1e-9, -1e-12, 0.0, 1e-12, 1e-9] {
+                    samples.push(SampleSemantics::new(seed, edge + offset));
+                }
+            }
+        }
+        assert!(samples.len() > 500 + 100, "agreement edges must be found");
         let mut exits = 0;
-        for i in 0..500u64 {
-            let sample = SampleSemantics::new(i * 7919 + 3, (i as f64 * 0.6180) % 1.0);
-            let want = sites.iter().position(|&site| {
-                plan.semantics()
-                    .observe(
-                        &sample,
-                        site.0 as u64,
-                        plan.depth_fraction_of_site(site),
-                        capacity,
-                    )
-                    .agrees
-            });
-            let (release_us, got) = oracle.release_us(&plan, &sample, 4);
+        for sample in &samples {
+            let want = sites.iter().position(|&site| agrees_at(sample, site));
+            let (release_us, got) = oracle.release_us(&plan, sample, 4);
             assert_eq!(got, want);
             let expected_us = match want {
                 Some(idx) => plan.site_prefix_us(sites[idx], 4),

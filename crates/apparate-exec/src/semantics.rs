@@ -21,18 +21,21 @@
 //!    the live system saw. This uses keyed draws
 //!    ([`DeterministicRng::keyed`]): an input's share of the keys is drawn
 //!    once ([`SemanticsModel::input`]) and extended per ramp
-//!    ([`SemanticsModel::observe_with`]). A noise draw whose value cannot
-//!    change what the caller reads is skipped: no draw exceeds
-//!    [`NORMAL_BOUND`] standard deviations, so far from a decision
-//!    boundary the noise-free value decides alone (first-exit scans and
-//!    [`SemanticsModel::agrees_with`]).
+//!    ([`SemanticsModel::observe_with`]). A comparison that reads no value
+//!    (the first-exit scan's entropy against its threshold, and agreement)
+//!    bounds each noise before drawing it: first by the worst case, as no
+//!    draw exceeds [`NORMAL_BOUND`] standard deviations, then by the
+//!    draw's own bracket ([`NormalUnits::bounds`], from its two unit draws
+//!    without `ln`, `sqrt` or `cos`). The noise is drawn only when both
+//!    straddle the comparison. Rounding is monotone, so every answer is the
+//!    exact draw's, and every value a caller keeps is drawn exactly.
 //!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
 //! which is what produces the paper's CV-vs-NLP win gap.
 
-use apparate_sim::{DeterministicRng, KeyChain, NORMAL_BOUND};
+use apparate_sim::{DeterministicRng, KeyChain, NormalUnits, NORMAL_BOUND};
 use serde::{Deserialize, Serialize};
 
 /// Semantic description of one input (or one generated token), produced by
@@ -92,13 +95,42 @@ const AGREEMENT_NOISE: f64 = 0.02;
 /// Temperature of the margin → entropy mapping.
 const TEMPERATURE: f64 = 0.08;
 
-/// Largest magnitude an entropy-noise draw can reach ([`NORMAL_BOUND`]
-/// scaled, and rounding is monotone): a noise-free entropy more than this
-/// above a threshold cannot exit, whatever the draw.
-const ENTROPY_NOISE_BOUND: f64 = NORMAL_BOUND * ENTROPY_NOISE;
-/// Largest magnitude an agreement-noise draw can reach: a margin farther
-/// than this from zero decides agreement by its sign alone.
-const AGREEMENT_NOISE_BOUND: f64 = NORMAL_BOUND * AGREEMENT_NOISE;
+/// Slack below a bound on the entropy, for `exp`'s last-bit error: the
+/// entropy at the top of a margin bracket may round a hair above the
+/// entropy at a margin inside it.
+const EXP_GUARD: f64 = 1e-9;
+
+/// Entropy before observation noise: logistic in the negative margin, i.e.
+/// confident (low entropy) when power comfortably exceeds difficulty.
+#[inline]
+fn clean_entropy(margin: f64) -> f64 {
+    1.0 / (1.0 + (margin / TEMPERATURE).exp())
+}
+
+/// The observed entropy: `clean` plus the entropy noise `noise` (a standard
+/// normal), clamped into `[0, 1]`. Monotone in both arguments.
+#[inline]
+fn entropy(clean: f64, noise: f64) -> f64 {
+    (clean + noise * ENTROPY_NOISE).clamp(0.0, 1.0)
+}
+
+/// Whether `x + n · scale > 0` for every `x` in `[x_lo, x_hi]` and every `n`
+/// in `[n_lo, n_hi]` (`Some(true)`), for none of them (`Some(false)`), or
+/// `None` if the brackets straddle zero. Floating-point rounding is
+/// monotone, so the answer holds for every value in the brackets.
+#[inline]
+fn sum_is_positive((x_lo, x_hi): (f64, f64), (n_lo, n_hi): (f64, f64), scale: f64) -> Option<bool> {
+    if x_lo + n_lo * scale > 0.0 {
+        Some(true)
+    } else if x_hi + n_hi * scale <= 0.0 {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The bracket every standard-normal draw lies in.
+const ANY_NORMAL: (f64, f64) = (-NORMAL_BOUND, NORMAL_BOUND);
 
 /// The per-input part of a sample's ramp observations, shared by every ramp:
 /// the sample's key chain, its difficulty and its depth-independent noise.
@@ -112,56 +144,59 @@ pub struct InputDraws {
     input_noise: f64,
 }
 
-/// One (input, ramp) pair's key chain and latent margin. The entropy and
-/// agreement noises extend the chain, and each is drawn only by a caller
-/// whose answer it can change.
+/// One (input, ramp) pair's key chain, the part of its latent margin that
+/// needs no draw of its own, and the unit draws of its margin perturbation.
+/// The entropy and agreement noises extend the chain. A caller that only
+/// compares reads a noise's bounds first and draws the noise itself only
+/// when they straddle the comparison.
 #[derive(Clone, Copy)]
 struct RampDraws {
     chain: KeyChain,
-    margin: f64,
+    /// Ramp power minus input difficulty plus the input noise.
+    base: f64,
+    /// The stable per-(input, ramp) margin perturbation.
+    ramp_noise: NormalUnits,
 }
 
 impl RampDraws {
     #[inline]
     fn new(input: &InputDraws, ramp_key: u64, power: f64) -> RampDraws {
         let chain = input.chain.then(ramp_key);
-        // Latent margin between ramp power and input difficulty, plus a stable
-        // per-(input, ramp) perturbation. The sum keeps this order:
-        // floating-point addition is not associative, and every table is
-        // pinned to these exact bits.
-        let ramp_noise = chain.then(2).normal() * RAMP_NOISE;
         RampDraws {
             chain,
-            margin: power - input.difficulty + input.input_noise + ramp_noise,
+            base: power - input.difficulty + input.input_noise,
+            ramp_noise: chain.then(2).normal_units(),
         }
     }
 
-    /// Entropy before observation noise: logistic in the negative margin,
-    /// i.e. confident (low entropy) when power comfortably exceeds
-    /// difficulty.
+    /// The latent margin between ramp power and input difficulty at the
+    /// perturbation `noise` (a standard normal), monotone in `noise`. The
+    /// sum keeps this order: floating-point addition is not associative, and
+    /// every table is pinned to these exact bits.
     #[inline]
-    fn clean_entropy(self) -> f64 {
-        1.0 / (1.0 + (self.margin / TEMPERATURE).exp())
+    fn margin_at(self, noise: f64) -> f64 {
+        self.base + noise * RAMP_NOISE
     }
 
-    /// The observed entropy: `clean` (this pair's [`RampDraws::clean_entropy`])
-    /// plus the entropy noise, clamped into `[0, 1]`.
+    /// The latent margin.
     #[inline]
-    fn entropy_from(self, clean: f64) -> f64 {
-        (clean + self.chain.then(3).normal() * ENTROPY_NOISE).clamp(0.0, 1.0)
+    fn margin(self) -> f64 {
+        self.margin_at(self.ramp_noise.normal())
     }
 
-    /// Positive margin means the ramp's best guess matches the full model,
-    /// with a little slack for ramp imperfection.
+    /// Positive margin plus agreement noise means the ramp's best guess
+    /// matches the full model, with a little slack for ramp imperfection.
+    /// The margin lies in `bracket`, and `margin` computes it; each is read
+    /// only if the bounds before it leave the answer open.
     #[inline]
-    fn agrees(self) -> bool {
-        // No noise draw outweighs a margin beyond its bound, so the sum
-        // would take the margin's sign.
-        if self.margin.abs() > AGREEMENT_NOISE_BOUND {
-            self.margin > 0.0
-        } else {
-            self.margin + self.chain.then(4).normal() * AGREEMENT_NOISE > 0.0
+    fn agrees(self, bracket: (f64, f64), margin: impl FnOnce() -> f64) -> bool {
+        // No draw exceeds NORMAL_BOUND: a margin beyond it needs no noise.
+        if let Some(agrees) = sum_is_positive(bracket, ANY_NORMAL, AGREEMENT_NOISE) {
+            return agrees;
         }
+        let noise = self.chain.then(4).normal_units();
+        sum_is_positive(bracket, noise.bounds(), AGREEMENT_NOISE)
+            .unwrap_or_else(|| margin() + noise.normal() * AGREEMENT_NOISE > 0.0)
     }
 }
 
@@ -227,16 +262,19 @@ impl SemanticsModel {
     #[inline]
     pub fn observe_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> RampObservation {
         let ramp = RampDraws::new(input, ramp_key, power);
+        let margin = ramp.margin();
         RampObservation {
-            entropy: ramp.entropy_from(ramp.clean_entropy()),
-            agrees: ramp.agrees(),
+            entropy: entropy(clean_entropy(margin), ramp.chain.then(3).normal()),
+            agrees: ramp.agrees((margin, margin), || margin),
         }
     }
 
     /// The observation of [`SemanticsModel::observe_with`] if its entropy is
     /// at or below `threshold` (the input exits at this ramp), else `None`.
-    /// The entropy noise is drawn only when it can decide the comparison,
-    /// and the agreement only on an exit.
+    /// A floor on the entropy, from the bounds of the margin perturbation
+    /// and of the entropy noise, rejects most ramps without drawing either;
+    /// the exact observation is drawn only when the floor leaves the answer
+    /// open.
     #[inline]
     pub(crate) fn exit_observation(
         &self,
@@ -246,23 +284,36 @@ impl SemanticsModel {
         threshold: f64,
     ) -> Option<RampObservation> {
         let ramp = RampDraws::new(input, ramp_key, power);
-        let clean = ramp.clean_entropy();
-        if clean - ENTROPY_NOISE_BOUND > threshold {
+        // The entropy falls as the margin rises, and the clamp keeps the
+        // floor at or below 1, so a threshold of 1 - EXP_GUARD or more always
+        // reaches the exact comparison.
+        let clean_floor = clean_entropy(ramp.margin_at(ramp.ramp_noise.bounds().1));
+        let entropy_floor = |noise_lo| entropy(clean_floor, noise_lo) - EXP_GUARD;
+        // No draw is below -NORMAL_BOUND: this floor needs no entropy noise.
+        if entropy_floor(ANY_NORMAL.0) > threshold {
             return None;
         }
-        let entropy = ramp.entropy_from(clean);
+        let noise = ramp.chain.then(3).normal_units();
+        if entropy_floor(noise.bounds().0) > threshold {
+            return None;
+        }
+        let margin = ramp.margin();
+        let entropy = entropy(clean_entropy(margin), noise.normal());
         (entropy <= threshold).then(|| RampObservation {
             entropy,
-            agrees: ramp.agrees(),
+            agrees: ramp.agrees((margin, margin), || margin),
         })
     }
 
     /// Whether the ramp at `ramp_key` with predictive power `power` agrees
     /// with the full model for `input`: the `agrees` of
-    /// [`SemanticsModel::observe_with`], without the entropy.
+    /// [`SemanticsModel::observe_with`], without the entropy. The margin
+    /// perturbation is drawn only when its bounds leave the answer open.
     #[inline]
     pub fn agrees_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> bool {
-        RampDraws::new(input, ramp_key, power).agrees()
+        let ramp = RampDraws::new(input, ramp_key, power);
+        let (lo, hi) = ramp.ramp_noise.bounds();
+        ramp.agrees((ramp.margin_at(lo), ramp.margin_at(hi)), || ramp.margin())
     }
 
     /// Observe what the ramp at `ramp_key` (a stable site identifier, e.g. the
@@ -363,19 +414,20 @@ mod tests {
         }
     }
 
-    /// Samples whose margin at `site` sits near `target`: the difficulty is
-    /// shifted by the distance between the unshifted margin and `target`.
-    fn samples_near_margin(
+    /// Samples at `site` whose `edge`, a sum that moves one for one with the
+    /// margin, sits at `target`: the difficulty is shifted by the distance
+    /// between the two.
+    fn samples_at_edge(
         m: &SemanticsModel,
         (key, depth, capacity): (u64, f64, f64),
+        edge: impl Fn(RampDraws) -> f64,
         target: f64,
     ) -> Vec<SampleSemantics> {
-        (0..400u64)
+        (0..100u64)
             .filter_map(|i| {
                 let s = SampleSemantics::new(i.wrapping_mul(0x2545_F491) ^ key, 0.5);
-                let margin =
-                    RampDraws::new(&m.input(&s), key, m.ramp_power(depth, capacity)).margin;
-                let difficulty = s.difficulty + margin - target;
+                let ramp = RampDraws::new(&m.input(&s), key, m.ramp_power(depth, capacity));
+                let difficulty = s.difficulty + edge(ramp) - target;
                 (0.0..=1.0)
                     .contains(&difficulty)
                     .then(|| SampleSemantics::new(s.seed, difficulty))
@@ -383,43 +435,86 @@ mod tests {
             .collect()
     }
 
+    /// Which bracket decides `x + n · scale > 0` for `x` in `xs`: 0 for the
+    /// worst-case noise, 1 for the noise's own bounds, 2 for neither.
+    fn deciding_bracket(xs: (f64, f64), noise: NormalUnits, scale: f64) -> usize {
+        if sum_is_positive(xs, ANY_NORMAL, scale).is_some() {
+            0
+        } else if sum_is_positive(xs, noise.bounds(), scale).is_some() {
+            1
+        } else {
+            2
+        }
+    }
+
     #[test]
     fn split_draws_match_the_reference_observation_bit_for_bit() {
         let m = model(0.7);
-        let mut draws = [0usize; 2];
+        // How often each decision is settled by the worst-case bound, by the
+        // draw's own bounds, or by the draw: the exit comparison, agreement
+        // at the exact margin, and agreement at the margin's bracket.
+        let mut paths = [[0usize; 3]; 3];
+        let agreement = |r: RampDraws| r.chain.then(4).normal_units();
+        let bracket = |r: RampDraws| {
+            let (lo, hi) = r.ramp_noise.bounds();
+            (r.margin_at(lo), r.margin_at(hi))
+        };
+        let lo_sum = |(x, _): (f64, f64), (n, _): (f64, f64)| x + n * AGREEMENT_NOISE;
+        let hi_sum = |(_, x): (f64, f64), (_, n): (f64, f64)| x + n * AGREEMENT_NOISE;
+        let exact = |r: RampDraws| (r.margin(), r.margin());
+        // Every edge at which an agreement decision changes path or answer,
+        // and margins of ±0.5, where the clamp holds many entropies at 0 or 1.
+        let edges: [&dyn Fn(RampDraws) -> f64; 11] = [
+            &|r| r.margin(),
+            &|r| r.margin() - 0.5,
+            &|r| r.margin() + 0.5,
+            &|r| lo_sum(exact(r), ANY_NORMAL),
+            &|r| hi_sum(exact(r), ANY_NORMAL),
+            &|r| lo_sum(exact(r), agreement(r).bounds()),
+            &|r| hi_sum(exact(r), agreement(r).bounds()),
+            &|r| lo_sum(bracket(r), ANY_NORMAL),
+            &|r| hi_sum(bracket(r), ANY_NORMAL),
+            &|r| lo_sum(bracket(r), agreement(r).bounds()),
+            &|r| hi_sum(bracket(r), agreement(r).bounds()),
+        ];
         for site in SITES {
             let (key, depth, capacity) = site;
             let power = m.ramp_power(depth, capacity);
-            // Margins straddling the agreement-noise bound on both sides and
-            // zero, from 1e-12 to 0.03 away.
-            for bound in [-AGREEMENT_NOISE_BOUND, 0.0, AGREEMENT_NOISE_BOUND] {
-                for offset in [-0.03, -1e-3, -1e-12, 0.0, 1e-12, 1e-3, 0.03] {
-                    for s in samples_near_margin(&m, site, bound + offset) {
+            for edge in edges {
+                for offset in [-1e-3, -1e-12, 0.0, 1e-12, 1e-3] {
+                    for s in samples_at_edge(&m, site, edge, offset) {
                         let want = reference_observe(&m, &s, key, depth, capacity);
                         let input = m.input(&s);
                         let ramp = RampDraws::new(&input, key, power);
-                        draws[usize::from(ramp.margin.abs() > AGREEMENT_NOISE_BOUND)] += 1;
+                        let noise = agreement(ramp);
+                        paths[1][deciding_bracket(exact(ramp), noise, AGREEMENT_NOISE)] += 1;
+                        paths[2][deciding_bracket(bracket(ramp), noise, AGREEMENT_NOISE)] += 1;
                         assert_eq!(m.agrees_with(&input, key, power), want.agrees);
                         let got = m.observe_with(&input, key, power);
                         assert_eq!(got.entropy.to_bits(), want.entropy.to_bits());
                         assert_eq!(got.agrees, want.agrees);
-                        // Thresholds at the entropy skip boundary, a hair to
-                        // either side, the reference entropy itself, and 1.0.
-                        let skip = ramp.clean_entropy() - ENTROPY_NOISE_BOUND;
-                        for threshold in [
-                            skip - 1e-3,
-                            skip - 1e-12,
-                            skip,
-                            skip + 1e-12,
-                            skip + 1e-3,
-                            want.entropy,
-                            1.0,
-                        ] {
-                            let exit = m.exit_observation(&input, key, power, threshold);
-                            assert_eq!(exit.is_some(), want.entropy <= threshold);
-                            if let Some(obs) = exit {
-                                assert_eq!(obs.entropy.to_bits(), want.entropy.to_bits());
-                                assert_eq!(obs.agrees, want.agrees);
+                        // Thresholds on the edges of both entropy floors
+                        // and of the entropy itself, a hair to either side,
+                        // and where the clamp lets an entropy of 1 exit.
+                        let clean_floor = clean_entropy(bracket(ramp).1);
+                        let floor = |noise_lo| entropy(clean_floor, noise_lo) - EXP_GUARD;
+                        let entropy_lo = ramp.chain.then(3).normal_units().bounds().0;
+                        let worst = floor(ANY_NORMAL.0);
+                        let own = floor(entropy_lo);
+                        for edge in [worst, own, want.entropy, 1.0 - EXP_GUARD, 1.0] {
+                            for threshold in [edge - 1e-12, edge, edge + 1e-12] {
+                                let exit = m.exit_observation(&input, key, power, threshold);
+                                assert_eq!(exit.is_some(), want.entropy <= threshold);
+                                if let Some(obs) = exit {
+                                    assert_eq!(obs.entropy.to_bits(), want.entropy.to_bits());
+                                    assert_eq!(obs.agrees, want.agrees);
+                                }
+                                let path = if worst > threshold {
+                                    0
+                                } else {
+                                    1 + usize::from(own <= threshold)
+                                };
+                                paths[0][path] += 1;
                             }
                         }
                     }
@@ -427,8 +522,8 @@ mod tests {
             }
         }
         assert!(
-            draws.iter().all(|&n| n > 100),
-            "both agreement paths must be exercised: {draws:?}"
+            paths.iter().flatten().all(|&n| n >= 100),
+            "every decision path must be exercised: {paths:?}"
         );
     }
 

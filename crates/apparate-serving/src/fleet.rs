@@ -1039,12 +1039,13 @@ mod tests {
 
     #[test]
     fn least_loaded_weights_requests_by_output_length() {
-        // Two long sequences arriving back-to-back must land on different
-        // replicas: the backlog model charges output_tokens × per-token time,
-        // so after the first long request its replica is the loaded one.
-        let mut requests = gen_requests(8, 10, 1_000.0);
+        // One long sequence, then two short ones back to back: the backlog
+        // model charges output_tokens × per-token time, so the long one's
+        // replica stays the loaded one and both short ones go to the other.
+        // Charging every request the same service (or none) would send the
+        // second short one back to the long one's replica.
+        let mut requests = gen_requests(3, 10, 1_000.0);
         requests[0].output_tokens = 1_000;
-        requests[1].output_tokens = 1_000;
         let shards = shard_requests(&requests, 2, FleetDispatch::LeastLoaded, decode_time(1));
         let replica_of = |id: u64| {
             shards
@@ -1052,11 +1053,13 @@ mod tests {
                 .position(|s| s.requests.iter().any(|r| r.id == id))
                 .expect("dispatched")
         };
-        assert_ne!(
-            replica_of(0),
-            replica_of(1),
-            "both long sequences piled onto one replica"
-        );
+        for short in [1, 2] {
+            assert_ne!(
+                replica_of(0),
+                replica_of(short),
+                "short sequence {short} queued behind the long one"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod stats;
 pub mod time;
 
 pub use events::{EventQueue, ScheduledEvent};
-pub use rng::{DeterministicRng, KeyChain, RngStream, NORMAL_BOUND};
+pub use rng::{DeterministicRng, KeyChain, NormalUnits, RngStream, NORMAL_BOUND};
 pub use series::{ChunkSeries, TimeSeries};
 pub use stats::{Cdf, Histogram, OnlineStats, Percentiles};
 pub use time::{SimDuration, SimTime};

@@ -76,7 +76,7 @@ impl DeterministicRng {
         RngStream::from_state(self.keyed(keys).state)
     }
 
-    /// A single deterministic uniform draw in `(0, 1)` for the given keys.
+    /// A single deterministic uniform draw in `(0, 1]` for the given keys.
     ///
     /// This is the workhorse of the semantics model: cheap, reproducible and
     /// order-independent.
@@ -105,6 +105,147 @@ const NORMAL_SECOND_KEY: u64 = 0xA5A5_5A5A_0F0F_F0F0;
 /// this magnitude, could not change the outcome.
 pub const NORMAL_BOUND: f64 = 8.652_17;
 
+/// Slack added to both ends of every bracket [`NormalUnits::bounds`] reads:
+/// far above the last-bit error of `ln`, `sqrt` and `cos` and of each
+/// rounded table entry (about 1e-15 at these magnitudes), far below a bin's
+/// width.
+const BRACKET_GUARD: f64 = 1e-9;
+
+/// Bins of the radius bracket: a radius draw `u1` falls in bin ⌊64 u1⌋.
+const RADIUS_BINS: usize = 64;
+
+/// The radius ladder: `RADII[k]` is √(−2 ln(k/64)), the radius whose
+/// threshold exp(−R²/2) is k/64, rounded to the nearest double. A radius
+/// draw at or above k/64 therefore gives a radius of at most `RADII[k]`. The
+/// top rung is [`NORMAL_BOUND`], as no unit draw is below 2⁻⁵⁴.
+#[rustfmt::skip]
+const RADII: [f64; RADIUS_BINS + 1] = [
+    NORMAL_BOUND, 2.884053773201766, 2.6327688477341593, 2.4739728352152786,
+    2.3548200450309493, 2.2580722623182683, 2.1758325368151, 2.1037932095642664,
+    2.039333980337618, 1.9807364822325317, 1.926809793604769, 1.8766927348723346,
+    1.8297412022314365, 1.7854600112565586, 1.743459637470517, 1.7034276516820206,
+    1.6651092223153956, 1.6282934252176147, 1.5928033936826649, 1.5584890786869385,
+    1.5252218263621071, 1.4928902475642667, 1.4613970234001135, 1.4306564000000295,
+    1.4005921983302108, 1.371136213868973, 1.3422269147489108, 1.313808370619812,
+    1.2858293612952443, 1.2582426263429465, 1.2310042255796823, 1.2040729868861983,
+    1.1774100225154747, 1.1509782985731674, 1.1247422449108155, 1.0986673945014098,
+    1.0727200426053032, 1.046866916771609, 1.0210748490030357, 0.9953104412493877,
+    0.9695397147571991, 0.9437277326171613, 0.9178381829890316, 0.8918329077423746,
+    0.8656713573191742, 0.8393099470271421, 0.8127012819856714, 0.7857932064476165,
+    0.7585276164409321, 0.7308389497680665, 0.7026522296720132, 0.6738804799596826,
+    0.6444212361153914, 0.6141517236116008, 0.5829220133009174, 0.5505449993001498,
+    0.5167811773362544, 0.4813144824854571, 0.44371178215876245, 0.40335006992425926,
+    0.3592729356285307, 0.30986842106404006, 0.25198689773311744, 0.17747313581575758,
+    0.0,
+];
+
+/// Guarded `[lo, hi]` of the radius in each bin: bin k holds the radius
+/// draws in [k/64, (k+1)/64), whose radius falls from `RADII[k]` to
+/// `RADII[k + 1]`. A draw of exactly 1 (the largest a chain makes) shares
+/// the last bin.
+const RADIUS_BRACKETS: [[f64; 2]; RADIUS_BINS + 1] = {
+    let mut out = [[0.0; 2]; RADIUS_BINS + 1];
+    let mut k = 0;
+    while k < RADIUS_BINS {
+        out[k] = [
+            (RADII[k + 1] - BRACKET_GUARD).max(0.0),
+            RADII[k] + BRACKET_GUARD,
+        ];
+        k += 1;
+    }
+    out[RADIUS_BINS] = out[RADIUS_BINS - 1];
+    out
+};
+
+/// Bins of the angle bracket: an angle draw `u2` falls in bin ⌊64 u2⌋.
+const ANGLE_BINS: usize = 64;
+
+/// cos(2πj/64) for j = 0..=16, the first quarter turn, rounded to the
+/// nearest double. [`cosine`] unfolds the other three quarters.
+#[rustfmt::skip]
+const QUARTER_COSINES: [f64; ANGLE_BINS / 4 + 1] = [
+    1.0, 0.9951847266721969, 0.9807852804032304, 0.9569403357322088,
+    0.9238795325112867, 0.881921264348355, 0.8314696123025452, 0.773010453362737,
+    std::f64::consts::FRAC_1_SQRT_2, 0.6343932841636455, 0.5555702330196022,
+    0.47139673682599764, 0.3826834323650898, 0.2902846772544624, 0.19509032201612828,
+    0.0980171403295606, 0.0,
+];
+
+/// cos(2πj/64) for j = 0..=64, from [`QUARTER_COSINES`]: the cosine is even
+/// about a half turn and odd about a quarter turn.
+const fn cosine(j: usize) -> f64 {
+    let k = if j > ANGLE_BINS / 2 {
+        ANGLE_BINS - j
+    } else {
+        j
+    };
+    if k > ANGLE_BINS / 4 {
+        -QUARTER_COSINES[ANGLE_BINS / 2 - k]
+    } else {
+        QUARTER_COSINES[k]
+    }
+}
+
+/// Guarded `[lo, hi]` of the cosine factor in each bin: bin j holds the
+/// angle draws in [j/64, (j+1)/64), over which the cosine falls on the first
+/// half turn and rises on the second. A draw of exactly 1 shares the last
+/// bin.
+const COS_BRACKETS: [[f64; 2]; ANGLE_BINS + 1] = {
+    let mut out = [[0.0; 2]; ANGLE_BINS + 1];
+    let mut j = 0;
+    while j < ANGLE_BINS {
+        let (lo, hi) = if j < ANGLE_BINS / 2 {
+            (cosine(j + 1), cosine(j))
+        } else {
+            (cosine(j), cosine(j + 1))
+        };
+        out[j] = [lo - BRACKET_GUARD, hi + BRACKET_GUARD];
+        j += 1;
+    }
+    out[ANGLE_BINS] = out[ANGLE_BINS - 1];
+    out
+};
+
+/// The two unit draws behind one keyed standard normal, before Box–Muller.
+///
+/// [`NormalUnits::normal`] is the draw itself; [`NormalUnits::bounds`]
+/// brackets it from table lookups alone. A caller that only compares the
+/// draw with a boundary decides from the bracket and pays for `ln`, `sqrt`
+/// and `cos` only when the bracket straddles the boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct NormalUnits {
+    /// Radius draw: the Box–Muller radius is √(−2 ln u1).
+    u1: f64,
+    /// Angle draw: the cosine factor is cos(2π u2).
+    u2: f64,
+}
+
+impl NormalUnits {
+    /// The standard-normal draw (Box–Muller).
+    #[inline]
+    pub fn normal(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
+    }
+
+    /// An interval `(lo, hi)` that contains [`NormalUnits::normal`], from
+    /// two table lookups and no branch: the radius bracket of `u1`'s bin
+    /// times the cosine bracket of `u2`'s bin. Floating-point rounding is
+    /// monotone, so a comparison that holds at `lo` (or `hi`) after
+    /// monotone arithmetic holds for the draw itself.
+    #[inline]
+    pub fn bounds(self) -> (f64, f64) {
+        // Unit draws lie in (0, 1], so each index is at most the bin count.
+        let [r_lo, r_hi] = RADIUS_BRACKETS[(self.u1 * RADIUS_BINS as f64) as usize];
+        let [c_lo, c_hi] = COS_BRACKETS[(self.u2 * ANGLE_BINS as f64) as usize];
+        // The radius is never negative: each end of the product takes the
+        // radius end that pushes it outward.
+        (
+            (r_lo * c_lo).min(r_hi * c_lo),
+            (r_hi * c_hi).max(r_lo * c_hi),
+        )
+    }
+}
+
 /// The hashed state of a key sequence, extendable one key at a time and
 /// allocation-free.
 ///
@@ -129,21 +270,30 @@ impl KeyChain {
         }
     }
 
-    /// The uniform draw in `(0, 1)` for this key sequence.
+    /// The uniform draw in `(0, 1]` for this key sequence.
     #[inline]
     pub fn unit(self) -> f64 {
-        // Map the top 53 bits onto (0, 1); add half an ulp so we never return 0.
+        // Map the top 53 bits onto (0, 1]; add half an ulp so we never return
+        // 0. The top mantissa plus half an ulp rounds to 2⁵³, so 1 occurs.
         let mantissa = self.state >> 11;
         (mantissa as f64 + 0.5) / ((1u64 << 53) as f64)
     }
 
-    /// The standard-normal draw for this key sequence (Box–Muller over this
-    /// chain's unit draw and that of the chain extended by a fixed key).
+    /// The unit draws behind [`KeyChain::normal`]: this chain's own and that
+    /// of the chain extended by a fixed key.
+    #[inline]
+    pub fn normal_units(self) -> NormalUnits {
+        NormalUnits {
+            u1: self.unit(),
+            u2: self.then(NORMAL_SECOND_KEY).unit(),
+        }
+    }
+
+    /// The standard-normal draw for this key sequence (Box–Muller over
+    /// [`KeyChain::normal_units`]).
     #[inline]
     pub fn normal(self) -> f64 {
-        let u1 = self.unit();
-        let u2 = self.then(NORMAL_SECOND_KEY).unit();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        self.normal_units().normal()
     }
 }
 
@@ -186,7 +336,7 @@ impl RngStream {
     pub fn normal(&mut self) -> f64 {
         let u1 = self.unit();
         let u2 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        NormalUnits { u1, u2 }.normal()
     }
 
     /// Normal draw with the given mean and standard deviation.
@@ -269,6 +419,8 @@ mod tests {
                     let chain = root.keyed(ks);
                     assert_eq!(chain.unit().to_bits(), want_u.to_bits());
                     assert_eq!(chain.normal().to_bits(), want_n.to_bits());
+                    let units = chain.normal_units();
+                    assert_eq!(units.normal().to_bits(), want_n.to_bits());
                     // Extending a shared prefix one key at a time lands on
                     // the same state as keying the whole list at once.
                     let stepped = ks.iter().fold(root.keyed(&[]), |chain, &k| chain.then(k));
@@ -291,6 +443,78 @@ mod tests {
         let floor = KeyChain { state: 0, len: 0 };
         assert_eq!(floor.unit(), 2f64.powi(-54));
         assert!(floor.normal().abs() <= NORMAL_BOUND);
+    }
+
+    #[test]
+    fn bracket_tables_round_the_exact_edges() {
+        for (k, &radius) in RADII.iter().enumerate().take(RADIUS_BINS).skip(1) {
+            let exact = (-2.0 * (k as f64 / RADIUS_BINS as f64).ln()).sqrt();
+            assert!((radius - exact).abs() <= 1e-15 * exact, "radius {k}");
+        }
+        for j in 0..=ANGLE_BINS {
+            let exact = (2.0 * std::f64::consts::PI * j as f64 / ANGLE_BINS as f64).cos();
+            assert!((cosine(j) - exact).abs() <= 1e-15, "cosine {j}");
+        }
+    }
+
+    /// Asserts that `units`' bounds contain its normal draw.
+    fn assert_bounds_contain(units: NormalUnits) {
+        let (lo, hi) = units.bounds();
+        let draw = units.normal();
+        assert!(
+            lo <= draw && draw <= hi,
+            "{units:?}: {draw} not in [{lo}, {hi}]"
+        );
+    }
+
+    /// `x` and its neighbouring floats.
+    fn with_neighbours(x: f64) -> [f64; 3] {
+        [x.next_down(), x, x.next_up()]
+    }
+
+    #[test]
+    fn normal_bounds_contain_the_draw_at_every_bin_edge() {
+        let smallest = KeyChain { state: 0, len: 0 }.unit();
+        let largest = KeyChain {
+            state: u64::MAX,
+            len: 0,
+        }
+        .unit();
+        // Half an ulp above the top mantissa rounds up: the largest draw is 1.
+        assert_eq!((smallest, largest), (2f64.powi(-54), 1.0));
+        // Every radius threshold k/64 (where the radius is RADII[k]) and its
+        // neighbours, and every angle bin edge j/64 (0.25, 0.5 and 0.75
+        // among them) one ulp to either side.
+        let mut radius_draws = vec![smallest, smallest.next_up(), largest.next_down(), largest];
+        for k in 1..RADIUS_BINS {
+            radius_draws.extend(with_neighbours(k as f64 / RADIUS_BINS as f64));
+        }
+        let mut angle_draws = vec![smallest, smallest.next_up(), largest.next_down(), largest];
+        for j in 1..ANGLE_BINS {
+            angle_draws.extend(with_neighbours(j as f64 / ANGLE_BINS as f64));
+        }
+        for &u1 in &radius_draws {
+            for &u2 in &angle_draws {
+                assert_bounds_contain(NormalUnits { u1, u2 });
+            }
+        }
+    }
+
+    #[test]
+    fn normal_bounds_contain_a_million_keyed_draws() {
+        let root = DeterministicRng::new(42).child(0x5EED_5EED);
+        let mut width = 0.0;
+        let n = 1_000_000u64;
+        for i in 0..n {
+            let units = root.keyed(&[i, 3]).normal_units();
+            assert_bounds_contain(units);
+            let (lo, hi) = units.bounds();
+            width += hi - lo;
+        }
+        // The brackets are narrow on average (0.168 standard deviations,
+        // 38 % of it from the bin of the 1/64 smallest radius draws).
+        let mean_width = width / n as f64;
+        assert!(mean_width < 0.2, "mean bracket width {mean_width}");
     }
 
     #[test]
