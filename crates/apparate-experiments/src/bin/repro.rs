@@ -44,10 +44,9 @@
 //! step diffs them. Scenario mode only (`--sweep` pins its own config).
 
 use apparate_experiments::{
-    render_admission_summary, render_fleet_summary, run_admission_fleet,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_generative_fleet_threaded, run_scenarios_traced_config, scenario_config,
-    sensitivity_sweeps, OverheadTable, ReproSizes, ScenarioSelect, SensitivityGrid,
+    render_admission_summary, render_fleet_summary, run_admission_fleet, run_fleet,
+    run_scenarios_traced_config, scenario_config, sensitivity_sweeps, OverheadTable, ReproSizes,
+    ScenarioSelect, SensitivityGrid,
 };
 use apparate_serving::{available_threads, FleetDispatch};
 use apparate_telemetry::{
@@ -312,25 +311,17 @@ fn run_sweep(seed: u64, quick: bool, sizes: ReproSizes, telemetry: &Telemetry, t
     // 8-replica fleet is comfortably provisioned — the regime where the
     // dispatcher and the per-replica controllers both matter.
     let scenario = apparate_experiments::cv_scenario(seed, frames).with_arrival_scale(6.0);
+    let untraced = Telemetry::disabled();
     let mut runs = Vec::new();
     for replicas in [1usize, 2, 4, 8] {
-        let run = if replicas == 8 {
-            run_classification_fleet_traced(
-                &scenario,
-                replicas,
-                FleetDispatch::LeastLoaded,
-                scenario_config(),
-                telemetry,
-                threads,
-            )
-        } else {
-            run_classification_fleet_threaded(
-                &scenario,
-                replicas,
-                FleetDispatch::LeastLoaded,
-                threads,
-            )
-        };
+        let traced = if replicas == 8 { telemetry } else { &untraced };
+        let run = run_fleet(
+            &scenario,
+            replicas,
+            FleetDispatch::LeastLoaded,
+            traced,
+            threads,
+        );
         emit(&format!("{}\n", run.table.render()));
         runs.push(run);
     }
@@ -346,10 +337,11 @@ fn run_sweep(seed: u64, quick: bool, sizes: ReproSizes, telemetry: &Telemetry, t
         apparate_experiments::generative_scenario(seed, gen_requests).with_arrival_scale(8.0);
     let mut gen_runs = Vec::new();
     for replicas in [1usize, 2, 4, 8] {
-        let run = run_generative_fleet_threaded(
+        let run = run_fleet(
             &generative,
             replicas,
             FleetDispatch::LeastLoaded,
+            &untraced,
             threads,
         );
         emit(&format!("{}\n", run.table.render()));

@@ -1289,8 +1289,8 @@ mod tests {
     #[test]
     fn offline_tuning_matches_the_full_greedy_oracle() {
         use crate::scenario::{
-            classification_fixture, cv_scenario, generative_calibration, generative_fixture,
-            generative_scenario, nlp_scenario, scenario_config, ReproSizes,
+            cv_scenario, fixture, generative_calibration, generative_scenario, nlp_scenario,
+            scenario_config, ReproSizes,
         };
         let config = scenario_config();
         let sizes = ReproSizes::quick();
@@ -1302,12 +1302,12 @@ mod tests {
                 cv_scenario(seed, sizes.cv_frames),
                 nlp_scenario(seed, sizes.nlp_requests),
             ] {
-                let (_, _, dep) = classification_fixture(&scenario, &config);
+                let (_, dep) = fixture(&scenario, &config);
                 let validation = scenario.workload.bootstrap_split().validation.to_vec();
                 cases.push((dep.plan, validation, scenario.reference_batch));
             }
             let scenario = generative_scenario(seed, sizes.gen_requests);
-            let (_, dep) = generative_fixture(&scenario, &config);
+            let (_, dep) = fixture(&scenario, &config);
             let calibration = generative_calibration(&scenario.workload);
             cases.push((dep.plan, calibration, scenario.reference_batch));
         }

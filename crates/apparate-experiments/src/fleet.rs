@@ -2,12 +2,13 @@
 //!
 //! `apparate-serving::fleet` provides the platform half of scale-out
 //! (sharding, per-replica simulation, outcome pooling); this module supplies
-//! the experiment half: for one classification scenario it builds a fleet of
-//! N identical replicas — **each with its own GPU-half/controller-half pair
-//! over its own charged [`FeedbackSender`](apparate_exec::FeedbackSender) /
+//! the experiment half: for one [`Scenario`] — a classification stream or a
+//! generative request stream — it builds a fleet of N identical replicas —
+//! **each with its own GPU-half/controller-half pair over its own charged
+//! [`FeedbackSender`](apparate_exec::FeedbackSender) /
 //! [`FeedbackReceiver`](apparate_exec::FeedbackReceiver) link** — and runs
-//! the vanilla, static-EE and Apparate fleets over the *same* shared arrival
-//! trace and the same shards, so the resulting [`ComparisonTable`] is a
+//! the vanilla, static-EE and Apparate fleets over the *same* shared stream
+//! and the same shards, so the resulting [`ComparisonTable`] is a
 //! fleet-level analogue of the paper's per-replica win tables. Per-replica
 //! coordination charges are summed into one fleet [`OverheadRow`]. Note the
 //! §4.5 bill's shape under sharding: uplink messages track *batches*, so the
@@ -16,21 +17,17 @@
 //! N — each controller sees only its shard, so tuning windows fill N× more
 //! slowly and short shards may never trigger a retune after warm-start.
 //!
-//! [`run_generative_fleet`] is the decode-loop counterpart: the same three
-//! policy families over one shared generative request stream, whole sequences
-//! dispatched per replica (decode state cannot migrate), each Apparate
-//! replica running its own warm-started *token* controller — full Algorithm 2
-//! loop, ramp-set adjustment included — over its own charged link. Its tables
-//! read in TPT (time-per-token) instead of response latency.
+//! On the decode path whole sequences are dispatched per replica (decode
+//! state cannot migrate), each Apparate replica runs its own warm-started
+//! token controller — full Algorithm 2 loop, ramp-set adjustment included —
+//! and the tables read in TPT (time-per-token) instead of response latency.
 
 use apparate_baselines::{batch_time_fn, vanilla_policy, RampDeployment, StaticExitPolicy};
 use apparate_core::ApparateConfig;
-use apparate_exec::OverheadReport;
+use apparate_exec::{ExecutionPlan, OverheadReport};
 use apparate_serving::{
-    available_threads, shard_arrivals, stream_arrivals, AdmissionConfig, FleetDispatch,
-    FleetOutcome, FleetOutcomeView, GenerativeFleetOutcome, GenerativeReplicaFleet, IngestSession,
-    IngestStats, LatencySummary, ReplicaFleet, ReplicaUnit, RequestShard, ServingOutcome,
-    TokenReplicaUnit, TraceShard,
+    stream_arrivals, AdmissionConfig, FleetDispatch, FleetOutcome, FleetOutcomeView, IngestStats,
+    LatencySummary, ReplicaFleet, ReplicaPolicy, ReplicaUnit,
 };
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -38,8 +35,7 @@ use apparate_telemetry::Telemetry;
 use crate::controller::{warm_start_thresholds, ApparatePolicy};
 use crate::report::{ComparisonTable, OverheadRow};
 use crate::scenario::{
-    classification_fixture, generative_calibration, generative_fixture, generative_requests,
-    scenario_config, total_tokens, ClassificationScenario, GenerativeScenario, WorkloadTokens,
+    apparate_estimate, fixture, scenario_config, ClassificationScenario, Outcome, Scenario, Shard,
     STATIC_THRESHOLD,
 };
 
@@ -84,197 +80,158 @@ fn fleet_overhead(policies: &[ApparatePolicy]) -> OverheadReport {
     total
 }
 
-/// Run the vanilla, static-EE and Apparate fleets of `replicas` replicas over
-/// a classification scenario's shared arrival trace. Every replica runs the
-/// scenario's serving config; each Apparate replica is warm-started on the
-/// shared bootstrap validation split and coordinates over its own link.
-/// Replicas execute wall-clock parallel on up to [`available_threads`]
-/// workers; the merged outcome is identical for any thread count.
-pub fn run_classification_fleet(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-) -> FleetRun {
-    run_classification_fleet_threaded(scenario, replicas, dispatch, available_threads())
+/// The front end's per-request service estimate: the batch-1 vanilla
+/// execution time of the deployed model (what a production front end knows
+/// about it). On the decode path it is per token, and a request's projected
+/// service is this times its output length.
+fn service_estimate(dep_budget: &RampDeployment) -> SimDuration {
+    SimDuration::from_micros_f64(dep_budget.plan.vanilla_total_us(1))
 }
 
-/// Like [`run_classification_fleet`], with an explicit worker-thread count
-/// (`1` ⇒ the sequential path).
+/// Run the vanilla, static-EE and Apparate fleets of `replicas` replicas over
+/// a scenario's shared stream. Every replica runs the scenario's serving
+/// loop; each Apparate replica is warm-started on the scenario's
+/// calibration samples and coordinates over its own link, running the full
+/// controller loop, ramp-set adjustment included. Replicas execute
+/// wall-clock parallel on up to `threads` workers (`1` ⇒ the sequential
+/// path); the merged outcome is identical for any thread count.
+///
+/// `telemetry` is attached to the Apparate fleet's run: every replica's
+/// dispatch and serving events land in that replica's buffer (derived via
+/// [`Telemetry::for_replica`]), and each replica's controller and links are
+/// traced. The vanilla and static-EE fleets stay untraced.
+pub fn run_fleet<S: Scenario>(
+    scenario: &S,
+    replicas: usize,
+    dispatch: FleetDispatch,
+    telemetry: &Telemetry,
+    threads: usize,
+) -> FleetRun {
+    fleet_over_shards(scenario, replicas, dispatch, telemetry, threads, false)
+}
+
+/// Like [`run_fleet`], untraced, with the replay sharding step replaced by
+/// streaming ingest: requests are offered one at a time through an
+/// [`IngestSession`](apparate_serving::IngestSession) in passthrough mode (no
+/// admission), which makes *exactly* the replay path's dispatch decisions —
+/// so the resulting table is byte-identical to [`run_fleet`] on the same
+/// scenario. This is the determinism fence `tests/parallel.rs` diffs at
+/// every thread count.
+pub fn run_fleet_streamed<S: Scenario>(
+    scenario: &S,
+    replicas: usize,
+    dispatch: FleetDispatch,
+    threads: usize,
+) -> FleetRun {
+    let disabled = Telemetry::disabled();
+    fleet_over_shards(scenario, replicas, dispatch, &disabled, threads, true)
+}
+
+/// [`run_fleet`] over a classification scenario, untraced.
 pub fn run_classification_fleet_threaded(
     scenario: &ClassificationScenario,
     replicas: usize,
     dispatch: FleetDispatch,
     threads: usize,
 ) -> FleetRun {
-    run_classification_fleet_traced(
+    run_fleet(
         scenario,
         replicas,
         dispatch,
-        scenario_config(),
         &Telemetry::disabled(),
         threads,
     )
 }
 
-/// Like [`run_classification_fleet_threaded`], with an explicit controller
-/// config and a telemetry sink attached to the Apparate fleet's run: the
-/// dispatcher traces its per-arrival decisions, every replica's serving
-/// events land in that replica's buffer (derived via
-/// [`Telemetry::for_replica`]), and each replica's controller and links are
-/// traced. The vanilla and static-EE fleets stay untraced.
-pub fn run_classification_fleet_traced(
-    scenario: &ClassificationScenario,
+/// Shard the scenario's stream once, replayed or `streamed`, and serve the
+/// shards with the vanilla, static-EE and Apparate fleets. Sharding depends
+/// only on arrivals and dispatch, so identical shards produce byte-identical
+/// tables however the stream was consumed.
+fn fleet_over_shards<S: Scenario>(
+    scenario: &S,
     replicas: usize,
     dispatch: FleetDispatch,
-    config: ApparateConfig,
     telemetry: &Telemetry,
     threads: usize,
+    streamed: bool,
 ) -> FleetRun {
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    // The dispatcher's per-request service estimate: the batch-1 vanilla
-    // execution time (what a production front end knows about the model).
-    let service_estimate = classification_service_estimate(&dep_budget);
-    // Sharding depends only on arrivals and dispatch, so all three policy
-    // families serve these exact shards.
-    let shards = shard_arrivals(&trace, replicas, dispatch, service_estimate);
-    run_classification_fleet_over_shards(
-        scenario, replicas, dispatch, config, telemetry, threads, &shards,
-    )
-}
-
-/// The front end's per-request service estimate for a classification fleet:
-/// the batch-1 vanilla execution time of the deployed model.
-fn classification_service_estimate(dep_budget: &RampDeployment) -> SimDuration {
+    let (_, dep_budget) = fixture(scenario, &scenario_config());
+    let estimate = service_estimate(&dep_budget);
+    let shards = scenario.shards(&scenario.stream(), replicas, dispatch, estimate, streamed);
+    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.replica_loop().clone());
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(1))
-}
-
-/// Like [`run_classification_fleet_traced`], with the replay sharding step
-/// replaced by streaming ingest: arrivals are consumed one at a time through
-/// an [`IngestSession`] in passthrough mode (no admission), which makes
-/// *exactly* the batch path's dispatch decisions — so the resulting table is
-/// byte-identical to [`run_classification_fleet`] on the same scenario. This
-/// is the determinism fence `tests/parallel.rs` diffs at every thread count.
-pub fn run_classification_fleet_streamed(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let service_estimate = classification_service_estimate(&dep_budget);
-    let streamed = stream_arrivals(
-        &trace,
-        replicas,
-        dispatch,
-        service_estimate,
-        None,
-        &Telemetry::disabled(),
-    );
-    run_classification_fleet_over_shards(
-        scenario,
-        replicas,
-        dispatch,
-        config,
-        &Telemetry::disabled(),
-        threads,
-        &streamed.shards,
-    )
-}
-
-/// Serve pre-computed shards with the vanilla, static-EE and Apparate fleets.
-/// Both the trace-replay path ([`run_classification_fleet_traced`]) and the
-/// streamed-ingest paths ([`run_classification_fleet_streamed`],
-/// [`run_admission_fleet`]) funnel through here, so identical shards produce
-/// byte-identical tables regardless of how the arrivals were consumed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_classification_fleet_over_shards(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    config: ApparateConfig,
-    telemetry: &Telemetry,
-    threads: usize,
-    shards: &[TraceShard],
-) -> FleetRun {
-    let split = scenario.workload.bootstrap_split();
-    let serving_samples = split.serving;
-    let n: usize = shards.iter().map(|s| s.indices.len()).sum();
-    let (_, _, dep_budget) = classification_fixture(scenario, &config);
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let budget_plan = dep_budget.plan.clone();
-    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
-
-    let mut summaries: Vec<LatencySummary> = Vec::new();
-
-    // Vanilla fleet.
-    {
-        let mut policies: Vec<_> = (0..replicas)
-            .map(|_| vanilla_policy(&vanilla_plan))
-            .collect();
-        let estimate = batch_time_fn(&vanilla_plan);
-        let out = fleet
-            .serve(shards, serving_samples)
-            .units(
-                policies
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, p)| ReplicaUnit::new(format!("vanilla-{r}"), p, &estimate)),
-            )
-            .threads(threads)
-            .run();
-        summaries.push(out.summary("vanilla"));
-    }
-    // Static-EE fleet (fixed ramps, fixed threshold, no controller).
-    {
-        let mut policies: Vec<_> = (0..replicas)
-            .map(|_| StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee"))
-            .collect();
-        let estimate = batch_time_fn(&budget_plan);
-        let out = fleet
-            .serve(shards, serving_samples)
-            .units(
-                policies
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, p)| ReplicaUnit::new(format!("static-ee-{r}"), p, &estimate)),
-            )
-            .threads(threads)
-            .run();
-        summaries.push(out.summary("static-ee"));
-    }
-    // Apparate fleet: one warm-started controller per replica, each over its
-    // own charged link.
-    let (apparate_out, overhead) = apparate_fleet(
-        &fleet,
-        shards,
-        serving_samples,
-        split.validation,
-        &dep_budget,
-        config,
-        scenario.reference_batch,
-        telemetry,
-        threads,
-    );
+    let budget_plan = &dep_budget.plan;
+    let vanilla = || vanilla_policy(&vanilla_plan);
+    let static_ee =
+        || StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee");
+    let mut summaries = vec![
+        baseline_fleet(
+            scenario,
+            &fleet,
+            &shards,
+            "vanilla",
+            &vanilla_plan,
+            vanilla,
+            threads,
+        ),
+        baseline_fleet(
+            scenario,
+            &fleet,
+            &shards,
+            "static-ee",
+            budget_plan,
+            static_ee,
+            threads,
+        ),
+    ];
+    let (apparate_out, overhead) =
+        apparate_fleet(scenario, &fleet, &shards, &dep_budget, telemetry, threads);
     summaries.push(apparate_out.summary("apparate"));
 
+    let name = scenario.name();
     FleetRun {
-        scenario: scenario.name.clone(),
+        scenario: name.to_string(),
         replicas,
         dispatch,
         table: ComparisonTable::new(
-            format!("{} ×{replicas} ({dispatch})", scenario.name),
-            "latency",
+            format!("{name} ×{replicas} ({dispatch})"),
+            S::METRIC,
             summaries,
         ),
         overhead: OverheadRow {
-            scenario: format!("{} ×{replicas}", scenario.name),
-            requests: n as u64,
+            scenario: format!("{name} ×{replicas}"),
+            requests: scenario.units(),
             report: overhead,
         },
         shard_sizes: apparate_out.shard_sizes,
     }
+}
+
+/// Serve the shards with a baseline family, one `policy()` per replica over
+/// the batch-time estimator of its `plan`, and summarise the fleet run under
+/// `name`.
+fn baseline_fleet<S: Scenario, P: ReplicaPolicy + Send>(
+    scenario: &S,
+    fleet: &ReplicaFleet<S::Loop>,
+    shards: &[Shard<S>],
+    name: &str,
+    plan: &ExecutionPlan,
+    policy: impl Fn() -> P,
+    threads: usize,
+) -> LatencySummary {
+    let mut policies: Vec<P> = (0..fleet.replicas).map(|_| policy()).collect();
+    let estimate = batch_time_fn(plan);
+    fleet
+        .serve(shards, scenario.shared())
+        .units(
+            policies
+                .iter_mut()
+                .enumerate()
+                .map(|(r, p)| ReplicaUnit::new(format!("{name}-{r}"), p, &estimate)),
+        )
+        .threads(threads)
+        .run()
+        .summary(name)
 }
 
 /// One warm-started Apparate controller per replica, each traced under its
@@ -302,271 +259,34 @@ fn apparate_replicas(
         .collect()
 }
 
-/// Serve the pre-computed shards with one Apparate controller per replica and
-/// sum the per-replica coordination charges.
-#[allow(clippy::too_many_arguments)]
-fn apparate_fleet(
-    fleet: &ReplicaFleet,
-    shards: &[TraceShard],
-    serving_samples: &[apparate_exec::SampleSemantics],
-    validation: &[apparate_exec::SampleSemantics],
+/// Serve the shards with one Apparate controller per replica, each over its
+/// own charged link, and sum the per-replica coordination charges. Only this
+/// fleet is traced: the sink goes on a clone of the (config-only) fleet
+/// handle, so the baseline families stay untraced.
+fn apparate_fleet<S: Scenario>(
+    scenario: &S,
+    fleet: &ReplicaFleet<S::Loop>,
+    shards: &[Shard<S>],
     dep_budget: &RampDeployment,
-    config: ApparateConfig,
-    reference_batch: u32,
     telemetry: &Telemetry,
     threads: usize,
-) -> (FleetOutcome<ServingOutcome>, OverheadReport) {
-    // Only the Apparate fleet is traced: attach the sink to a clone of the
-    // (config-only) fleet handle so the baseline families stay untraced.
+) -> (FleetOutcome<Outcome<S>>, OverheadReport) {
+    let config = scenario_config();
     let fleet = fleet.clone().with_telemetry(telemetry.clone());
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let mut policies = apparate_replicas(
         fleet.replicas,
         dep_budget,
         config,
-        reference_batch,
-        validation,
+        scenario.reference_batch(),
+        &scenario.calibration(),
         telemetry,
     );
-    // Same ramp-budget-padded estimator contract as the single-replica run:
-    // the controller may change its ramp set at runtime, but total ramp
-    // overhead never exceeds the user's budget.
-    let estimate = |b: u32| {
-        SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b) * (1.0 + config.ramp_budget))
-    };
+    let estimate = apparate_estimate(&dep_budget.plan, &config);
     let out = fleet
-        .serve(shards, serving_samples)
+        .serve(shards, scenario.shared())
         .units(policies.iter_mut().enumerate().map(|(r, p)| {
             let feedback = p.feedback_sender();
             ReplicaUnit::new(format!("apparate-{r}"), p, &estimate).with_feedback(feedback)
-        }))
-        .threads(threads)
-        .run();
-    (out, fleet_overhead(&policies))
-}
-
-/// Run the vanilla, static-EE and Apparate token-policy fleets of `replicas`
-/// replicas over a generative scenario's shared request stream. Whole
-/// sequences are dispatched (decode state cannot migrate); every replica runs
-/// the scenario's continuous-batching config, and each Apparate replica
-/// carries its own warm-started token controller over its own charged link —
-/// running the full Algorithm 2 loop, ramp-set adjustment included. The
-/// resulting [`FleetRun`] table is the TPT analogue of the classification
-/// fleet's latency table.
-pub fn run_generative_fleet(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-) -> FleetRun {
-    run_generative_fleet_threaded(scenario, replicas, dispatch, available_threads())
-}
-
-/// Like [`run_generative_fleet`], with an explicit worker-thread count
-/// (`1` ⇒ the sequential path).
-pub fn run_generative_fleet_threaded(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    run_generative_fleet_traced(
-        scenario,
-        replicas,
-        dispatch,
-        &Telemetry::disabled(),
-        threads,
-    )
-}
-
-/// Like [`run_generative_fleet_threaded`], with a telemetry sink attached to
-/// the Apparate fleet's run (see [`run_classification_fleet_traced`]).
-pub fn run_generative_fleet_traced(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let per_token_estimate = generative_service_estimate(&dep_budget);
-    let requests = generative_requests(scenario);
-    let fleet = GenerativeReplicaFleet::new(replicas, dispatch, scenario.batching);
-    // Sharding depends only on arrivals, output lengths and dispatch, so all
-    // three policy families serve these exact shards.
-    let shards = fleet.shard(&requests, per_token_estimate);
-    run_generative_fleet_over_shards(scenario, replicas, dispatch, telemetry, threads, &shards)
-}
-
-/// The front end's per-*token* service estimate for a generative fleet: the
-/// batch-1 decode-step time of the deployed model. A request's projected
-/// service is this times its output length.
-fn generative_service_estimate(dep_budget: &RampDeployment) -> SimDuration {
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(1))
-}
-
-/// Like [`run_generative_fleet_threaded`], with the replay sharding step
-/// replaced by streaming ingest: whole sequences are offered one at a time
-/// through an [`IngestSession`] in passthrough mode, each weighted by its
-/// projected decode time, reproducing the batch
-/// [`apparate_serving::shard_requests`] decisions exactly — so the resulting
-/// table is byte-identical to [`run_generative_fleet`].
-pub fn run_generative_fleet_streamed(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let per_token_estimate = generative_service_estimate(&dep_budget);
-    let requests = generative_requests(scenario);
-    let mut session = IngestSession::new(replicas, dispatch, per_token_estimate);
-    for request in &requests {
-        session.offer_weighted(
-            request.arrival,
-            request.projected_decode(per_token_estimate),
-        );
-    }
-    let streamed = session.finish();
-    // Rebuild whole-sequence shards from the streamed dispatch decisions:
-    // the shard carries the actual requests, not just arrival times.
-    let shards: Vec<RequestShard> = streamed
-        .shards
-        .iter()
-        .map(|shard| RequestShard {
-            requests: shard.indices.iter().map(|&i| requests[i].clone()).collect(),
-            indices: shard.indices.clone(),
-        })
-        .collect();
-    run_generative_fleet_over_shards(
-        scenario,
-        replicas,
-        dispatch,
-        &Telemetry::disabled(),
-        threads,
-        &shards,
-    )
-}
-
-/// Serve pre-computed request shards with the vanilla, static-EE and Apparate
-/// token-policy fleets. Both the replay path ([`run_generative_fleet_traced`])
-/// and the streamed path ([`run_generative_fleet_streamed`]) funnel through
-/// here, so identical shards produce byte-identical tables.
-pub fn run_generative_fleet_over_shards(
-    scenario: &GenerativeScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    telemetry: &Telemetry,
-    threads: usize,
-    shards: &[RequestShard],
-) -> FleetRun {
-    let config = scenario_config();
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let budget_plan = dep_budget.plan.clone();
-    let tokens = WorkloadTokens(&scenario.workload);
-    let calibration = generative_calibration(&scenario.workload);
-    let fleet = GenerativeReplicaFleet::new(replicas, dispatch, scenario.batching);
-
-    let mut summaries: Vec<LatencySummary> = Vec::new();
-
-    // Vanilla fleet.
-    {
-        let mut policies: Vec<_> = (0..replicas)
-            .map(|_| vanilla_policy(&vanilla_plan))
-            .collect();
-        let out = fleet
-            .serve(shards, &tokens)
-            .units(
-                policies
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, p)| TokenReplicaUnit::new(format!("vanilla-{r}"), p)),
-            )
-            .threads(threads)
-            .run();
-        summaries.push(out.summary("vanilla"));
-    }
-    // Static-EE fleet (fixed ramps, fixed threshold, no controller).
-    {
-        let mut policies: Vec<_> = (0..replicas)
-            .map(|_| StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee"))
-            .collect();
-        let out = fleet
-            .serve(shards, &tokens)
-            .units(
-                policies
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(r, p)| TokenReplicaUnit::new(format!("static-ee-{r}"), p)),
-            )
-            .threads(threads)
-            .run();
-        summaries.push(out.summary("static-ee"));
-    }
-    // Apparate fleet: one warm-started token controller per replica, each
-    // over its own charged link.
-    let (apparate_out, overhead) = apparate_generative_fleet(
-        &fleet,
-        shards,
-        &tokens,
-        &calibration,
-        &dep_budget,
-        config,
-        scenario.reference_batch,
-        telemetry,
-        threads,
-    );
-    summaries.push(apparate_out.summary("apparate"));
-
-    FleetRun {
-        scenario: scenario.name.clone(),
-        replicas,
-        dispatch,
-        table: ComparisonTable::new(
-            format!("{} ×{replicas} ({dispatch})", scenario.name),
-            "tpt",
-            summaries,
-        ),
-        overhead: OverheadRow {
-            scenario: format!("{} ×{replicas}", scenario.name),
-            requests: total_tokens(scenario),
-            report: overhead,
-        },
-        shard_sizes: apparate_out.shard_sizes,
-    }
-}
-
-/// Serve the pre-computed request shards with one Apparate token controller
-/// per replica and sum the per-replica coordination charges.
-#[allow(clippy::too_many_arguments)]
-fn apparate_generative_fleet(
-    fleet: &GenerativeReplicaFleet,
-    shards: &[RequestShard],
-    tokens: &WorkloadTokens<'_>,
-    calibration: &[apparate_exec::SampleSemantics],
-    dep_budget: &RampDeployment,
-    config: ApparateConfig,
-    reference_batch: u32,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> (GenerativeFleetOutcome, OverheadReport) {
-    let fleet = fleet.clone().with_telemetry(telemetry.clone());
-    let mut policies = apparate_replicas(
-        fleet.replicas,
-        dep_budget,
-        config,
-        reference_batch,
-        calibration,
-        telemetry,
-    );
-    let out = fleet
-        .serve(shards, tokens)
-        .units(policies.iter_mut().enumerate().map(|(r, p)| {
-            let feedback = p.feedback_sender();
-            TokenReplicaUnit::new(format!("apparate-{r}"), p).with_feedback(feedback)
         }))
         .threads(threads)
         .run();
@@ -632,34 +352,39 @@ pub fn run_admission_fleet(
     dispatch: FleetDispatch,
     threads: usize,
 ) -> AdmissionFleetRun {
-    let config = scenario_config();
     let slo = scenario
         .serving
         .slo
         .expect("admission control needs a response SLO");
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let service_estimate = classification_service_estimate(&dep_budget);
+    let (_, dep_budget) = fixture(scenario, &scenario_config());
+    let trace = scenario.stream();
+    let service_estimate = service_estimate(&dep_budget);
+    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
+    let disabled = Telemetry::disabled();
 
-    // Pass 1: the admit-everything fleet over plain replay shards (the
-    // vanilla row of the same run anchors the table's wins).
-    let replay_shards = shard_arrivals(&trace, replicas, dispatch, service_estimate);
-    let replay = run_classification_fleet_over_shards(
+    // Pass 1: the admit-everything fleet over plain replay shards, with the
+    // vanilla fleet over the same shards anchoring the table's wins.
+    let replay_shards = scenario.shards(&trace, replicas, dispatch, service_estimate, false);
+    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
+    let vanilla = || vanilla_policy(&vanilla_plan);
+    let vanilla_summary = baseline_fleet(
         scenario,
-        replicas,
-        dispatch,
-        config,
-        &Telemetry::disabled(),
-        threads,
+        &fleet,
         &replay_shards,
+        "vanilla",
+        &vanilla_plan,
+        vanilla,
+        threads,
     );
-    let vanilla_summary = replay
-        .table
-        .row("vanilla")
-        .expect("vanilla row")
-        .summary
-        .clone();
-    let apparate_row = replay.table.row("apparate").expect("apparate row");
-    let apparate_summary = apparate_row.summary.clone();
+    let (replay_out, _) = apparate_fleet(
+        scenario,
+        &fleet,
+        &replay_shards,
+        &dep_budget,
+        &disabled,
+        threads,
+    );
+    let apparate_summary = replay_out.summary("apparate");
     // Replay dispatches every offered arrival, so attainment is just the
     // on-time fraction (records judge SLO against true arrival times).
     let attainment_without = 1.0 - apparate_summary.slo_violation_rate;
@@ -678,20 +403,14 @@ pub fn run_admission_fleet(
         dispatch,
         service_estimate,
         Some(admission),
-        &Telemetry::disabled(),
+        &disabled,
     );
-
-    let split = scenario.workload.bootstrap_split();
-    let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
-    let (admitted_out, _overhead) = apparate_fleet(
+    let (admitted_out, _) = apparate_fleet(
+        scenario,
         &fleet,
         &streamed.shards,
-        split.serving,
-        split.validation,
         &dep_budget,
-        config,
-        scenario.reference_batch,
-        &Telemetry::disabled(),
+        &disabled,
         threads,
     );
 
@@ -829,7 +548,7 @@ pub fn render_fleet_summary(runs: &[FleetRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{cv_scenario, generative_scenario};
+    use crate::scenario::{cv_scenario, generative_calibration, generative_scenario};
 
     fn assert_same_bits(replica: &[f64], single: &[f64]) {
         let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -840,7 +559,7 @@ mod tests {
     fn fleet_replicas_carry_the_single_policy_warm_start() {
         let scenario = cv_scenario(42, 1_200);
         let config = scenario_config();
-        let (_, _, dep_budget) = classification_fixture(&scenario, &config);
+        let (_, dep_budget) = fixture(&scenario, &config);
         let validation = scenario.workload.bootstrap_split().validation;
         let single = ApparatePolicy::warm_started(
             dep_budget.clone(),
@@ -868,7 +587,7 @@ mod tests {
     fn token_fleet_replicas_carry_the_single_policy_warm_start() {
         let scenario = generative_scenario(42, 24);
         let config = scenario_config();
-        let (_, dep_budget) = generative_fixture(&scenario, &config);
+        let (_, dep_budget) = fixture(&scenario, &config);
         let calibration = generative_calibration(&scenario.workload);
         let single = ApparatePolicy::warm_started(
             dep_budget.clone(),

@@ -9,10 +9,15 @@
 //! * [`scenario`] — CV, NLP and generative comparison scenarios: workload →
 //!   model → execution plan → serving simulation, with Apparate running
 //!   head-to-head against every baseline in `apparate-baselines` under
-//!   identical arrivals and semantics draws.
+//!   identical arrivals and semantics draws. Both scenario types implement
+//!   the [`Scenario`] trait, so each runner is written once for the
+//!   classification and the decode path: [`run_table`] /
+//!   [`run_comparison`] (the six-policy table), [`apparate_overhead`] (one
+//!   §4.5 row) and, in [`fleet`], [`run_fleet`] / [`run_fleet_streamed`].
 //! * [`fleet`] — multi-replica scale-out runs: N replicas behind one
 //!   dispatcher, one warm-started controller per replica over its own
-//!   charged link, fleet-level win tables.
+//!   charged link, fleet-level win tables, and the overload admission run
+//!   ([`run_admission_fleet`]).
 //! * [`sweep`] — the SLO and accuracy-constraint sensitivity sweeps
 //!   (Figures 17/19) over the grids in [`SensitivityGrid`].
 //! * [`report`] — deterministic paper-style win tables.
@@ -33,20 +38,15 @@ pub mod sweep;
 
 pub use controller::{ApparatePolicy, ApparateTokenPolicy, ControllerStats};
 pub use fleet::{
-    render_admission_summary, render_fleet_summary, run_admission_fleet, run_classification_fleet,
-    run_classification_fleet_over_shards, run_classification_fleet_streamed,
-    run_classification_fleet_threaded, run_classification_fleet_traced, run_generative_fleet,
-    run_generative_fleet_over_shards, run_generative_fleet_streamed, run_generative_fleet_threaded,
-    run_generative_fleet_traced, AdmissionFleetRun, FleetRun,
+    render_admission_summary, render_fleet_summary, run_admission_fleet,
+    run_classification_fleet_threaded, run_fleet, run_fleet_streamed, AdmissionFleetRun, FleetRun,
 };
 pub use report::{ComparisonTable, OverheadRow, OverheadTable, PolicyRow};
 pub use scenario::{
-    cv_scenario, diurnal_scenario, generative_calibration, generative_requests,
-    generative_scenario, nlp_scenario, run_classification, run_classification_duel,
-    run_classification_full, run_classification_overhead, run_classification_traced_config,
-    run_generative_full, run_generative_overhead, run_generative_traced_config, run_overhead,
-    run_scenarios, run_scenarios_traced_config, scenario_config, ClassificationScenario, DuelRun,
-    GenerativeScenario, ReproSizes, ScenarioCdfs, ScenarioRun, ScenarioSelect, SensitivityGrid,
-    TraceKind, WorkloadTokens, STATIC_THRESHOLD,
+    apparate_overhead, cv_scenario, diurnal_scenario, generative_calibration, generative_requests,
+    generative_scenario, nlp_scenario, run_classification_duel, run_comparison, run_overhead,
+    run_scenarios, run_scenarios_traced_config, run_table, scenario_config, ClassificationScenario,
+    DuelRun, GenerativeScenario, ReproSizes, Scenario, ScenarioCdfs, ScenarioRun, ScenarioSelect,
+    SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
 };
 pub use sweep::{accuracy_sweep, sensitivity_sweeps, slo_sweep, SweepPoint, SweepTable};

@@ -7,17 +7,22 @@
 //! splittable RNG) and an identical serving platform. Everything is derived
 //! from a single experiment seed, so a scenario is reproducible end to end.
 
+use std::borrow::Cow;
+
 use apparate_baselines::{
     batch_time_fn, deploy_all_sites, deploy_budget_sites, offline_tuned_thresholds, vanilla_policy,
     OracleExitPolicy, RampDeployment, StaticExitPolicy,
 };
 use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
-use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
+use apparate_exec::{
+    ExecutionPlan, FeedbackSender, OverheadReport, ProfileRecord, SampleSemantics, SemanticsModel,
+};
 use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
-    latency_cdf, run_queue, tpt_cdf, ArrivalTrace, ContinuousBatchingConfig, ExitPolicy,
-    GenerativeSimulator, LatencySummary, Request, ServingConfig, ServingSimulator, TokenPolicy,
-    TokenSemantics,
+    run_queue, shard_arrivals, shard_requests, stream_arrivals, ArrivalTrace,
+    ContinuousBatchingConfig, FleetDispatch, GenerativeOutcome, GenerativeSimulator, IngestSession,
+    LatencySummary, ReplicaLoop, ReplicaOutcome, ReplicaPolicy, Request, RequestShard,
+    ServingConfig, ServingOutcome, ServingSimulator, TokenSemantics, TraceShard,
 };
 use apparate_sim::{Cdf, DeterministicRng, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -184,31 +189,16 @@ pub fn run_scenarios_traced_config(
         handle
     };
     if matches!(select, ScenarioSelect::Cv | ScenarioSelect::All) {
-        let lane = next_lane();
-        runs.push(run_classification_traced_config(
-            &cv_scenario(seed, sizes.cv_frames),
-            &lane,
-            config,
-            threads,
-        ));
+        let scenario = cv_scenario(seed, sizes.cv_frames);
+        runs.push(run_comparison(&scenario, &next_lane(), config, threads));
     }
     if matches!(select, ScenarioSelect::Nlp | ScenarioSelect::All) {
-        let lane = next_lane();
-        runs.push(run_classification_traced_config(
-            &nlp_scenario(seed, sizes.nlp_requests),
-            &lane,
-            config,
-            threads,
-        ));
+        let scenario = nlp_scenario(seed, sizes.nlp_requests);
+        runs.push(run_comparison(&scenario, &next_lane(), config, threads));
     }
     if matches!(select, ScenarioSelect::Generative | ScenarioSelect::All) {
-        let lane = next_lane();
-        runs.push(run_generative_traced_config(
-            &generative_scenario(seed, sizes.gen_requests),
-            &lane,
-            config,
-            threads,
-        ));
+        let scenario = generative_scenario(seed, sizes.gen_requests);
+        runs.push(run_comparison(&scenario, &next_lane(), config, threads));
     }
     runs
 }
@@ -220,19 +210,13 @@ pub fn run_scenarios_traced_config(
 pub fn run_overhead(seed: u64, sizes: ReproSizes, select: ScenarioSelect) -> OverheadTable {
     let mut rows = Vec::new();
     if matches!(select, ScenarioSelect::Cv | ScenarioSelect::All) {
-        rows.push(run_classification_overhead(&cv_scenario(
-            seed,
-            sizes.cv_frames,
-        )));
+        rows.push(apparate_overhead(&cv_scenario(seed, sizes.cv_frames)));
     }
     if matches!(select, ScenarioSelect::Nlp | ScenarioSelect::All) {
-        rows.push(run_classification_overhead(&nlp_scenario(
-            seed,
-            sizes.nlp_requests,
-        )));
+        rows.push(apparate_overhead(&nlp_scenario(seed, sizes.nlp_requests)));
     }
     if matches!(select, ScenarioSelect::Generative | ScenarioSelect::All) {
-        rows.push(run_generative_overhead(&generative_scenario(
+        rows.push(apparate_overhead(&generative_scenario(
             seed,
             sizes.gen_requests,
         )));
@@ -459,38 +443,293 @@ pub fn generative_scenario(seed: u64, requests: usize) -> GenerativeScenario {
     }
 }
 
-/// The per-scenario fixtures every classification runner derives from the
-/// experiment seed: the calibrated semantics model, the arrival trace over
-/// the serving split, and Apparate's budgeted ramp deployment. Centralised so
-/// the "identical arrivals, identical semantics draws" guarantee cannot drift
-/// between the full family run, the overhead path, the sensitivity duels and
-/// the fleet runner — they all build from here.
-pub(crate) fn classification_fixture(
-    scenario: &ClassificationScenario,
+/// What every runner needs from a comparison scenario, so each runner — the
+/// comparison table, the overhead row and the fleets — is written once for
+/// both paths. A classification scenario serves an [`ArrivalTrace`] whose
+/// requests read the shared semantic samples, in the loop of its
+/// [`ServingConfig`]; a generative scenario serves arrival-timed [`Request`]s
+/// whose tokens read the scenario's own [`TokenSemantics`], in the decode
+/// loop of its [`ContinuousBatchingConfig`].
+pub trait Scenario: Sync {
+    /// The loop that serves one replica's requests.
+    type Loop: ReplicaLoop + Clone;
+    /// The shared stream of requests the scenario serves.
+    type Stream: Sync;
+    /// Name of the latency metric its tables report.
+    const METRIC: &'static str;
+
+    /// Scenario identifier used in reports.
+    fn name(&self) -> &str;
+    /// The served model.
+    fn model(&self) -> &ZooModel;
+    /// Experiment seed.
+    fn seed(&self) -> u64;
+    /// Reference batch size for savings accounting.
+    fn reference_batch(&self) -> u32;
+    /// Bootstrap samples the ramps train on (§3.1); generative ramps reuse
+    /// the decoder head, so they need none.
+    fn train_len(&self) -> usize;
+    /// Offline calibration samples for warm starts and the one-shot tune:
+    /// the bootstrap validation split, or the first 10 % of the sequences
+    /// decoded in hindsight ([`generative_calibration`]).
+    fn calibration(&self) -> Cow<'_, [SampleSemantics]>;
+    /// Units the stream serves (requests or tokens), the per-unit
+    /// denominator of an overhead row.
+    fn units(&self) -> u64;
+    /// The loop every replica runs.
+    fn replica_loop(&self) -> &Self::Loop;
+    /// What every replica reads from the shared stream.
+    fn shared(&self) -> &<Self::Loop as ReplicaLoop>::Shared;
+    /// The shared stream, derived from the seed.
+    fn stream(&self) -> Self::Stream;
+    /// Serve the whole stream on one replica with `policy`, publishing its
+    /// profiles on `feedback` and recording through `telemetry`. Unlike a
+    /// fleet replica, the run traces no `dispatch` events.
+    fn serve(
+        &self,
+        stream: &Self::Stream,
+        policy: &mut dyn ReplicaPolicy,
+        estimate: &dyn Fn(u32) -> SimDuration,
+        feedback: Option<&FeedbackSender<ProfileRecord>>,
+        telemetry: &Telemetry,
+    ) -> Outcome<Self>;
+    /// Shard the stream across `replicas` replicas, either replayed in one
+    /// pass or offered one request at a time through an [`IngestSession`] in
+    /// passthrough mode (`streamed`), which makes exactly the same dispatch
+    /// decisions. `service_estimate` is the front end's per-request
+    /// estimate, per token on the decode path.
+    fn shards(
+        &self,
+        stream: &Self::Stream,
+        replicas: usize,
+        dispatch: FleetDispatch,
+        service_estimate: SimDuration,
+        streamed: bool,
+    ) -> Vec<Shard<Self>>;
+}
+
+/// One replica's outcome on a scenario's path.
+pub(crate) type Outcome<S> = <<S as Scenario>::Loop as ReplicaLoop>::Outcome;
+
+/// One replica's shard on a scenario's path.
+pub(crate) type Shard<S> = <<S as Scenario>::Loop as ReplicaLoop>::Shard;
+
+impl Scenario for ClassificationScenario {
+    type Loop = ServingConfig;
+    type Stream = ArrivalTrace;
+    const METRIC: &'static str = "latency";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn model(&self) -> &ZooModel {
+        &self.model
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn reference_batch(&self) -> u32 {
+        self.reference_batch
+    }
+
+    fn train_len(&self) -> usize {
+        self.workload.bootstrap_split().train.len()
+    }
+
+    fn calibration(&self) -> Cow<'_, [SampleSemantics]> {
+        Cow::Borrowed(self.workload.bootstrap_split().validation)
+    }
+
+    fn units(&self) -> u64 {
+        self.shared().len() as u64
+    }
+
+    fn replica_loop(&self) -> &ServingConfig {
+        &self.serving
+    }
+
+    /// The serving split of the workload, one sample per arrival.
+    fn shared(&self) -> &[SampleSemantics] {
+        self.workload.bootstrap_split().serving
+    }
+
+    fn stream(&self) -> ArrivalTrace {
+        let n = self.shared().len();
+        match self.trace {
+            TraceKind::FixedRate(hz) => ArrivalTrace::fixed_rate(n, hz),
+            TraceKind::MafLike(hz) => {
+                ArrivalTrace::maf_like(n, hz, DeterministicRng::new(self.seed).child(0x7A).seed())
+            }
+        }
+    }
+
+    fn serve(
+        &self,
+        trace: &ArrivalTrace,
+        policy: &mut dyn ReplicaPolicy,
+        estimate: &dyn Fn(u32) -> SimDuration,
+        feedback: Option<&FeedbackSender<ProfileRecord>>,
+        telemetry: &Telemetry,
+    ) -> ServingOutcome {
+        ServingSimulator::new(self.serving.clone())
+            .with_telemetry(telemetry.clone())
+            .run_with_feedback(trace, self.shared(), policy, estimate, feedback)
+    }
+
+    fn shards(
+        &self,
+        trace: &ArrivalTrace,
+        replicas: usize,
+        dispatch: FleetDispatch,
+        service_estimate: SimDuration,
+        streamed: bool,
+    ) -> Vec<TraceShard> {
+        if streamed {
+            let disabled = Telemetry::disabled();
+            stream_arrivals(trace, replicas, dispatch, service_estimate, None, &disabled).shards
+        } else {
+            shard_arrivals(trace, replicas, dispatch, service_estimate)
+        }
+    }
+}
+
+impl Scenario for GenerativeScenario {
+    type Loop = ContinuousBatchingConfig;
+    type Stream = Vec<Request>;
+    const METRIC: &'static str = "tpt";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn model(&self) -> &ZooModel {
+        &self.model
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn reference_batch(&self) -> u32 {
+        self.reference_batch
+    }
+
+    fn train_len(&self) -> usize {
+        0
+    }
+
+    fn calibration(&self) -> Cow<'_, [SampleSemantics]> {
+        Cow::Owned(generative_calibration(&self.workload))
+    }
+
+    fn units(&self) -> u64 {
+        self.workload.total_tokens()
+    }
+
+    fn replica_loop(&self) -> &ContinuousBatchingConfig {
+        &self.batching
+    }
+
+    fn shared(&self) -> &(dyn TokenSemantics + Sync + 'static) {
+        self
+    }
+
+    fn stream(&self) -> Vec<Request> {
+        generative_requests(self)
+    }
+
+    fn serve(
+        &self,
+        requests: &Vec<Request>,
+        policy: &mut dyn ReplicaPolicy,
+        _estimate: &dyn Fn(u32) -> SimDuration,
+        feedback: Option<&FeedbackSender<ProfileRecord>>,
+        telemetry: &Telemetry,
+    ) -> GenerativeOutcome {
+        GenerativeSimulator::new(self.batching)
+            .with_telemetry(telemetry.clone())
+            .run_with_feedback(requests, self, policy, feedback)
+    }
+
+    /// Whole sequences are dispatched, each weighted by its projected decode
+    /// time.
+    fn shards(
+        &self,
+        requests: &Vec<Request>,
+        replicas: usize,
+        dispatch: FleetDispatch,
+        per_token_estimate: SimDuration,
+        streamed: bool,
+    ) -> Vec<RequestShard> {
+        if !streamed {
+            return shard_requests(requests, replicas, dispatch, per_token_estimate);
+        }
+        let mut session = IngestSession::new(replicas, dispatch, per_token_estimate);
+        for request in requests {
+            session.offer_weighted(
+                request.arrival,
+                request.projected_decode(per_token_estimate),
+            );
+        }
+        // Rebuild whole-sequence shards from the streamed dispatch decisions:
+        // the shard carries the actual requests, not just arrival times.
+        session
+            .finish()
+            .shards
+            .into_iter()
+            .map(|shard| RequestShard {
+                requests: shard.indices.iter().map(|&i| requests[i].clone()).collect(),
+                indices: shard.indices,
+            })
+            .collect()
+    }
+}
+
+/// A generative scenario's deterministic token semantics, the same stream
+/// [`WorkloadTokens`] adapts.
+impl TokenSemantics for GenerativeScenario {
+    fn token(&self, request_id: u64, token_index: u32) -> SampleSemantics {
+        self.workload.token_semantics(request_id, token_index)
+    }
+}
+
+/// The fixtures every runner derives from the experiment seed: the
+/// calibrated semantics model and Apparate's budgeted ramp deployment.
+/// Centralised so the "identical arrivals, identical semantics draws"
+/// guarantee cannot drift between the table run, the overhead path, the
+/// sensitivity duels and the fleets — they all build from here.
+pub(crate) fn fixture<S: Scenario>(
+    scenario: &S,
     config: &ApparateConfig,
-) -> (SemanticsModel, ArrivalTrace, RampDeployment) {
+) -> (SemanticsModel, RampDeployment) {
     let semantics = SemanticsModel::new(
-        DeterministicRng::new(scenario.seed).child(0x5E).seed(),
-        scenario.model.descriptor.overparameterization,
+        DeterministicRng::new(scenario.seed()).child(0x5E).seed(),
+        scenario.model().descriptor.overparameterization,
     );
-    let split = scenario.workload.bootstrap_split();
-    let n = split.serving.len();
-    let trace = match scenario.trace {
-        TraceKind::FixedRate(hz) => ArrivalTrace::fixed_rate(n, hz),
-        TraceKind::MafLike(hz) => ArrivalTrace::maf_like(
-            n,
-            hz,
-            DeterministicRng::new(scenario.seed).child(0x7A).seed(),
-        ),
-    };
     let dep_budget = deploy_budget_sites(
-        &scenario.model,
+        scenario.model(),
         &semantics,
         config,
         RampArchitecture::Lightweight,
-        split.train.len(),
+        scenario.train_len(),
     );
-    (semantics, trace, dep_budget)
+    (semantics, dep_budget)
+}
+
+/// Apparate's batch-time estimator over its deployment's `plan`. The
+/// controller changes its ramp set at runtime, so an estimator pinned to one
+/// plan would go stale after the first adjustment; the platform relies
+/// instead on the one contract the controller never violates: total ramp
+/// overhead stays within the user's ramp budget.
+pub(crate) fn apparate_estimate<'a>(
+    plan: &'a ExecutionPlan,
+    config: &ApparateConfig,
+) -> impl Fn(u32) -> SimDuration + Sync + 'a {
+    let padding = 1.0 + config.ramp_budget;
+    move |b| SimDuration::from_micros_f64(plan.vanilla_total_us(b) * padding)
 }
 
 /// The rows of a comparison table, in the order its work queue starts them.
@@ -591,40 +830,34 @@ fn oneshot_params(config: &ApparateConfig) -> GreedyParams {
     }
 }
 
-/// Run the full policy family on a classification scenario.
-pub fn run_classification(scenario: &ClassificationScenario) -> ComparisonTable {
-    run_classification_full(scenario).table
+/// Run the full policy family on a scenario, returning its table, the
+/// Apparate run's coordination charges and the headline CDFs. The six policy
+/// runs go one after another on the calling thread.
+pub fn run_table<S: Scenario>(scenario: &S) -> ScenarioRun {
+    run_comparison(scenario, &Telemetry::disabled(), scenario_config(), 1)
 }
 
-/// Run the full policy family on a classification scenario, also returning
-/// the Apparate run's coordination charges. The six policy runs go one after
-/// another on the calling thread.
-pub fn run_classification_full(scenario: &ClassificationScenario) -> ScenarioRun {
-    run_classification_traced_config(scenario, &Telemetry::disabled(), scenario_config(), 1)
-}
-
-/// Like [`run_classification_full`], with a telemetry sink attached to the
-/// Apparate run (platform events, controller events and both link
+/// Like [`run_table`], with a telemetry sink attached to the Apparate run
+/// (platform or decode-step events, controller events and both link
 /// directions; baseline runs stay untraced), an explicit controller
 /// configuration and a thread count (see [`run_scenarios_traced_config`]).
 /// The six policy runs share the scenario's fixtures read-only and run on up
 /// to `threads` workers of one [`run_queue`]; the table is the same for every
 /// thread count.
-pub fn run_classification_traced_config(
-    scenario: &ClassificationScenario,
+pub fn run_comparison<S: Scenario>(
+    scenario: &S,
     telemetry: &Telemetry,
     config: ApparateConfig,
     threads: usize,
 ) -> ScenarioRun {
-    let split = scenario.workload.bootstrap_split();
-    let serving_samples = split.serving;
-    let (semantics, trace, dep_budget) = classification_fixture(scenario, &config);
-    let sim = ServingSimulator::new(scenario.serving.clone());
+    let stream = scenario.stream();
+    let calibration = scenario.calibration();
+    let (semantics, dep_budget) = fixture(scenario, &config);
     let dep_all = deploy_all_sites(
-        &scenario.model,
+        scenario.model(),
         &semantics,
         RampArchitecture::Lightweight,
-        split.train.len(),
+        scenario.train_len(),
     );
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let budget_plan = &dep_budget.plan;
@@ -632,19 +865,18 @@ pub fn run_classification_traced_config(
 
     let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {
         let name = row.name();
-        let serve = |plan: &ExecutionPlan, policy: &mut dyn ExitPolicy| {
-            sim.run(&trace, serving_samples, policy, &batch_time_fn(plan))
+        let serve = |plan: &ExecutionPlan, policy: &mut dyn ReplicaPolicy| {
+            let disabled = Telemetry::disabled();
+            scenario.serve(&stream, policy, &batch_time_fn(plan), None, &disabled)
         };
         let (out, overhead) = match row {
             Row::Apparate => {
-                let (out, overhead) = apparate_classification(
+                let (out, overhead) = apparate_run(
                     scenario,
                     config,
-                    &trace,
-                    serving_samples,
-                    split.validation,
+                    &stream,
+                    &calibration,
                     &dep_budget,
-                    &vanilla_plan,
                     telemetry,
                 );
                 (out, Some(overhead))
@@ -666,9 +898,9 @@ pub fn run_classification_traced_config(
             Row::OneshotTuned => {
                 let tuned = offline_tuned_thresholds(
                     budget_plan,
-                    split.validation,
+                    &calibration,
                     oneshot_params(&config),
-                    scenario.reference_batch,
+                    scenario.reference_batch(),
                 );
                 let mut policy = StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, name);
                 (serve(budget_plan, &mut policy), None)
@@ -681,84 +913,56 @@ pub fn run_classification_traced_config(
             }
         };
         RowRun {
-            summary: LatencySummary::from_outcome(name, &out),
-            cdf: row.keeps_cdf().then(|| latency_cdf(&out)),
+            summary: LatencySummary::of(name, std::slice::from_ref(&out)),
+            cdf: row
+                .keeps_cdf()
+                .then(|| Cdf::from_samples(&out.unit_samples_ms())),
             overhead,
         }
     });
-    scenario_run(
-        &scenario.name,
-        "latency",
-        serving_samples.len() as u64,
-        runs,
-    )
+    scenario_run(scenario.name(), S::METRIC, scenario.units(), runs)
 }
 
-/// Serve a classification scenario with the Apparate policy over the charged
-/// GPU↔CPU link: the platform streams one ProfileRecord per batch and
-/// threshold/ramp updates ride the downlink (§4.5).
-#[allow(clippy::too_many_arguments)]
-fn apparate_classification(
-    scenario: &ClassificationScenario,
+/// Serve a scenario with the Apparate policy, warm-started on `calibration`,
+/// over the charged GPU↔CPU link: the loop streams one ProfileRecord per
+/// batch or decode step, and threshold/ramp updates ride the downlink (§4.5).
+fn apparate_run<S: Scenario>(
+    scenario: &S,
     config: ApparateConfig,
-    trace: &ArrivalTrace,
-    serving_samples: &[SampleSemantics],
-    validation: &[SampleSemantics],
+    stream: &S::Stream,
+    calibration: &[SampleSemantics],
     dep_budget: &RampDeployment,
-    vanilla_plan: &ExecutionPlan,
     telemetry: &Telemetry,
-) -> (apparate_serving::ServingOutcome, OverheadReport) {
-    // The simulator is config + sink only, so building a private instance
-    // here (rather than sharing the baselines') changes nothing about the
-    // run while keeping the baselines untraced.
-    let sim = ServingSimulator::new(scenario.serving.clone()).with_telemetry(telemetry.clone());
+) -> (Outcome<S>, OverheadReport) {
     let mut policy = ApparatePolicy::warm_started(
         dep_budget.clone(),
         config,
-        scenario.reference_batch,
-        validation,
+        scenario.reference_batch(),
+        calibration,
     );
     policy.set_telemetry(telemetry.clone());
-    // Apparate's ramp set changes at runtime, so a plan-pinned estimator
-    // would go stale after the first adjustment. The platform instead
-    // relies on the one contract the controller never violates: total
-    // ramp overhead stays within the user's ramp budget.
-    let estimate = |b: u32| {
-        SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b) * (1.0 + config.ramp_budget))
-    };
+    let estimate = apparate_estimate(&dep_budget.plan, &config);
     let uplink = policy.feedback_sender();
-    let out = sim.run_with_feedback(
-        trace,
-        serving_samples,
-        &mut policy,
-        &estimate,
-        Some(&uplink),
-    );
-    let overhead = policy.overhead_report();
-    (out, overhead)
+    let out = scenario.serve(stream, &mut policy, &estimate, Some(&uplink), telemetry);
+    (out, policy.overhead_report())
 }
 
-/// Run only the Apparate policy on a classification scenario and return its
-/// §4.5 coordination charges (the cheap path behind [`run_overhead`]).
-pub fn run_classification_overhead(scenario: &ClassificationScenario) -> OverheadRow {
+/// Run only the Apparate policy on a scenario and return its §4.5
+/// coordination charges (the cheap path behind [`run_overhead`]).
+pub fn apparate_overhead<S: Scenario>(scenario: &S) -> OverheadRow {
     let config = scenario_config();
-    let split = scenario.workload.bootstrap_split();
-    let n = split.serving.len();
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let (_, report) = apparate_classification(
+    let (_, dep_budget) = fixture(scenario, &config);
+    let (_, report) = apparate_run(
         scenario,
         config,
-        &trace,
-        split.serving,
-        split.validation,
+        &scenario.stream(),
+        &scenario.calibration(),
         &dep_budget,
-        &vanilla_plan,
         &Telemetry::disabled(),
     );
     OverheadRow {
-        scenario: scenario.name.clone(),
-        requests: n as u64,
+        scenario: scenario.name().to_string(),
+        requests: scenario.units(),
         report,
     }
 }
@@ -783,30 +987,28 @@ pub fn run_classification_duel(
     scenario: &ClassificationScenario,
     config: ApparateConfig,
 ) -> DuelRun {
-    let split = scenario.workload.bootstrap_split();
-    let serving_samples = split.serving;
-    let (_, trace, dep_budget) = classification_fixture(scenario, &config);
-    let sim = ServingSimulator::new(scenario.serving.clone());
+    let trace = scenario.stream();
+    let (_, dep_budget) = fixture(scenario, &config);
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-
-    let vanilla = {
-        let mut policy = vanilla_policy(&vanilla_plan);
-        let estimate = batch_time_fn(&vanilla_plan);
-        let out = sim.run(&trace, serving_samples, &mut policy, &estimate);
-        LatencySummary::from_outcome("vanilla", &out)
-    };
-    let (out, overhead) = apparate_classification(
+    let disabled = Telemetry::disabled();
+    let vanilla = scenario.serve(
+        &trace,
+        &mut vanilla_policy(&vanilla_plan),
+        &batch_time_fn(&vanilla_plan),
+        None,
+        &disabled,
+    );
+    let calibration = scenario.calibration();
+    let (out, overhead) = apparate_run(
         scenario,
         config,
         &trace,
-        serving_samples,
-        split.validation,
+        &calibration,
         &dep_budget,
-        &vanilla_plan,
-        &Telemetry::disabled(),
+        &disabled,
     );
     DuelRun {
-        vanilla,
+        vanilla: LatencySummary::from_outcome("vanilla", &vanilla),
         apparate: LatencySummary::from_outcome("apparate", &out),
         overhead,
     }
@@ -860,176 +1062,4 @@ pub fn generative_requests(scenario: &GenerativeScenario) -> Vec<Request> {
             )
         })
         .collect()
-}
-
-/// The per-scenario fixtures every generative runner derives from the
-/// experiment seed: the calibrated semantics model and Apparate's budgeted
-/// ramp deployment. Generative ramps reuse the decoder head, so no bootstrap
-/// training data is needed (§3.1). Centralised like
-/// [`classification_fixture`] so the full family run, the overhead path and
-/// the fleet runner all deploy the identical ramp set.
-pub(crate) fn generative_fixture(
-    scenario: &GenerativeScenario,
-    config: &ApparateConfig,
-) -> (SemanticsModel, RampDeployment) {
-    let semantics = SemanticsModel::new(
-        DeterministicRng::new(scenario.seed).child(0x5E).seed(),
-        scenario.model.descriptor.overparameterization,
-    );
-    let dep_budget = deploy_budget_sites(
-        &scenario.model,
-        &semantics,
-        config,
-        RampArchitecture::Lightweight,
-        0,
-    );
-    (semantics, dep_budget)
-}
-
-/// Run the full policy family on a generative scenario, also returning the
-/// Apparate run's coordination charges. The six policy runs go one after
-/// another on the calling thread.
-pub fn run_generative_full(scenario: &GenerativeScenario) -> ScenarioRun {
-    run_generative_traced_config(scenario, &Telemetry::disabled(), scenario_config(), 1)
-}
-
-/// Like [`run_generative_full`], with a telemetry sink attached to the
-/// Apparate run (decode-step events, controller events and both link
-/// directions; baseline runs stay untraced), an explicit controller
-/// configuration and a thread count (see
-/// [`run_classification_traced_config`]).
-pub fn run_generative_traced_config(
-    scenario: &GenerativeScenario,
-    telemetry: &Telemetry,
-    config: ApparateConfig,
-    threads: usize,
-) -> ScenarioRun {
-    let requests = generative_requests(scenario);
-    let tokens = WorkloadTokens(&scenario.workload);
-    let sim = GenerativeSimulator::new(scenario.batching);
-    let (semantics, dep_budget) = generative_fixture(scenario, &config);
-    let dep_all = deploy_all_sites(
-        &scenario.model,
-        &semantics,
-        RampArchitecture::Lightweight,
-        0,
-    );
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let budget_plan = &dep_budget.plan;
-    let all_plan = &dep_all.plan;
-    // Offline calibration tokens for the oneshot baseline and Apparate's
-    // warm start.
-    let calibration = generative_calibration(&scenario.workload);
-
-    let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {
-        let name = row.name();
-        let serve = |policy: &mut dyn TokenPolicy| sim.run(&requests, &tokens, policy);
-        let (out, overhead) = match row {
-            Row::Apparate => {
-                let (out, overhead) = apparate_generative(
-                    scenario,
-                    config,
-                    &requests,
-                    &tokens,
-                    &calibration,
-                    &dep_budget,
-                    telemetry,
-                );
-                (out, Some(overhead))
-            }
-            Row::Vanilla => (serve(&mut vanilla_policy(&vanilla_plan)), None),
-            Row::StaticEe => {
-                let mut policy =
-                    StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, name);
-                (serve(&mut policy), None)
-            }
-            Row::UniformEe => {
-                let mut policy =
-                    StaticExitPolicy::uniform(all_plan.clone(), STATIC_THRESHOLD, name);
-                (serve(&mut policy), None)
-            }
-            Row::OneshotTuned => {
-                let tuned = offline_tuned_thresholds(
-                    budget_plan,
-                    &calibration,
-                    oneshot_params(&config),
-                    scenario.reference_batch,
-                );
-                let mut policy = StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, name);
-                (serve(&mut policy), None)
-            }
-            Row::Oracle => {
-                let sites: Vec<LayerId> = dep_budget.all_sites.iter().map(|s| s.site).collect();
-                let mut policy =
-                    OracleExitPolicy::new(vanilla_plan.clone(), sites, dep_budget.capacity, name);
-                (serve(&mut policy), None)
-            }
-        };
-        RowRun {
-            summary: LatencySummary::from_generative(name, &out),
-            cdf: row.keeps_cdf().then(|| tpt_cdf(&out)),
-            overhead,
-        }
-    });
-    scenario_run(&scenario.name, "tpt", total_tokens(scenario), runs)
-}
-
-/// Total tokens a generative scenario emits (the per-token denominator for
-/// its overhead row).
-pub(crate) fn total_tokens(scenario: &GenerativeScenario) -> u64 {
-    scenario
-        .workload
-        .sequences()
-        .iter()
-        .map(|s| s.output_tokens as u64)
-        .sum()
-}
-
-/// Serve a generative scenario with the Apparate token policy over the
-/// charged link (one ProfileRecord per decode step).
-fn apparate_generative(
-    scenario: &GenerativeScenario,
-    config: ApparateConfig,
-    requests: &[Request],
-    tokens: &WorkloadTokens<'_>,
-    calibration: &[SampleSemantics],
-    dep_budget: &RampDeployment,
-    telemetry: &Telemetry,
-) -> (apparate_serving::GenerativeOutcome, OverheadReport) {
-    let sim = GenerativeSimulator::new(scenario.batching).with_telemetry(telemetry.clone());
-    let mut policy = ApparatePolicy::warm_started(
-        dep_budget.clone(),
-        config,
-        scenario.reference_batch,
-        calibration,
-    );
-    policy.set_telemetry(telemetry.clone());
-    let uplink = policy.feedback_sender();
-    let out = sim.run_with_feedback(requests, tokens, &mut policy, Some(&uplink));
-    let overhead = policy.overhead_report();
-    (out, overhead)
-}
-
-/// Run only the Apparate token policy on a generative scenario and return its
-/// §4.5 coordination charges (the cheap path behind [`run_overhead`]).
-pub fn run_generative_overhead(scenario: &GenerativeScenario) -> OverheadRow {
-    let config = scenario_config();
-    let requests = generative_requests(scenario);
-    let tokens = WorkloadTokens(&scenario.workload);
-    let (_, dep_budget) = generative_fixture(scenario, &config);
-    let calibration = generative_calibration(&scenario.workload);
-    let (_, report) = apparate_generative(
-        scenario,
-        config,
-        &requests,
-        &tokens,
-        &calibration,
-        &dep_budget,
-        &Telemetry::disabled(),
-    );
-    OverheadRow {
-        scenario: scenario.name.clone(),
-        requests: total_tokens(scenario),
-        report,
-    }
 }

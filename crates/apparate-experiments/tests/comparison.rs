@@ -2,14 +2,13 @@
 //! repro harness makes must hold on fixed seeds.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, nlp_scenario, run_classification, run_classification_full,
-    run_generative_full, ComparisonTable,
+    cv_scenario, generative_scenario, nlp_scenario, run_table, ComparisonTable,
 };
 
 /// Quick but non-trivial CV scenario: 2 500 frames → 2 250 served requests
 /// after the bootstrap split.
 fn cv_table() -> ComparisonTable {
-    run_classification(&cv_scenario(42, 2_500))
+    run_table(&cv_scenario(42, 2_500)).table
 }
 
 #[test]
@@ -72,7 +71,7 @@ fn cv_tables_are_deterministic_per_seed() {
     let a = cv_table().render();
     let b = cv_table().render();
     assert_eq!(a, b, "same seed must render byte-identical tables");
-    let other = run_classification(&cv_scenario(7, 2_500)).render();
+    let other = run_table(&cv_scenario(7, 2_500)).table.render();
     assert_ne!(a, other, "a different seed should change the numbers");
 }
 
@@ -82,7 +81,7 @@ fn nlp_median_win_lands_in_papers_band() {
     // (agreement noise vs. temperature) and Amazon difficulty scale, the
     // adaptive controller's median latency win on BERT-base must land in the
     // paper's 40–90 % band (Figure 13) — not collapse onto deep-ramp exits.
-    let run = run_classification_full(&nlp_scenario(42, 3_000));
+    let run = run_table(&nlp_scenario(42, 3_000));
     let apparate = run.table.row("apparate").expect("apparate row");
     assert!(
         apparate.summary.accuracy >= 0.97,
@@ -111,7 +110,7 @@ fn controller_in_the_loop_is_deterministic_with_charged_link() {
     // with the nonzero default LinkCost delaying every feedback/update
     // delivery. Nondeterministic channel draining or time-dependent tuning
     // would show up here.
-    let run = || run_classification_full(&cv_scenario(42, 2_500));
+    let run = || run_table(&cv_scenario(42, 2_500));
     let a = run();
     let b = run();
     assert_eq!(
@@ -144,7 +143,7 @@ fn controller_in_the_loop_is_deterministic_with_charged_link() {
 
 #[test]
 fn generative_comparison_holds_and_is_deterministic() {
-    let build = || run_generative_full(&generative_scenario(42, 40)).table;
+    let build = || run_table(&generative_scenario(42, 40)).table;
     let table = build();
     assert_eq!(table.rows.len(), 6, "six policies are compared");
     let apparate = table.row("apparate").expect("apparate row");

@@ -4,15 +4,19 @@
 //! classification fleet and the generative (decode-loop) fleet.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet, FleetRun,
+    cv_scenario, generative_scenario, nlp_scenario, run_fleet, run_table, ComparisonTable,
+    FleetRun, Scenario,
 };
-use apparate_serving::FleetDispatch;
+use apparate_serving::{available_threads, FleetDispatch};
+use apparate_telemetry::Telemetry;
 
 fn fleet(replicas: usize) -> FleetRun {
-    run_classification_fleet(
+    run_fleet(
         &cv_scenario(42, 2_000),
         replicas,
         FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
     )
 }
 
@@ -53,10 +57,12 @@ fn same_seed_produces_identical_fleet_tables() {
 }
 
 fn fleet_seeded(seed: u64, replicas: usize) -> FleetRun {
-    run_classification_fleet(
+    run_fleet(
         &cv_scenario(seed, 2_000),
         replicas,
         FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
     )
 }
 
@@ -65,7 +71,13 @@ fn dispatch_invariants_hold_at_every_fleet_size() {
     // 2 000 frames → 1 800 served requests after the bootstrap split.
     for replicas in [1usize, 2, 4, 8] {
         for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-            let run = run_classification_fleet(&cv_scenario(42, 2_000), replicas, dispatch);
+            let run = run_fleet(
+                &cv_scenario(42, 2_000),
+                replicas,
+                dispatch,
+                &Telemetry::disabled(),
+                available_threads(),
+            );
             assert_eq!(run.shard_sizes.len(), replicas);
             assert_eq!(
                 run.shard_sizes.iter().sum::<usize>(),
@@ -103,10 +115,12 @@ fn provisioned_fleet_keeps_the_single_replica_win_and_accuracy() {
 fn generative_fleet(seed: u64, replicas: usize) -> FleetRun {
     // Eight tenants' aggregate summarisation stream (the `repro --sweep`
     // regime): a single replica's continuous batch pins at its cap.
-    run_generative_fleet(
+    run_fleet(
         &generative_scenario(seed, 60).with_arrival_scale(8.0),
         replicas,
         FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
     )
 }
 
@@ -148,10 +162,12 @@ fn same_seed_produces_identical_generative_fleet_tables() {
 fn generative_dispatch_invariants_hold_at_every_fleet_size() {
     for replicas in [1usize, 2, 4, 8] {
         for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-            let run = run_generative_fleet(
+            let run = run_fleet(
                 &generative_scenario(42, 60).with_arrival_scale(8.0),
                 replicas,
                 dispatch,
+                &Telemetry::disabled(),
+                available_threads(),
             );
             assert_eq!(run.shard_sizes.len(), replicas);
             assert_eq!(
@@ -214,8 +230,20 @@ fn scale_out_relieves_an_overloaded_shared_stream() {
     // replicas are comfortably provisioned, so the Apparate fleet's pooled
     // median latency must collapse by orders of magnitude.
     let scenario = || cv_scenario(42, 2_000).with_arrival_scale(6.0);
-    let single = run_classification_fleet(&scenario(), 1, FleetDispatch::LeastLoaded);
-    let quad = run_classification_fleet(&scenario(), 4, FleetDispatch::LeastLoaded);
+    let single = run_fleet(
+        &scenario(),
+        1,
+        FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
+    );
+    let quad = run_fleet(
+        &scenario(),
+        4,
+        FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
+    );
     let single_p50 = single.apparate().summary.latency_ms.p50;
     let quad_p50 = quad.apparate().summary.latency_ms.p50;
     assert!(
@@ -230,4 +258,44 @@ fn scale_out_relieves_an_overloaded_shared_stream() {
         quad.apparate().summary.throughput,
         single.apparate().summary.throughput
     );
+}
+
+/// Serve `scenario` with a one-replica fleet and with the comparison table,
+/// and require the rows both run to match exactly. The fleet replica and the
+/// table run are separate serve paths (a replica serves a shard through its
+/// fleet's loop); with one replica the shard is the whole stream, so every
+/// summary, win and link charge must come out the same.
+fn assert_one_replica_fleet_matches_the_table<S: Scenario>(scenario: &S) {
+    let table = run_table(scenario);
+    let fleet = run_fleet(
+        scenario,
+        1,
+        FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        1,
+    );
+    let name = scenario.name();
+    for policy in ["vanilla", "static-ee", "apparate"] {
+        let row = |table: &ComparisonTable| {
+            let row = table.row(policy).expect("every table has the three rows");
+            format!("{:?} {:?}", row.summary, row.wins)
+        };
+        assert_eq!(
+            row(&fleet.table),
+            row(&table.table),
+            "{name}: the one-replica fleet's {policy} row differs from the table's"
+        );
+    }
+    assert_eq!(
+        format!("{:?}", fleet.overhead.report),
+        format!("{:?}", table.overhead.report),
+        "{name}: the one-replica fleet's link charges differ from the table's"
+    );
+}
+
+#[test]
+fn one_replica_fleet_reproduces_the_comparison_table() {
+    assert_one_replica_fleet_matches_the_table(&cv_scenario(42, 1_500));
+    assert_one_replica_fleet_matches_the_table(&nlp_scenario(42, 1_500));
+    assert_one_replica_fleet_matches_the_table(&generative_scenario(42, 48));
 }

@@ -1,8 +1,8 @@
 //! Golden-output check: `repro`, `repro --quick` and `repro --sweep --quick`
 //! at seed 42, and `repro --quick` and `repro --sweep --quick` at seed 7,
 //! must print exactly the committed tables under `tests/golden/`, and the
-//! telemetry exports of `repro --quick --seed 42` must keep their committed
-//! lengths and digests.
+//! telemetry exports of `repro --quick --seed 42` and `repro --sweep --quick
+//! --seed 42` must keep their committed lengths and digests.
 //!
 //! CI's determinism steps only diff `repro` against itself, so a change that
 //! flips one float in the simulation would pass them. This test pins the
@@ -112,40 +112,63 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn repro_quick_telemetry_exports_match_golden_digests() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("golden-exports-{}", std::process::id()));
+/// The same for `repro --sweep --quick --seed 42`: the traced ×8 CV fleet,
+/// with every replica's `dispatch`, controller and link events.
+const GOLDEN_SWEEP_EXPORTS: [(&str, usize, u64); 3] = [
+    ("--trace-out", 732_759, 0xeebc_dcc2_362b_b2c8),
+    ("--metrics-out", 938_126, 0x90ee_264f_1690_70c9),
+    ("--chrome-out", 674_406, 0x5025_ca25_c8b8_97f7),
+];
+
+/// Run `repro` with `repro_args` plus an export flag per `golden` entry, and
+/// describe every export whose length or digest differs from its entry.
+fn export_mismatches(repro_args: &[&str], golden: &[(&str, usize, u64)]) -> Vec<String> {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "golden-exports-{}-{}",
+        std::process::id(),
+        repro_args.join("")
+    ));
     std::fs::create_dir_all(&dir).expect("export directory must be creatable");
-    let paths: Vec<String> = GOLDEN_EXPORTS
+    let paths: Vec<String> = golden
         .iter()
         .map(|(flag, ..)| dir.join(&flag[2..]).display().to_string())
         .collect();
-    let mut args = vec!["--quick", "--seed", "42"];
-    for ((flag, ..), path) in GOLDEN_EXPORTS.iter().zip(&paths) {
+    let mut args = repro_args.to_vec();
+    for ((flag, ..), path) in golden.iter().zip(&paths) {
         args.extend([*flag, path.as_str()]);
     }
     repro(&args);
     let mut mismatches = Vec::new();
-    for ((flag, len, digest), path) in GOLDEN_EXPORTS.iter().zip(&paths) {
+    for ((flag, len, digest), path) in golden.iter().zip(&paths) {
         let bytes =
             std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {flag} export {path}: {e}"));
         let actual = fnv1a64(&bytes);
         if (bytes.len(), actual) != (*len, *digest) {
             mismatches.push(format!(
-                "  {flag} export: {} bytes, digest {actual:#018x} \
+                "  `repro {}` {flag} export: {} bytes, digest {actual:#018x} \
                  (golden: {len} bytes, {digest:#018x})",
+                repro_args.join(" "),
                 bytes.len()
             ));
         }
     }
     // Best effort: a leftover directory under the target dir is harmless.
     let _ = std::fs::remove_dir_all(&dir);
+    mismatches
+}
+
+#[test]
+fn repro_quick_telemetry_exports_match_golden_digests() {
+    let mut mismatches = export_mismatches(&["--quick", "--seed", "42"], &GOLDEN_EXPORTS);
+    mismatches.extend(export_mismatches(
+        &["--sweep", "--quick", "--seed", "42"],
+        &GOLDEN_SWEEP_EXPORTS,
+    ));
     assert!(
         mismatches.is_empty(),
-        "telemetry exports of `repro --quick --seed 42` differ from the golden digests:\n{}\n\
+        "telemetry exports differ from the golden digests:\n{}\n\
          When a change means to move them, copy the actual lengths and digests into \
-         GOLDEN_EXPORTS; this command prints them again:\n  \
+         GOLDEN_EXPORTS or GOLDEN_SWEEP_EXPORTS; this command prints them again:\n  \
          cargo test -p apparate-experiments --test golden telemetry_exports",
         mismatches.join("\n")
     );

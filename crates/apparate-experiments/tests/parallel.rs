@@ -9,10 +9,9 @@
 //! replicas and parallel policy runs buy wall-clock time only.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, run_classification_fleet_streamed,
-    run_classification_fleet_threaded, run_classification_fleet_traced,
-    run_generative_fleet_streamed, run_generative_fleet_threaded, run_generative_fleet_traced,
-    run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes, ScenarioSelect,
+    cv_scenario, generative_scenario, run_classification_fleet_threaded, run_fleet,
+    run_fleet_streamed, run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes,
+    ScenarioSelect,
 };
 use apparate_serving::FleetDispatch;
 use apparate_telemetry::{
@@ -23,11 +22,10 @@ use apparate_telemetry::{
 /// the given thread count: the win table plus both JSON-lines exports.
 fn classification_artifacts(threads: usize) -> (String, String, String) {
     let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let run = run_classification_fleet_traced(
+    let run = run_fleet(
         &cv_scenario(42, 1_500),
         4,
         FleetDispatch::LeastLoaded,
-        scenario_config(),
         &telemetry,
         threads,
     );
@@ -42,7 +40,7 @@ fn classification_artifacts(threads: usize) -> (String, String, String) {
 /// Same, for the generative fleet (TPT tables, decode-loop telemetry).
 fn generative_artifacts(threads: usize) -> (String, String, String) {
     let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let run = run_generative_fleet_traced(
+    let run = run_fleet(
         &generative_scenario(42, 48),
         4,
         FleetDispatch::LeastLoaded,
@@ -157,7 +155,7 @@ fn streamed_classification_ingest_matches_trace_replay_at_every_thread_count() {
             .table
             .render();
         for threads in [1, 2, 8] {
-            let streamed = run_classification_fleet_streamed(&scenario, 4, dispatch, threads)
+            let streamed = run_fleet_streamed(&scenario, 4, dispatch, threads)
                 .table
                 .render();
             assert_eq!(
@@ -175,11 +173,11 @@ fn streamed_generative_ingest_matches_request_replay_at_every_thread_count() {
     // `shard_requests` path — byte-identical TPT tables at every thread count.
     for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
         let scenario = generative_scenario(42, 48);
-        let replayed = run_generative_fleet_threaded(&scenario, 4, dispatch, 1)
+        let replayed = run_fleet(&scenario, 4, dispatch, &Telemetry::disabled(), 1)
             .table
             .render();
         for threads in [1, 2, 8] {
-            let streamed = run_generative_fleet_streamed(&scenario, 4, dispatch, threads)
+            let streamed = run_fleet_streamed(&scenario, 4, dispatch, threads)
                 .table
                 .render();
             assert_eq!(
@@ -197,17 +195,10 @@ fn traced_streamed_run_diff_matches_untraced_replay() {
     // streamed run of the same scenario render the same table.
     let scenario = cv_scenario(42, 1_500);
     let telemetry = Telemetry::recording(TelemetryConfig::default());
-    let traced = run_classification_fleet_traced(
-        &scenario,
-        4,
-        FleetDispatch::LeastLoaded,
-        scenario_config(),
-        &telemetry,
-        2,
-    )
-    .table
-    .render();
-    let streamed = run_classification_fleet_streamed(&scenario, 4, FleetDispatch::LeastLoaded, 8)
+    let traced = run_fleet(&scenario, 4, FleetDispatch::LeastLoaded, &telemetry, 2)
+        .table
+        .render();
+    let streamed = run_fleet_streamed(&scenario, 4, FleetDispatch::LeastLoaded, 8)
         .table
         .render();
     assert_eq!(traced, streamed);
@@ -219,11 +210,10 @@ fn coordination_bill_is_thread_count_invariant() {
     // dependence here would mean controllers observed different profiling
     // streams under parallel execution.
     let run = |threads: usize| {
-        run_classification_fleet_traced(
+        run_fleet(
             &cv_scenario(42, 1_500),
             4,
             FleetDispatch::LeastLoaded,
-            scenario_config(),
             &Telemetry::disabled(),
             threads,
         )

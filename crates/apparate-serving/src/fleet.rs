@@ -1,4 +1,4 @@
-//! Multi-replica scale-out: one shared arrival stream served by a fleet.
+//! Multi-replica scale-out: one shared stream served by a fleet.
 //!
 //! The paper evaluates Apparate per model replica; production deployments run
 //! *fleets* of identical replicas behind a front-end dispatcher, each replica
@@ -7,15 +7,21 @@
 //!
 //! * [`FleetDispatch`] — how the front-end assigns arrivals to replicas
 //!   (round-robin, or least-loaded via a virtual-backlog estimate);
-//! * [`shard_arrivals`] / [`TraceShard`] — deterministic sharding of one
-//!   shared [`ArrivalTrace`] into per-replica sub-traces that preserve
-//!   absolute arrival times (replicas run in parallel wall-clock time), a
-//!   fold over the streaming front end's [`IncrementalDispatcher`];
-//! * [`ReplicaFleet::serve`] / [`GenerativeReplicaFleet::serve`] — build a
-//!   [`FleetRun`]: named per-replica units ([`ReplicaUnit`] /
-//!   [`TokenReplicaUnit`]) over shared read-only shards and samples, with an
+//! * [`shard_arrivals`] / [`TraceShard`] and [`shard_requests`] /
+//!   [`RequestShard`] — deterministic sharding of one shared arrival trace,
+//!   or of one shared generative request stream, into per-replica shards
+//!   that keep absolute arrival times (replicas run in parallel wall-clock
+//!   time), both folds over the streaming front end's
+//!   [`IncrementalDispatcher`]. Whole sequences are dispatched (a sequence's
+//!   decode steps are stateful, so it must stay on one replica), and the
+//!   least-loaded backlog model weights each request by its output length;
+//! * [`ReplicaFleet::serve`] — build a [`FleetRun`]: one named
+//!   [`ReplicaUnit`] per replica over shared read-only shards, with an
 //!   explicit [`FleetRun::threads`] knob (default: available parallelism,
-//!   `1` ⇒ the sequential path);
+//!   `1` ⇒ the sequential path). The fleet's [`ReplicaLoop`] is the one
+//!   thing the two paths differ in: [`ServingConfig`] runs the
+//!   classification loop, [`ContinuousBatchingConfig`] the decode loop, and
+//!   a unit's [`ReplicaPolicy`] serves either;
 //! * [`FleetOutcome`] — per-replica outcomes aggregated into fleet-level
 //!   views via the [`FleetOutcomeView`] trait, whose summary is
 //!   [`LatencySummary::of`] over the replicas (the fleet makespan is the
@@ -28,17 +34,6 @@
 //! own [`Telemetry::for_replica`] handle into a per-replica buffer, results
 //! are joined and re-ordered by replica index, and the telemetry snapshot
 //! merges buffers deterministically by `(time, replica)`.
-//!
-//! The generative analogue shards whole *sequences* instead of arrivals (a
-//! sequence's decode steps are stateful, so it must stay on one replica):
-//!
-//! * [`shard_requests`] / [`RequestShard`] — deterministic sharding of one
-//!   shared generative request stream, with the least-loaded backlog model
-//!   weighting each request by its output length;
-//! * [`GenerativeReplicaFleet`] — runs one [`TokenReplicaUnit`] per shard
-//!   through the continuous-batching decode loop and returns a
-//!   [`GenerativeFleetOutcome`] (pooled TPT distribution, token-weighted
-//!   agreement, fleet token throughput).
 //!
 //! The policies themselves stay pluggable exactly as in [`crate::platform`] /
 //! [`crate::generative`]: the fleet knows nothing about early exits, and an
@@ -194,27 +189,35 @@ pub fn shard_arrivals(
         .collect()
 }
 
-/// Everything one classification replica needs to serve its shard: a name, an
-/// exit policy, the batch-time estimator its batching decisions use, and (for
-/// adaptive policies) the uplink handle its controller listens on.
+/// A policy one fleet replica serves with. Every policy type implements both
+/// hooks, so any of them serves either loop: a replica reaches the hook its
+/// loop calls by trait upcasting.
+pub trait ReplicaPolicy: ExitPolicy + TokenPolicy {}
+
+impl<P: ExitPolicy + TokenPolicy> ReplicaPolicy for P {}
+
+/// Everything one replica needs to serve its shard: a name, a policy, the
+/// batch-time estimator its batching decisions use (the decode loop never
+/// reads it), and (for adaptive policies) the uplink handle its controller
+/// listens on.
 ///
 /// Units are `Send` — a [`FleetRun`] may execute each on a worker thread —
-/// which is why the policy reference is `dyn ExitPolicy + Send` and the
+/// which is why the policy reference is `dyn ReplicaPolicy + Send` and the
 /// estimator `dyn Fn + Sync`.
 pub struct ReplicaUnit<'a> {
     label: String,
-    policy: &'a mut (dyn ExitPolicy + Send),
+    policy: &'a mut (dyn ReplicaPolicy + Send),
     estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
     feedback: Option<FeedbackSender<ProfileRecord>>,
 }
 
 impl<'a> ReplicaUnit<'a> {
-    /// Name a replica unit over its exit policy and batch-time estimator.
-    /// Each replica gets its own policy instance — fleet replicas never share
+    /// Name a replica unit over its policy and batch-time estimator. Each
+    /// replica gets its own policy instance — fleet replicas never share
     /// controller state.
     pub fn new(
         label: impl Into<String>,
-        policy: &'a mut (dyn ExitPolicy + Send),
+        policy: &'a mut (dyn ReplicaPolicy + Send),
         estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
     ) -> ReplicaUnit<'a> {
         ReplicaUnit {
@@ -231,204 +234,48 @@ impl<'a> ReplicaUnit<'a> {
         self.feedback = Some(feedback);
         self
     }
-
-    /// The unit's name (reported per replica in [`FleetOutcome::labels`]).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
 }
 
-/// Everything one generative replica needs to serve its shard: a name, a
-/// token policy, and (for adaptive policies) the uplink handle its controller
-/// listens on. `Send` for the same reason as [`ReplicaUnit`].
-pub struct TokenReplicaUnit<'a> {
-    label: String,
-    policy: &'a mut (dyn TokenPolicy + Send),
-    feedback: Option<FeedbackSender<ProfileRecord>>,
+/// The serving loop every replica of a [`ReplicaFleet`] runs over its shard:
+/// [`ServingConfig`] runs the classification loop over a [`TraceShard`],
+/// [`ContinuousBatchingConfig`] the decode loop over a [`RequestShard`].
+pub trait ReplicaLoop: Sync {
+    /// One replica's share of the shared stream.
+    type Shard: Sync;
+    /// What every replica reads from the shared stream.
+    type Shared: ?Sized + Sync;
+    /// One replica's result.
+    type Outcome: ReplicaOutcome + Send;
+
+    /// Requests dispatched to `shard`.
+    fn shard_len(shard: &Self::Shard) -> usize;
+
+    /// Panic unless every shard can be served over `shared`.
+    fn check_shards(shards: &[Self::Shard], shared: &Self::Shared);
+
+    /// Serve `shard` with `unit`, recording through the replica's own
+    /// `telemetry` handle. A recording handle also traces a `dispatch` event
+    /// per request in-run, tagged with the request's fleet-global id.
+    fn serve_shard(
+        &self,
+        shard: &Self::Shard,
+        shared: &Self::Shared,
+        unit: ReplicaUnit<'_>,
+        telemetry: Telemetry,
+    ) -> Self::Outcome;
 }
 
-impl<'a> TokenReplicaUnit<'a> {
-    /// Name a generative replica unit over its token policy.
-    pub fn new(
-        label: impl Into<String>,
-        policy: &'a mut (dyn TokenPolicy + Send),
-    ) -> TokenReplicaUnit<'a> {
-        TokenReplicaUnit {
-            label: label.into(),
-            policy,
-            feedback: None,
-        }
+impl ReplicaLoop for ServingConfig {
+    type Shard = TraceShard;
+    /// The shared semantic samples, indexed by each shard's `indices`.
+    type Shared = [SampleSemantics];
+    type Outcome = ServingOutcome;
+
+    fn shard_len(shard: &TraceShard) -> usize {
+        shard.trace.len()
     }
 
-    /// Attach the producer half of this replica's GPU → controller profiling
-    /// link (adaptive policies with a controller).
-    pub fn with_feedback(
-        mut self,
-        feedback: FeedbackSender<ProfileRecord>,
-    ) -> TokenReplicaUnit<'a> {
-        self.feedback = Some(feedback);
-        self
-    }
-
-    /// The unit's name (reported per replica in [`FleetOutcome::labels`]).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// A configured fleet run: per-replica units plus the thread knob, built by
-/// [`ReplicaFleet::serve`] or [`GenerativeReplicaFleet::serve`] and executed
-/// by [`FleetRun::run`].
-///
-/// Replicas are independent simulations over disjoint shards, so the run
-/// executes them through [`run_queue`] on up to `threads` workers (an idle
-/// worker takes the next unstarted replica) and returns them in replica-index
-/// order. `threads == 1` is the plain sequential loop. Output is *identical
-/// for any thread count*:
-/// each replica's telemetry lands in its own [`Telemetry::for_replica`]
-/// buffer and per-replica outcomes are merged by replica index, never by
-/// completion order.
-pub struct FleetRun<U, F> {
-    replicas: usize,
-    shard_sizes: Vec<usize>,
-    telemetry: Telemetry,
-    threads: usize,
-    units: Vec<U>,
-    run_replica: F,
-}
-
-/// Label accessor shared by the unit types, so [`FleetRun`] can report names
-/// generically.
-pub trait FleetUnit {
-    /// The unit's name.
-    fn unit_label(&self) -> &str;
-}
-
-impl FleetUnit for ReplicaUnit<'_> {
-    fn unit_label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl FleetUnit for TokenReplicaUnit<'_> {
-    fn unit_label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl<U, F> FleetRun<U, F> {
-    /// Set the number of worker threads (clamped to `1..=replicas`); `1`
-    /// means the sequential path. Defaults to [`available_threads`].
-    pub fn threads(mut self, threads: usize) -> FleetRun<U, F> {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Add one replica's unit; replica index is assignment order.
-    pub fn unit(mut self, unit: U) -> FleetRun<U, F> {
-        self.units.push(unit);
-        self
-    }
-
-    /// Add units for several replicas, in replica order.
-    pub fn units(mut self, units: impl IntoIterator<Item = U>) -> FleetRun<U, F> {
-        self.units.extend(units);
-        self
-    }
-
-    /// Execute the run and aggregate per-replica outcomes in replica order.
-    ///
-    /// Panics if the number of added units differs from the fleet's replica
-    /// count, or if a replica's simulation panics (the panic is propagated).
-    pub fn run<O>(self) -> FleetOutcome<O>
-    where
-        U: FleetUnit + Send,
-        O: Send,
-        F: Fn(usize, U, Telemetry) -> O + Sync,
-    {
-        assert_eq!(
-            self.units.len(),
-            self.replicas,
-            "one unit per replica is required"
-        );
-        let labels: Vec<String> = self.units.iter().map(|u| u.unit_label().into()).collect();
-        let telemetry = &self.telemetry;
-        let run_replica = &self.run_replica;
-        let per_replica = run_queue(self.threads, self.units, |r, unit| {
-            run_replica(r, unit, telemetry.for_replica(r as u32))
-        });
-        FleetOutcome {
-            per_replica,
-            shard_sizes: self.shard_sizes,
-            labels,
-        }
-    }
-}
-
-/// A fleet of identical serving replicas behind one dispatcher.
-#[derive(Debug, Clone)]
-pub struct ReplicaFleet {
-    /// Number of replicas.
-    pub replicas: usize,
-    /// Dispatch policy of the front end.
-    pub dispatch: FleetDispatch,
-    /// Per-replica serving configuration (batching + SLO), identical across
-    /// the fleet.
-    pub serving: ServingConfig,
-    /// Telemetry sink shared by the dispatcher and every replica simulator.
-    telemetry: Telemetry,
-}
-
-impl ReplicaFleet {
-    /// Create a fleet. Panics if `replicas` is zero.
-    pub fn new(replicas: usize, dispatch: FleetDispatch, serving: ServingConfig) -> ReplicaFleet {
-        assert!(replicas >= 1, "a fleet needs at least one replica");
-        ReplicaFleet {
-            replicas,
-            dispatch,
-            serving,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attach a telemetry sink. Dispatch decisions are traced per arrival and
-    /// every replica's serving events land in that replica's buffer (derived
-    /// via [`Telemetry::for_replica`], safe for parallel runs).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> ReplicaFleet {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Shard a shared trace across this fleet's replicas.
-    pub fn shard(&self, trace: &ArrivalTrace, service_estimate: SimDuration) -> Vec<TraceShard> {
-        shard_arrivals(trace, self.replicas, self.dispatch, service_estimate)
-    }
-
-    /// Build a [`FleetRun`] over pre-computed shards and the shared semantic
-    /// samples (both borrowed read-only by every replica). Sharding depends
-    /// only on arrivals and dispatch, so callers comparing several policy
-    /// families over the *same* shards should shard once and serve per
-    /// family. Add one [`ReplicaUnit`] per replica, then call
-    /// [`FleetRun::run`].
-    ///
-    /// Each replica runs an independent [`ServingSimulator`] with the fleet's
-    /// serving config over its shard; when the fleet has a recording
-    /// telemetry sink, the replica traces a `dispatch` event per arrival
-    /// in-run (tagged with the fleet-global request id) and records through
-    /// its own per-replica handle.
-    pub fn serve<'a>(
-        &'a self,
-        shards: &'a [TraceShard],
-        samples: &'a [SampleSemantics],
-    ) -> FleetRun<
-        ReplicaUnit<'a>,
-        impl Fn(usize, ReplicaUnit<'a>, Telemetry) -> ServingOutcome + Sync + 'a,
-    > {
-        assert_eq!(
-            shards.len(),
-            self.replicas,
-            "one shard per replica is required"
-        );
+    fn check_shards(shards: &[TraceShard], samples: &[SampleSemantics]) {
         // Admission control may shed arrivals before they reach a replica, so
         // shards may cover a *subset* of the shared stream — but never more,
         // and every dispatched index must have its semantic sample.
@@ -444,28 +291,188 @@ impl ReplicaFleet {
                 .all(|&i| i < samples.len()),
             "dispatched index out of the shared sample range"
         );
+    }
+
+    fn serve_shard(
+        &self,
+        shard: &TraceShard,
+        samples: &[SampleSemantics],
+        unit: ReplicaUnit<'_>,
+        telemetry: Telemetry,
+    ) -> ServingOutcome {
+        let shard_samples = shard.gather(samples);
+        let mut sim = ServingSimulator::new(self.clone());
+        if telemetry.is_enabled() {
+            let ids: Vec<u64> = shard.indices.iter().map(|&i| i as u64).collect();
+            sim = sim.with_telemetry(telemetry).with_dispatch_ids(ids);
+        }
+        sim.run_with_feedback(
+            &shard.trace,
+            &shard_samples,
+            unit.policy,
+            unit.estimate,
+            unit.feedback.as_ref(),
+        )
+    }
+}
+
+impl ReplicaLoop for ContinuousBatchingConfig {
+    type Shard = RequestShard;
+    /// Token semantics keyed by request id, so one provider serves every
+    /// replica unchanged.
+    type Shared = dyn TokenSemantics + Sync;
+    type Outcome = GenerativeOutcome;
+
+    fn shard_len(shard: &RequestShard) -> usize {
+        shard.requests.len()
+    }
+
+    fn check_shards(_: &[RequestShard], _: &(dyn TokenSemantics + Sync)) {}
+
+    fn serve_shard(
+        &self,
+        shard: &RequestShard,
+        semantics: &(dyn TokenSemantics + Sync),
+        unit: ReplicaUnit<'_>,
+        telemetry: Telemetry,
+    ) -> GenerativeOutcome {
+        let mut sim = GenerativeSimulator::new(*self);
+        if telemetry.is_enabled() {
+            sim = sim.with_telemetry(telemetry).with_dispatch_events();
+        }
+        sim.run_with_feedback(
+            &shard.requests,
+            semantics,
+            unit.policy,
+            unit.feedback.as_ref(),
+        )
+    }
+}
+
+/// A configured fleet run: per-replica units plus the thread knob, built by
+/// [`ReplicaFleet::serve`] and executed by [`FleetRun::run`].
+///
+/// Replicas are independent simulations over disjoint shards, so the run
+/// executes them through [`run_queue`] on up to `threads` workers (an idle
+/// worker takes the next unstarted replica) and returns them in replica-index
+/// order. `threads == 1` is the plain sequential loop. Output is *identical
+/// for any thread count*:
+/// each replica's telemetry lands in its own [`Telemetry::for_replica`]
+/// buffer and per-replica outcomes are merged by replica index, never by
+/// completion order.
+pub struct FleetRun<'a, L: ReplicaLoop> {
+    fleet: &'a ReplicaFleet<L>,
+    shards: &'a [L::Shard],
+    shared: &'a L::Shared,
+    threads: usize,
+    units: Vec<ReplicaUnit<'a>>,
+}
+
+impl<'a, L: ReplicaLoop> FleetRun<'a, L> {
+    /// Set the number of worker threads (clamped to `1..=replicas`); `1`
+    /// means the sequential path. Defaults to [`available_threads`].
+    pub fn threads(mut self, threads: usize) -> FleetRun<'a, L> {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Add one replica's unit; replica index is assignment order.
+    pub fn unit(mut self, unit: ReplicaUnit<'a>) -> FleetRun<'a, L> {
+        self.units.push(unit);
+        self
+    }
+
+    /// Add units for several replicas, in replica order.
+    pub fn units(mut self, units: impl IntoIterator<Item = ReplicaUnit<'a>>) -> FleetRun<'a, L> {
+        self.units.extend(units);
+        self
+    }
+
+    /// Execute the run and aggregate per-replica outcomes in replica order.
+    ///
+    /// Panics if the number of added units differs from the fleet's replica
+    /// count, or if a replica's simulation panics (the panic is propagated).
+    pub fn run(self) -> FleetOutcome<L::Outcome> {
+        let FleetRun {
+            fleet,
+            shards,
+            shared,
+            threads,
+            units,
+        } = self;
+        assert_eq!(
+            units.len(),
+            fleet.replicas,
+            "one unit per replica is required"
+        );
+        let labels = units.iter().map(|u| u.label.clone()).collect();
+        let per_replica = run_queue(threads, units, |r, unit| {
+            let telemetry = fleet.telemetry.for_replica(r as u32);
+            fleet
+                .serving
+                .serve_shard(&shards[r], shared, unit, telemetry)
+        });
+        FleetOutcome {
+            per_replica,
+            shard_sizes: shards.iter().map(L::shard_len).collect(),
+            labels,
+        }
+    }
+}
+
+/// A fleet of identical replicas behind one dispatcher, each running the
+/// same [`ReplicaLoop`].
+#[derive(Debug, Clone)]
+pub struct ReplicaFleet<L = ServingConfig> {
+    /// Number of replicas.
+    pub replicas: usize,
+    /// Dispatch policy of the front end.
+    pub dispatch: FleetDispatch,
+    /// Per-replica serving loop configuration, identical across the fleet.
+    pub serving: L,
+    /// Telemetry sink shared by the dispatcher and every replica simulator.
+    telemetry: Telemetry,
+}
+
+impl<L: ReplicaLoop> ReplicaFleet<L> {
+    /// Create a fleet. Panics if `replicas` is zero.
+    pub fn new(replicas: usize, dispatch: FleetDispatch, serving: L) -> ReplicaFleet<L> {
+        assert!(replicas >= 1, "a fleet needs at least one replica");
+        ReplicaFleet {
+            replicas,
+            dispatch,
+            serving,
+            telemetry: Telemetry::disabled(),
+        }
+    }
+
+    /// Attach a telemetry sink. Dispatch decisions are traced per request and
+    /// every replica's serving events land in that replica's buffer (derived
+    /// via [`Telemetry::for_replica`], safe for parallel runs).
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> ReplicaFleet<L> {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Build a [`FleetRun`] over pre-computed shards and what every replica
+    /// reads from the shared stream (both borrowed read-only by every
+    /// replica). Sharding depends only on arrivals and dispatch, so callers
+    /// comparing several policy families over the *same* shards should shard
+    /// once and serve per family. Add one [`ReplicaUnit`] per replica, then
+    /// call [`FleetRun::run`].
+    pub fn serve<'a>(&'a self, shards: &'a [L::Shard], shared: &'a L::Shared) -> FleetRun<'a, L> {
+        assert_eq!(
+            shards.len(),
+            self.replicas,
+            "one shard per replica is required"
+        );
+        L::check_shards(shards, shared);
         FleetRun {
-            replicas: self.replicas,
-            shard_sizes: shards.iter().map(|s| s.trace.len()).collect(),
-            telemetry: self.telemetry.clone(),
+            fleet: self,
+            shards,
+            shared,
             threads: available_threads(),
             units: Vec::new(),
-            run_replica: move |replica: usize, unit: ReplicaUnit<'a>, telemetry: Telemetry| {
-                let shard = &shards[replica];
-                let shard_samples = shard.gather(samples);
-                let mut sim = ServingSimulator::new(self.serving.clone());
-                if telemetry.is_enabled() {
-                    let ids: Vec<u64> = shard.indices.iter().map(|&i| i as u64).collect();
-                    sim = sim.with_telemetry(telemetry).with_dispatch_ids(ids);
-                }
-                sim.run_with_feedback(
-                    &shard.trace,
-                    &shard_samples,
-                    unit.policy,
-                    unit.estimate,
-                    unit.feedback.as_ref(),
-                )
-            },
         }
     }
 }
@@ -482,10 +489,6 @@ pub struct FleetOutcome<O> {
     /// The unit labels, in replica order.
     pub labels: Vec<String>,
 }
-
-/// Aggregate result of one generative fleet run (pooled samples are
-/// per-token TPT values; "units" are tokens).
-pub type GenerativeFleetOutcome = FleetOutcome<GenerativeOutcome>;
 
 /// Fleet-level views, implemented once over any [`FleetOutcome<O>`] whose
 /// per-replica outcome is a [`ReplicaOutcome`].
@@ -570,96 +573,6 @@ pub fn shard_requests(
         shards[r].indices.push(i);
     }
     shards
-}
-
-/// A fleet of identical continuous-batching replicas behind one dispatcher.
-#[derive(Debug, Clone)]
-pub struct GenerativeReplicaFleet {
-    /// Number of replicas.
-    pub replicas: usize,
-    /// Dispatch policy of the front end.
-    pub dispatch: FleetDispatch,
-    /// Per-replica continuous-batching configuration, identical across the
-    /// fleet.
-    pub batching: ContinuousBatchingConfig,
-    /// Telemetry sink shared by the dispatcher and every replica simulator.
-    telemetry: Telemetry,
-}
-
-impl GenerativeReplicaFleet {
-    /// Create a generative fleet. Panics if `replicas` is zero.
-    pub fn new(
-        replicas: usize,
-        dispatch: FleetDispatch,
-        batching: ContinuousBatchingConfig,
-    ) -> GenerativeReplicaFleet {
-        assert!(replicas >= 1, "a fleet needs at least one replica");
-        GenerativeReplicaFleet {
-            replicas,
-            dispatch,
-            batching,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attach a telemetry sink. Dispatch decisions are traced per request and
-    /// every replica's decode events land in that replica's buffer (derived
-    /// via [`Telemetry::for_replica`], safe for parallel runs).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> GenerativeReplicaFleet {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Shard a shared request stream across this fleet's replicas.
-    pub fn shard(
-        &self,
-        requests: &[Request],
-        per_token_estimate: SimDuration,
-    ) -> Vec<RequestShard> {
-        shard_requests(requests, self.replicas, self.dispatch, per_token_estimate)
-    }
-
-    /// Build a [`FleetRun`] over pre-computed shards and the shared token
-    /// semantics (borrowed read-only by every replica; semantics are keyed by
-    /// request id, so one provider serves every replica unchanged). Sharding
-    /// depends only on arrivals, output lengths and dispatch, so callers
-    /// comparing several policy families over the *same* shards should shard
-    /// once and serve per family. Add one [`TokenReplicaUnit`] per replica,
-    /// then call [`FleetRun::run`].
-    pub fn serve<'a>(
-        &'a self,
-        shards: &'a [RequestShard],
-        semantics: &'a (dyn TokenSemantics + Sync),
-    ) -> FleetRun<
-        TokenReplicaUnit<'a>,
-        impl Fn(usize, TokenReplicaUnit<'a>, Telemetry) -> GenerativeOutcome + Sync + 'a,
-    > {
-        assert_eq!(
-            shards.len(),
-            self.replicas,
-            "one shard per replica is required"
-        );
-        FleetRun {
-            replicas: self.replicas,
-            shard_sizes: shards.iter().map(|s| s.requests.len()).collect(),
-            telemetry: self.telemetry.clone(),
-            threads: available_threads(),
-            units: Vec::new(),
-            run_replica: move |replica: usize, unit: TokenReplicaUnit<'a>, telemetry: Telemetry| {
-                let shard = &shards[replica];
-                let mut sim = GenerativeSimulator::new(self.batching);
-                if telemetry.is_enabled() {
-                    sim = sim.with_telemetry(telemetry).with_dispatch_events();
-                }
-                sim.run_with_feedback(
-                    &shard.requests,
-                    semantics,
-                    unit.policy,
-                    unit.feedback.as_ref(),
-                )
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -825,7 +738,7 @@ mod tests {
         shared: &[SampleSemantics],
         threads: usize,
     ) -> FleetOutcome<ServingOutcome> {
-        let shards = fleet.shard(trace, exec_time(1));
+        let shards = shard_arrivals(trace, fleet.replicas, fleet.dispatch, exec_time(1));
         let mut policies: Vec<_> = (0..fleet.replicas)
             .map(|_| VanillaPolicy::new(exec_time))
             .collect();
@@ -953,7 +866,7 @@ mod tests {
                 slo: None,
             },
         );
-        let shards = fleet.shard(&trace, exec_time(1));
+        let shards = shard_arrivals(&trace, fleet.replicas, fleet.dispatch, exec_time(1));
         let mut policy = VanillaPolicy::new(exec_time);
         let estimate = exec_time;
         let _ = fleet
@@ -995,18 +908,19 @@ mod tests {
     /// Run a vanilla generative fleet over the given requests with the given
     /// thread count.
     fn vanilla_generative_run(
-        fleet: &GenerativeReplicaFleet,
+        fleet: &ReplicaFleet<ContinuousBatchingConfig>,
         requests: &[Request],
         threads: usize,
-    ) -> GenerativeFleetOutcome {
-        let shards = fleet.shard(requests, decode_time(1));
+    ) -> FleetOutcome<GenerativeOutcome> {
+        let shards = shard_requests(requests, fleet.replicas, fleet.dispatch, decode_time(1));
         let mut policies: Vec<_> = (0..fleet.replicas)
             .map(|_| VanillaTokenPolicy::new(decode_time))
             .collect();
-        let units: Vec<TokenReplicaUnit<'_>> = policies
+        let estimate = decode_time;
+        let units: Vec<ReplicaUnit<'_>> = policies
             .iter_mut()
             .enumerate()
-            .map(|(r, p)| TokenReplicaUnit::new(format!("vanilla-{r}"), p))
+            .map(|(r, p)| ReplicaUnit::new(format!("vanilla-{r}"), p, &estimate))
             .collect();
         fleet
             .serve(&shards, &UniformTokens)
@@ -1065,7 +979,7 @@ mod tests {
     #[test]
     fn generative_fleet_serves_every_token_and_aggregates() {
         let requests = gen_requests(24, 15, 20.0);
-        let fleet = GenerativeReplicaFleet::new(
+        let fleet = ReplicaFleet::new(
             4,
             FleetDispatch::LeastLoaded,
             ContinuousBatchingConfig {
@@ -1110,7 +1024,7 @@ mod tests {
         // (smaller decode batches step faster).
         let requests = gen_requests(48, 30, 1_000.0);
         let run = |replicas: usize| {
-            let fleet = GenerativeReplicaFleet::new(
+            let fleet = ReplicaFleet::new(
                 replicas,
                 FleetDispatch::LeastLoaded,
                 ContinuousBatchingConfig {
@@ -1226,7 +1140,7 @@ mod tests {
         let requests = gen_requests(24, 15, 20.0);
         let telemetry = Telemetry::recording(TelemetryConfig::default());
         // A deliberately strict TBT SLO: batched decode steps exceed it.
-        let fleet = GenerativeReplicaFleet::new(
+        let fleet = ReplicaFleet::new(
             2,
             FleetDispatch::LeastLoaded,
             ContinuousBatchingConfig {

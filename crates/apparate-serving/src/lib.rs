@@ -17,7 +17,11 @@
 //!   shared workload across N replicas (round-robin / least-loaded dispatch)
 //!   and fleet-level outcome aggregation, for both classification arrival
 //!   traces and generative request streams (whole sequences dispatched,
-//!   backlog weighted by output length).
+//!   backlog weighted by output length). One [`ReplicaFleet`] serves either
+//!   path: its [`ReplicaLoop`] is [`ServingConfig`] (the classification
+//!   loop) or [`ContinuousBatchingConfig`] (the decode loop), and each
+//!   replica's [`ReplicaUnit`] holds a [`ReplicaPolicy`], which reaches
+//!   either hook by trait upcasting.
 //! * [`ingest`] — streaming front end: the [`IncrementalDispatcher`] that
 //!   the batch sharding path folds over too, bounded per-replica admission
 //!   queues, and an SLO-driven rate-slew pacing controller with hysteresis
@@ -26,8 +30,8 @@
 //!   fleet on either path, and win computations.
 //!
 //! Entry points: [`ServingSimulator::run`] (single replica),
-//! [`ReplicaFleet::serve`] (fleet, wall-clock parallel via [`FleetRun`]),
-//! [`GenerativeSimulator::run`] (decode loop).
+//! [`GenerativeSimulator::run`] (decode loop), [`ReplicaFleet::serve`]
+//! (a fleet of either, wall-clock parallel via [`FleetRun`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +48,8 @@ pub mod traces;
 pub use batching::{BatchDecision, BatchingPolicy};
 pub use fleet::{
     available_threads, run_queue, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
-    FleetOutcomeView, FleetRun, FleetUnit, GenerativeFleetOutcome, GenerativeReplicaFleet,
-    ReplicaFleet, ReplicaUnit, RequestShard, TokenReplicaUnit, TraceShard,
+    FleetOutcomeView, FleetRun, ReplicaFleet, ReplicaLoop, ReplicaPolicy, ReplicaUnit,
+    RequestShard, TraceShard,
 };
 pub use generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, StepOutcome, TokenOutcome,

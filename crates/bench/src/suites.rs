@@ -620,7 +620,7 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
             rx.poll(SimTime::from_secs(3600)).len()
         }),
         ctx.bench(SUITE, "controller_in_loop/nlp-apparate", || {
-            apparate_experiments::run_classification_overhead(&nlp)
+            apparate_experiments::apparate_overhead(&nlp)
                 .report
                 .total_messages()
         }),
@@ -633,10 +633,9 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
 
 fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
     const SUITE: &str = "scale";
-    use apparate_experiments::{
-        cv_scenario, generative_scenario, run_classification_fleet, run_generative_fleet,
-    };
-    use apparate_serving::{shard_arrivals, FleetDispatch};
+    use apparate_experiments::{cv_scenario, generative_scenario, run_fleet};
+    use apparate_serving::{available_threads, shard_arrivals, FleetDispatch};
+    use apparate_telemetry::Telemetry;
 
     // The fleet fixture: the CV comparison scenario over a shared trace, one
     // warm-started Apparate controller per replica over its own charged link.
@@ -665,7 +664,15 @@ fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
     for replicas in [1usize, 2, 4, 8] {
         reports.push(
             ctx.bench(SUITE, &format!("fleet_run/cv-apparate/x{replicas}"), || {
-                run_classification_fleet(&scenario, replicas, FleetDispatch::LeastLoaded)
+                let disabled = Telemetry::disabled();
+                let threads = available_threads();
+                run_fleet(
+                    &scenario,
+                    replicas,
+                    FleetDispatch::LeastLoaded,
+                    &disabled,
+                    threads,
+                )
             }),
         );
     }
@@ -673,7 +680,17 @@ fn scale(ctx: &BenchContext) -> Vec<BenchReport> {
         reports.push(ctx.bench(
             SUITE,
             &format!("fleet_run/gen-apparate/x{replicas}"),
-            || run_generative_fleet(&generative, replicas, FleetDispatch::LeastLoaded),
+            || {
+                let disabled = Telemetry::disabled();
+                let threads = available_threads();
+                run_fleet(
+                    &generative,
+                    replicas,
+                    FleetDispatch::LeastLoaded,
+                    &disabled,
+                    threads,
+                )
+            },
         ));
     }
     reports

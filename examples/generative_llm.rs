@@ -22,8 +22,8 @@ use apparate::baselines::deploy_budget_sites;
 use apparate::control::RampArchitecture;
 use apparate::exec::SemanticsModel;
 use apparate::experiments::{
-    generative_calibration, generative_requests, generative_scenario, run_generative_full,
-    scenario_config, ApparateTokenPolicy, OverheadTable, WorkloadTokens,
+    generative_calibration, generative_requests, generative_scenario, run_table, scenario_config,
+    ApparateTokenPolicy, OverheadTable, WorkloadTokens,
 };
 use apparate::serving::{GenerativeSimulator, StepOutcome, TokenPolicy, TokenSlot};
 use apparate::sim::{DeterministicRng, SimTime};
@@ -203,7 +203,7 @@ fn main() {
     );
 
     // -- The paper-style comparison ----------------------------------------
-    let run = run_generative_full(&scenario);
+    let run = run_table(&scenario);
     println!();
     print!("{}", run.table.render());
     let vanilla = run.table.row("vanilla").expect("vanilla row");

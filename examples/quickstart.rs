@@ -11,14 +11,14 @@
 //! For the full three-scenario comparison (CV + NLP + generative) use the
 //! repro binary: `cargo run --release -p apparate-experiments --bin repro`.
 
-use apparate::experiments::{cv_scenario, run_classification};
+use apparate::experiments::{cv_scenario, run_table};
 
 fn main() {
     let seed = 42;
     let frames = 2_500;
     println!("apparate quickstart — CV scenario, seed {seed}, {frames} frames\n");
 
-    let table = run_classification(&cv_scenario(seed, frames));
+    let table = run_table(&cv_scenario(seed, frames)).table;
     print!("{}", table.render());
 
     let vanilla = table.row("vanilla").expect("vanilla row");

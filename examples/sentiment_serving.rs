@@ -15,7 +15,7 @@
 //! For the full three-scenario comparison (CV + NLP + generative) use the
 //! repro binary: `cargo run --release -p apparate-experiments --bin repro`.
 
-use apparate::experiments::{nlp_scenario, run_classification_full, OverheadTable};
+use apparate::experiments::{nlp_scenario, run_table, OverheadTable};
 
 fn main() {
     let seed = 42;
@@ -23,7 +23,7 @@ fn main() {
     println!("apparate sentiment serving — NLP scenario, seed {seed}, {requests} reviews");
     println!("model: BERT-base · workload: amazon-reviews · arrivals: MAF-like bursts\n");
 
-    let run = run_classification_full(&nlp_scenario(seed, requests));
+    let run = run_table(&nlp_scenario(seed, requests));
     print!("{}", run.table.render());
 
     let vanilla = run.table.row("vanilla").expect("vanilla row");

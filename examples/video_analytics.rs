@@ -17,11 +17,10 @@
 //! For the full three-scenario comparison (CV + NLP + generative) use the
 //! repro binary: `cargo run --release -p apparate-experiments --bin repro`.
 
-use apparate::experiments::{
-    cv_scenario, run_classification_fleet, run_classification_full, OverheadTable,
-};
-use apparate::serving::FleetDispatch;
+use apparate::experiments::{cv_scenario, run_fleet, run_table, OverheadTable};
+use apparate::serving::{available_threads, FleetDispatch};
 use apparate::sim::Cdf;
+use apparate::telemetry::Telemetry;
 
 fn main() {
     let seed = 42;
@@ -42,7 +41,7 @@ fn main() {
     println!("knobs: ≤1% accuracy loss, ≤2% ramp budget (the paper's two user-facing knobs)\n");
 
     // -- The head-to-head comparison --------------------------------------
-    let run = run_classification_full(&scenario);
+    let run = run_table(&scenario);
     print!("{}", run.table.render());
 
     let vanilla = run.table.row("vanilla").expect("vanilla row");
@@ -102,7 +101,13 @@ fn main() {
     // provisioned. Each replica runs its own GPU-half/controller-half pair
     // over its own charged link.
     let fleet_scenario = cv_scenario(seed, frames).with_arrival_scale(6.0);
-    let fleet = run_classification_fleet(&fleet_scenario, 4, FleetDispatch::LeastLoaded);
+    let fleet = run_fleet(
+        &fleet_scenario,
+        4,
+        FleetDispatch::LeastLoaded,
+        &Telemetry::disabled(),
+        available_threads(),
+    );
     println!();
     print!("{}", fleet.table.render());
     let fa = fleet.apparate();
