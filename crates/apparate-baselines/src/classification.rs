@@ -43,9 +43,7 @@ pub fn vanilla_policy(plan: &ExecutionPlan) -> VanillaPolicy<impl Fn(u32) -> Sim
 /// batchmates unaffected, §3.2).
 ///
 /// `exit` is that earliest ramp and its observation, as found by
-/// [`ExecutionPlan::first_exit`] or by
-/// [`BatchExecution::earliest_exit`](apparate_exec::BatchExecution::earliest_exit)
-/// over a full execution.
+/// [`ExecutionPlan::first_exit`].
 pub fn exit_outcome(
     plan: &ExecutionPlan,
     exit: Option<(usize, RampObservation)>,

@@ -14,12 +14,18 @@
 //!
 //! The tuning window is columnar ([`TuningWindow`]): observations live in
 //! flat per-ramp-strided arrays with per-ramp entropy histograms maintained
-//! at ingest time, so the incremental tuner reads pre-built aggregates
-//! instead of replaying per-request records. Whole delivered
-//! [`ProfileRecord`]s are ingested with [`Monitor::record_batch`] — slice
-//! copies, no per-request allocation.
+//! as rows enter, so the incremental tuner reads pre-built aggregates
+//! instead of replaying per-request records.
+//!
+//! Delivered [`ProfileRecord`]s are ingested with [`Monitor::record_batch`]:
+//! the accuracy window and exit counters take each request at once, while
+//! its semantics wait in a queue capped at the tuning window's capacity
+//! (an older request would be evicted unread). A request's row is built only
+//! when a tune reads the window through [`Monitor::tuning_window`], which
+//! drains the queue into the window in arrival order first, so every tune
+//! reads what building each row on arrival would have left there.
 
-use apparate_exec::{ProfileRecord, RampObservation};
+use apparate_exec::{ProfileRecord, RampObservation, SampleSemantics};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,6 +289,15 @@ impl TuningWindow {
     }
 }
 
+/// A delivered request whose row is not yet in the tuning window.
+#[derive(Debug, Clone, Copy)]
+struct PendingRow {
+    sample: SampleSemantics,
+    exited: Option<usize>,
+    correct: bool,
+    batch_size: u32,
+}
+
 /// The controller's monitoring state.
 #[derive(Debug, Clone)]
 pub struct Monitor {
@@ -290,6 +305,9 @@ pub struct Monitor {
     accuracy_capacity: usize,
     accuracy_window: VecDeque<bool>,
     tuning_window: TuningWindow,
+    /// Requests delivered since the window was last read, oldest first; at
+    /// most the window's capacity.
+    pending: VecDeque<PendingRow>,
     ramp_exits: Vec<u64>,
     requests_since_adjust: u64,
     total_requests: u64,
@@ -305,6 +323,7 @@ impl Monitor {
             accuracy_capacity,
             accuracy_window: VecDeque::with_capacity(accuracy_capacity),
             tuning_window: TuningWindow::new(num_ramps, tuning_capacity),
+            pending: VecDeque::new(),
             ramp_exits: vec![0; num_ramps],
             requests_since_adjust: 0,
             total_requests: 0,
@@ -337,9 +356,15 @@ impl Monitor {
         }
     }
 
-    /// Record feedback for one request.
+    /// Record feedback for one request, row included. Only a monitor with
+    /// no delivered request pending takes one, so rows always enter the
+    /// window in arrival order.
     pub fn record(&mut self, feedback: RequestFeedback) {
         debug_assert_eq!(feedback.observations.len(), self.num_ramps);
+        assert!(
+            self.pending.is_empty(),
+            "an eager row must not enter the window ahead of pending rows"
+        );
         self.note_request(feedback.exited, feedback.correct);
         self.tuning_window.push(
             &feedback.observations,
@@ -349,24 +374,26 @@ impl Monitor {
         );
     }
 
-    /// Ingest one delivered [`ProfileRecord`] wholesale: every request in the
-    /// batch enters the accuracy/tuning windows exactly as if fed one by one
-    /// through [`Monitor::record`], but via slice copies into the columnar
-    /// window — no per-request `Vec` is built.
+    /// Ingest one delivered [`ProfileRecord`] wholesale: every request
+    /// counts towards the accuracy window and exit counters at once, and
+    /// queues for the tuning window until [`Monitor::tuning_window`] builds
+    /// its row. A request the window would evict before then leaves the
+    /// queue unbuilt.
     pub fn record_batch(&mut self, record: &ProfileRecord) {
         debug_assert_eq!(record.num_ramps, self.num_ramps);
-        debug_assert_eq!(
-            record.observations.len(),
-            record.releases.len() * record.num_ramps
-        );
-        for (i, release) in record.releases.iter().enumerate() {
+        debug_assert_eq!(record.samples.len(), record.releases.len());
+        for (sample, release) in record.samples.iter().zip(&record.releases) {
             self.note_request(release.exit, release.correct);
-            self.tuning_window.push(
-                record.request_observations(i),
-                release.exit,
-                release.correct,
-                record.batch_size,
-            );
+            if self.pending.len() == self.tuning_window.capacity() {
+                // Its row would be evicted before any tune could read it.
+                self.pending.pop_front();
+            }
+            self.pending.push_back(PendingRow {
+                sample: *sample,
+                exited: release.exit,
+                correct: release.correct,
+                batch_size: record.batch_size,
+            });
         }
     }
 
@@ -392,19 +419,27 @@ impl Monitor {
         self.total_correct as f64 / self.total_requests as f64
     }
 
-    /// The columnar tuning window (the incremental tuner's input).
-    pub fn window(&self) -> &TuningWindow {
+    /// The columnar tuning window (the tuners' input), after the rows of
+    /// every pending request enter it in arrival order: `observe` appends one
+    /// request's row, an observation at each monitored ramp, to the buffer
+    /// it is given.
+    pub fn tuning_window(
+        &mut self,
+        mut observe: impl FnMut(&SampleSemantics, &mut Vec<RampObservation>),
+    ) -> &TuningWindow {
+        let mut row = Vec::with_capacity(self.num_ramps);
+        for pending in self.pending.drain(..) {
+            row.clear();
+            observe(&pending.sample, &mut row);
+            self.tuning_window
+                .push(&row, pending.exited, pending.correct, pending.batch_size);
+        }
         &self.tuning_window
     }
 
-    /// The recorded tuning window (oldest first).
-    pub fn tuning_records(&self) -> Vec<RequestFeedback> {
-        self.tuning_window.records()
-    }
-
-    /// Number of records currently in the tuning window.
+    /// Number of requests in the tuning window, pending rows included.
     pub fn tuning_window_len(&self) -> usize {
-        self.tuning_window.len()
+        (self.tuning_window.len() + self.pending.len()).min(self.tuning_window.capacity())
     }
 
     /// Per-ramp exit rates since the last ramp adjustment.
@@ -440,6 +475,7 @@ impl Monitor {
         self.ramp_exits = vec![0; num_ramps];
         self.requests_since_adjust = 0;
         self.tuning_window.clear_for_ramps(num_ramps);
+        self.pending.clear();
         // The accuracy trigger window deliberately survives: accuracy is a
         // property of released results, not of any particular ramp set.
     }
@@ -448,8 +484,17 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threshold::{
+        greedy_tune, ConfigEvaluation, GreedyParams, IncrementalTuner, ThresholdEvaluator,
+        TuningOutcome,
+    };
     use apparate_exec::RequestRelease;
-    use apparate_sim::SimTime;
+    use apparate_sim::{DeterministicRng, SimTime};
+
+    /// The row builder of a monitor fed only through [`Monitor::record`].
+    fn no_rows(_: &SampleSemantics, _: &mut Vec<RampObservation>) {
+        unreachable!("a monitor fed row by row has no pending rows")
+    }
 
     fn feedback(entropies: &[f64], exited: Option<usize>, correct: bool) -> RequestFeedback {
         RequestFeedback {
@@ -513,7 +558,7 @@ mod tests {
             m.record(feedback(&[i as f64 / 20.0], None, true));
         }
         assert_eq!(m.tuning_window_len(), 8);
-        let records = m.tuning_records();
+        let records = m.tuning_window(no_rows).records();
         // The oldest retained record is request 12 (entropy 0.6).
         assert!((records[0].observations[0].entropy - 0.6).abs() < 1e-9);
     }
@@ -543,16 +588,17 @@ mod tests {
         assert_eq!(m.cumulative_accuracy(), 1.0);
     }
 
-    /// Build a flat ProfileRecord carrying the given per-request feedback.
-    fn profile_record(rows: &[RequestFeedback]) -> ProfileRecord {
+    /// Build a ProfileRecord carrying the given per-request feedback; request
+    /// `i`'s sample seed is `first_seed + i`.
+    fn profile_record(rows: &[RequestFeedback], first_seed: u64) -> ProfileRecord {
         let num_ramps = rows.first().map(|r| r.observations.len()).unwrap_or(0);
         ProfileRecord {
             completed_at: SimTime::ZERO,
             batch_size: rows.first().map(|r| r.batch_size).unwrap_or(0),
             num_ramps,
-            observations: rows
-                .iter()
-                .flat_map(|r| r.observations.iter().copied())
+            samples: (first_seed..)
+                .take(rows.len())
+                .map(|seed| SampleSemantics::new(seed, 0.5))
                 .collect(),
             releases: rows
                 .iter()
@@ -564,6 +610,7 @@ mod tests {
                 })
                 .collect(),
             config_epoch: 0,
+            ramp_epoch: 0,
         }
     }
 
@@ -583,8 +630,8 @@ mod tests {
             one_by_one.record(row.clone());
         }
         let mut batched = Monitor::new(2, 4, 8);
-        batched.record_batch(&profile_record(&rows[..12]));
-        batched.record_batch(&profile_record(&rows[12..]));
+        batched.record_batch(&profile_record(&rows[..12], 0));
+        batched.record_batch(&profile_record(&rows[12..], 12));
         assert_eq!(batched.windowed_accuracy(), one_by_one.windowed_accuracy());
         assert_eq!(batched.exit_counts(), one_by_one.exit_counts());
         assert_eq!(batched.total_requests(), one_by_one.total_requests());
@@ -592,8 +639,16 @@ mod tests {
             batched.cumulative_accuracy(),
             one_by_one.cumulative_accuracy()
         );
-        let a = batched.tuning_records();
-        let b = one_by_one.tuning_records();
+        let b = one_by_one.tuning_window(no_rows).records();
+        let mut built = 0;
+        let window = batched.tuning_window(|sample, row| {
+            built += 1;
+            row.extend_from_slice(&rows[sample.seed as usize].observations);
+        });
+        let a = window.records();
+        // Only the rows the 8-slot window keeps are built, one push each.
+        assert_eq!(window.version(), 8);
+        assert_eq!(built, 8);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.exited, y.exited);
@@ -604,7 +659,155 @@ mod tests {
                 assert_eq!(ox.agrees, oy.agrees);
             }
         }
-        assert_eq!(batched.window().version(), one_by_one.window().version());
+    }
+
+    /// Ramp `r`'s observation of sample `seed` in a seeded row table:
+    /// entropies spread over (0, 1], agreement likelier at low entropy, so
+    /// tunes open some ramps and stop at others.
+    fn table_row(
+        table: &DeterministicRng,
+        seed: u64,
+        num_ramps: usize,
+        row: &mut Vec<RampObservation>,
+    ) {
+        row.extend((0..num_ramps as u64).map(|r| {
+            let entropy = table.unit_draw(&[seed, r, 0]);
+            RampObservation {
+                entropy,
+                agrees: table.unit_draw(&[seed, r, 1]) > 0.3 * entropy,
+            }
+        }));
+    }
+
+    /// Compare two tuning outcomes bit for bit (`runtime_us` aside).
+    fn assert_same_outcome(a: &TuningOutcome, b: &TuningOutcome) {
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.thresholds), bits(&b.thresholds));
+        let eval_bits =
+            |e: &ConfigEvaluation| [e.accuracy, e.mean_savings_us, e.exit_rate].map(f64::to_bits);
+        assert_eq!(eval_bits(&a.evaluation), eval_bits(&b.evaluation));
+        assert_eq!(a.evaluations, b.evaluations);
+    }
+
+    /// Tune an eagerly fed monitor and a lazily fed one, each with its own
+    /// incremental tuner, and the greedy oracle over the lazy window's
+    /// records: every answer, both windows' records and both lengths must
+    /// agree. Returns the rows `lazy` built, its window's version and the
+    /// number of ramps the tune opened.
+    fn tune_both(
+        eager: &mut Monitor,
+        lazy: &mut Monitor,
+        tuners: &mut [IncrementalTuner; 2],
+        table: &DeterministicRng,
+    ) -> (usize, u64, usize) {
+        assert_eq!(lazy.tuning_window_len(), eager.tuning_window_len());
+        let num_ramps = lazy.num_ramps();
+        let savings: Vec<f64> = (0..num_ramps).map(|r| 90.0 - 12.0 * r as f64).collect();
+        let params = GreedyParams {
+            accuracy_loss_budget: 0.05,
+            ..GreedyParams::default()
+        };
+        let mut built = 0;
+        let window = lazy.tuning_window(|sample, row| {
+            built += 1;
+            table_row(table, sample.seed, num_ramps, row);
+        });
+        let lazy_tune = tuners[1].tune(window, &savings, params);
+        let (records, version) = (window.records(), window.version());
+        let window = eager.tuning_window(no_rows);
+        let eager_tune = tuners[0].tune(window, &savings, params);
+        assert_eq!(format!("{records:?}"), format!("{:?}", window.records()));
+        assert_eq!(lazy.tuning_window_len(), eager.tuning_window_len());
+        assert_eq!(lazy.tuning_window_len(), records.len());
+        assert_same_outcome(&lazy_tune, &eager_tune);
+        let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &savings), params);
+        assert_same_outcome(&lazy_tune, &oracle);
+        let opened = lazy_tune.thresholds.iter().filter(|&&t| t > 0.0).count();
+        (built, version, opened)
+    }
+
+    #[test]
+    fn pending_rows_tune_like_eager_rows() {
+        // Checks before the window fills, after more rows than it holds
+        // arrived since the last read, right after a ramp-set reset with rows
+        // pending, and again with no new rows (the whole-outcome cache).
+        let mut covered = [0usize; 4];
+        let mut opened = 0;
+        for case in 0..24u64 {
+            let table = DeterministicRng::new(case);
+            let mut draws = table.stream(&[u64::MAX]);
+            let mut num_ramps = 1 + (case % 6) as usize;
+            let capacity = 8 + draws.below(57) as usize;
+            // Rare reads let the queue wrap; frequent ones read a filling window.
+            let read_odds = 1 + case % 4;
+            let mut eager = Monitor::new(num_ramps, 16, capacity);
+            let mut lazy = Monitor::new(num_ramps, 16, capacity);
+            let mut tuners = [IncrementalTuner::new(), IncrementalTuner::new()];
+            let mut seed = 0u64;
+            let mut delivered = 0;
+            for _ in 0..80 {
+                let batch = 1 + draws.below(12) as u32;
+                let mut samples = Vec::new();
+                let mut releases = Vec::new();
+                for _ in 0..batch {
+                    let mut observations = Vec::new();
+                    table_row(&table, seed, num_ramps, &mut observations);
+                    let exit = observations.iter().position(|o| o.entropy < 0.2);
+                    let correct = exit.is_none_or(|r| observations[r].agrees);
+                    eager.record(RequestFeedback {
+                        observations,
+                        exited: exit,
+                        correct,
+                        batch_size: batch,
+                    });
+                    samples.push(SampleSemantics::new(seed, 0.5));
+                    releases.push(RequestRelease {
+                        id: seed,
+                        exit,
+                        correct,
+                    });
+                    seed += 1;
+                }
+                lazy.record_batch(&ProfileRecord {
+                    completed_at: SimTime::ZERO,
+                    batch_size: batch,
+                    num_ramps,
+                    samples,
+                    releases,
+                    config_epoch: 0,
+                    ramp_epoch: 0,
+                });
+                delivered += batch as usize;
+                match draws.below(12) {
+                    0 => {
+                        num_ramps = 1 + draws.below(6) as usize;
+                        eager.reset_for_new_ramps(num_ramps);
+                        lazy.reset_for_new_ramps(num_ramps);
+                        delivered = 0;
+                        covered[2] += 1;
+                    }
+                    k if k < read_odds => {}
+                    _ => continue,
+                }
+                let full = lazy.tuning_window_len() == capacity;
+                covered[0] += usize::from(!full);
+                covered[1] += usize::from(delivered > capacity);
+                let (built, version, open) = tune_both(&mut eager, &mut lazy, &mut tuners, &table);
+                assert_eq!(built, delivered.min(capacity), "one row per kept request");
+                delivered = 0;
+                opened += open;
+                if draws.chance(0.5) {
+                    let again = tune_both(&mut eager, &mut lazy, &mut tuners, &table);
+                    assert_eq!(again, (0, version, open), "no new row, no new version");
+                    covered[3] += 1;
+                }
+            }
+        }
+        assert!(
+            covered.iter().all(|&n| n >= 20),
+            "every case covered: {covered:?}"
+        );
+        assert!(opened > 0, "some tune must open a ramp");
     }
 
     #[test]

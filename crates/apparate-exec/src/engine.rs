@@ -171,6 +171,8 @@ impl ExecutionPlan {
     /// Execute a batch: produce, for every request, the observation at every
     /// active ramp. Timing is queried separately because it is identical for
     /// all requests in the batch.
+    /// Policies use [`ExecutionPlan::first_exit`] and
+    /// [`ExecutionPlan::observe_into`]; this stays as their tests' reference.
     pub fn execute_batch(&self, samples: &[SampleSemantics]) -> BatchExecution {
         let per_request = samples
             .iter()
@@ -188,7 +190,7 @@ impl ExecutionPlan {
 
     /// Append `sample`'s observation at every active ramp, in ramp order, to
     /// `out`: one request's row of [`ExecutionPlan::execute_batch`], for
-    /// callers that keep the rows of a batch in one flat buffer.
+    /// callers that build rows one at a time into a buffer they reuse.
     pub fn observe_into(&self, sample: &SampleSemantics, out: &mut Vec<RampObservation>) {
         let input = self.semantics.input(sample);
         out.extend(
@@ -203,8 +205,8 @@ impl ExecutionPlan {
     /// `thresholds`, with that ramp's observation; `None` means no exit.
     ///
     /// The same answer as [`BatchExecution::earliest_exit`] over
-    /// [`ExecutionPlan::execute_batch`], for policies that read nothing but
-    /// the exit: ramps after the exit, and ramps whose threshold disables
+    /// [`ExecutionPlan::execute_batch`], and how every threshold-based policy
+    /// releases: ramps after the exit, and ramps whose threshold disables
     /// exiting, are never observed, and a ramp the input passes draws only
     /// what decides its entropy comparison.
     pub fn first_exit(
@@ -262,9 +264,10 @@ impl BatchExecution {
     /// Earliest ramp index whose entropy is at or below its threshold, for a
     /// single request, given per-ramp thresholds. `None` means no exit.
     ///
-    /// This helper implements the universal exit rule shared by Apparate and
-    /// the static-EE baselines (which apply it through
-    /// [`ExecutionPlan::first_exit`], observing only what it reads).
+    /// This is the universal exit rule over a full row. Apparate and the
+    /// static-EE baselines apply it through [`ExecutionPlan::first_exit`],
+    /// observing only what it reads; the row form stays as the reference
+    /// tests compare that scan against.
     pub fn earliest_exit(observations: &[RampObservation], thresholds: &[f64]) -> Option<usize> {
         debug_assert_eq!(
             thresholds.len(),

@@ -9,9 +9,13 @@
 //! which is fixed PCIe latency.
 //!
 //! The simulation reproduces those costs so the overhead experiment can report
-//! them, and uses a real channel so the controller code is structured the same
-//! way it would be against a real GPU stream (producer/consumer, non-blocking
-//! for serving). Both directions are modelled with the same machinery: a
+//! them. A [`ProfileRecord`] carries each request's semantics and release in
+//! place of its observation row: a row is a pure function of the semantics
+//! and the ramp set, which the record names by epoch. The link still charges
+//! 8 bytes per (request, ramp) observation, 10 bytes per release and a
+//! 64-byte header. It uses a real channel so the controller code is
+//! structured the same way it would be against a real GPU stream
+//! (producer/consumer, non-blocking for serving). Both directions are modelled with the same machinery: a
 //! [`FeedbackSender`]/[`FeedbackReceiver`] pair generic over the
 //! [`WirePayload`] it carries, with [`ProfileRecord`] flowing GPU → controller
 //! and [`ThresholdUpdate`] flowing controller → GPU. Delivery is charged
@@ -20,7 +24,7 @@
 //! messages still on the wire at *t*.
 
 use crate::engine::RampPlacement;
-use crate::semantics::RampObservation;
+use crate::semantics::SampleSemantics;
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, LinkDirection, Telemetry};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -37,31 +41,36 @@ pub trait WirePayload {
 
 /// One batch worth of profiling data streamed from the GPU to the controller.
 ///
-/// Observations are stored flat (request-major, `num_ramps` per request)
-/// rather than as one `Vec` per request: a record is a single contiguous
-/// allocation however large the batch, which is what keeps the per-batch
-/// producer path and the controller's batched ingestion allocation-free per
-/// request.
+/// A real GPU ships every active ramp's top prediction and error score for
+/// every request (§4.5). In the simulation a ramp's observation is a pure
+/// function of the request's [`SampleSemantics`] and the ramp set, so a
+/// record carries each request's semantics instead of its row, and the
+/// controller rebuilds a row, under the ramp set `ramp_epoch` names, only
+/// when a tune reads it. The link is still charged for the rows (see
+/// [`ProfileRecord::wire_bytes`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfileRecord {
     /// When the batch finished on the GPU.
     pub completed_at: SimTime,
     /// Batch size.
     pub batch_size: u32,
-    /// Number of active ramps per request (the row stride of `observations`).
+    /// Number of active ramps the batch ran: the length of each request's
+    /// row.
     pub num_ramps: usize,
-    /// Flat request-major observations: request `i`'s ramp `r` observation is
-    /// at index `i * num_ramps + r`.
-    pub observations: Vec<RampObservation>,
-    /// Per-request release metadata, in batch order; `observations` holds
-    /// `num_ramps` entries per release. One packed vector rather than
-    /// parallel id/exit/correct vectors, so a record costs two allocations
-    /// however large the batch.
+    /// Each request's semantics, in batch order (parallel to `releases`).
+    pub samples: Vec<SampleSemantics>,
+    /// Per-request release metadata, in batch order. One packed vector
+    /// rather than parallel id/exit/correct vectors, so a record costs two
+    /// allocations however large the batch.
     pub releases: Vec<RequestRelease>,
     /// Configuration epoch the GPU was running when it produced this record
     /// (incremented by every applied [`ThresholdUpdate`]). Lets the controller
     /// discard records whose ramp indices predate a ramp-set change.
     pub config_epoch: u64,
+    /// Epoch of the last ramp-set update the GPU applied before producing
+    /// this record (0 for the initial ramp set): the ramp set every row of
+    /// the record is observed under.
+    pub ramp_epoch: u64,
 }
 
 /// Release metadata for one request in a profiled batch.
@@ -75,21 +84,14 @@ pub struct RequestRelease {
     pub correct: bool,
 }
 
-impl ProfileRecord {
-    /// Request `i`'s per-ramp observations (a `num_ramps`-long row).
-    #[inline]
-    pub fn request_observations(&self, i: usize) -> &[RampObservation] {
-        &self.observations[i * self.num_ramps..(i + 1) * self.num_ramps]
-    }
-}
-
 impl WirePayload for ProfileRecord {
     /// Approximate wire size: the paper quotes ~1 KB for a top-predicted
     /// result plus error score per batch; we charge 8 bytes per
     /// (request, ramp) observation, 10 bytes of per-request release metadata
     /// (id + exit + agreement) and a small header.
     fn wire_bytes(&self) -> u64 {
-        64 + self.observations.len() as u64 * 8 + self.releases.len() as u64 * 10
+        let requests = self.releases.len() as u64;
+        64 + requests * self.num_ramps as u64 * 8 + requests * 10
     }
 }
 
@@ -402,13 +404,9 @@ mod tests {
             completed_at: SimTime::from_millis(at_ms),
             batch_size: batch,
             num_ramps: 2,
-            observations: vec![
-                RampObservation {
-                    entropy: 0.2,
-                    agrees: true
-                };
-                2 * batch as usize
-            ],
+            samples: (0..batch as u64)
+                .map(|id| SampleSemantics::new(id, 0.2))
+                .collect(),
             releases: (0..batch as u64)
                 .map(|id| RequestRelease {
                     id,
@@ -417,6 +415,7 @@ mod tests {
                 })
                 .collect(),
             config_epoch: 0,
+            ramp_epoch: 0,
         }
     }
 
@@ -478,19 +477,16 @@ mod tests {
     #[test]
     fn wire_bytes_are_small() {
         // The paper stresses profiling data is ~1 KB per batch; a batch of 16
-        // requests over 4 ramps must stay in that ballpark.
-        let rec = ProfileRecord {
+        // requests over 4 ramps must stay in that ballpark. A record carries
+        // each request's semantics but is charged for its observation rows.
+        let rec = |requests: u64, num_ramps: usize| ProfileRecord {
             completed_at: SimTime::ZERO,
-            batch_size: 16,
-            num_ramps: 4,
-            observations: vec![
-                RampObservation {
-                    entropy: 0.1,
-                    agrees: true
-                };
-                4 * 16
-            ],
-            releases: (0..16)
+            batch_size: requests as u32,
+            num_ramps,
+            samples: (0..requests)
+                .map(|i| SampleSemantics::new(i, 0.1))
+                .collect(),
+            releases: (0..requests)
                 .map(|id| RequestRelease {
                     id,
                     exit: None,
@@ -498,9 +494,17 @@ mod tests {
                 })
                 .collect(),
             config_epoch: 0,
+            ramp_epoch: 0,
         };
-        assert!(rec.wire_bytes() < 2048, "wire bytes {}", rec.wire_bytes());
-        assert_eq!(rec.request_observations(3).len(), 4);
+        let paper_scale = rec(16, 4).wire_bytes();
+        assert!(paper_scale < 2048, "wire bytes {paper_scale}");
+        for (requests, ramps) in [(1, 0), (8, 6), (16, 4)] {
+            assert_eq!(
+                rec(requests, ramps).wire_bytes(),
+                64 + 8 * requests * ramps as u64 + 10 * requests,
+                "{requests} requests over {ramps} ramps"
+            );
+        }
     }
 
     #[test]

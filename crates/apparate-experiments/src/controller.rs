@@ -24,7 +24,9 @@
 //! [`ApparatePolicy::overhead_report`]. The controller half never reads the
 //! live plan's observations directly: everything it learns arrives through
 //! [`FeedbackReceiver::poll`], which only surfaces messages already delivered
-//! at the poll time.
+//! at the poll time. Records carry each request's semantics; a tune rebuilds
+//! delivered requests' rows under the controller's plan, which ingestion
+//! asserts (in every build) is the ramp set each kept record ran under.
 
 use apparate_baselines::{
     exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, RampDeployment,
@@ -34,8 +36,8 @@ use apparate_core::{
     IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp,
 };
 use apparate_exec::{
-    feedback_link, BatchExecution, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost,
-    OverheadReport, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
+    feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost, OverheadReport,
+    ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
 };
 use apparate_serving::{
     BatchOutcome, BatchProfile, ExitPolicy, Request, StepOutcome, TokenPolicy, TokenSlot,
@@ -59,6 +61,9 @@ pub struct ControllerStats {
     /// Profiling records discarded because they predate a ramp-set change
     /// (their per-ramp observations no longer line up with the active ramps).
     pub records_dropped: usize,
+    /// Observation rows built for the tuning window: one per delivered
+    /// request still in the window when a tune reads it.
+    pub rows_observed: usize,
 }
 
 /// Fraction of the accuracy budget the tuner may spend *in-window*; the rest
@@ -85,6 +90,8 @@ struct GpuHalf {
     plan: ExecutionPlan,
     thresholds: Vec<f64>,
     config_epoch: u64,
+    /// Epoch of the last ramp-set update applied (0: the initial set).
+    ramp_epoch: u64,
     update_rx: FeedbackReceiver<ThresholdUpdate>,
     /// Updates delivered ahead of an earlier epoch that is still on the
     /// wire, held until it lands.
@@ -115,6 +122,7 @@ impl GpuHalf {
             });
             if let Some(ramps) = update.ramps {
                 self.plan = self.plan.with_ramps(ramps);
+                self.ramp_epoch = update.config_epoch;
             }
             self.thresholds = update.thresholds;
             self.config_epoch = update.config_epoch;
@@ -134,33 +142,24 @@ impl GpuHalf {
 
     /// Execute one batch under the deployed configuration: release decisions
     /// for the platform plus the profiling data to stream to the controller.
+    /// A release reads only its exit ramp's observation; the controller
+    /// rebuilds a request's full row from its semantics if a tune reads it.
     fn execute(
         &self,
-        samples: &[SampleSemantics],
+        samples: Vec<SampleSemantics>,
     ) -> (
         SimDuration,
         Vec<apparate_serving::RequestOutcome>,
         BatchProfile,
     ) {
         let b = samples.len() as u32;
-        let num_ramps = self.plan.num_ramps();
-        // Every request's observations go straight into the profile's flat
-        // rows; its release reads its own row.
-        let mut observations = Vec::with_capacity(samples.len() * num_ramps);
         let outcomes: Vec<apparate_serving::RequestOutcome> = samples
             .iter()
-            .map(|sample| {
-                let start = observations.len();
-                self.plan.observe_into(sample, &mut observations);
-                let row = &observations[start..];
-                let exit = BatchExecution::earliest_exit(row, &self.thresholds)
-                    .map(|ramp| (ramp, row[ramp]));
-                exit_outcome(&self.plan, exit, b)
-            })
+            .map(|s| exit_outcome(&self.plan, self.plan.first_exit(s, &self.thresholds), b))
             .collect();
         let profile = BatchProfile {
-            num_ramps,
-            observations,
+            num_ramps: self.plan.num_ramps(),
+            samples,
             releases: outcomes
                 .iter()
                 .map(|o| RequestRelease {
@@ -170,6 +169,7 @@ impl GpuHalf {
                 })
                 .collect(),
             config_epoch: self.config_epoch,
+            ramp_epoch: self.ramp_epoch,
         };
         (
             SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b)),
@@ -317,10 +317,16 @@ impl ControllerHalf {
                 }
                 continue;
             }
+            // The monitor rebuilds this record's rows under `self.plan`.
+            assert_eq!(
+                (record.ramp_epoch, record.num_ramps),
+                (self.min_ingest_epoch, self.plan.num_ramps()),
+                "a kept record ran under the controller's ramp set"
+            );
             self.stats.records_ingested += 1;
-            // Batched ingestion: the whole record lands in the monitor's
-            // columnar window via slice copies, then the adjustment counters
-            // absorb the per-request exits as plain integer loops.
+            // Batched ingestion: the monitor queues the record's requests for
+            // its tuning window, then the adjustment counters absorb the
+            // per-request exits as plain integer loops.
             self.monitor.record_batch(&record);
             for release in &record.releases {
                 if let Some(ramp) = release.exit {
@@ -357,15 +363,21 @@ impl ControllerHalf {
             return;
         }
         let savings = per_ramp_savings_us(&self.plan, self.reference_batch);
+        let plan = &self.plan;
+        let rows_observed = &mut self.stats.rows_observed;
+        let window = self.monitor.tuning_window(|sample, row| {
+            *rows_observed += 1;
+            plan.observe_into(sample, row);
+        });
         let outcome = if self.config.full_retune {
             // The materialising oracle: rebuild per-request records and run
             // the reference greedy search over them.
-            let records = self.monitor.tuning_records();
+            let records = window.records();
             let evaluator = ThresholdEvaluator::new(&records, &savings);
             greedy_tune(&evaluator, tuning_params(&self.config))
         } else {
             self.tuner
-                .tune(self.monitor.window(), &savings, tuning_params(&self.config))
+                .tune(window, &savings, tuning_params(&self.config))
         };
         let thresholds_changed = self.thresholds != outcome.thresholds;
         self.thresholds = outcome.thresholds;
@@ -531,6 +543,7 @@ impl CoordinatedCore {
                 plan: plan.clone(),
                 thresholds: vec![0.0; num_ramps],
                 config_epoch: 0,
+                ramp_epoch: 0,
                 update_rx,
                 held: Vec::new(),
                 telemetry: Telemetry::disabled(),
@@ -591,7 +604,7 @@ impl CoordinatedCore {
     /// configuration update delivered by `now`, then executes.
     fn step(
         &mut self,
-        samples: &[SampleSemantics],
+        samples: Vec<SampleSemantics>,
         now: SimTime,
     ) -> (
         SimDuration,
@@ -629,10 +642,6 @@ impl CoordinatedCore {
 pub struct ApparatePolicy {
     core: CoordinatedCore,
     name: String,
-    /// Reusable per-batch semantics buffer: `process_batch` and
-    /// `process_step` run once per batch or decode step, so their staging
-    /// allocation must not be per-call.
-    samples_scratch: Vec<SampleSemantics>,
 }
 
 /// The token-path name of [`ApparatePolicy`].
@@ -660,7 +669,6 @@ impl ApparatePolicy {
         ApparatePolicy {
             core: CoordinatedCore::new(deployment, config, reference_batch, link),
             name: "apparate".to_string(),
-            samples_scratch: Vec::new(),
         }
     }
 
@@ -759,9 +767,9 @@ impl ApparatePolicy {
         samples: impl Iterator<Item = &'a SampleSemantics>,
         start: SimTime,
     ) -> BatchOutcome {
-        self.samples_scratch.clear();
-        self.samples_scratch.extend(samples.copied());
-        let (gpu_time, per_request, profile) = self.core.step(&self.samples_scratch, start);
+        // The profile carries the batch's semantics, so they are staged in
+        // the vector it will own.
+        let (gpu_time, per_request, profile) = self.core.step(samples.copied().collect(), start);
         BatchOutcome {
             gpu_time,
             per_request,
@@ -1051,6 +1059,66 @@ mod tests {
         // The active set stays sorted and within the site space.
         let sites = policy.active_sites();
         assert!(sites.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn rows_are_built_only_when_a_tune_reads_them() {
+        // An un-warmed controller over a free link: each step's record lands
+        // by the next step and each update before the next step runs, so no
+        // record goes stale. A tune builds one row per request delivered
+        // since the previous tune or ramp-set change, at most a window's
+        // worth; nothing else builds rows.
+        let config = ApparateConfig::default();
+        let window = config.tuning_window;
+        let mut policy = ApparatePolicy::with_link(token_deployment(3), config, 8, LinkCost::FREE);
+        let mut now = SimTime::ZERO;
+        // Requests delivered since the last tune or ramp-set change.
+        let mut unread = 0;
+        let mut refilling = true;
+        let mut short_tunes = 0;
+        for step in 0..600u64 {
+            let before = policy.stats();
+            let delivered = policy.core.controller.monitor.total_requests();
+            let (_, completed) = drive_token(&mut policy, &slots(step, 7), now);
+            now = completed;
+            let after = policy.stats();
+            unread += (policy.core.controller.monitor.total_requests() - delivered) as usize;
+            let built = after.rows_observed - before.rows_observed;
+            if after.ramp_changes > before.ramp_changes {
+                assert_eq!(
+                    built, 0,
+                    "step {step}: the change drops unread rows unbuilt"
+                );
+                (unread, refilling) = (0, true);
+            } else if after.tuning_rounds > before.tuning_rounds {
+                assert_eq!(built, unread.min(window), "step {step}");
+                if refilling {
+                    assert!(unread >= window, "step {step}: the window refills first");
+                } else {
+                    short_tunes += usize::from(unread < window);
+                }
+                (unread, refilling) = (0, false);
+                if after.tuning_rounds == 1 {
+                    assert_eq!(
+                        after.rows_observed, window,
+                        "the first tune fills the window"
+                    );
+                }
+            } else {
+                assert_eq!(built, 0, "step {step}: no tune, no rows");
+            }
+            // Three steps after the first tune, force one that reads 28 rows.
+            if after.tuning_rounds == 1 && unread == 21 {
+                policy.core.controller.needs_tune = true;
+            }
+        }
+        let stats = policy.stats();
+        assert!(
+            short_tunes >= 1,
+            "a tune must read fewer rows than the window"
+        );
+        assert!(stats.ramp_changes >= 1, "the run must change the ramp set");
+        assert_eq!(stats.records_dropped, 0);
     }
 
     #[test]

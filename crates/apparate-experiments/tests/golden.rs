@@ -1,6 +1,8 @@
 //! Golden-output check: `repro`, `repro --quick` and `repro --sweep --quick`
 //! at seed 42, and `repro --quick` and `repro --sweep --quick` at seed 7,
-//! must print exactly the committed tables under `tests/golden/`, and the
+//! must print exactly the committed tables under `tests/golden/`, as must
+//! `repro --full-retune` at seed 42 and `repro --quick --full-retune` at
+//! seed 7, and the
 //! telemetry exports of `repro --quick --seed 42` and `repro --sweep --quick
 //! --seed 42` must keep their committed lengths and digests.
 //!
@@ -94,6 +96,19 @@ fn repro_sweep_quick_matches_golden_tables_at_seed_7() {
 fn repro_full_matches_golden_tables() {
     let out = repro(&["--seed", "42"]);
     assert_matches_golden("repro_full_seed42.txt", &out);
+}
+
+/// The tuning oracle: `--full-retune` tunes with the greedy search over the
+/// window's materialised records instead of the incremental tuner, which
+/// yields the same thresholds, so the tables must not move. At full size and
+/// at a second seed, over the rows the controller builds when a tune reads
+/// the window.
+#[test]
+fn repro_full_retune_matches_golden_tables() {
+    let out = repro(&["--full-retune", "--seed", "42"]);
+    assert_matches_golden("repro_full_seed42.txt", &out);
+    let out = repro(&["--quick", "--seed", "7", "--full-retune"]);
+    assert_matches_golden("repro_quick_seed7.txt", &out);
 }
 
 /// The telemetry exports of `repro --quick --seed 42`: flag, byte length and

@@ -16,9 +16,7 @@ use crate::batching::{BatchDecision, BatchingPolicy};
 use crate::generative::{StepOutcome, TokenPolicy, TokenSlot};
 use crate::request::{Request, RequestRecord};
 use crate::traces::ArrivalTrace;
-use apparate_exec::{
-    FeedbackSender, LinkStats, ProfileRecord, RampObservation, RequestRelease, SampleSemantics,
-};
+use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, RequestRelease, SampleSemantics};
 use apparate_sim::{EventQueue, SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -27,18 +25,18 @@ use std::collections::VecDeque;
 /// Window (in completed requests) of the `exit_rate_rolling` telemetry gauge.
 const ROLLING_EXIT_WINDOW: usize = 256;
 
-/// Per-batch profiling data a policy wants streamed to its controller: what
-/// every active ramp observed for every request, plus the release decisions.
-/// The platform stamps it with completion time and request ids and publishes
-/// it on the GPU → controller feedback link (§3's non-blocking profiling
+/// Per-batch profiling data a policy wants streamed to its controller: each
+/// request's semantics (from which the controller rebuilds what every active
+/// ramp observed, see [`ProfileRecord`]) plus the release decisions. The
+/// platform stamps it with completion time and request ids and publishes it
+/// on the GPU → controller feedback link (§3's non-blocking profiling
 /// stream); policies without a controller return `None` and nothing is sent.
 #[derive(Debug, Clone, Default)]
 pub struct BatchProfile {
-    /// Number of active ramps per request (the row stride of `observations`).
+    /// Number of active ramps the batch ran.
     pub num_ramps: usize,
-    /// Flat request-major observations: request `i`'s ramp `r` observation is
-    /// at index `i * num_ramps + r` (one contiguous allocation per batch).
-    pub observations: Vec<RampObservation>,
+    /// Each request's semantics, in batch order.
+    pub samples: Vec<SampleSemantics>,
     /// Per-request release metadata in batch order. The producing policy does
     /// not know request ids, so it leaves `id` zeroed; [`into_record`]
     /// stamps the real ids in place when the platform publishes the batch.
@@ -47,6 +45,8 @@ pub struct BatchProfile {
     pub releases: Vec<RequestRelease>,
     /// Configuration epoch the GPU was running when it produced the batch.
     pub config_epoch: u64,
+    /// Epoch of the last ramp-set update the GPU applied before the batch.
+    pub ramp_epoch: u64,
 }
 
 impl BatchProfile {
@@ -62,9 +62,10 @@ impl BatchProfile {
             completed_at,
             batch_size: request_ids.len() as u32,
             num_ramps: self.num_ramps,
-            observations: self.observations,
+            samples: self.samples,
             releases: self.releases,
             config_epoch: self.config_epoch,
+            ramp_epoch: self.ramp_epoch,
         }
     }
 }

@@ -256,9 +256,10 @@ fn profile_record(completed_at: SimTime) -> ProfileRecord {
         completed_at,
         batch_size: 1,
         num_ramps: 0,
-        observations: Vec::new(),
+        samples: Vec::new(),
         releases: Vec::new(),
         config_epoch: 0,
+        ramp_epoch: 0,
     }
 }
 

@@ -562,23 +562,20 @@ pub fn overhead_link_summary(
 fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
     const SUITE: &str = "overhead";
     use apparate_exec::{
-        feedback_link, LinkCost, ProfileRecord, RampObservation, RequestRelease, ThresholdUpdate,
+        feedback_link, LinkCost, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
     };
     use apparate_sim::SimTime;
 
-    // Link micro-fixtures: a paper-scale batch profile (~1 KB) and a
-    // ramp-definition update (~10 KB per ramp).
+    // Link micro-fixtures: a paper-scale batch profile (~1 KB: 8 requests
+    // charged for 6 ramps' observations each) and a ramp-definition update
+    // (~10 KB per ramp).
     let record = |i: u64| ProfileRecord {
         completed_at: SimTime::from_micros(i * 100),
         batch_size: 8,
         num_ramps: 6,
-        observations: vec![
-            RampObservation {
-                entropy: 0.2,
-                agrees: true
-            };
-            6 * 8
-        ],
+        samples: (i * 8..i * 8 + 8)
+            .map(|seed| SampleSemantics::new(seed, 0.2))
+            .collect(),
         releases: (i * 8..i * 8 + 8)
             .map(|id| RequestRelease {
                 id,
@@ -587,6 +584,7 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
             })
             .collect(),
         config_epoch: 0,
+        ramp_epoch: 0,
     };
     let update = |i: u64| ThresholdUpdate {
         issued_at: SimTime::from_micros(i * 100),
