@@ -135,7 +135,6 @@ impl StaticExitPolicy {
                     exit_outcome(&self.plan, exit, b)
                 })
                 .collect(),
-            profile: None,
         }
     }
 }
@@ -239,7 +238,6 @@ impl OracleExitPolicy {
                     }
                 })
                 .collect(),
-            profile: None,
         }
     }
 }

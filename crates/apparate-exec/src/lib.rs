@@ -6,11 +6,11 @@
 //! * [`engine`] — the policy-free execution plan: batch timing (per-layer
 //!   latency + ramp overheads) and per-request ramp observations.
 //! * [`gpu`] — device memory accounting and speed scaling.
-//! * [`profiler`] — the non-blocking GPU → controller profiling stream with a
-//!   PCIe-like cost model (§4.5 overhead analysis).
+//! * [`profiler`] — the non-blocking GPU ↔ controller link, one sorted queue
+//!   per direction, with a PCIe-like cost model (§4.5 overhead analysis).
 //!
 //! Entry points: [`ExecutionPlan`] (what the GPU runs), [`SemanticsModel`]
-//! (what the ramps observe), [`feedback_link`] (how the halves of §3's
+//! (what the ramps observe), [`FeedbackLink`] (how the halves of §3's
 //! controller loop talk).
 
 #![forbid(unsafe_code)]
@@ -24,7 +24,7 @@ pub mod semantics;
 pub use engine::{BatchExecution, ExecutionPlan, RampPlacement, RequestObservations};
 pub use gpu::{GpuDevice, GpuError};
 pub use profiler::{
-    feedback_link, FeedbackReceiver, FeedbackSender, LinkCost, LinkStats, OverheadReport,
-    ProfileRecord, RequestRelease, ThresholdUpdate, WirePayload, RAMP_DEFINITION_BYTES,
+    FeedbackLink, LinkCost, LinkStats, OverheadReport, ProfileRecord, RequestRelease,
+    ThresholdUpdate, WirePayload, RAMP_DEFINITION_BYTES,
 };
 pub use semantics::{RampObservation, SampleSemantics, SemanticsModel};

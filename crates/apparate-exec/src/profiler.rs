@@ -13,24 +13,20 @@
 //! place of its observation row: a row is a pure function of the semantics
 //! and the ramp set, which the record names by epoch. The link still charges
 //! 8 bytes per (request, ramp) observation, 10 bytes per release and a
-//! 64-byte header. It uses a real channel so the controller code is
-//! structured the same way it would be against a real GPU stream
-//! (producer/consumer, non-blocking for serving). Both directions are modelled with the same machinery: a
-//! [`FeedbackSender`]/[`FeedbackReceiver`] pair generic over the
-//! [`WirePayload`] it carries, with [`ProfileRecord`] flowing GPU → controller
-//! and [`ThresholdUpdate`] flowing controller → GPU. Delivery is charged
-//! against the [`LinkCost`] model and takes effect only once the simulated
-//! transfer has completed, so consumers polling at time *t* can never act on
-//! messages still on the wire at *t*.
+//! 64-byte header. Each direction is one [`FeedbackLink`], generic over the
+//! [`WirePayload`] it carries and owned by the controller loop that sends
+//! and polls it: [`ProfileRecord`]s flow GPU → controller and
+//! [`ThresholdUpdate`]s controller → GPU. Delivery is charged against the
+//! [`LinkCost`] model and takes effect only once the simulated transfer has
+//! completed, so a poll at time *t* never hands out a message still on the
+//! wire at *t*.
 
 use crate::engine::RampPlacement;
 use crate::semantics::SampleSemantics;
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, LinkDirection, Telemetry};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
 /// Anything that can be shipped across the link: it only needs to know its
 /// approximate serialised size so the transfer latency can be charged.
@@ -160,7 +156,7 @@ impl LinkCost {
     }
 }
 
-/// Shared statistics about one direction of the feedback link.
+/// Statistics about one direction of the feedback link.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct LinkStats {
     /// Messages sent.
@@ -218,80 +214,51 @@ impl OverheadReport {
     }
 }
 
-/// An in-flight message: when it lands, its send sequence number (for
-/// deterministic delivery order), and the payload.
-type InFlight<T> = (SimTime, u64, T);
-
-/// The producer half of one link direction.
+/// One direction of the GPU ↔ controller link, owned by the loop that sends
+/// and polls it. A sent message waits on the wire, in a queue sorted by
+/// `(deliver_at, seq)`, until a poll at or after its delivery time.
 #[derive(Debug)]
-pub struct FeedbackSender<T> {
-    tx: Sender<InFlight<T>>,
+pub struct FeedbackLink<T> {
     cost: LinkCost,
-    stats: Arc<Mutex<LinkStats>>,
+    stats: LinkStats,
+    /// Messages on the wire: delivery time, 1-based send sequence number and
+    /// payload, sorted by `(deliver_at, seq)`.
+    wire: VecDeque<(SimTime, u64, T)>,
     telemetry: Telemetry,
     direction: LinkDirection,
 }
 
-// Manual impl: the channel `Sender` (a shared queue handle in the offline
-// crossbeam stand-in) is Clone for any `T`, but deriving would also bound
-// `T: Clone`, which senders don't need.
-impl<T> Clone for FeedbackSender<T> {
-    fn clone(&self) -> Self {
-        FeedbackSender {
-            tx: self.tx.clone(),
-            cost: self.cost,
-            stats: Arc::clone(&self.stats),
-            telemetry: self.telemetry.clone(),
-            direction: self.direction,
-        }
-    }
-}
-
-/// The consumer half of one link direction.
-#[derive(Debug)]
-pub struct FeedbackReceiver<T> {
-    rx: Receiver<InFlight<T>>,
-    stats: Arc<Mutex<LinkStats>>,
-    /// Messages received from the channel but whose simulated delivery time
-    /// has not yet been reached.
-    pending: Vec<InFlight<T>>,
-}
-
-/// Create one direction of a feedback link with the given cost model.
-pub fn feedback_link<T: WirePayload>(cost: LinkCost) -> (FeedbackSender<T>, FeedbackReceiver<T>) {
-    let (tx, rx) = unbounded();
-    let stats = Arc::new(Mutex::new(LinkStats::default()));
-    (
-        FeedbackSender {
-            tx,
+impl<T: WirePayload> FeedbackLink<T> {
+    /// An empty link direction charging `cost` per message.
+    pub fn new(cost: LinkCost) -> FeedbackLink<T> {
+        FeedbackLink {
             cost,
-            stats: Arc::clone(&stats),
+            stats: LinkStats::default(),
+            wire: VecDeque::new(),
             telemetry: Telemetry::disabled(),
             direction: LinkDirection::Up,
-        },
-        FeedbackReceiver {
-            rx,
-            stats,
-            pending: Vec::new(),
-        },
-    )
-}
+        }
+    }
 
-impl<T: WirePayload> FeedbackSender<T> {
+    /// Attach a telemetry handle: every subsequent `send` records a
+    /// `link-message` event and bumps the per-direction message/byte
+    /// counters.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, direction: LinkDirection) {
+        self.telemetry = telemetry;
+        self.direction = direction;
+    }
+
     /// Stream one message at simulated time `sent_at`. Returns the time at
-    /// which the receiver will have it (send time + transfer latency).
+    /// which a poll will hand it out (send time + transfer latency).
     /// Sending never blocks the simulated producer.
-    pub fn send(&self, payload: T, sent_at: SimTime) -> SimTime {
+    pub fn send(&mut self, payload: T, sent_at: SimTime) -> SimTime {
         let wire_bytes = payload.wire_bytes();
         let latency = self.cost.transfer_latency(wire_bytes);
         let deliver_at = sent_at + latency;
-        let seq = {
-            let mut stats = self.stats.lock();
-            stats.messages += 1;
-            stats.bytes += wire_bytes;
-            stats.total_latency += latency;
-            stats.messages
-        };
+        self.stats.messages += 1;
+        self.stats.bytes += wire_bytes;
+        self.stats.total_latency += latency;
+        let seq = self.stats.messages;
         if self.telemetry.is_enabled() {
             let direction = self.direction;
             self.telemetry.emit(sent_at, || EventKind::LinkMessage {
@@ -306,92 +273,36 @@ impl<T: WirePayload> FeedbackSender<T> {
             self.telemetry.counter(messages, 1);
             self.telemetry.counter(bytes, wire_bytes);
         }
-        // The receiver may have been dropped (e.g. controller shut down); the
-        // producer must not care.
-        let _ = self.tx.send((deliver_at, seq, payload));
+        // Almost always the back: sends come in time order and rarely find
+        // more than one message still on the wire.
+        let slot = self
+            .wire
+            .partition_point(|&(at, s, _)| (at, s) < (deliver_at, seq));
+        self.wire.insert(slot, (deliver_at, seq, payload));
         deliver_at
     }
 
-    /// The cost model this sender charges.
-    pub fn cost(&self) -> LinkCost {
-        self.cost
-    }
-
-    /// Attach a telemetry handle: every subsequent `send` (from this sender
-    /// and clones made *after* this call) records a `link-message` event and
-    /// bumps the per-direction message/byte counters. Call before handing
-    /// out clones so the whole stream is traced.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry, direction: LinkDirection) {
-        self.telemetry = telemetry;
-        self.direction = direction;
-    }
-
-    /// Snapshot of this direction's statistics.
-    pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
-    }
-}
-
-impl<T> FeedbackReceiver<T> {
-    /// Drain every message that has been *delivered* by `now` (transfer
-    /// latency already accounted for). Messages still "in flight" stay queued.
-    ///
-    /// Delivery order is deterministic: ready messages are returned sorted by
-    /// `(deliver_at, send sequence)`, so a message that was sent later but
-    /// (being smaller) landed earlier is delivered first, and simultaneous
-    /// deliveries keep their send order regardless of how the channel
-    /// interleaved with earlier `poll` calls.
+    /// Hand out every message *delivered* by `now` (transfer latency already
+    /// accounted for), in `(deliver_at, seq)` order: a message sent later
+    /// but (being smaller) landing earlier comes first, and simultaneous
+    /// deliveries keep their send order. Messages still in flight stay on
+    /// the wire.
     pub fn poll(&mut self, now: SimTime) -> Vec<T> {
-        while let Ok(item) = self.rx.try_recv() {
-            // crossbeam channels have no peek, so not-yet-delivered messages
-            // are conceptually still on the wire and kept locally.
-            self.pending.push(item);
-        }
-        // Partition in place: ready messages move to the tail of `pending`
-        // (internal order is irrelevant — delivery order is imposed by the
-        // sort below), so the only allocation per poll is the returned batch.
-        let mut split = self.pending.len();
-        let mut i = 0;
-        while i < split {
-            if self.pending[i].0 <= now {
-                split -= 1;
-                self.pending.swap(i, split);
-            } else {
-                i += 1;
-            }
-        }
-        let ready = &mut self.pending[split..];
-        ready.sort_by_key(|(deliver_at, seq, _)| (*deliver_at, *seq));
-        // Runtime counterpart of the static ordering rules (apparate-lint
-        // W001): everything handed out is actually delivered by `now`, and
-        // the batch is strictly ordered by `(deliver_at, seq)` — sequence
-        // numbers are unique per link, so ties in `deliver_at` cannot erase
-        // send order.
-        debug_assert!(
-            ready.iter().all(|(deliver_at, _, _)| *deliver_at <= now),
-            "feedback delivery handed out a message still on the wire at {now:?}"
-        );
-        debug_assert!(
-            ready
-                .windows(2)
-                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-            "feedback delivery is not strictly ordered by (deliver_at, seq)"
-        );
-        self.pending
-            .drain(split..)
+        let ready = self.wire.partition_point(|&(at, _, _)| at <= now);
+        self.wire
+            .drain(..ready)
             .map(|(_, _, payload)| payload)
             .collect()
     }
 
-    /// Number of messages waiting on the wire (received from the channel but
-    /// not yet delivered).
+    /// Number of messages still on the wire.
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.wire.len()
     }
 
-    /// Snapshot of this direction's statistics.
+    /// This direction's statistics so far.
     pub fn stats(&self) -> LinkStats {
-        self.stats.lock().clone()
+        self.stats.clone()
     }
 }
 
@@ -429,28 +340,28 @@ mod tests {
 
     #[test]
     fn records_deliver_after_transfer_latency() {
-        let (tx, mut rx) = feedback_link(LinkCost::default());
+        let mut link = FeedbackLink::new(LinkCost::default());
         let rec = record(10, 4);
-        let deliver_at = tx.send(rec.clone(), rec.completed_at);
+        let deliver_at = link.send(rec.clone(), rec.completed_at);
         assert!(deliver_at > SimTime::from_millis(10));
         // Not yet delivered at completion time.
-        assert!(rx.poll(SimTime::from_millis(10)).is_empty());
-        assert_eq!(rx.in_flight(), 1);
+        assert!(link.poll(SimTime::from_millis(10)).is_empty());
+        assert_eq!(link.in_flight(), 1);
         // Delivered once the link latency has elapsed.
-        let got = rx.poll(deliver_at);
+        let got = link.poll(deliver_at);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].batch_size, 4);
-        assert_eq!(rx.in_flight(), 0);
+        assert_eq!(link.in_flight(), 0);
     }
 
     #[test]
     fn stats_accumulate() {
-        let (tx, rx) = feedback_link(LinkCost::default());
+        let mut link = FeedbackLink::new(LinkCost::default());
         for i in 0..5 {
             let rec = record(i, 2);
-            tx.send(rec.clone(), rec.completed_at);
+            link.send(rec.clone(), rec.completed_at);
         }
-        let stats = rx.stats();
+        let stats = link.stats();
         assert_eq!(stats.messages, 5);
         assert!(stats.bytes > 0);
         assert!(stats.mean_latency() > SimDuration::ZERO);
@@ -459,14 +370,14 @@ mod tests {
     #[test]
     fn traced_sends_reconcile_with_link_stats() {
         use apparate_telemetry::{Telemetry, TelemetryConfig};
-        let (mut tx, rx) = feedback_link(LinkCost::default());
+        let mut link = FeedbackLink::new(LinkCost::default());
         let telemetry = Telemetry::recording(TelemetryConfig::default());
-        tx.set_telemetry(telemetry.clone(), LinkDirection::Up);
+        link.set_telemetry(telemetry.clone(), LinkDirection::Up);
         for i in 0..5 {
             let rec = record(i, 2);
-            tx.send(rec.clone(), rec.completed_at);
+            link.send(rec.clone(), rec.completed_at);
         }
-        let stats = rx.stats();
+        let stats = link.stats();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.count_kind("link-message") as u64, stats.messages);
         assert_eq!(snap.counter_total("link_up_messages"), stats.messages);
@@ -509,7 +420,7 @@ mod tests {
 
     #[test]
     fn threshold_updates_are_charged_on_the_downlink() {
-        let (tx, rx) = feedback_link::<ThresholdUpdate>(LinkCost::default());
+        let mut link = FeedbackLink::<ThresholdUpdate>::new(LinkCost::default());
         // Thresholds-only update: small.
         let small = ThresholdUpdate {
             issued_at: SimTime::from_millis(5),
@@ -535,9 +446,9 @@ mod tests {
             ..small.clone()
         };
         assert!(big.wire_bytes() >= 2 * RAMP_DEFINITION_BYTES);
-        tx.send(small, SimTime::from_millis(5));
-        tx.send(big, SimTime::from_millis(5));
-        let stats = rx.stats();
+        link.send(small, SimTime::from_millis(5));
+        link.send(big, SimTime::from_millis(5));
+        let stats = link.stats();
         assert_eq!(stats.messages, 2);
         assert!(stats.bytes > 2 * RAMP_DEFINITION_BYTES);
         // The big update takes visibly longer than the fixed PCIe latency.
@@ -548,16 +459,16 @@ mod tests {
     fn delivery_order_is_deterministic_on_deliver_time_then_send_order() {
         // A large record sent first can land *after* a small one sent later;
         // delivery order must follow landing times, not completion times.
-        let (tx, mut rx) = feedback_link(LinkCost {
+        let mut link = FeedbackLink::new(LinkCost {
             fixed_us: 0.0,
             per_kib_us: 1_000.0,
         });
         let big = record(10, 64); // sent at 10 ms, slow transfer
         let small = record(11, 1); // sent at 11 ms, lands almost immediately
-        let big_at = tx.send(big, SimTime::from_millis(10));
-        let small_at = tx.send(small, SimTime::from_millis(11));
+        let big_at = link.send(big, SimTime::from_millis(10));
+        let small_at = link.send(small, SimTime::from_millis(11));
         assert!(small_at < big_at, "the later-sent record lands first");
-        let got = rx.poll(big_at);
+        let got = link.poll(big_at);
         assert_eq!(got.len(), 2);
         assert_eq!(
             got[0].batch_size, 1,
@@ -568,36 +479,113 @@ mod tests {
 
     #[test]
     fn later_sent_but_earlier_completed_records_do_not_jump_pending_ones() {
-        // Regression for the rx-before-pending drain bug: a record already
-        // waiting in `pending` must not be delivered behind a record that was
-        // sent later but carries an earlier completion stamp.
-        let (tx, mut rx) = feedback_link(LinkCost {
+        // A record already waiting on the wire when a poll finds nothing
+        // delivered must not be handed out behind a record that was sent
+        // later but carries an earlier completion stamp.
+        let mut link = FeedbackLink::new(LinkCost {
             fixed_us: 1_000.0,
             per_kib_us: 0.0,
         });
-        tx.send(record(20, 2), SimTime::from_millis(20)); // lands at 21 ms
-                                                          // Poll early so the first record moves into the receiver's local
-                                                          // pending buffer while still undelivered.
-        assert!(rx.poll(SimTime::from_millis(5)).is_empty());
-        assert_eq!(rx.in_flight(), 1);
+        link.send(record(20, 2), SimTime::from_millis(20)); // lands at 21 ms
+        assert!(link.poll(SimTime::from_millis(5)).is_empty());
+        assert_eq!(link.in_flight(), 1);
         // Now send a record with an *earlier* completion time that lands later.
-        tx.send(record(10, 3), SimTime::from_millis(20)); // also lands at 21 ms
-        let got = rx.poll(SimTime::from_millis(30));
+        link.send(record(10, 3), SimTime::from_millis(20)); // also lands at 21 ms
+        let got = link.poll(SimTime::from_millis(30));
         assert_eq!(got.len(), 2);
         // Identical deliver_at: send order (= sequence) breaks the tie, so the
-        // pending record is delivered first even though it completed later.
+        // waiting record is delivered first even though it completed later.
         assert_eq!(got[0].batch_size, 2);
         assert_eq!(got[1].batch_size, 3);
     }
 
     #[test]
     fn simultaneous_deliveries_keep_send_order_across_polls() {
-        let (tx, mut rx) = feedback_link(LinkCost::FREE);
+        let mut link = FeedbackLink::new(LinkCost::FREE);
         for i in 0..4 {
-            tx.send(record(7, i + 1), SimTime::from_millis(7));
+            link.send(record(7, i + 1), SimTime::from_millis(7));
         }
-        let got = rx.poll(SimTime::from_millis(7));
+        let got = link.poll(SimTime::from_millis(7));
         let sizes: Vec<u32> = got.iter().map(|r| r.batch_size).collect();
         assert_eq!(sizes, vec![1, 2, 3, 4]);
+    }
+
+    /// A message of a chosen wire size, named by its send index.
+    struct Message {
+        index: usize,
+        bytes: u64,
+    }
+
+    impl WirePayload for Message {
+        fn wire_bytes(&self) -> u64 {
+            self.bytes
+        }
+    }
+
+    /// Poll `link` at `now` and check the result against the reference:
+    /// `wire` (each message still on the wire as `(deliver_at, send index)`)
+    /// sorted, up to `now`. Returns whether the poll handed out a later send
+    /// first.
+    fn poll_matches_reference(
+        link: &mut FeedbackLink<Message>,
+        wire: &mut Vec<(SimTime, usize)>,
+        now: SimTime,
+        label: &str,
+    ) -> bool {
+        wire.sort_unstable();
+        let ready = wire.iter().take_while(|(at, _)| *at <= now).count();
+        let want: Vec<usize> = wire.drain(..ready).map(|(_, index)| index).collect();
+        let got: Vec<usize> = link.poll(now).iter().map(|m| m.index).collect();
+        assert_eq!(got, want, "{label}: poll at {now:?}");
+        assert_eq!(
+            link.in_flight(),
+            wire.len(),
+            "{label}: after the poll at {now:?}"
+        );
+        got.windows(2).any(|w| w[0] > w[1])
+    }
+
+    #[test]
+    fn polls_match_a_sorted_reference_under_seeded_traffic() {
+        use apparate_sim::DeterministicRng;
+        // Transfer time dominated by size: a 64 KiB message takes 64 ms, a
+        // 1 B message 10 µs, so later sends often land first.
+        let size_dominated = LinkCost {
+            fixed_us: 10.0,
+            per_kib_us: 1_000.0,
+        };
+        let mut reordered = 0;
+        for (c, cost) in [LinkCost::FREE, LinkCost::default(), size_dominated]
+            .into_iter()
+            .enumerate()
+        {
+            for seed in 0..16u64 {
+                let label = format!("cost {c}, seed {seed}");
+                let mut rng = DeterministicRng::new(seed).stream(&[c as u64]);
+                let mut link = FeedbackLink::new(cost);
+                let mut wire = Vec::new();
+                let mut sent_at = SimTime::ZERO;
+                for index in 0..400 {
+                    // Non-decreasing send times, a third of them tied.
+                    if !rng.chance(1.0 / 3.0) {
+                        sent_at += SimDuration::from_micros(rng.below(2_000));
+                    }
+                    // 1 B – 64 KiB, log-uniform in the power of two.
+                    let power = rng.below(17);
+                    let bytes = 1 + rng.below(1 << power);
+                    let deliver_at = link.send(Message { index, bytes }, sent_at);
+                    assert_eq!(deliver_at, sent_at + cost.transfer_latency(bytes));
+                    wire.push((deliver_at, index));
+                    if rng.chance(0.4) {
+                        let now = sent_at + SimDuration::from_micros(rng.below(5_000));
+                        reordered +=
+                            usize::from(poll_matches_reference(&mut link, &mut wire, now, &label));
+                    }
+                }
+                poll_matches_reference(&mut link, &mut wire, SimTime::from_secs(3_600), &label);
+                assert_eq!(link.in_flight(), 0, "{label}");
+            }
+        }
+        assert!(reordered > 0, "some poll must hand out a later send first");
     }
 }

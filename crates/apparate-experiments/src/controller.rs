@@ -8,9 +8,9 @@
 //! split exactly the way the paper deploys it (§3, §4.5):
 //!
 //! * the **GPU half** (`GpuHalf`) executes batches under the thresholds and
-//!   ramp set it currently has deployed, and hands the platform a per-batch
-//!   [`BatchProfile`] which the platform streams over the uplink as a
-//!   [`ProfileRecord`] when the batch completes;
+//!   ramp set it currently has deployed, and builds each batch's or decode
+//!   step's [`ProfileRecord`], which the policy streams over the uplink the
+//!   instant the batch or step completes;
 //! * the **controller half** (`ControllerHalf`) runs on the CPU: at each
 //!   batch boundary it polls the uplink for records whose simulated delivery
 //!   time has arrived, feeds its monitor, and runs any triggered threshold
@@ -18,15 +18,17 @@
 //!   [`ThresholdUpdate`]s over the downlink (~10 KB of ramp definitions when
 //!   the ramp set changes) and take effect on the GPU only after delivery.
 //!
-//! Both directions are charged against the [`LinkCost`] model, so every
-//! adaptation decision lags reality by the coordination latency — the §4.5
-//! overhead experiment reads those charges back via
-//! [`ApparatePolicy::overhead_report`]. The controller half never reads the
-//! live plan's observations directly: everything it learns arrives through
-//! [`FeedbackReceiver::poll`], which only surfaces messages already delivered
-//! at the poll time. Records carry each request's semantics; a tune rebuilds
-//! delivered requests' rows under the controller's plan, which ingestion
-//! asserts (in every build) is the ramp set each kept record ran under.
+//! The controller half owns both directions, one [`FeedbackLink`] each, and
+//! both are charged against the [`LinkCost`] model, so every adaptation
+//! decision lags reality by the coordination latency — the §4.5 overhead
+//! experiment reads those charges back via
+//! [`ApparatePolicy::overhead_report`]. The serving platform never sees the
+//! link. The controller half never reads the live plan's observations
+//! directly: everything it learns arrives through [`FeedbackLink::poll`],
+//! which only hands out messages already delivered at the poll time. Records
+//! carry each request's semantics; a tune rebuilds delivered requests' rows
+//! under the controller's plan, which ingestion asserts (in every build) is
+//! the ramp set each kept record ran under.
 
 use apparate_baselines::{
     exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, RampDeployment,
@@ -36,12 +38,10 @@ use apparate_core::{
     IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp,
 };
 use apparate_exec::{
-    feedback_link, ExecutionPlan, FeedbackReceiver, FeedbackSender, LinkCost, OverheadReport,
-    ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
+    ExecutionPlan, FeedbackLink, LinkCost, OverheadReport, ProfileRecord, RequestRelease,
+    SampleSemantics, ThresholdUpdate,
 };
-use apparate_serving::{
-    BatchOutcome, BatchProfile, ExitPolicy, Request, StepOutcome, TokenPolicy, TokenSlot,
-};
+use apparate_serving::{BatchOutcome, ExitPolicy, Request, StepOutcome, TokenPolicy, TokenSlot};
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, LinkDirection, Telemetry};
 
@@ -92,7 +92,6 @@ struct GpuHalf {
     config_epoch: u64,
     /// Epoch of the last ramp-set update applied (0: the initial set).
     ramp_epoch: u64,
-    update_rx: FeedbackReceiver<ThresholdUpdate>,
     /// Updates delivered ahead of an earlier epoch that is still on the
     /// wire, held until it lands.
     held: Vec<ThresholdUpdate>,
@@ -107,8 +106,8 @@ impl GpuHalf {
     /// effect only after update N. A small thresholds-only update can land
     /// before the larger ramp-set update issued just ahead of it, and is
     /// held until that one lands (its thresholds index the new ramp set).
-    fn sync(&mut self, now: SimTime) {
-        self.held.extend(self.update_rx.poll(now));
+    fn sync(&mut self, downlink: &mut FeedbackLink<ThresholdUpdate>, now: SimTime) {
+        self.held.extend(downlink.poll(now));
         while let Some(next) = self
             .held
             .iter()
@@ -136,51 +135,58 @@ impl GpuHalf {
         self.telemetry.gauge(
             now,
             "link_down_in_flight",
-            (self.update_rx.in_flight() + self.held.len()) as f64,
+            (downlink.in_flight() + self.held.len()) as f64,
         );
     }
 
-    /// Execute one batch under the deployed configuration: release decisions
-    /// for the platform plus the profiling data to stream to the controller.
-    /// A release reads only its exit ramp's observation; the controller
+    /// Execute one batch of `(request id, semantics)` pairs, in batch order,
+    /// under the deployed configuration: release decisions for the platform
+    /// plus the record to stream to the controller, which
+    /// [`CoordinatedCore::stream`] stamps with its completion time. A
+    /// release reads only its exit ramp's observation; the controller
     /// rebuilds a request's full row from its semantics if a tune reads it.
     fn execute(
         &self,
-        samples: Vec<SampleSemantics>,
-    ) -> (
-        SimDuration,
-        Vec<apparate_serving::RequestOutcome>,
-        BatchProfile,
-    ) {
-        let b = samples.len() as u32;
-        let outcomes: Vec<apparate_serving::RequestOutcome> = samples
-            .iter()
-            .map(|s| exit_outcome(&self.plan, self.plan.first_exit(s, &self.thresholds), b))
-            .collect();
-        let profile = BatchProfile {
+        requests: impl ExactSizeIterator<Item = (u64, SampleSemantics)>,
+    ) -> (BatchOutcome, ProfileRecord) {
+        let b = requests.len();
+        let mut per_request = Vec::with_capacity(b);
+        let mut samples = Vec::with_capacity(b);
+        let mut releases = Vec::with_capacity(b);
+        for (id, sample) in requests {
+            let outcome = exit_outcome(
+                &self.plan,
+                self.plan.first_exit(&sample, &self.thresholds),
+                b as u32,
+            );
+            releases.push(RequestRelease {
+                id,
+                exit: outcome.exit_ramp,
+                correct: outcome.correct,
+            });
+            per_request.push(outcome);
+            samples.push(sample);
+        }
+        let outcome = BatchOutcome {
+            gpu_time: SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b as u32)),
+            per_request,
+        };
+        let record = ProfileRecord {
+            completed_at: SimTime::ZERO,
+            batch_size: b as u32,
             num_ramps: self.plan.num_ramps(),
             samples,
-            releases: outcomes
-                .iter()
-                .map(|o| RequestRelease {
-                    id: 0,
-                    exit: o.exit_ramp,
-                    correct: o.correct,
-                })
-                .collect(),
+            releases,
             config_epoch: self.config_epoch,
             ramp_epoch: self.ramp_epoch,
         };
-        (
-            SimDuration::from_micros_f64(self.plan.gpu_batch_time_us(b)),
-            outcomes,
-            profile,
-        )
+        (outcome, record)
     }
 }
 
 /// The CPU-resident half: monitors delivered profiling records and runs the
 /// adaptation algorithms, publishing configuration changes on the downlink.
+/// It owns both link directions.
 struct ControllerHalf {
     /// The controller's mirror of the configuration it has *issued* (the GPU
     /// converges to it one downlink delivery later). Used for savings and
@@ -216,8 +222,8 @@ struct ControllerHalf {
     /// Records stamped with an epoch below this predate a ramp-set change and
     /// are discarded (their observation vectors index the old ramp set).
     min_ingest_epoch: u64,
-    profile_rx: FeedbackReceiver<ProfileRecord>,
-    update_tx: FeedbackSender<ThresholdUpdate>,
+    uplink: FeedbackLink<ProfileRecord>,
+    downlink: FeedbackLink<ThresholdUpdate>,
     stats: ControllerStats,
     telemetry: Telemetry,
 }
@@ -289,7 +295,7 @@ impl ControllerHalf {
             thresholds: self.thresholds.clone(),
             ramps: ramps_changed.then(|| self.plan.ramps().to_vec()),
         };
-        self.update_tx.send(update, now);
+        self.downlink.send(update, now);
         self.stats.updates_sent += 1;
         let epoch = self.config_epoch;
         self.telemetry.emit(now, || EventKind::UpdateIssued {
@@ -305,7 +311,7 @@ impl ControllerHalf {
     /// controller: nothing the GPU produced after `now` (or still on the wire
     /// at `now`) can influence decisions made here.
     fn ingest(&mut self, now: SimTime) {
-        for record in self.profile_rx.poll(now) {
+        for record in self.uplink.poll(now) {
             if record.config_epoch < self.min_ingest_epoch {
                 self.stats.records_dropped += 1;
                 if self.telemetry.is_enabled() {
@@ -339,7 +345,7 @@ impl ControllerHalf {
             self.records_since_tune += record.releases.len();
         }
         self.telemetry
-            .gauge(now, "link_up_in_flight", self.profile_rx.in_flight() as f64);
+            .gauge(now, "link_up_in_flight", self.uplink.in_flight() as f64);
         self.maybe_adjust(now);
         self.maybe_tune(now);
     }
@@ -503,13 +509,10 @@ impl ControllerHalf {
     }
 }
 
-/// Both halves plus the uplink producer handle the serving platform publishes
-/// through.
+/// Both halves of one replica's controller loop.
 struct CoordinatedCore {
     gpu: GpuHalf,
     controller: ControllerHalf,
-    /// Clone-able producer half of the uplink, handed to the platform.
-    profile_tx: FeedbackSender<ProfileRecord>,
 }
 
 impl CoordinatedCore {
@@ -536,15 +539,12 @@ impl CoordinatedCore {
             })
             .collect();
         let num_ramps = plan.num_ramps();
-        let (profile_tx, profile_rx) = feedback_link::<ProfileRecord>(link);
-        let (update_tx, update_rx) = feedback_link::<ThresholdUpdate>(link);
         CoordinatedCore {
             gpu: GpuHalf {
                 plan: plan.clone(),
                 thresholds: vec![0.0; num_ramps],
                 config_epoch: 0,
                 ramp_epoch: 0,
-                update_rx,
                 held: Vec::new(),
                 telemetry: Telemetry::disabled(),
             },
@@ -566,23 +566,23 @@ impl CoordinatedCore {
                 tuner: IncrementalTuner::new(),
                 config_epoch: 0,
                 min_ingest_epoch: 0,
-                profile_rx,
-                update_tx,
+                uplink: FeedbackLink::new(link),
+                downlink: FeedbackLink::new(link),
                 stats: ControllerStats::default(),
                 telemetry: Telemetry::disabled(),
             },
-            profile_tx,
         }
     }
 
     /// Attach a telemetry sink to both halves and both link directions. Must
-    /// be called before [`CoordinatedCore::step`] runs and before the uplink
-    /// producer is cloned out, so every message of the run is traced.
+    /// be called before [`CoordinatedCore::step`] runs, so every message of
+    /// the run is traced.
     fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.profile_tx
+        self.controller
+            .uplink
             .set_telemetry(telemetry.clone(), LinkDirection::Up);
         self.controller
-            .update_tx
+            .downlink
             .set_telemetry(telemetry.clone(), LinkDirection::Down);
         self.gpu.telemetry = telemetry.clone();
         self.controller.telemetry = telemetry;
@@ -601,25 +601,32 @@ impl CoordinatedCore {
 
     /// One batch/step at simulated time `now`: the controller half acts on
     /// everything delivered by `now`, the GPU half applies every
-    /// configuration update delivered by `now`, then executes.
+    /// configuration update delivered by `now`, then executes `requests`.
     fn step(
         &mut self,
-        samples: Vec<SampleSemantics>,
+        requests: impl ExactSizeIterator<Item = (u64, SampleSemantics)>,
         now: SimTime,
-    ) -> (
-        SimDuration,
-        Vec<apparate_serving::RequestOutcome>,
-        BatchProfile,
-    ) {
+    ) -> (BatchOutcome, ProfileRecord) {
         self.controller.ingest(now);
-        self.gpu.sync(now);
-        self.gpu.execute(samples)
+        self.gpu.sync(&mut self.controller.downlink, now);
+        self.gpu.execute(requests)
+    }
+
+    /// Stream a batch's or step's record over the uplink the instant it
+    /// completes on the GPU, non-blocking for serving; the controller half
+    /// sees it one link latency later (§3, §4.5).
+    fn stream(&mut self, record: ProfileRecord, completed_at: SimTime) {
+        let record = ProfileRecord {
+            completed_at,
+            ..record
+        };
+        self.controller.uplink.send(record, completed_at);
     }
 
     fn overhead_report(&self) -> OverheadReport {
         OverheadReport {
-            uplink: self.profile_tx.stats(),
-            downlink: self.controller.update_tx.stats(),
+            uplink: self.controller.uplink.stats(),
+            downlink: self.controller.downlink.stats(),
         }
     }
 }
@@ -741,46 +748,30 @@ impl ApparatePolicy {
 
     /// Attach a telemetry sink: the controller traces ramp-set changes,
     /// update issue/delivery, stale-record drops and tuning rounds, and both
-    /// link directions trace their messages. Call *before*
-    /// [`ApparatePolicy::feedback_sender`] so the uplink clone the platform
-    /// holds is traced too.
+    /// link directions trace their messages. Call before serving.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.core.set_telemetry(telemetry);
     }
 
-    /// The uplink producer handle: pass this to
-    /// [`apparate_serving::ServingSimulator::run_with_feedback`] or
-    /// [`apparate_serving::GenerativeSimulator::run_with_feedback`] so the
-    /// platform streams each batch's or step's profile to the controller.
-    pub fn feedback_sender(&self) -> FeedbackSender<ProfileRecord> {
-        self.core.profile_tx.clone()
-    }
+    /// An empty handle: the policy streams its own profiles. Kept only for
+    /// perfbench's traced rebuild (`perfbench/src/traced.rs`), which only a
+    /// benchmark change may edit; delete it with that file.
+    pub fn feedback_sender(&self) {}
 
     /// Coordination charges accumulated so far, both directions (§4.5).
     pub fn overhead_report(&self) -> OverheadReport {
         self.core.overhead_report()
     }
-
-    /// One batch or decode step over `samples`, in batch order, at `start`.
-    fn release<'a>(
-        &mut self,
-        samples: impl Iterator<Item = &'a SampleSemantics>,
-        start: SimTime,
-    ) -> BatchOutcome {
-        // The profile carries the batch's semantics, so they are staged in
-        // the vector it will own.
-        let (gpu_time, per_request, profile) = self.core.step(samples.copied().collect(), start);
-        BatchOutcome {
-            gpu_time,
-            per_request,
-            profile: Some(profile),
-        }
-    }
 }
 
 impl ExitPolicy for ApparatePolicy {
+    /// The batch's record is streamed last, when the batch frees the GPU.
     fn process_batch(&mut self, batch: &[Request], batch_start: SimTime) -> BatchOutcome {
-        self.release(batch.iter().map(|r| &r.semantics), batch_start)
+        let (outcome, record) = self
+            .core
+            .step(batch.iter().map(|r| (r.id, r.semantics)), batch_start);
+        self.core.stream(record, batch_start + outcome.gpu_time);
+        outcome
     }
 
     fn name(&self) -> &str {
@@ -789,9 +780,17 @@ impl ExitPolicy for ApparatePolicy {
 }
 
 impl TokenPolicy for ApparatePolicy {
+    /// The step's record is streamed last, when the step's slowest token
+    /// releases: the step completes there, not at the batch's full GPU time
+    /// (§3.4).
     fn process_step(&mut self, slots: &[TokenSlot], step_start: SimTime) -> StepOutcome {
-        self.release(slots.iter().map(|s| &s.semantics), step_start)
-            .into()
+        let (outcome, record) = self.core.step(
+            slots.iter().map(|s| (s.request_id, s.semantics)),
+            step_start,
+        );
+        let step = StepOutcome::from(outcome);
+        self.core.stream(record, step_start + step.gpu_time);
+        step
     }
 
     fn name(&self) -> &str {
@@ -828,22 +827,15 @@ mod tests {
         )
     }
 
-    /// Serve one batch the way the platform does: process it at `now`, then
-    /// stream its profile over the uplink at batch completion. Returns the
-    /// outcome and the batch completion time (serial GPU: the next batch
-    /// starts there).
+    /// Process one batch at `now`. Returns the outcome and the batch
+    /// completion time (serial GPU: the next batch starts there).
     fn drive(
         policy: &mut ApparatePolicy,
         batch: &[Request],
         now: SimTime,
     ) -> (BatchOutcome, SimTime) {
-        let sender = policy.feedback_sender();
         let out = policy.process_batch(batch, now);
         let completed = now + out.gpu_time;
-        if let Some(profile) = out.profile.clone() {
-            let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-            sender.send(profile.into_record(completed, &ids), completed);
-        }
         (out, completed)
     }
 
@@ -994,21 +986,15 @@ mod tests {
             .collect()
     }
 
-    /// Serve one decode step the way the platform does: process it at `now`,
-    /// then stream its profile over the uplink at step completion. Returns
-    /// the outcome and the step completion time.
+    /// Process one decode step at `now`. Returns the outcome and the step
+    /// completion time.
     fn drive_token(
         policy: &mut ApparateTokenPolicy,
         step_slots: &[TokenSlot],
         now: SimTime,
     ) -> (StepOutcome, SimTime) {
-        let sender = policy.feedback_sender();
         let out = policy.process_step(step_slots, now);
         let completed = now + out.gpu_time;
-        if let Some(profile) = out.profile.clone() {
-            let ids: Vec<u64> = step_slots.iter().map(|s| s.request_id).collect();
-            sender.send(profile.into_record(completed, &ids), completed);
-        }
         (out, completed)
     }
 
@@ -1125,8 +1111,8 @@ mod tests {
     fn apparate_decode_step_releases_like_a_batch() {
         // Two fresh controllers over one warm start: one serves the samples
         // as a batch, the other as a decode step. The step must release each
-        // token as the batch released its result and free the GPU at its
-        // slowest release (§3.4).
+        // token as the batch released its result, free the GPU at its
+        // slowest release (§3.4) and stream its record from there.
         let config = ApparateConfig::default();
         let deployment = token_deployment(3);
         let warm = warm_start_thresholds(&deployment.plan, &config, 8, &token_calibration(256));
@@ -1138,8 +1124,9 @@ mod tests {
             .iter()
             .map(|s| Request::classification(s.request_id, SimTime::ZERO, s.semantics, None))
             .collect();
-        let batch_out = fresh().process_batch(&batch, SimTime::ZERO);
-        let step_out = fresh().process_step(&step_slots, SimTime::ZERO);
+        let (mut batch_policy, mut step_policy) = (fresh(), fresh());
+        let batch_out = batch_policy.process_batch(&batch, SimTime::ZERO);
+        let step_out = step_policy.process_step(&step_slots, SimTime::ZERO);
         assert_eq!(step_out.per_token.len(), batch_out.per_request.len());
         for (token, result) in step_out.per_token.iter().zip(&batch_out.per_request) {
             assert_eq!(token.release_offset, result.release_offset);
@@ -1149,7 +1136,21 @@ mod tests {
         assert!(batch_out.per_request.iter().any(|o| o.exit_ramp.is_some()));
         let slowest = batch_out.per_request.iter().map(|o| o.release_offset).max();
         assert_eq!(Some(step_out.gpu_time), slowest);
-        assert!(step_out.profile.is_some() && batch_out.profile.is_some());
+        // Each policy streamed one record, sent the instant its own batch or
+        // step completed: it lands one transfer latency later, not sooner.
+        for (policy, gpu_time) in [
+            (&mut batch_policy, batch_out.gpu_time),
+            (&mut step_policy, step_out.gpu_time),
+        ] {
+            let uplink = &mut policy.core.controller.uplink;
+            let stats = uplink.stats();
+            assert_eq!(stats.messages, 1);
+            let deliver_at = SimTime::ZERO + gpu_time + stats.total_latency;
+            assert!(uplink
+                .poll(deliver_at - SimDuration::from_micros(1))
+                .is_empty());
+            assert_eq!(uplink.poll(deliver_at).len(), 1);
+        }
     }
 
     #[test]
@@ -1327,9 +1328,10 @@ mod tests {
         controller.publish(issued + SimDuration::from_micros(1), false);
 
         for at_ms in [6, 10, 14] {
-            core.gpu.sync(SimTime::from_millis(at_ms));
+            core.gpu
+                .sync(&mut core.controller.downlink, SimTime::from_millis(at_ms));
             assert_eq!(
-                core.gpu.update_rx.in_flight(),
+                core.controller.downlink.in_flight(),
                 1,
                 "at {at_ms} ms only the ramp-set update is still on the wire"
             );
@@ -1337,8 +1339,9 @@ mod tests {
             assert_eq!(core.gpu.thresholds, epoch0, "at {at_ms} ms");
             assert_eq!(core.gpu.plan.num_ramps(), ramps, "at {at_ms} ms");
         }
-        core.gpu.sync(SimTime::from_millis(1_000));
-        assert_eq!(core.gpu.update_rx.in_flight(), 0);
+        core.gpu
+            .sync(&mut core.controller.downlink, SimTime::from_millis(1_000));
+        assert_eq!(core.controller.downlink.in_flight(), 0);
         assert_eq!(core.gpu.config_epoch, 2);
         assert_eq!(core.gpu.plan.num_ramps(), ramps - 1);
         assert_eq!(core.gpu.thresholds, vec![0.2; ramps - 1]);

@@ -5,8 +5,7 @@
 //! the experiment half: for one [`Scenario`] — a classification stream or a
 //! generative request stream — it builds a fleet of N identical replicas —
 //! **each with its own GPU-half/controller-half pair over its own charged
-//! [`FeedbackSender`](apparate_exec::FeedbackSender) /
-//! [`FeedbackReceiver`](apparate_exec::FeedbackReceiver) link** — and runs
+//! [`FeedbackLink`](apparate_exec::FeedbackLink) pair** — and runs
 //! the vanilla, static-EE and Apparate fleets over the *same* shared stream
 //! and the same shards, so the resulting [`ComparisonTable`] is a
 //! fleet-level analogue of the paper's per-replica win tables. Per-replica
@@ -284,10 +283,12 @@ fn apparate_fleet<S: Scenario>(
     let estimate = apparate_estimate(&dep_budget.plan, &config);
     let out = fleet
         .serve(shards, scenario.shared())
-        .units(policies.iter_mut().enumerate().map(|(r, p)| {
-            let feedback = p.feedback_sender();
-            ReplicaUnit::new(format!("apparate-{r}"), p, &estimate).with_feedback(feedback)
-        }))
+        .units(
+            policies
+                .iter_mut()
+                .enumerate()
+                .map(|(r, p)| ReplicaUnit::new(format!("apparate-{r}"), p, &estimate)),
+        )
         .threads(threads)
         .run();
     (out, fleet_overhead(&policies))

@@ -14,9 +14,7 @@ use apparate_baselines::{
     OracleExitPolicy, RampDeployment, StaticExitPolicy,
 };
 use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
-use apparate_exec::{
-    ExecutionPlan, FeedbackSender, OverheadReport, ProfileRecord, SampleSemantics, SemanticsModel,
-};
+use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
 use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
     run_queue, shard_arrivals, shard_requests, stream_arrivals, ArrivalTrace,
@@ -482,15 +480,14 @@ pub trait Scenario: Sync {
     fn shared(&self) -> &<Self::Loop as ReplicaLoop>::Shared;
     /// The shared stream, derived from the seed.
     fn stream(&self) -> Self::Stream;
-    /// Serve the whole stream on one replica with `policy`, publishing its
-    /// profiles on `feedback` and recording through `telemetry`. Unlike a
-    /// fleet replica, the run traces no `dispatch` events.
+    /// Serve the whole stream on one replica with `policy`, recording
+    /// through `telemetry`. Unlike a fleet replica, the run traces no
+    /// `dispatch` events.
     fn serve(
         &self,
         stream: &Self::Stream,
         policy: &mut dyn ReplicaPolicy,
         estimate: &dyn Fn(u32) -> SimDuration,
-        feedback: Option<&FeedbackSender<ProfileRecord>>,
         telemetry: &Telemetry,
     ) -> Outcome<Self>;
     /// Shard the stream across `replicas` replicas, either replayed in one
@@ -571,12 +568,11 @@ impl Scenario for ClassificationScenario {
         trace: &ArrivalTrace,
         policy: &mut dyn ReplicaPolicy,
         estimate: &dyn Fn(u32) -> SimDuration,
-        feedback: Option<&FeedbackSender<ProfileRecord>>,
         telemetry: &Telemetry,
     ) -> ServingOutcome {
         ServingSimulator::new(self.serving.clone())
             .with_telemetry(telemetry.clone())
-            .run_with_feedback(trace, self.shared(), policy, estimate, feedback)
+            .run(trace, self.shared(), policy, estimate)
     }
 
     fn shards(
@@ -646,12 +642,11 @@ impl Scenario for GenerativeScenario {
         requests: &Vec<Request>,
         policy: &mut dyn ReplicaPolicy,
         _estimate: &dyn Fn(u32) -> SimDuration,
-        feedback: Option<&FeedbackSender<ProfileRecord>>,
         telemetry: &Telemetry,
     ) -> GenerativeOutcome {
         GenerativeSimulator::new(self.batching)
             .with_telemetry(telemetry.clone())
-            .run_with_feedback(requests, self, policy, feedback)
+            .run(requests, self, policy)
     }
 
     /// Whole sequences are dispatched, each weighted by its projected decode
@@ -867,7 +862,7 @@ pub fn run_comparison<S: Scenario>(
         let name = row.name();
         let serve = |plan: &ExecutionPlan, policy: &mut dyn ReplicaPolicy| {
             let disabled = Telemetry::disabled();
-            scenario.serve(&stream, policy, &batch_time_fn(plan), None, &disabled)
+            scenario.serve(&stream, policy, &batch_time_fn(plan), &disabled)
         };
         let (out, overhead) = match row {
             Row::Apparate => {
@@ -924,7 +919,7 @@ pub fn run_comparison<S: Scenario>(
 }
 
 /// Serve a scenario with the Apparate policy, warm-started on `calibration`,
-/// over the charged GPU↔CPU link: the loop streams one ProfileRecord per
+/// over the charged GPU↔CPU link: the policy streams one ProfileRecord per
 /// batch or decode step, and threshold/ramp updates ride the downlink (§4.5).
 fn apparate_run<S: Scenario>(
     scenario: &S,
@@ -942,8 +937,7 @@ fn apparate_run<S: Scenario>(
     );
     policy.set_telemetry(telemetry.clone());
     let estimate = apparate_estimate(&dep_budget.plan, &config);
-    let uplink = policy.feedback_sender();
-    let out = scenario.serve(stream, &mut policy, &estimate, Some(&uplink), telemetry);
+    let out = scenario.serve(stream, &mut policy, &estimate, telemetry);
     (out, policy.overhead_report())
 }
 
@@ -995,7 +989,6 @@ pub fn run_classification_duel(
         &trace,
         &mut vanilla_policy(&vanilla_plan),
         &batch_time_fn(&vanilla_plan),
-        None,
         &disabled,
     );
     let calibration = scenario.calibration();

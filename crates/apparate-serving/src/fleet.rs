@@ -37,8 +37,8 @@
 //!
 //! The policies themselves stay pluggable exactly as in [`crate::platform`] /
 //! [`crate::generative`]: the fleet knows nothing about early exits, and an
-//! adaptive policy brings its own feedback link per replica (independent
-//! [`LinkStats`](apparate_exec::LinkStats) per controller).
+//! adaptive policy owns its controller's feedback link, so each replica's
+//! link is its own.
 
 use crate::generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, TokenPolicy, TokenSemantics,
@@ -48,7 +48,7 @@ use crate::metrics::{LatencySummary, ReplicaOutcome};
 use crate::platform::{ExitPolicy, ServingConfig, ServingOutcome, ServingSimulator};
 use crate::request::Request;
 use crate::traces::ArrivalTrace;
-use apparate_exec::{FeedbackSender, ProfileRecord, SampleSemantics};
+use apparate_exec::SampleSemantics;
 use apparate_sim::SimDuration;
 use apparate_telemetry::Telemetry;
 use std::sync::Mutex;
@@ -196,10 +196,9 @@ pub trait ReplicaPolicy: ExitPolicy + TokenPolicy {}
 
 impl<P: ExitPolicy + TokenPolicy> ReplicaPolicy for P {}
 
-/// Everything one replica needs to serve its shard: a name, a policy, the
+/// Everything one replica needs to serve its shard: a name, a policy and the
 /// batch-time estimator its batching decisions use (the decode loop never
-/// reads it), and (for adaptive policies) the uplink handle its controller
-/// listens on.
+/// reads it).
 ///
 /// Units are `Send` — a [`FleetRun`] may execute each on a worker thread —
 /// which is why the policy reference is `dyn ReplicaPolicy + Send` and the
@@ -208,7 +207,6 @@ pub struct ReplicaUnit<'a> {
     label: String,
     policy: &'a mut (dyn ReplicaPolicy + Send),
     estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
-    feedback: Option<FeedbackSender<ProfileRecord>>,
 }
 
 impl<'a> ReplicaUnit<'a> {
@@ -224,14 +222,13 @@ impl<'a> ReplicaUnit<'a> {
             label: label.into(),
             policy,
             estimate,
-            feedback: None,
         }
     }
 
-    /// Attach the producer half of this replica's GPU → controller profiling
-    /// link (adaptive policies with a controller).
-    pub fn with_feedback(mut self, feedback: FeedbackSender<ProfileRecord>) -> ReplicaUnit<'a> {
-        self.feedback = Some(feedback);
+    /// The same unit, ignoring `_feedback`. Kept only for perfbench's traced
+    /// rebuild (`perfbench/src/traced.rs`), which only a benchmark change may
+    /// edit; delete it with that file.
+    pub fn with_feedback(self, _feedback: ()) -> ReplicaUnit<'a> {
         self
     }
 }
@@ -306,13 +303,7 @@ impl ReplicaLoop for ServingConfig {
             let ids: Vec<u64> = shard.indices.iter().map(|&i| i as u64).collect();
             sim = sim.with_telemetry(telemetry).with_dispatch_ids(ids);
         }
-        sim.run_with_feedback(
-            &shard.trace,
-            &shard_samples,
-            unit.policy,
-            unit.estimate,
-            unit.feedback.as_ref(),
-        )
+        sim.run(&shard.trace, &shard_samples, unit.policy, unit.estimate)
     }
 }
 
@@ -340,12 +331,7 @@ impl ReplicaLoop for ContinuousBatchingConfig {
         if telemetry.is_enabled() {
             sim = sim.with_telemetry(telemetry).with_dispatch_events();
         }
-        sim.run_with_feedback(
-            &shard.requests,
-            semantics,
-            unit.policy,
-            unit.feedback.as_ref(),
-        )
+        sim.run(&shard.requests, semantics, unit.policy)
     }
 }
 

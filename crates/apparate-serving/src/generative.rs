@@ -13,9 +13,9 @@
 //! is released by the batch rule and converted with
 //! `StepOutcome::from(BatchOutcome)`.
 
-use crate::platform::{BatchOutcome, BatchProfile, RequestOutcome, VanillaPolicy};
+use crate::platform::{BatchOutcome, RequestOutcome, VanillaPolicy};
 use crate::request::Request;
-use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, SampleSemantics};
+use apparate_exec::SampleSemantics;
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -63,9 +63,6 @@ pub struct StepOutcome {
     pub gpu_time: SimDuration,
     /// Per-token outcomes, parallel to the slots passed in.
     pub per_token: Vec<TokenOutcome>,
-    /// Profiling data for the policy's controller, if it has one; published by
-    /// the decode loop on the feedback link when the step completes.
-    pub profile: Option<BatchProfile>,
 }
 
 impl From<BatchOutcome> for StepOutcome {
@@ -83,7 +80,6 @@ impl From<BatchOutcome> for StepOutcome {
                 .map(|t| t.release_offset)
                 .fold(SimDuration::ZERO, SimDuration::max),
             per_token,
-            profile: batch.profile,
         }
     }
 }
@@ -137,9 +133,6 @@ pub struct GenerativeOutcome {
     pub gpu_busy: SimDuration,
     /// Decode-step batch sizes.
     pub batch_sizes: Vec<u32>,
-    /// GPU → controller profiling-stream statistics, when the run published
-    /// feedback (one [`ProfileRecord`] per decode step); `None` otherwise.
-    pub feedback: Option<LinkStats>,
 }
 
 impl GenerativeOutcome {
@@ -220,27 +213,12 @@ impl GenerativeSimulator {
         self
     }
 
-    /// Run the generative workload. No profiling feedback is published; see
-    /// [`GenerativeSimulator::run_with_feedback`].
+    /// Run the generative workload.
     pub fn run(
         &self,
         requests: &[Request],
         semantics: &dyn TokenSemantics,
         policy: &mut dyn TokenPolicy,
-    ) -> GenerativeOutcome {
-        self.run_with_feedback(requests, semantics, policy, None)
-    }
-
-    /// Run the generative workload, publishing one [`ProfileRecord`] per
-    /// decode step on `feedback` when the step completes (the §3 profiling
-    /// stream, at token granularity). Policies that return no profile publish
-    /// nothing.
-    pub fn run_with_feedback(
-        &self,
-        requests: &[Request],
-        semantics: &dyn TokenSemantics,
-        policy: &mut dyn TokenPolicy,
-        feedback: Option<&FeedbackSender<ProfileRecord>>,
     ) -> GenerativeOutcome {
         let mut pending: VecDeque<&Request> = {
             let mut sorted: Vec<&Request> = requests.iter().collect();
@@ -248,11 +226,9 @@ impl GenerativeSimulator {
             sorted.into_iter().collect()
         };
         let mut active: Vec<ActiveSequence> = Vec::new();
-        // Reused across decode steps: the slot staging buffer and the
-        // profile id scratch would otherwise be fresh allocations per step
-        // (the hottest loop in the simulator).
+        // Reused across decode steps: the slot staging buffer would otherwise
+        // be a fresh allocation per step (the hottest loop in the simulator).
         let mut slots: Vec<TokenSlot> = Vec::new();
-        let mut profile_ids: Vec<u64> = Vec::new();
         // Every sequence emits exactly `max(output_tokens, 1)` records.
         let mut tokens: Vec<TokenRecord> = Vec::with_capacity(
             requests
@@ -310,15 +286,6 @@ impl GenerativeSimulator {
             batch_sizes.push(slots.len() as u32);
             let outcome = policy.process_step(&slots, now);
             debug_assert_eq!(outcome.per_token.len(), slots.len());
-            if let (Some(sender), Some(profile)) = (feedback, outcome.profile) {
-                let completed_at = now + outcome.gpu_time;
-                profile_ids.clear();
-                profile_ids.extend(slots.iter().map(|s| s.request_id));
-                sender.send(
-                    profile.into_record(completed_at, &profile_ids),
-                    completed_at,
-                );
-            }
             gpu_busy += outcome.gpu_time;
             let traced = self.telemetry.is_enabled();
             if traced {
@@ -378,8 +345,20 @@ impl GenerativeSimulator {
             makespan: now - first_arrival,
             gpu_busy,
             batch_sizes,
-            feedback: feedback.map(|sender| sender.stats()),
         }
+    }
+
+    /// [`GenerativeSimulator::run`], ignoring `_feedback`. Kept only for
+    /// perfbench's traced rebuild (`perfbench/src/traced.rs`), which only a
+    /// benchmark change may edit; delete it with that file.
+    pub fn run_with_feedback(
+        &self,
+        requests: &[Request],
+        semantics: &dyn TokenSemantics,
+        policy: &mut dyn TokenPolicy,
+        _feedback: Option<&()>,
+    ) -> GenerativeOutcome {
+        self.run(requests, semantics, policy)
     }
 }
 

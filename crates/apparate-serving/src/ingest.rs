@@ -30,10 +30,8 @@
 //!   gauges, `ingest_admitted` / `ingest_shed` counters).
 //!
 //! The session is deliberately causal: decisions use only the arrival prefix,
-//! the front end's own queue model, and — when a feedback receiver is
-//! attached — [`ProfileRecord`]s **already delivered** over the charged link
-//! ([`FeedbackReceiver::poll`] at the arrival's timestamp never surfaces
-//! in-flight messages). With admission disabled the session is a pure
+//! the front end's own queue model and its static per-request service
+//! estimate. With admission disabled the session is a pure
 //! passthrough: forwarded times equal arrival times and the produced shards
 //! are byte-identical to the batch sharding path, which is what lets the
 //! determinism suite diff streamed ingest against trace replay.
@@ -43,7 +41,6 @@ use std::collections::VecDeque;
 use crate::fleet::FleetDispatch;
 use crate::fleet::TraceShard;
 use crate::traces::ArrivalTrace;
-use apparate_exec::{FeedbackReceiver, ProfileRecord};
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
 
@@ -374,9 +371,6 @@ struct AdmissionState {
     queues: Vec<VecDeque<SimTime>>,
     prev_at: Option<SimTime>,
     prev_fwd: SimTime,
-    /// Delivered-feedback refinement of the per-request service estimate, µs.
-    refined_service_us: Option<f64>,
-    last_completed: Option<SimTime>,
 }
 
 /// A streaming front end over one shared arrival stream: consumes arrivals
@@ -387,7 +381,6 @@ pub struct IngestSession {
     dispatcher: IncrementalDispatcher,
     service_estimate: SimDuration,
     admission: Option<AdmissionState>,
-    feedback: Option<FeedbackReceiver<ProfileRecord>>,
     times: Vec<Vec<SimTime>>,
     indices: Vec<Vec<usize>>,
     decisions: Vec<AdmissionDecision>,
@@ -412,7 +405,6 @@ impl IngestSession {
             dispatcher: IncrementalDispatcher::new(replicas, dispatch),
             service_estimate,
             admission: None,
-            feedback: None,
             times: vec![Vec::new(); replicas],
             indices: vec![Vec::new(); replicas],
             decisions: Vec::new(),
@@ -432,22 +424,7 @@ impl IngestSession {
             queues: (0..replicas).map(|_| VecDeque::new()).collect(),
             prev_at: None,
             prev_fwd: SimTime::ZERO,
-            refined_service_us: None,
-            last_completed: None,
         });
-        self
-    }
-
-    /// Attach the consumer half of a charged profiling link. Before each
-    /// decision the session polls it *at the arrival's timestamp*, so only
-    /// records whose simulated transfer has completed can refine the service
-    /// estimate — the front end can never peek at in-flight telemetry. The
-    /// refinement (an EWMA over the per-request completion cadence of
-    /// delivered [`ProfileRecord`]s) feeds the controller's SLO headroom only;
-    /// the dispatcher's backlog model keeps the static estimate, matching
-    /// what a front end knows about the model a priori.
-    pub fn with_feedback(mut self, feedback: FeedbackReceiver<ProfileRecord>) -> IngestSession {
-        self.feedback = Some(feedback);
         self
     }
 
@@ -475,27 +452,6 @@ impl IngestSession {
     /// must be offered in non-decreasing order.
     pub fn offer_weighted(&mut self, at: SimTime, service: SimDuration) -> AdmissionDecision {
         let index = self.dispatcher.offered();
-        // Delivered-only feedback refinement: poll at the arrival timestamp,
-        // never beyond it. The charged link guarantees nothing in flight at
-        // `at` is surfaced.
-        if let Some(rx) = &mut self.feedback {
-            let delivered = rx.poll(at);
-            if let Some(admission) = &mut self.admission {
-                for record in &delivered {
-                    if let Some(prev_completed) = admission.last_completed {
-                        let gap = record.completed_at.saturating_since(prev_completed);
-                        let per_request_us =
-                            gap.as_micros() as f64 / record.batch_size.max(1) as f64;
-                        admission.refined_service_us = Some(match admission.refined_service_us {
-                            Some(ewma) => ewma * 0.8 + per_request_us * 0.2,
-                            None => per_request_us,
-                        });
-                    }
-                    admission.last_completed = Some(record.completed_at);
-                }
-            }
-        }
-
         let decision = match &mut self.admission {
             None => {
                 // Passthrough: the batch sharding path, one event at a time.
@@ -548,11 +504,9 @@ impl IngestSession {
                     .saturating_since(forwarded_at)
                     .as_micros();
                 // SLO headroom: how much queueing delay a request can absorb
-                // and still be served inside the SLO, under the current
-                // (possibly feedback-refined) service estimate.
-                let service_us = admission
-                    .refined_service_us
-                    .unwrap_or(self.service_estimate.as_micros() as f64);
+                // and still be served inside the SLO, under the static
+                // service estimate.
+                let service_us = self.service_estimate.as_micros() as f64;
                 let headroom_us = (admission.config.slo.as_micros() as f64 - service_us).max(0.0);
                 let offset_us = delay_us as i64 - headroom_us.round() as i64;
                 let nudge_ppm = admission.controller.observe(offset_us);

@@ -62,8 +62,8 @@ pub use ingest::{
 };
 pub use metrics::{latency_cdf, tpt_cdf, LatencySummary, LatencyWins, ReplicaOutcome};
 pub use platform::{
-    BatchOutcome, BatchProfile, ExitPolicy, RequestOutcome, ServingConfig, ServingOutcome,
-    ServingSimulator, VanillaPolicy,
+    BatchOutcome, ExitPolicy, RequestOutcome, ServingConfig, ServingOutcome, ServingSimulator,
+    VanillaPolicy,
 };
 pub use request::{Request, RequestRecord};
 pub use traces::ArrivalTrace;

@@ -10,13 +10,15 @@
 //! is released and how long the batch holds the GPU — this is the hook through
 //! which vanilla serving, Apparate, and every baseline integrate without the
 //! platform knowing anything about early exits (mirroring how Apparate "runs
-//! directly atop existing serving platforms").
+//! directly atop existing serving platforms"). Nor does the platform carry
+//! any feedback: a policy with a controller streams its own profiling data
+//! from inside the hook.
 
 use crate::batching::{BatchDecision, BatchingPolicy};
 use crate::generative::{StepOutcome, TokenPolicy, TokenSlot};
 use crate::request::{Request, RequestRecord};
 use crate::traces::ArrivalTrace;
-use apparate_exec::{FeedbackSender, LinkStats, ProfileRecord, RequestRelease, SampleSemantics};
+use apparate_exec::SampleSemantics;
 use apparate_sim::{EventQueue, SimDuration, SimTime};
 use apparate_telemetry::{EventKind, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -25,51 +27,6 @@ use std::collections::VecDeque;
 /// Window (in completed requests) of the `exit_rate_rolling` telemetry gauge.
 const ROLLING_EXIT_WINDOW: usize = 256;
 
-/// Per-batch profiling data a policy wants streamed to its controller: each
-/// request's semantics (from which the controller rebuilds what every active
-/// ramp observed, see [`ProfileRecord`]) plus the release decisions. The
-/// platform stamps it with completion time and request ids and publishes it
-/// on the GPU → controller feedback link (§3's non-blocking profiling
-/// stream); policies without a controller return `None` and nothing is sent.
-#[derive(Debug, Clone, Default)]
-pub struct BatchProfile {
-    /// Number of active ramps the batch ran.
-    pub num_ramps: usize,
-    /// Each request's semantics, in batch order.
-    pub samples: Vec<SampleSemantics>,
-    /// Per-request release metadata in batch order. The producing policy does
-    /// not know request ids, so it leaves `id` zeroed; [`into_record`]
-    /// stamps the real ids in place when the platform publishes the batch.
-    ///
-    /// [`into_record`]: BatchProfile::into_record
-    pub releases: Vec<RequestRelease>,
-    /// Configuration epoch the GPU was running when it produced the batch.
-    pub config_epoch: u64,
-    /// Epoch of the last ramp-set update the GPU applied before the batch.
-    pub ramp_epoch: u64,
-}
-
-impl BatchProfile {
-    /// Stamp the profile into a wire-ready [`ProfileRecord`], filling in the
-    /// request ids (batch order) the policy did not know. Borrows the ids so
-    /// the caller can reuse one scratch buffer across batches.
-    pub fn into_record(mut self, completed_at: SimTime, request_ids: &[u64]) -> ProfileRecord {
-        debug_assert_eq!(self.releases.len(), request_ids.len());
-        for (release, id) in self.releases.iter_mut().zip(request_ids) {
-            release.id = *id;
-        }
-        ProfileRecord {
-            completed_at,
-            batch_size: request_ids.len() as u32,
-            num_ramps: self.num_ramps,
-            samples: self.samples,
-            releases: self.releases,
-            config_epoch: self.config_epoch,
-            ramp_epoch: self.ramp_epoch,
-        }
-    }
-}
-
 /// Outcome of processing one batch, as reported by an [`ExitPolicy`].
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -77,9 +34,6 @@ pub struct BatchOutcome {
     pub gpu_time: SimDuration,
     /// Per-request outcomes, parallel to the batch slice passed in.
     pub per_request: Vec<RequestOutcome>,
-    /// Profiling data for the policy's controller, if it has one; published by
-    /// the platform on the feedback link when the batch completes.
-    pub profile: Option<BatchProfile>,
 }
 
 /// Outcome for a single request within a batch.
@@ -139,7 +93,6 @@ where
         BatchOutcome {
             gpu_time,
             per_request: vec![outcome; units],
-            profile: None,
         }
     }
 }
@@ -211,9 +164,6 @@ pub struct ServingOutcome {
     pub gpu_busy: SimDuration,
     /// Wall-clock span from first arrival to last completion.
     pub makespan: SimDuration,
-    /// GPU → controller profiling-stream statistics, when the run published
-    /// feedback (one [`ProfileRecord`] per batch); `None` otherwise.
-    pub feedback: Option<LinkStats>,
 }
 
 impl ServingOutcome {
@@ -271,28 +221,13 @@ impl ServingSimulator {
 
     /// Run the full trace through the platform with the given exit policy and
     /// batch-time estimator (used by SLO-aware batching decisions; usually the
-    /// same function the policy itself uses for GPU time). No profiling
-    /// feedback is published; see [`ServingSimulator::run_with_feedback`].
+    /// same function the policy itself uses for GPU time).
     pub fn run(
         &self,
         trace: &ArrivalTrace,
         samples: &[SampleSemantics],
         policy: &mut dyn ExitPolicy,
         estimate_batch_time: &dyn Fn(u32) -> SimDuration,
-    ) -> ServingOutcome {
-        self.run_with_feedback(trace, samples, policy, estimate_batch_time, None)
-    }
-
-    /// Run the full trace, publishing one [`ProfileRecord`] per launched batch
-    /// on `feedback` when the batch completes on the GPU (the §3 profiling
-    /// stream). Policies that return no [`BatchProfile`] publish nothing.
-    pub fn run_with_feedback(
-        &self,
-        trace: &ArrivalTrace,
-        samples: &[SampleSemantics],
-        policy: &mut dyn ExitPolicy,
-        estimate_batch_time: &dyn Fn(u32) -> SimDuration,
-        feedback: Option<&FeedbackSender<ProfileRecord>>,
     ) -> ServingOutcome {
         assert_eq!(
             trace.len(),
@@ -326,9 +261,6 @@ impl ServingSimulator {
         // Rolling early-exit window behind the `exit_rate_rolling` gauge;
         // only maintained when a recording handle is attached.
         let mut rolling_exits: VecDeque<bool> = VecDeque::new();
-        // Scratch for the request ids stamped into each published profile,
-        // reused across batches.
-        let mut profile_ids: Vec<u64> = Vec::new();
         let mut rolling_hits = 0usize;
 
         loop {
@@ -390,19 +322,6 @@ impl ServingSimulator {
                     batch.extend(queue.drain(..size as usize));
                     let outcome = policy.process_batch(&batch, now);
                     debug_assert_eq!(outcome.per_request.len(), batch.len());
-                    if let (Some(sender), Some(profile)) = (feedback, outcome.profile) {
-                        // The GPU streams the batch's profiling data the
-                        // moment the batch completes, non-blocking for
-                        // serving; the controller sees it one link latency
-                        // later (§3, §4.5).
-                        let completed_at = now + outcome.gpu_time;
-                        profile_ids.clear();
-                        profile_ids.extend(batch.iter().map(|r| r.id));
-                        sender.send(
-                            profile.into_record(completed_at, &profile_ids),
-                            completed_at,
-                        );
-                    }
                     batch_sizes.push(size);
                     total_gpu_busy += outcome.gpu_time;
                     if traced {
@@ -474,8 +393,21 @@ impl ServingSimulator {
             batch_sizes,
             gpu_busy: total_gpu_busy,
             makespan: last_completion - first_arrival,
-            feedback: feedback.map(|sender| sender.stats()),
         }
+    }
+
+    /// [`ServingSimulator::run`], ignoring `_feedback`. Kept only for
+    /// perfbench's traced rebuild (`perfbench/src/traced.rs`), which only a
+    /// benchmark change may edit; delete it with that file.
+    pub fn run_with_feedback(
+        &self,
+        trace: &ArrivalTrace,
+        samples: &[SampleSemantics],
+        policy: &mut dyn ExitPolicy,
+        estimate_batch_time: &dyn Fn(u32) -> SimDuration,
+        _feedback: Option<&()>,
+    ) -> ServingOutcome {
+        self.run(trace, samples, policy, estimate_batch_time)
     }
 }
 
@@ -619,7 +551,7 @@ mod tests {
 
     /// The serving loop as it stood when every arrival was pre-scheduled into
     /// one `EventQueue` heap ahead of any GPU-free or timeout event, without
-    /// telemetry or feedback. The cursor loop must match it decision for
+    /// telemetry. The cursor loop must match it decision for
     /// decision; it returns the run's records and launched batch sizes.
     fn heap_reference(
         config: &ServingConfig,

@@ -9,18 +9,12 @@
 //!   (an independent replay of the queue semantics reproduces every
 //!   admit/shed verdict, queue depth and modelled delay);
 //! * pacing only ever delays arrivals, monotonically.
-//!
-//! Plus the causality half (mirroring the epoch-gating suites of earlier
-//! PRs): admission decisions may consume only telemetry already *delivered*
-//! over the charged feedback link — an in-flight `ProfileRecord` must not
-//! perturb a single decision until its simulated transfer completes.
 
 use std::collections::VecDeque;
 
-use apparate_exec::{feedback_link, LinkCost, ProfileRecord};
 use apparate_serving::{
-    stream_arrivals, AdmissionConfig, ArrivalTrace, FleetDispatch, IngestOutcome, IngestSession,
-    PACE_BASE_PPM, PACE_MAX_PPM, PACE_MIN_PPM,
+    stream_arrivals, AdmissionConfig, ArrivalTrace, FleetDispatch, IngestOutcome, PACE_BASE_PPM,
+    PACE_MAX_PPM, PACE_MIN_PPM,
 };
 use apparate_sim::{SimDuration, SimTime};
 use apparate_telemetry::{
@@ -247,105 +241,4 @@ fn recording_telemetry_emits_admission_trace_without_perturbing_decisions() {
     ] {
         assert!(metrics.contains(series), "missing metrics series {series}");
     }
-}
-
-// --- Causality: delivered-only feedback -----------------------------------
-
-fn profile_record(completed_at: SimTime) -> ProfileRecord {
-    ProfileRecord {
-        completed_at,
-        batch_size: 1,
-        num_ramps: 0,
-        samples: Vec::new(),
-        releases: Vec::new(),
-        config_epoch: 0,
-        ramp_epoch: 0,
-    }
-}
-
-fn admission_decisions_with_link(
-    trace: &ArrivalTrace,
-    cost: LinkCost,
-    sent_at: SimTime,
-) -> IngestOutcome {
-    let (tx, rx) = feedback_link::<ProfileRecord>(cost);
-    // Two records: the first only anchors the completion cadence, the second
-    // produces a refined per-request service estimate (80 ms — far above the
-    // 15 ms static estimate, so any consumption visibly shifts the
-    // controller's SLO-headroom offsets).
-    tx.send(profile_record(SimTime::from_micros(1_000)), sent_at);
-    tx.send(profile_record(SimTime::from_micros(81_000)), sent_at);
-    let mut session = IngestSession::new(2, FleetDispatch::LeastLoaded, service_estimate())
-        .with_admission(admission_config())
-        .with_feedback(rx);
-    for &at in trace.times() {
-        session.offer(at);
-    }
-    session.finish()
-}
-
-#[test]
-fn in_flight_profile_records_never_perturb_admission_decisions() {
-    // The records are sent before the run but the charged link holds them in
-    // flight past the end of the trace — so every decision must be
-    // byte-identical to a session with no feedback link at all. Peeking at
-    // undelivered telemetry is exactly what the charged-link design forbids.
-    let trace = ArrivalTrace::maf_like(400, 50.0, 42);
-    let undeliverable = LinkCost {
-        fixed_us: 1e12,
-        per_kib_us: 0.0,
-    };
-    let with_in_flight = admission_decisions_with_link(&trace, undeliverable, SimTime::ZERO);
-    let without_feedback = admission_outcome(&trace, 2, FleetDispatch::LeastLoaded);
-    assert_eq!(with_in_flight.decisions, without_feedback.decisions);
-    assert_eq!(with_in_flight.stats, without_feedback.stats);
-}
-
-#[test]
-fn delivered_profile_records_refine_the_controller() {
-    // Same records over a free link, delivered before the first arrival: the
-    // refined 80 ms service estimate erases the SLO headroom, so the
-    // controller's offsets — and through them the pacing/decision log — must
-    // visibly change. (Guards against the causality test passing vacuously
-    // because feedback is ignored altogether.)
-    let trace = ArrivalTrace::maf_like(400, 50.0, 42);
-    let delivered = admission_decisions_with_link(&trace, LinkCost::FREE, SimTime::ZERO);
-    let without_feedback = admission_outcome(&trace, 2, FleetDispatch::LeastLoaded);
-    assert_ne!(
-        delivered.decisions, without_feedback.decisions,
-        "delivered feedback had no observable effect on admission control"
-    );
-}
-
-#[test]
-fn feedback_takes_effect_only_after_its_simulated_delivery_time() {
-    // Records sent mid-trace over a fixed-latency link: every decision for
-    // an arrival before the delivery time must match the no-feedback run
-    // exactly; the runs must diverge only at or after delivery.
-    let trace = ArrivalTrace::maf_like(400, 50.0, 42);
-    let span = *trace.times().last().expect("non-empty trace");
-    let mid = SimTime::from_micros(span.as_micros() / 2);
-    let cost = LinkCost {
-        fixed_us: 100.0,
-        per_kib_us: 0.0,
-    };
-    let deliver_at = mid + SimDuration::from_micros(100);
-    let mixed = admission_decisions_with_link(&trace, cost, mid);
-    let without_feedback = admission_outcome(&trace, 2, FleetDispatch::LeastLoaded);
-    let mut diverged = false;
-    for (a, b) in mixed.decisions.iter().zip(&without_feedback.decisions) {
-        if a.at < deliver_at {
-            assert_eq!(
-                a, b,
-                "decision at {:?} diverged before the records were delivered",
-                a.at
-            );
-        } else if a != b {
-            diverged = true;
-        }
-    }
-    assert!(
-        diverged,
-        "post-delivery decisions never consumed the delivered records"
-    );
 }

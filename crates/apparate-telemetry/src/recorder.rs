@@ -645,10 +645,10 @@ mod tests {
     fn parallel_replica_recording_merges_deterministically() {
         let run = || {
             let telemetry = Telemetry::recording(TelemetryConfig::default());
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for replica in 0..4u32 {
                     let lane = telemetry.for_replica(replica);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for i in 0..50u64 {
                             lane.emit(SimTime::from_micros(i * 10), || tick(i));
                             lane.gauge(SimTime::from_micros(i * 10), "depth", i as f64);
@@ -656,8 +656,7 @@ mod tests {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             telemetry.snapshot().unwrap()
         };
         let a = run();

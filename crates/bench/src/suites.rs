@@ -562,7 +562,7 @@ pub fn overhead_link_summary(
 fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
     const SUITE: &str = "overhead";
     use apparate_exec::{
-        feedback_link, LinkCost, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
+        FeedbackLink, LinkCost, ProfileRecord, RequestRelease, SampleSemantics, ThresholdUpdate,
     };
     use apparate_sim::SimTime;
 
@@ -600,22 +600,22 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
 
     vec![
         ctx.bench(SUITE, "feedback_link/profile-stream-256", || {
-            let (tx, mut rx) = feedback_link(LinkCost::default());
+            let mut link = FeedbackLink::new(LinkCost::default());
             for i in 0..256u64 {
                 let rec = record(i);
                 let at = rec.completed_at;
-                tx.send(rec, at);
+                link.send(rec, at);
             }
-            rx.poll(SimTime::from_secs(3600)).len()
+            link.poll(SimTime::from_secs(3600)).len()
         }),
         ctx.bench(SUITE, "feedback_link/threshold-updates-64", || {
-            let (tx, mut rx) = feedback_link(LinkCost::default());
+            let mut link = FeedbackLink::new(LinkCost::default());
             for i in 0..64u64 {
                 let upd = update(i);
                 let at = upd.issued_at;
-                tx.send(upd, at);
+                link.send(upd, at);
             }
-            rx.poll(SimTime::from_secs(3600)).len()
+            link.poll(SimTime::from_secs(3600)).len()
         }),
         ctx.bench(SUITE, "controller_in_loop/nlp-apparate", || {
             apparate_experiments::apparate_overhead(&nlp)

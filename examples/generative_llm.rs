@@ -142,7 +142,6 @@ fn main() {
         scenario.reference_batch,
         &calibration,
     );
-    let uplink = inner.feedback_sender();
     let mut policy = TracingPolicy {
         inner,
         step: 0,
@@ -151,7 +150,7 @@ fn main() {
     };
     let sim = GenerativeSimulator::new(scenario.batching);
     let tokens = WorkloadTokens(&scenario.workload);
-    let out = sim.run_with_feedback(&reqs, &tokens, &mut policy, Some(&uplink));
+    let out = sim.run(&reqs, &tokens, &mut policy);
 
     // -- The adaptation trace ----------------------------------------------
     println!(

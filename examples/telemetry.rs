@@ -104,8 +104,7 @@ fn main() {
     let estimate = |b: u32| {
         SimDuration::from_micros_f64(vanilla_plan.vanilla_total_us(b) * (1.0 + config.ramp_budget))
     };
-    let uplink = policy.feedback_sender();
-    let out = sim.run_with_feedback(&trace, split.serving, &mut policy, &estimate, Some(&uplink));
+    let out = sim.run(&trace, split.serving, &mut policy, &estimate);
 
     let summary = LatencySummary::from_outcome("apparate", &out);
     println!(
