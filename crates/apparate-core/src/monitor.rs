@@ -489,7 +489,7 @@ mod tests {
         TuningOutcome,
     };
     use apparate_exec::RequestRelease;
-    use apparate_sim::{DeterministicRng, SimTime};
+    use apparate_sim::DeterministicRng;
 
     /// The row builder of a monitor fed only through [`Monitor::record`].
     fn no_rows(_: &SampleSemantics, _: &mut Vec<RampObservation>) {
@@ -593,7 +593,6 @@ mod tests {
     fn profile_record(rows: &[RequestFeedback], first_seed: u64) -> ProfileRecord {
         let num_ramps = rows.first().map(|r| r.observations.len()).unwrap_or(0);
         ProfileRecord {
-            completed_at: SimTime::ZERO,
             batch_size: rows.first().map(|r| r.batch_size).unwrap_or(0),
             num_ramps,
             samples: (first_seed..)
@@ -769,7 +768,6 @@ mod tests {
                     seed += 1;
                 }
                 lazy.record_batch(&ProfileRecord {
-                    completed_at: SimTime::ZERO,
                     batch_size: batch,
                     num_ramps,
                     samples,

@@ -16,6 +16,7 @@
 use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
 use apparate_model::{LayerId, LayerLatency, ModelLatency, ZooModel};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A ramp as seen by the execution engine: where it sits, what it costs, and
 /// how capable it is.
@@ -34,7 +35,10 @@ pub struct RampPlacement {
 /// observation and prefix-latency queries.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
-    model: ZooModel,
+    /// Shared by every clone of the plan and every plan derived from it by
+    /// [`ExecutionPlan::with_ramps`]: each policy and each fleet replica holds
+    /// its own plan, and the model never changes.
+    model: Arc<ZooModel>,
     semantics: SemanticsModel,
     ramps: Vec<RampPlacement>,
     /// Topological position of each ramp's site (parallel to `ramps`).
@@ -62,6 +66,15 @@ impl ExecutionPlan {
     /// are rejected in debug builds.
     pub fn new(
         model: ZooModel,
+        semantics: SemanticsModel,
+        ramps: Vec<RampPlacement>,
+    ) -> ExecutionPlan {
+        ExecutionPlan::over(Arc::new(model), semantics, ramps)
+    }
+
+    /// [`ExecutionPlan::new`] over a shared model.
+    fn over(
+        model: Arc<ZooModel>,
         semantics: SemanticsModel,
         mut ramps: Vec<RampPlacement>,
     ) -> ExecutionPlan {
@@ -240,7 +253,7 @@ impl ExecutionPlan {
     /// Replace the ramp set, keeping model and semantics (used when the
     /// controller adjusts ramps at runtime).
     pub fn with_ramps(&self, ramps: Vec<RampPlacement>) -> ExecutionPlan {
-        ExecutionPlan::new(self.model.clone(), self.semantics.clone(), ramps)
+        ExecutionPlan::over(Arc::clone(&self.model), self.semantics.clone(), ramps)
     }
 }
 

@@ -46,8 +46,6 @@ pub trait WirePayload {
 /// [`ProfileRecord::wire_bytes`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfileRecord {
-    /// When the batch finished on the GPU.
-    pub completed_at: SimTime,
     /// Batch size.
     pub batch_size: u32,
     /// Number of active ramps the batch ran: the length of each request's
@@ -310,9 +308,8 @@ impl<T: WirePayload> FeedbackLink<T> {
 mod tests {
     use super::*;
 
-    fn record(at_ms: u64, batch: u32) -> ProfileRecord {
+    fn record(batch: u32) -> ProfileRecord {
         ProfileRecord {
-            completed_at: SimTime::from_millis(at_ms),
             batch_size: batch,
             num_ramps: 2,
             samples: (0..batch as u64)
@@ -341,8 +338,7 @@ mod tests {
     #[test]
     fn records_deliver_after_transfer_latency() {
         let mut link = FeedbackLink::new(LinkCost::default());
-        let rec = record(10, 4);
-        let deliver_at = link.send(rec.clone(), rec.completed_at);
+        let deliver_at = link.send(record(4), SimTime::from_millis(10));
         assert!(deliver_at > SimTime::from_millis(10));
         // Not yet delivered at completion time.
         assert!(link.poll(SimTime::from_millis(10)).is_empty());
@@ -358,8 +354,7 @@ mod tests {
     fn stats_accumulate() {
         let mut link = FeedbackLink::new(LinkCost::default());
         for i in 0..5 {
-            let rec = record(i, 2);
-            link.send(rec.clone(), rec.completed_at);
+            link.send(record(2), SimTime::from_millis(i));
         }
         let stats = link.stats();
         assert_eq!(stats.messages, 5);
@@ -374,8 +369,7 @@ mod tests {
         let telemetry = Telemetry::recording(TelemetryConfig::default());
         link.set_telemetry(telemetry.clone(), LinkDirection::Up);
         for i in 0..5 {
-            let rec = record(i, 2);
-            link.send(rec.clone(), rec.completed_at);
+            link.send(record(2), SimTime::from_millis(i));
         }
         let stats = link.stats();
         let snap = telemetry.snapshot().unwrap();
@@ -391,7 +385,6 @@ mod tests {
         // requests over 4 ramps must stay in that ballpark. A record carries
         // each request's semantics but is charged for its observation rows.
         let rec = |requests: u64, num_ramps: usize| ProfileRecord {
-            completed_at: SimTime::ZERO,
             batch_size: requests as u32,
             num_ramps,
             samples: (0..requests)
@@ -463,10 +456,8 @@ mod tests {
             fixed_us: 0.0,
             per_kib_us: 1_000.0,
         });
-        let big = record(10, 64); // sent at 10 ms, slow transfer
-        let small = record(11, 1); // sent at 11 ms, lands almost immediately
-        let big_at = link.send(big, SimTime::from_millis(10));
-        let small_at = link.send(small, SimTime::from_millis(11));
+        let big_at = link.send(record(64), SimTime::from_millis(10)); // slow transfer
+        let small_at = link.send(record(1), SimTime::from_millis(11)); // lands almost at once
         assert!(small_at < big_at, "the later-sent record lands first");
         let got = link.poll(big_at);
         assert_eq!(got.len(), 2);
@@ -481,20 +472,20 @@ mod tests {
     fn later_sent_but_earlier_completed_records_do_not_jump_pending_ones() {
         // A record already waiting on the wire when a poll finds nothing
         // delivered must not be handed out behind a record that was sent
-        // later but carries an earlier completion stamp.
+        // later but lands at the same time.
         let mut link = FeedbackLink::new(LinkCost {
             fixed_us: 1_000.0,
             per_kib_us: 0.0,
         });
-        link.send(record(20, 2), SimTime::from_millis(20)); // lands at 21 ms
+        link.send(record(2), SimTime::from_millis(20)); // lands at 21 ms
         assert!(link.poll(SimTime::from_millis(5)).is_empty());
         assert_eq!(link.in_flight(), 1);
-        // Now send a record with an *earlier* completion time that lands later.
-        link.send(record(10, 3), SimTime::from_millis(20)); // also lands at 21 ms
+        // Now send a second record that lands at the same time.
+        link.send(record(3), SimTime::from_millis(20)); // also lands at 21 ms
         let got = link.poll(SimTime::from_millis(30));
         assert_eq!(got.len(), 2);
         // Identical deliver_at: send order (= sequence) breaks the tie, so the
-        // waiting record is delivered first even though it completed later.
+        // waiting record is delivered first.
         assert_eq!(got[0].batch_size, 2);
         assert_eq!(got[1].batch_size, 3);
     }
@@ -503,7 +494,7 @@ mod tests {
     fn simultaneous_deliveries_keep_send_order_across_polls() {
         let mut link = FeedbackLink::new(LinkCost::FREE);
         for i in 0..4 {
-            link.send(record(7, i + 1), SimTime::from_millis(7));
+            link.send(record(i + 1), SimTime::from_millis(7));
         }
         let got = link.poll(SimTime::from_millis(7));
         let sizes: Vec<u32> = got.iter().map(|r| r.batch_size).collect();

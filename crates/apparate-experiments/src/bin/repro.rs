@@ -23,11 +23,13 @@
 //! tables (the bursty diurnal stream at 2/4/8× capacity, with and without
 //! the SLO-driven admission front end), then the SLO (Figure 17) and
 //! accuracy-constraint (Figure 19) sensitivity grids.
-//! `--threads N` bounds the worker threads that fleet replicas, and each
-//! comparison table's six policy runs, share (default: available
-//! parallelism; `1` forces the sequential path). Scenarios still run one
-//! after another. The thread count only changes wall-clock time — tables and
-//! telemetry exports are byte-identical for every value.
+//! `--threads N` bounds the worker threads of each work queue: a fleet
+//! section's replicas (every policy family's on one queue), each comparison
+//! table's six policy runs, and the Figure 17/19 grid cells (default:
+//! available parallelism; `1` forces the sequential path). Scenarios and
+//! sections still run one after another. The thread count only changes
+//! wall-clock time — tables and telemetry exports are byte-identical for
+//! every value.
 //!
 //! The `--*-out` flags enable telemetry: the Apparate runs (baselines stay
 //! untraced) record the structured event trace and the sampled metrics
@@ -79,9 +81,10 @@ impl Args {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.chrome_out.is_some()
     }
 
-    /// The worker-thread count of fleet replicas and of each table's policy
-    /// runs: `--threads N` when given, else the machine's available
-    /// parallelism. Never printed — output must not depend on it.
+    /// The worker-thread count of fleet replicas, of each table's policy
+    /// runs and of the sensitivity grid cells: `--threads N` when given,
+    /// else the machine's available parallelism. Never printed — output
+    /// must not depend on it.
     fn threads(&self) -> usize {
         self.threads.unwrap_or_else(available_threads)
     }
@@ -364,7 +367,7 @@ fn run_sweep(seed: u64, quick: bool, sizes: ReproSizes, telemetry: &Telemetry, t
     }
     emit(&format!("{}\n", render_admission_summary(&admission_runs)));
 
-    for table in sensitivity_sweeps(seed, frames, nlp_requests, &grid) {
+    for table in sensitivity_sweeps(seed, frames, nlp_requests, &grid, threads) {
         emit(&format!("{}\n", table.render()));
     }
     emit(

@@ -172,7 +172,6 @@ impl GpuHalf {
             per_request,
         };
         let record = ProfileRecord {
-            completed_at: SimTime::ZERO,
             batch_size: b as u32,
             num_ramps: self.plan.num_ramps(),
             samples,
@@ -616,10 +615,6 @@ impl CoordinatedCore {
     /// completes on the GPU, non-blocking for serving; the controller half
     /// sees it one link latency later (§3, §4.5).
     fn stream(&mut self, record: ProfileRecord, completed_at: SimTime) {
-        let record = ProfileRecord {
-            completed_at,
-            ..record
-        };
         self.controller.uplink.send(record, completed_at);
     }
 

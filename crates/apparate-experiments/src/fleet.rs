@@ -7,7 +7,8 @@
 //! **each with its own GPU-half/controller-half pair over its own charged
 //! [`FeedbackLink`](apparate_exec::FeedbackLink) pair** — and runs
 //! the vanilla, static-EE and Apparate fleets over the *same* shared stream
-//! and the same shards, so the resulting [`ComparisonTable`] is a
+//! and the same shards, every replica of the three one item of one work
+//! queue ([`run_fleets`]), so the resulting [`ComparisonTable`] is a
 //! fleet-level analogue of the paper's per-replica win tables. Per-replica
 //! coordination charges are summed into one fleet [`OverheadRow`]. Note the
 //! §4.5 bill's shape under sharding: uplink messages track *batches*, so the
@@ -23,10 +24,10 @@
 
 use apparate_baselines::{batch_time_fn, vanilla_policy, RampDeployment, StaticExitPolicy};
 use apparate_core::ApparateConfig;
-use apparate_exec::{ExecutionPlan, OverheadReport};
+use apparate_exec::OverheadReport;
 use apparate_serving::{
-    stream_arrivals, AdmissionConfig, FleetDispatch, FleetOutcome, FleetOutcomeView, IngestStats,
-    LatencySummary, ReplicaFleet, ReplicaPolicy, ReplicaUnit,
+    run_fleets, stream_arrivals, AdmissionConfig, FleetDispatch, FleetOutcomeView, IngestStats,
+    ReplicaFleet, ReplicaPolicy, ReplicaUnit,
 };
 use apparate_sim::{Percentiles, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -34,8 +35,7 @@ use apparate_telemetry::Telemetry;
 use crate::controller::{warm_start_thresholds, ApparatePolicy};
 use crate::report::{ComparisonTable, OverheadRow};
 use crate::scenario::{
-    apparate_estimate, fixture, scenario_config, ClassificationScenario, Outcome, Scenario, Shard,
-    STATIC_THRESHOLD,
+    apparate_estimate, fixture, scenario_config, ClassificationScenario, Scenario, STATIC_THRESHOLD,
 };
 
 /// Result of serving one scenario with a fleet of N replicas.
@@ -91,9 +91,9 @@ fn service_estimate(dep_budget: &RampDeployment) -> SimDuration {
 /// a scenario's shared stream. Every replica runs the scenario's serving
 /// loop; each Apparate replica is warm-started on the scenario's
 /// calibration samples and coordinates over its own link, running the full
-/// controller loop, ramp-set adjustment included. Replicas execute
-/// wall-clock parallel on up to `threads` workers (`1` ⇒ the sequential
-/// path); the merged outcome is identical for any thread count.
+/// controller loop, ramp-set adjustment included. The three families'
+/// replicas share one work queue of up to `threads` workers (`1` ⇒ the
+/// sequential path); the merged outcome is identical for any thread count.
 ///
 /// `telemetry` is attached to the Apparate fleet's run: every replica's
 /// dispatch and serving events land in that replica's buffer (derived via
@@ -143,9 +143,10 @@ pub fn run_classification_fleet_threaded(
 }
 
 /// Shard the scenario's stream once, replayed or `streamed`, and serve the
-/// shards with the vanilla, static-EE and Apparate fleets. Sharding depends
-/// only on arrivals and dispatch, so identical shards produce byte-identical
-/// tables however the stream was consumed.
+/// shards with the Apparate, static-EE and vanilla fleets, every replica of
+/// the three one item of one work queue (Apparate's first: its replicas take
+/// longest). Sharding depends only on arrivals and dispatch, so identical
+/// shards produce byte-identical tables however the stream was consumed.
 fn fleet_over_shards<S: Scenario>(
     scenario: &S,
     replicas: usize,
@@ -154,38 +155,62 @@ fn fleet_over_shards<S: Scenario>(
     threads: usize,
     streamed: bool,
 ) -> FleetRun {
-    let (_, dep_budget) = fixture(scenario, &scenario_config());
+    let config = scenario_config();
+    let (_, dep_budget) = fixture(scenario, &config);
     let estimate = service_estimate(&dep_budget);
     let shards = scenario.shards(&scenario.stream(), replicas, dispatch, estimate, streamed);
     let fleet = ReplicaFleet::new(replicas, dispatch, scenario.replica_loop().clone());
+    // Only the Apparate fleet is traced: the sink goes on a clone of the
+    // (config-only) fleet handle, so the baseline families stay untraced.
+    let traced = fleet.clone().with_telemetry(telemetry.clone());
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let budget_plan = &dep_budget.plan;
-    let vanilla = || vanilla_policy(&vanilla_plan);
-    let static_ee =
-        || StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee");
-    let mut summaries = vec![
-        baseline_fleet(
-            scenario,
-            &fleet,
-            &shards,
-            "vanilla",
-            &vanilla_plan,
-            vanilla,
-            threads,
-        ),
-        baseline_fleet(
-            scenario,
-            &fleet,
-            &shards,
-            "static-ee",
-            budget_plan,
-            static_ee,
-            threads,
-        ),
-    ];
-    let (apparate_out, overhead) =
-        apparate_fleet(scenario, &fleet, &shards, &dep_budget, telemetry, threads);
-    summaries.push(apparate_out.summary("apparate"));
+
+    let warm = warm_start_thresholds(
+        budget_plan,
+        &config,
+        scenario.reference_batch(),
+        &scenario.calibration(),
+    );
+    // The Apparate policies stay borrowed: their link charges are read
+    // after the run.
+    let mut apparate = apparate_replicas(
+        replicas,
+        &dep_budget,
+        config,
+        scenario.reference_batch(),
+        &warm,
+        telemetry,
+    );
+    let apparate_estimate = apparate_estimate(budget_plan, &config);
+    let static_ee = (0..replicas)
+        .map(|_| StaticExitPolicy::uniform(budget_plan.clone(), STATIC_THRESHOLD, "static-ee"));
+    let static_estimate = batch_time_fn(budget_plan);
+    let vanilla = (0..replicas).map(|_| vanilla_policy(&vanilla_plan));
+    let vanilla_estimate = batch_time_fn(&vanilla_plan);
+    let shared = scenario.shared();
+    let outcomes = run_fleets(
+        threads,
+        vec![
+            traced.serve(&shards, shared).units(
+                apparate
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(r, p)| ReplicaUnit::new(format!("apparate-{r}"), p, &apparate_estimate)),
+            ),
+            fleet.serve(&shards, shared).units(owned_units(
+                "static-ee",
+                static_ee,
+                &static_estimate,
+            )),
+            fleet
+                .serve(&shards, shared)
+                .units(owned_units("vanilla", vanilla, &vanilla_estimate)),
+        ],
+    );
+    let Ok([apparate_out, static_out, vanilla_out]) = <[_; 3]>::try_from(outcomes) else {
+        unreachable!("the work queue returns one outcome per fleet");
+    };
 
     let name = scenario.name();
     FleetRun {
@@ -195,57 +220,46 @@ fn fleet_over_shards<S: Scenario>(
         table: ComparisonTable::new(
             format!("{name} ×{replicas} ({dispatch})"),
             S::METRIC,
-            summaries,
+            vec![
+                vanilla_out.summary("vanilla"),
+                static_out.summary("static-ee"),
+                apparate_out.summary("apparate"),
+            ],
         ),
         overhead: OverheadRow {
             scenario: format!("{name} ×{replicas}"),
             requests: scenario.units(),
-            report: overhead,
+            report: fleet_overhead(&apparate),
         },
         shard_sizes: apparate_out.shard_sizes,
     }
 }
 
-/// Serve the shards with a baseline family, one `policy()` per replica over
-/// the batch-time estimator of its `plan`, and summarise the fleet run under
-/// `name`.
-fn baseline_fleet<S: Scenario, P: ReplicaPolicy + Send>(
-    scenario: &S,
-    fleet: &ReplicaFleet<S::Loop>,
-    shards: &[Shard<S>],
-    name: &str,
-    plan: &ExecutionPlan,
-    policy: impl Fn() -> P,
-    threads: usize,
-) -> LatencySummary {
-    let mut policies: Vec<P> = (0..fleet.replicas).map(|_| policy()).collect();
-    let estimate = batch_time_fn(plan);
-    fleet
-        .serve(shards, scenario.shared())
-        .units(
-            policies
-                .iter_mut()
-                .enumerate()
-                .map(|(r, p)| ReplicaUnit::new(format!("{name}-{r}"), p, &estimate)),
-        )
-        .threads(threads)
-        .run()
-        .summary(name)
+/// One unit per policy, named `{family}-{replica}`, over the family's
+/// batch-time `estimate`. Each unit owns its policy, so the queue frees a
+/// replica's policy as soon as that replica finishes.
+fn owned_units<'a, P: ReplicaPolicy + Send + 'a>(
+    family: &'a str,
+    policies: impl IntoIterator<Item = P> + 'a,
+    estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
+) -> impl Iterator<Item = ReplicaUnit<'a>> + 'a {
+    policies
+        .into_iter()
+        .enumerate()
+        .map(move |(r, p)| ReplicaUnit::owned(format!("{family}-{r}"), p, estimate))
 }
 
-/// One warm-started Apparate controller per replica, each traced under its
-/// replica tag, for either path. Every replica warm-starts on the same
-/// inputs (the validation split, or calibration tokens), so the warm start is
-/// tuned once and copied.
+/// One Apparate controller per replica, each loaded with the same `warm`
+/// start (every replica warm-starts on the same inputs, so the caller tunes
+/// it once) and traced under its replica tag.
 fn apparate_replicas(
     replicas: usize,
     dep_budget: &RampDeployment,
     config: ApparateConfig,
     reference_batch: u32,
-    calibration: &[apparate_exec::SampleSemantics],
+    warm: &Option<Vec<f64>>,
     telemetry: &Telemetry,
 ) -> Vec<ApparatePolicy> {
-    let warm = warm_start_thresholds(&dep_budget.plan, &config, reference_batch, calibration);
     (0..replicas)
         .map(|r| {
             let mut policy = ApparatePolicy::new(dep_budget.clone(), config, reference_batch)
@@ -256,42 +270,6 @@ fn apparate_replicas(
             policy
         })
         .collect()
-}
-
-/// Serve the shards with one Apparate controller per replica, each over its
-/// own charged link, and sum the per-replica coordination charges. Only this
-/// fleet is traced: the sink goes on a clone of the (config-only) fleet
-/// handle, so the baseline families stay untraced.
-fn apparate_fleet<S: Scenario>(
-    scenario: &S,
-    fleet: &ReplicaFleet<S::Loop>,
-    shards: &[Shard<S>],
-    dep_budget: &RampDeployment,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> (FleetOutcome<Outcome<S>>, OverheadReport) {
-    let config = scenario_config();
-    let fleet = fleet.clone().with_telemetry(telemetry.clone());
-    let mut policies = apparate_replicas(
-        fleet.replicas,
-        dep_budget,
-        config,
-        scenario.reference_batch(),
-        &scenario.calibration(),
-        telemetry,
-    );
-    let estimate = apparate_estimate(&dep_budget.plan, &config);
-    let out = fleet
-        .serve(shards, scenario.shared())
-        .units(
-            policies
-                .iter_mut()
-                .enumerate()
-                .map(|(r, p)| ReplicaUnit::new(format!("apparate-{r}"), p, &estimate)),
-        )
-        .threads(threads)
-        .run();
-    (out, fleet_overhead(&policies))
 }
 
 /// Result of one overload run: the same scenario served by the Apparate fleet
@@ -338,7 +316,8 @@ impl AdmissionFleetRun {
 /// unbounded) and once behind the streaming admission front end
 /// ([`stream_arrivals`] with an [`AdmissionConfig`] derived from the
 /// scenario's SLO). The vanilla fleet over the replay shards anchors the win
-/// table.
+/// table. The three fleets' replicas share one work queue of up to
+/// `threads` workers, and the output is identical for any thread count.
 ///
 /// Accounting is honest: admission-run latencies are measured from each
 /// request's *original* arrival time (so pacing delay is charged, not
@@ -357,44 +336,21 @@ pub fn run_admission_fleet(
         .serving
         .slo
         .expect("admission control needs a response SLO");
-    let (_, dep_budget) = fixture(scenario, &scenario_config());
+    let config = scenario_config();
+    let (_, dep_budget) = fixture(scenario, &config);
     let trace = scenario.stream();
     let service_estimate = service_estimate(&dep_budget);
     let fleet = ReplicaFleet::new(replicas, dispatch, scenario.serving.clone());
     let disabled = Telemetry::disabled();
 
-    // Pass 1: the admit-everything fleet over plain replay shards, with the
-    // vanilla fleet over the same shards anchoring the table's wins.
+    // Pass 1 serves plain replay shards: every arrival dispatched, queues
+    // unbounded.
     let replay_shards = scenario.shards(&trace, replicas, dispatch, service_estimate, false);
-    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
-    let vanilla = || vanilla_policy(&vanilla_plan);
-    let vanilla_summary = baseline_fleet(
-        scenario,
-        &fleet,
-        &replay_shards,
-        "vanilla",
-        &vanilla_plan,
-        vanilla,
-        threads,
-    );
-    let (replay_out, _) = apparate_fleet(
-        scenario,
-        &fleet,
-        &replay_shards,
-        &dep_budget,
-        &disabled,
-        threads,
-    );
-    let apparate_summary = replay_out.summary("apparate");
-    // Replay dispatches every offered arrival, so attainment is just the
-    // on-time fraction (records judge SLO against true arrival times).
-    let attainment_without = 1.0 - apparate_summary.slo_violation_rate;
-
-    // Pass 2: the same fleet behind the admission front end. Queue bound:
-    // the number of batch-1 service slots that fit in one SLO — a request
-    // admitted behind a full queue is exactly the request the model predicts
-    // cannot finish inside its deadline, so a sustained overload sheds
-    // instead of building backlog that defeats the SLO for everyone.
+    // Pass 2 serves the shards the admission front end dispatches. Queue
+    // bound: the number of batch-1 service slots that fit in one SLO — a
+    // request admitted behind a full queue is exactly the request the model
+    // predicts cannot finish inside its deadline, so a sustained overload
+    // sheds instead of building backlog that defeats the SLO for everyone.
     let service_us = service_estimate.as_micros().max(1);
     let queue_bound = ((slo.as_micros() / service_us) as usize).max(1);
     let admission = AdmissionConfig::for_slo(slo, queue_bound);
@@ -406,14 +362,61 @@ pub fn run_admission_fleet(
         Some(admission),
         &disabled,
     );
-    let (admitted_out, _) = apparate_fleet(
-        scenario,
-        &fleet,
-        &streamed.shards,
-        &dep_budget,
-        &disabled,
-        threads,
+
+    // The admit-everything Apparate fleet, the admitted one and the vanilla
+    // fleet anchoring the table's wins (over the replay shards) share one
+    // work queue, longest first, and both Apparate fleets load the same warm
+    // start. Nothing reads a policy after the run, so every unit owns its
+    // policy and the queue frees each as its replica finishes.
+    let warm = warm_start_thresholds(
+        &dep_budget.plan,
+        &config,
+        scenario.reference_batch,
+        &scenario.calibration(),
     );
+    let apparate_policies = || {
+        apparate_replicas(
+            replicas,
+            &dep_budget,
+            config,
+            scenario.reference_batch,
+            &warm,
+            &disabled,
+        )
+    };
+    let apparate_estimate = apparate_estimate(&dep_budget.plan, &config);
+    let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
+    let vanilla = (0..replicas).map(|_| vanilla_policy(&vanilla_plan));
+    let vanilla_estimate = batch_time_fn(&vanilla_plan);
+    let samples = scenario.shared();
+    let outcomes = run_fleets(
+        threads,
+        vec![
+            fleet.serve(&replay_shards, samples).units(owned_units(
+                "apparate",
+                apparate_policies(),
+                &apparate_estimate,
+            )),
+            fleet.serve(&streamed.shards, samples).units(owned_units(
+                "apparate",
+                apparate_policies(),
+                &apparate_estimate,
+            )),
+            fleet.serve(&replay_shards, samples).units(owned_units(
+                "vanilla",
+                vanilla,
+                &vanilla_estimate,
+            )),
+        ],
+    );
+    let Ok([replay_out, admitted_out, vanilla_out]) = <[_; 3]>::try_from(outcomes) else {
+        unreachable!("the work queue returns one outcome per fleet");
+    };
+    let vanilla_summary = vanilla_out.summary("vanilla");
+    let apparate_summary = replay_out.summary("apparate");
+    // Replay dispatches every offered arrival, so attainment is just the
+    // on-time fraction (records judge SLO against true arrival times).
+    let attainment_without = 1.0 - apparate_summary.slo_violation_rate;
 
     // Honest admission-row accounting: a record's id is its index within its
     // shard, whose `indices` point back at the offered stream — so recover
@@ -569,12 +572,18 @@ mod tests {
             validation,
         );
         assert_eq!(single.stats().tuning_rounds, 1, "the warm start must tune");
+        let warm = warm_start_thresholds(
+            &dep_budget.plan,
+            &config,
+            scenario.reference_batch,
+            validation,
+        );
         let replicas = apparate_replicas(
             3,
             &dep_budget,
             config,
             scenario.reference_batch,
-            validation,
+            &warm,
             &Telemetry::disabled(),
         );
         assert_eq!(replicas.len(), 3);
@@ -597,12 +606,18 @@ mod tests {
             &calibration,
         );
         assert_eq!(single.stats().tuning_rounds, 1, "the warm start must tune");
+        let warm = warm_start_thresholds(
+            &dep_budget.plan,
+            &config,
+            scenario.reference_batch,
+            &calibration,
+        );
         let replicas = apparate_replicas(
             3,
             &dep_budget,
             config,
             scenario.reference_batch,
-            &calibration,
+            &warm,
             &Telemetry::disabled(),
         );
         assert_eq!(replicas.len(), 3);

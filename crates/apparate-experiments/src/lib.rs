@@ -49,4 +49,4 @@ pub use scenario::{
     DuelRun, GenerativeScenario, ReproSizes, Scenario, ScenarioCdfs, ScenarioRun, ScenarioSelect,
     SensitivityGrid, TraceKind, WorkloadTokens, STATIC_THRESHOLD,
 };
-pub use sweep::{accuracy_sweep, sensitivity_sweeps, slo_sweep, SweepPoint, SweepTable};
+pub use sweep::{sensitivity_sweeps, SweepPoint, SweepTable};

@@ -7,9 +7,11 @@
 //! ([`crate::scenario::run_classification_duel`]) over the same scenario with
 //! one knob moved; everything else — seed, arrivals, semantics draws — is
 //! held fixed, so a grid column isolates the knob's effect. The grids
-//! themselves come from [`crate::scenario::SensitivityGrid`].
+//! themselves come from [`crate::scenario::SensitivityGrid`]. The cells are
+//! independent, so [`sensitivity_sweeps`] runs every cell of both grids as
+//! one item of one work queue.
 
-use apparate_serving::LatencyWins;
+use apparate_serving::{run_queue, LatencyWins};
 
 use crate::scenario::{
     cv_scenario, nlp_scenario, run_classification_duel, scenario_config, SensitivityGrid,
@@ -72,78 +74,95 @@ impl SweepTable {
     }
 }
 
-/// The SLO sensitivity sweep (Figure 17): the CV scenario with its SLO scaled
-/// by each factor in `scales`, controller config held at the defaults.
-pub fn slo_sweep(seed: u64, frames: usize, scales: &[f64]) -> SweepTable {
-    let points = scales
-        .iter()
-        .map(|&scale| {
-            let scenario = cv_scenario(seed, frames).with_slo_scale(scale);
-            let slo_ms = scenario
-                .serving
-                .slo
-                .map(|slo| slo.as_millis_f64())
-                .unwrap_or(0.0);
-            let duel = run_classification_duel(&scenario, scenario_config());
-            let wins = LatencyWins::of(&duel.vanilla, &duel.apparate);
-            SweepPoint {
-                label: format!("slo ×{scale} ({slo_ms:.1} ms)"),
-                win_p50: wins.p50,
-                win_p95: wins.p95,
-                accuracy: duel.apparate.accuracy,
-                slo_violation_rate: duel.apparate.slo_violation_rate,
-                vanilla_slo_violation_rate: duel.vanilla.slo_violation_rate,
-                exit_rate: duel.apparate.exit_rate,
+/// One grid cell: the knob its vanilla-vs-Apparate duel moves.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    /// Figure 17: the CV scenario with its SLO scaled by this factor,
+    /// controller config held at the defaults.
+    Slo(f64),
+    /// Figure 19: the NLP scenario — where exits are genuinely
+    /// accuracy-limited, unlike the high-continuity CV stream — with the
+    /// controller's accuracy-loss budget set to this constraint.
+    Accuracy(f64),
+}
+
+impl Cell {
+    /// Run the cell's duel over a `frames`-frame CV stream or an
+    /// `nlp_requests`-request NLP stream.
+    fn run(self, seed: u64, frames: usize, nlp_requests: usize) -> SweepPoint {
+        let (label, duel) = match self {
+            Cell::Slo(scale) => {
+                let scenario = cv_scenario(seed, frames).with_slo_scale(scale);
+                let slo_ms = scenario
+                    .serving
+                    .slo
+                    .map(|slo| slo.as_millis_f64())
+                    .unwrap_or(0.0);
+                (
+                    format!("slo ×{scale} ({slo_ms:.1} ms)"),
+                    run_classification_duel(&scenario, scenario_config()),
+                )
             }
-        })
-        .collect();
-    SweepTable {
-        title: "SLO sensitivity (Figure 17)".to_string(),
-        points,
+            Cell::Accuracy(constraint) => {
+                let scenario = nlp_scenario(seed, nlp_requests);
+                let config = scenario_config().with_accuracy_constraint(constraint);
+                (
+                    format!("acc budget {:.1}%", constraint * 100.0),
+                    run_classification_duel(&scenario, config),
+                )
+            }
+        };
+        let wins = LatencyWins::of(&duel.vanilla, &duel.apparate);
+        SweepPoint {
+            label,
+            win_p50: wins.p50,
+            win_p95: wins.p95,
+            accuracy: duel.apparate.accuracy,
+            slo_violation_rate: duel.apparate.slo_violation_rate,
+            vanilla_slo_violation_rate: duel.vanilla.slo_violation_rate,
+            exit_rate: duel.apparate.exit_rate,
+        }
     }
 }
 
-/// The accuracy-constraint sensitivity sweep (Figure 19): the NLP scenario —
-/// where exits are genuinely accuracy-limited, unlike the high-continuity CV
-/// stream — with the controller's accuracy-loss budget moved through
-/// `constraints`.
-pub fn accuracy_sweep(seed: u64, requests: usize, constraints: &[f64]) -> SweepTable {
-    let points = constraints
-        .iter()
-        .map(|&constraint| {
-            let scenario = nlp_scenario(seed, requests);
-            let config = scenario_config().with_accuracy_constraint(constraint);
-            let duel = run_classification_duel(&scenario, config);
-            let wins = LatencyWins::of(&duel.vanilla, &duel.apparate);
-            SweepPoint {
-                label: format!("acc budget {:.1}%", constraint * 100.0),
-                win_p50: wins.p50,
-                win_p95: wins.p95,
-                accuracy: duel.apparate.accuracy,
-                slo_violation_rate: duel.apparate.slo_violation_rate,
-                vanilla_slo_violation_rate: duel.vanilla.slo_violation_rate,
-                exit_rate: duel.apparate.exit_rate,
-            }
-        })
-        .collect();
-    SweepTable {
-        title: "accuracy-constraint sensitivity (Figure 19)".to_string(),
-        points,
-    }
-}
-
-/// Run both sweeps on the given grid: the SLO sweep over a `frames`-frame CV
-/// stream, the accuracy sweep over an `nlp_requests`-request NLP stream. The
-/// sizes are independent — the two sweeps run different scenarios.
+/// Run both sweeps on the given grid — the SLO sweep (Figure 17) over a
+/// `frames`-frame CV stream, the accuracy sweep (Figure 19) over an
+/// `nlp_requests`-request NLP stream — and return their tables in that
+/// order. Every cell is one item of one [`run_queue`] on up to `threads`
+/// workers, and the tables are the same for every thread count. The NLP
+/// cells go first, in reverse grid order: the grids list budgets from the
+/// tightest, and the looser a budget, the longer its duel runs.
 pub fn sensitivity_sweeps(
     seed: u64,
     frames: usize,
     nlp_requests: usize,
     grid: &SensitivityGrid,
+    threads: usize,
 ) -> Vec<SweepTable> {
+    let accuracy = grid
+        .accuracy_constraints
+        .iter()
+        .rev()
+        .map(|&c| Cell::Accuracy(c));
+    let slo = grid.slo_scales.iter().map(|&s| Cell::Slo(s));
+    let mut points = run_queue(threads, accuracy.chain(slo).collect(), |_, cell: Cell| {
+        cell.run(seed, frames, nlp_requests)
+    })
+    .into_iter();
+    let mut accuracy_points: Vec<SweepPoint> = points
+        .by_ref()
+        .take(grid.accuracy_constraints.len())
+        .collect();
+    accuracy_points.reverse();
     vec![
-        slo_sweep(seed, frames, &grid.slo_scales),
-        accuracy_sweep(seed, nlp_requests, &grid.accuracy_constraints),
+        SweepTable {
+            title: "SLO sensitivity (Figure 17)".to_string(),
+            points: points.collect(),
+        },
+        SweepTable {
+            title: "accuracy-constraint sensitivity (Figure 19)".to_string(),
+            points: accuracy_points,
+        },
     ]
 }
 
@@ -151,9 +170,21 @@ pub fn sensitivity_sweeps(
 mod tests {
     use super::*;
 
+    /// The sweeps over `grid` on 1,500-frame CV and 1,500-request NLP
+    /// streams.
+    fn sweeps(grid: SensitivityGrid, threads: usize) -> Vec<SweepTable> {
+        sensitivity_sweeps(42, 1_500, 1_500, &grid, threads)
+    }
+
     #[test]
     fn sweep_tables_render_deterministically() {
-        let build = || slo_sweep(42, 1_500, &[0.5, 1.0]).render();
+        let build = || {
+            let grid = SensitivityGrid {
+                slo_scales: vec![0.5, 1.0],
+                accuracy_constraints: Vec::new(),
+            };
+            sweeps(grid, 1)[0].render()
+        };
         let a = build();
         assert_eq!(a, build());
         assert!(a.contains("slo ×0.5"));
@@ -161,8 +192,25 @@ mod tests {
     }
 
     #[test]
+    fn sweep_tables_render_identically_at_any_thread_count() {
+        let render = |threads| {
+            sweeps(SensitivityGrid::quick(), threads)
+                .iter()
+                .map(SweepTable::render)
+                .collect::<String>()
+        };
+        let sequential = render(1);
+        assert!(sequential.contains("slo ×2") && sequential.contains("acc budget 2.0%"));
+        assert_eq!(sequential, render(4));
+    }
+
+    #[test]
     fn looser_accuracy_budget_never_reduces_exit_aggressiveness() {
-        let table = accuracy_sweep(42, 1_500, &[0.005, 0.05]);
+        let grid = SensitivityGrid {
+            slo_scales: Vec::new(),
+            accuracy_constraints: vec![0.005, 0.05],
+        };
+        let table = &sweeps(grid, 1)[1];
         let tight = &table.points[0];
         let loose = &table.points[1];
         // A 10× larger budget lets the tuner accept at least as many exits.

@@ -2,16 +2,16 @@
 //! into any observable output. Same seed + any `threads` value ⇒
 //! byte-identical win tables, byte-identical telemetry exports (event trace
 //! and metrics JSON-lines), identical coordination bills — for the
-//! classification fleet, the generative (decode-loop) fleet and the three
-//! six-policy comparison tables.
+//! classification fleet, the generative (decode-loop) fleet, the overload
+//! admission run and the three six-policy comparison tables.
 //!
 //! This is the acceptance contract of the `--threads` knob: parallel fleet
 //! replicas and parallel policy runs buy wall-clock time only.
 
 use apparate_experiments::{
-    cv_scenario, generative_scenario, run_classification_fleet_threaded, run_fleet,
-    run_fleet_streamed, run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes,
-    ScenarioSelect,
+    cv_scenario, diurnal_scenario, generative_scenario, render_admission_summary,
+    run_admission_fleet, run_classification_fleet_threaded, run_fleet, run_fleet_streamed,
+    run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes, ScenarioSelect,
 };
 use apparate_serving::FleetDispatch;
 use apparate_telemetry::{
@@ -139,6 +139,36 @@ fn generative_artifacts_are_byte_identical_across_thread_counts() {
         assert_eq!(
             metrics1, metrics,
             "metrics export diverged from sequential at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn admission_artifacts_are_identical_across_thread_counts() {
+    // The replay Apparate fleet, the admitted Apparate fleet and the vanilla
+    // fleet share one work queue, so each must still get its own shards'
+    // outcome whatever the worker count.
+    let run = |threads: usize| {
+        let scenario = diurnal_scenario(42, 1_500).with_arrival_scale(4.0);
+        let run = run_admission_fleet(&scenario, 2, FleetDispatch::LeastLoaded, threads);
+        let summary = render_admission_summary(std::slice::from_ref(&run));
+        (run.table.render(), summary, run.ingest)
+    };
+    let (table1, summary1, ingest1) = run(1);
+    assert!(ingest1.shed > 0, "a 4× overload must shed");
+    for threads in [2, 8] {
+        let (table, summary, ingest) = run(threads);
+        assert_eq!(
+            table1, table,
+            "admission table diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            summary1, summary,
+            "admission summary diverged from sequential at {threads} threads"
+        );
+        assert_eq!(
+            ingest1, ingest,
+            "ingest counters diverged at {threads} threads"
         );
     }
 }

@@ -22,18 +22,23 @@
 //!   thing the two paths differ in: [`ServingConfig`] runs the
 //!   classification loop, [`ContinuousBatchingConfig`] the decode loop, and
 //!   a unit's [`ReplicaPolicy`] serves either;
+//! * [`run_fleets`] — execute several [`FleetRun`]s (say, one per policy
+//!   family over the same shards) on one work queue, so a worker that
+//!   finishes one run's replicas takes the next run's instead of idling;
+//!   [`FleetRun::run`] is its one-run case;
 //! * [`FleetOutcome`] — per-replica outcomes aggregated into fleet-level
 //!   views via the [`FleetOutcomeView`] trait, whose summary is
 //!   [`LatencySummary::of`] over the replicas (the fleet makespan is the
 //!   slowest replica's; latencies pool across every replica).
 //!
 //! Replicas are independent discrete-event simulations over disjoint shards,
-//! so a [`FleetRun`] executes them on scoped threads through [`run_queue`]
-//! (the workspace's one work queue) and still produces *byte-identical* merged
-//! output for any thread count: each replica records telemetry through its
-//! own [`Telemetry::for_replica`] handle into a per-replica buffer, results
-//! are joined and re-ordered by replica index, and the telemetry snapshot
-//! merges buffers deterministically by `(time, replica)`.
+//! so every replica of every run is one item of [`run_queue`] (the
+//! workspace's one work queue) on scoped threads, and the merged output is
+//! still *byte-identical* for any thread count: each replica records
+//! telemetry through its own [`Telemetry::for_replica`] handle into a
+//! per-replica buffer, results are re-ordered by (run, replica) index, and
+//! the telemetry snapshot merges buffers deterministically by
+//! `(time, replica)`.
 //!
 //! The policies themselves stay pluggable exactly as in [`crate::platform`] /
 //! [`crate::generative`]: the fleet knows nothing about early exits, and an
@@ -201,12 +206,19 @@ impl<P: ExitPolicy + TokenPolicy> ReplicaPolicy for P {}
 /// reads it).
 ///
 /// Units are `Send` — a [`FleetRun`] may execute each on a worker thread —
-/// which is why the policy reference is `dyn ReplicaPolicy + Send` and the
-/// estimator `dyn Fn + Sync`.
+/// which is why the policy is a `dyn ReplicaPolicy + Send` and the estimator
+/// a `dyn Fn + Sync`.
 pub struct ReplicaUnit<'a> {
     label: String,
-    policy: &'a mut (dyn ReplicaPolicy + Send),
+    policy: UnitPolicy<'a>,
     estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
+}
+
+/// A unit's policy: borrowed, so the caller can read it after the run, or
+/// owned, so the run drops it as soon as its replica finishes.
+enum UnitPolicy<'a> {
+    Borrowed(&'a mut (dyn ReplicaPolicy + Send)),
+    Owned(Box<dyn ReplicaPolicy + Send + 'a>),
 }
 
 impl<'a> ReplicaUnit<'a> {
@@ -220,8 +232,31 @@ impl<'a> ReplicaUnit<'a> {
     ) -> ReplicaUnit<'a> {
         ReplicaUnit {
             label: label.into(),
-            policy,
+            policy: UnitPolicy::Borrowed(policy),
             estimate,
+        }
+    }
+
+    /// Like [`ReplicaUnit::new`], with the unit owning `policy`: nothing can
+    /// read it after the run, and its state is freed as soon as the replica
+    /// finishes instead of when the whole run does.
+    pub fn owned(
+        label: impl Into<String>,
+        policy: impl ReplicaPolicy + Send + 'a,
+        estimate: &'a (dyn Fn(u32) -> SimDuration + Sync),
+    ) -> ReplicaUnit<'a> {
+        ReplicaUnit {
+            label: label.into(),
+            policy: UnitPolicy::Owned(Box::new(policy)),
+            estimate,
+        }
+    }
+
+    /// The unit's policy.
+    fn policy(&mut self) -> &mut (dyn ReplicaPolicy + Send + 'a) {
+        match &mut self.policy {
+            UnitPolicy::Borrowed(policy) => &mut **policy,
+            UnitPolicy::Owned(policy) => &mut **policy,
         }
     }
 
@@ -294,7 +329,7 @@ impl ReplicaLoop for ServingConfig {
         &self,
         shard: &TraceShard,
         samples: &[SampleSemantics],
-        unit: ReplicaUnit<'_>,
+        mut unit: ReplicaUnit<'_>,
         telemetry: Telemetry,
     ) -> ServingOutcome {
         let shard_samples = shard.gather(samples);
@@ -303,7 +338,8 @@ impl ReplicaLoop for ServingConfig {
             let ids: Vec<u64> = shard.indices.iter().map(|&i| i as u64).collect();
             sim = sim.with_telemetry(telemetry).with_dispatch_ids(ids);
         }
-        sim.run(&shard.trace, &shard_samples, unit.policy, unit.estimate)
+        let estimate = unit.estimate;
+        sim.run(&shard.trace, &shard_samples, unit.policy(), estimate)
     }
 }
 
@@ -324,19 +360,20 @@ impl ReplicaLoop for ContinuousBatchingConfig {
         &self,
         shard: &RequestShard,
         semantics: &(dyn TokenSemantics + Sync),
-        unit: ReplicaUnit<'_>,
+        mut unit: ReplicaUnit<'_>,
         telemetry: Telemetry,
     ) -> GenerativeOutcome {
         let mut sim = GenerativeSimulator::new(*self);
         if telemetry.is_enabled() {
             sim = sim.with_telemetry(telemetry).with_dispatch_events();
         }
-        sim.run(&shard.requests, semantics, unit.policy)
+        sim.run(&shard.requests, semantics, unit.policy())
     }
 }
 
 /// A configured fleet run: per-replica units plus the thread knob, built by
-/// [`ReplicaFleet::serve`] and executed by [`FleetRun::run`].
+/// [`ReplicaFleet::serve`] and executed by [`FleetRun::run`], or together
+/// with other runs by [`run_fleets`].
 ///
 /// Replicas are independent simulations over disjoint shards, so the run
 /// executes them through [`run_queue`] on up to `threads` workers (an idle
@@ -355,8 +392,10 @@ pub struct FleetRun<'a, L: ReplicaLoop> {
 }
 
 impl<'a, L: ReplicaLoop> FleetRun<'a, L> {
-    /// Set the number of worker threads (clamped to `1..=replicas`); `1`
-    /// means the sequential path. Defaults to [`available_threads`].
+    /// Set the number of workers [`FleetRun::run`] uses; `1` means the
+    /// sequential path, and no more workers start than there are replicas.
+    /// Defaults to [`available_threads`]. [`run_fleets`] reads its own
+    /// count instead.
     pub fn threads(mut self, threads: usize) -> FleetRun<'a, L> {
         self.threads = threads.max(1);
         self
@@ -374,36 +413,90 @@ impl<'a, L: ReplicaLoop> FleetRun<'a, L> {
         self
     }
 
-    /// Execute the run and aggregate per-replica outcomes in replica order.
+    /// Execute the run and aggregate per-replica outcomes in replica order:
+    /// [`run_fleets`] with this one run.
     ///
     /// Panics if the number of added units differs from the fleet's replica
     /// count, or if a replica's simulation panics (the panic is propagated).
     pub fn run(self) -> FleetOutcome<L::Outcome> {
+        let threads = self.threads;
+        run_fleets(threads, vec![self])
+            .pop()
+            .expect("one run gives one outcome")
+    }
+}
+
+/// One replica of one [`FleetRun`], as a [`run_fleets`] queue item.
+struct ReplicaItem<'a, L: ReplicaLoop> {
+    fleet: &'a ReplicaFleet<L>,
+    shard: &'a L::Shard,
+    shared: &'a L::Shared,
+    replica: u32,
+    unit: ReplicaUnit<'a>,
+}
+
+/// Execute several fleet runs on one [`run_queue`] of up to `threads`
+/// workers, and return each run's outcome in `runs` order.
+///
+/// Every replica of every run is one item, queued run by run in replica
+/// order, so list the run whose replicas take longest first. Each replica
+/// records through its own run's fleet telemetry, and each outcome is placed
+/// by (run, replica) index, never by completion order: every run gets
+/// exactly what its own [`FleetRun::run`] returns, for any thread count and
+/// whatever runs share the queue. Each run's own [`FleetRun::threads`]
+/// setting is not read.
+///
+/// Panics like [`FleetRun::run`].
+pub fn run_fleets<'a, L: ReplicaLoop>(
+    threads: usize,
+    runs: Vec<FleetRun<'a, L>>,
+) -> Vec<FleetOutcome<L::Outcome>> {
+    let mut items = Vec::new();
+    let mut outcomes = Vec::with_capacity(runs.len());
+    for run in runs {
         let FleetRun {
             fleet,
             shards,
             shared,
-            threads,
             units,
-        } = self;
+            ..
+        } = run;
         assert_eq!(
             units.len(),
             fleet.replicas,
             "one unit per replica is required"
         );
-        let labels = units.iter().map(|u| u.label.clone()).collect();
-        let per_replica = run_queue(threads, units, |r, unit| {
-            let telemetry = fleet.telemetry.for_replica(r as u32);
-            fleet
-                .serving
-                .serve_shard(&shards[r], shared, unit, telemetry)
-        });
-        FleetOutcome {
-            per_replica,
+        outcomes.push(FleetOutcome {
+            per_replica: Vec::with_capacity(units.len()),
             shard_sizes: shards.iter().map(L::shard_len).collect(),
-            labels,
-        }
+            labels: units.iter().map(|u| u.label.clone()).collect(),
+        });
+        items.extend(
+            units
+                .into_iter()
+                .zip(shards)
+                .enumerate()
+                .map(|(r, (unit, shard))| ReplicaItem {
+                    fleet,
+                    shard,
+                    shared,
+                    replica: r as u32,
+                    unit,
+                }),
+        );
     }
+    let mut served = run_queue(threads, items, |_, item| {
+        let telemetry = item.fleet.telemetry.for_replica(item.replica);
+        item.fleet
+            .serving
+            .serve_shard(item.shard, item.shared, item.unit, telemetry)
+    })
+    .into_iter();
+    for outcome in &mut outcomes {
+        let replicas = outcome.shard_sizes.len();
+        outcome.per_replica.extend(served.by_ref().take(replicas));
+    }
+    outcomes
 }
 
 /// A fleet of identical replicas behind one dispatcher, each running the
@@ -800,6 +893,86 @@ mod tests {
                     "records diverged at {threads} threads"
                 );
                 assert_eq!(s.batch_sizes, p.batch_sizes);
+            }
+        }
+    }
+
+    #[test]
+    fn run_fleets_gives_each_run_what_its_own_run_returns() {
+        // Two fleets that differ in stream, size, dispatch and batching share
+        // one queue. Listed in either order, at any thread count, each must
+        // get exactly the outcome it gets when it runs alone.
+        let fleets = [
+            (
+                ArrivalTrace::maf_like(240, 90.0, 13),
+                ReplicaFleet::new(
+                    3,
+                    FleetDispatch::LeastLoaded,
+                    ServingConfig {
+                        policy: BatchingPolicy::Immediate,
+                        slo: None,
+                    },
+                ),
+            ),
+            (
+                ArrivalTrace::poisson(160, 120.0, 5),
+                ReplicaFleet::new(
+                    2,
+                    FleetDispatch::RoundRobin,
+                    ServingConfig {
+                        policy: BatchingPolicy::TfServe {
+                            max_batch_size: 8,
+                            batch_timeout: SimDuration::from_millis(5),
+                        },
+                        slo: None,
+                    },
+                ),
+            ),
+        ];
+        let shared: Vec<_> = fleets
+            .iter()
+            .map(|(trace, _)| samples(trace.len()))
+            .collect();
+        let shards: Vec<_> = fleets
+            .iter()
+            .map(|(trace, fleet)| {
+                shard_arrivals(trace, fleet.replicas, fleet.dispatch, exec_time(1))
+            })
+            .collect();
+        let alone: Vec<_> = fleets
+            .iter()
+            .zip(&shared)
+            .map(|((trace, fleet), shared)| vanilla_fleet_run(fleet, trace, shared, 1))
+            .collect();
+        let estimate = exec_time;
+        for threads in [1, 2, 8] {
+            for order in [[0, 1], [1, 0]] {
+                // Here the units own their policies; `vanilla_fleet_run`
+                // lends them.
+                let runs = order
+                    .iter()
+                    .map(|&k| {
+                        let fleet = &fleets[k].1;
+                        fleet
+                            .serve(&shards[k], &shared[k])
+                            .units((0..fleet.replicas).map(|r| {
+                                let policy = VanillaPolicy::new(exec_time);
+                                ReplicaUnit::owned(format!("vanilla-{r}"), policy, &estimate)
+                            }))
+                    })
+                    .collect();
+                let together = run_fleets(threads, runs);
+                assert_eq!(together.len(), 2);
+                for (&k, out) in order.iter().zip(&together) {
+                    let own = &alone[k];
+                    assert_eq!(out.labels, own.labels, "run {k} at {threads} threads");
+                    assert_eq!(out.shard_sizes, own.shard_sizes);
+                    assert_eq!(out.per_replica.len(), own.per_replica.len());
+                    for (o, a) in out.per_replica.iter().zip(&own.per_replica) {
+                        assert_eq!(o.records, a.records, "run {k} at {threads} threads");
+                        assert_eq!(o.batch_sizes, a.batch_sizes);
+                    }
+                }
             }
         }
     }

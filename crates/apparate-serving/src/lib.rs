@@ -47,9 +47,9 @@ pub mod traces;
 
 pub use batching::{BatchDecision, BatchingPolicy};
 pub use fleet::{
-    available_threads, run_queue, shard_arrivals, shard_requests, FleetDispatch, FleetOutcome,
-    FleetOutcomeView, FleetRun, ReplicaFleet, ReplicaLoop, ReplicaPolicy, ReplicaUnit,
-    RequestShard, TraceShard,
+    available_threads, run_fleets, run_queue, shard_arrivals, shard_requests, FleetDispatch,
+    FleetOutcome, FleetOutcomeView, FleetRun, ReplicaFleet, ReplicaLoop, ReplicaPolicy,
+    ReplicaUnit, RequestShard, TraceShard,
 };
 pub use generative::{
     ContinuousBatchingConfig, GenerativeOutcome, GenerativeSimulator, StepOutcome, TokenOutcome,

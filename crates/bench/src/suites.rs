@@ -570,7 +570,6 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
     // charged for 6 ramps' observations each) and a ramp-definition update
     // (~10 KB per ramp).
     let record = |i: u64| ProfileRecord {
-        completed_at: SimTime::from_micros(i * 100),
         batch_size: 8,
         num_ramps: 6,
         samples: (i * 8..i * 8 + 8)
@@ -602,9 +601,7 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
         ctx.bench(SUITE, "feedback_link/profile-stream-256", || {
             let mut link = FeedbackLink::new(LinkCost::default());
             for i in 0..256u64 {
-                let rec = record(i);
-                let at = rec.completed_at;
-                link.send(rec, at);
+                link.send(record(i), SimTime::from_micros(i * 100));
             }
             link.poll(SimTime::from_secs(3600)).len()
         }),
