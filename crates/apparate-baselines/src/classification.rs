@@ -4,7 +4,7 @@
 //! (§3.4).
 
 use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
-use apparate_exec::{ExecutionPlan, RampObservation, SampleSemantics};
+use apparate_exec::{ExecutionPlan, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{
     BatchOutcome, ExitPolicy, Request, RequestOutcome, StepOutcome, TokenPolicy, TokenSlot,
@@ -42,20 +42,20 @@ pub fn vanilla_policy(plan: &ExecutionPlan) -> VanillaPolicy<impl Fn(u32) -> Sim
 /// continues to the model head (which is what keeps accuracy feedback free and
 /// batchmates unaffected, §3.2).
 ///
-/// `exit` is that earliest ramp and its observation, as found by
-/// [`ExecutionPlan::first_exit`].
+/// `exit` is that earliest ramp and whether it agrees with the full model,
+/// as found by [`ExecutionPlan::first_exit`].
 pub fn exit_outcome(
     plan: &ExecutionPlan,
-    exit: Option<(usize, RampObservation)>,
+    exit: Option<(usize, bool)>,
     batch: u32,
 ) -> RequestOutcome {
     let final_off = SimDuration::from_micros_f64(plan.final_offset_us(batch));
     match exit {
-        Some((ramp, observation)) => RequestOutcome {
+        Some((ramp, agrees)) => RequestOutcome {
             release_offset: SimDuration::from_micros_f64(plan.ramp_offset_us(ramp, batch)),
             completion_offset: final_off,
             exit_ramp: Some(ramp),
-            correct: observation.agrees,
+            correct: agrees,
         },
         None => RequestOutcome {
             release_offset: final_off,
@@ -173,6 +173,19 @@ pub fn offline_tuned_thresholds(
     params: GreedyParams,
     reference_batch: u32,
 ) -> TuningOutcome {
+    let window = calibration_window(plan, calibration, reference_batch);
+    tune_on_window(plan, &window, params, reference_batch)
+}
+
+/// The window an offline tune reads: every calibration sample's observation
+/// at every ramp of `plan`, recorded as a correct release at
+/// `reference_batch`. Tunes that share a plan and a calibration set build it
+/// once and each run [`tune_on_window`] over it.
+pub fn calibration_window(
+    plan: &ExecutionPlan,
+    calibration: &[SampleSemantics],
+    reference_batch: u32,
+) -> TuningWindow {
     let mut window = TuningWindow::new(plan.num_ramps(), calibration.len().max(1));
     let mut row = Vec::with_capacity(plan.num_ramps());
     for sample in calibration {
@@ -180,8 +193,20 @@ pub fn offline_tuned_thresholds(
         plan.observe_into(sample, &mut row);
         window.push(&row, None, true, reference_batch);
     }
+    window
+}
+
+/// Algorithm 1 over `window`, a [`calibration_window`] of `plan`, with a
+/// tuner of its own: what [`offline_tuned_thresholds`] returns for the
+/// window's calibration set.
+pub fn tune_on_window(
+    plan: &ExecutionPlan,
+    window: &TuningWindow,
+    params: GreedyParams,
+    reference_batch: u32,
+) -> TuningOutcome {
     let savings = per_ramp_savings_us(plan, reference_batch);
-    IncrementalTuner::new().tune(&window, &savings, params)
+    IncrementalTuner::new().tune(window, &savings, params)
 }
 
 /// The deterministic hindsight oracle (§2.2's "optimal early exiting").

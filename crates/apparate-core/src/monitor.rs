@@ -678,7 +678,7 @@ mod tests {
         }));
     }
 
-    /// Compare two tuning outcomes bit for bit (`runtime_us` aside).
+    /// Compare two tuning outcomes bit for bit, every field.
     fn assert_same_outcome(a: &TuningOutcome, b: &TuningOutcome) {
         let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.thresholds), bits(&b.thresholds));

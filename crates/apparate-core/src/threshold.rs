@@ -15,7 +15,6 @@
 
 use crate::monitor::{RequestFeedback, TuningWindow};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Evaluation of one threshold configuration over a window of records.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -113,9 +112,6 @@ pub struct TuningOutcome {
     pub evaluation: ConfigEvaluation,
     /// Number of configuration evaluations performed.
     pub evaluations: usize,
-    /// Wall-clock runtime of the search in microseconds (real time, not
-    /// simulated — this is the controller CPU cost reported in Figure 10).
-    pub runtime_us: f64,
 }
 
 /// Parameters of the greedy search.
@@ -148,8 +144,6 @@ impl Default for GreedyParams {
 
 /// Algorithm 1: greedy hill-climbing threshold tuning.
 pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> TuningOutcome {
-    // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-    let start = Instant::now();
     let n = evaluator.num_ramps();
     let mut thresholds = vec![0.0f64; n];
     let mut steps = vec![params.initial_step; n];
@@ -216,7 +210,6 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
         thresholds,
         evaluation: current,
         evaluations,
-        runtime_us: start.elapsed().as_secs_f64() * 1e6,
     }
 }
 
@@ -394,24 +387,20 @@ impl IncrementalTuner {
     /// Run Algorithm 1 over the window. Produces the same
     /// [`TuningOutcome`] (thresholds, evaluation, evaluation count) as
     /// `greedy_tune(&ThresholdEvaluator::new(&window.records(), savings_us), params)`,
-    /// exactly — only `runtime_us` (read by nothing) differs.
+    /// exactly.
     pub fn tune(
         &mut self,
         window: &TuningWindow,
         savings_us: &[f64],
         params: GreedyParams,
     ) -> TuningOutcome {
-        // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-        let start = Instant::now();
         if let Some(cache) = &self.last {
             if cache.window_id == window.id()
                 && cache.window_version == window.version()
                 && cache.params == params
                 && cache.savings_us == savings_us
             {
-                let mut outcome = cache.outcome.clone();
-                outcome.runtime_us = start.elapsed().as_secs_f64() * 1e6;
-                return outcome;
+                return cache.outcome.clone();
             }
         }
         let n = window.num_ramps();
@@ -533,7 +522,6 @@ impl IncrementalTuner {
             thresholds,
             evaluation: current,
             evaluations,
-            runtime_us: start.elapsed().as_secs_f64() * 1e6,
         };
         self.last = Some(CachedTune {
             window_id: window.id(),
@@ -553,8 +541,6 @@ pub fn grid_tune(
     accuracy_loss_budget: f64,
     step: f64,
 ) -> TuningOutcome {
-    // lint:allow(D001, reason = "wall-time metric only, never feeds a decision: runtime_us is reported in TuningOutcome and read by nothing")
-    let start = Instant::now();
     let n = evaluator.num_ramps();
     let levels: Vec<f64> = {
         let mut v = Vec::new();
@@ -579,7 +565,6 @@ pub fn grid_tune(
                     thresholds: best_thresholds,
                     evaluation: best_eval,
                     evaluations,
-                    runtime_us: start.elapsed().as_secs_f64() * 1e6,
                 };
                 return outcome;
             }

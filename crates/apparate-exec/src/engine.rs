@@ -13,7 +13,9 @@
 //! truly exit or only results do) belong to the policy layers: Apparate's
 //! controller in `apparate-core` and the baselines in `apparate-baselines`.
 
-use crate::semantics::{RampObservation, SampleSemantics, SemanticsModel};
+use crate::semantics::{
+    power_factor, RampObservation, SampleSemantics, ScanStep, ScanSteps, SemanticsModel,
+};
 use apparate_model::{LayerId, LayerLatency, ModelLatency, ZooModel};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -47,6 +49,10 @@ pub struct ExecutionPlan {
     /// (parallel to `ramps`): one `powf` per ramp per plan, not per
     /// observation.
     ramp_powers: Vec<f64>,
+    /// exp(power / T) of each ramp's power (parallel to `ramps`): its factor
+    /// of every first-exit scan's entropy bounds (see
+    /// [`crate::semantics`]).
+    ramp_power_factors: Vec<f64>,
     /// Each ramp's cost (parallel to `ramps`) as a latency sequence, so
     /// overhead sums read its prefix table.
     ramp_costs: ModelLatency,
@@ -88,11 +94,12 @@ impl ExecutionPlan {
             "duplicate ramp sites in execution plan"
         );
         let layers = model.graph.len();
-        let ramp_powers = ramps
+        let ramp_powers: Vec<f64> = ramps
             .iter()
             .zip(&ramp_positions)
             .map(|(r, &pos)| semantics.ramp_power(depth_fraction_at(pos, layers), r.capacity))
             .collect();
+        let ramp_power_factors = ramp_powers.iter().map(|&p| power_factor(p)).collect();
         let ramp_costs = ModelLatency::new(ramps.iter().map(|r| r.cost).collect());
         ExecutionPlan {
             model,
@@ -100,6 +107,7 @@ impl ExecutionPlan {
             ramps,
             ramp_positions,
             ramp_powers,
+            ramp_power_factors,
             ramp_costs,
         }
     }
@@ -215,38 +223,64 @@ impl ExecutionPlan {
     }
 
     /// The earliest active ramp at which `sample` exits under per-ramp
-    /// `thresholds`, with that ramp's observation; `None` means no exit.
+    /// `thresholds`, with whether that ramp agrees with the full model;
+    /// `None` means no exit.
     ///
     /// The same answer as [`BatchExecution::earliest_exit`] over
     /// [`ExecutionPlan::execute_batch`], and how every threshold-based policy
     /// releases: ramps after the exit, and ramps whose threshold disables
-    /// exiting, are never observed, and a ramp the input passes draws only
-    /// what decides its entropy comparison.
+    /// exiting, are never observed, and a ramp the scan visits draws a noise
+    /// only when the entropy bounds straddle its threshold (see
+    /// [`crate::semantics`]).
     pub fn first_exit(
         &self,
         sample: &SampleSemantics,
         thresholds: &[f64],
-    ) -> Option<(usize, RampObservation)> {
+    ) -> Option<(usize, bool)> {
+        self.scan(sample, thresholds, |_| {})
+    }
+
+    /// [`ExecutionPlan::first_exit`], also counting in `steps` which step
+    /// settled each ramp the scan visited.
+    pub fn first_exit_counting(
+        &self,
+        sample: &SampleSemantics,
+        thresholds: &[f64],
+        steps: &mut ScanSteps,
+    ) -> Option<(usize, bool)> {
+        self.scan(sample, thresholds, |step| steps.record(step))
+    }
+
+    /// The first-exit scan, reporting each visited ramp's step to `settled`.
+    #[inline]
+    fn scan(
+        &self,
+        sample: &SampleSemantics,
+        thresholds: &[f64],
+        mut settled: impl FnMut(ScanStep),
+    ) -> Option<(usize, bool)> {
         debug_assert_eq!(
             thresholds.len(),
             self.ramps.len(),
             "one threshold per active ramp"
         );
         let input = self.semantics.input(sample);
+        let input_factor = input.exp_factor();
         thresholds
             .iter()
             .take(self.ramps.len())
             .enumerate()
             .filter(|&(_, &thr)| thr > 0.0)
             .find_map(|(i, &thr)| {
-                self.semantics
-                    .exit_observation(
-                        &input,
-                        self.ramps[i].site.0 as u64,
-                        self.ramp_powers[i],
-                        thr,
-                    )
-                    .map(|obs| (i, obs))
+                let (step, exit) = self.semantics.exit_at(
+                    &input,
+                    input_factor,
+                    self.ramps[i].site.0 as u64,
+                    (self.ramp_powers[i], self.ramp_power_factors[i]),
+                    thr,
+                );
+                settled(step);
+                exit.map(|agrees| (i, agrees))
             })
     }
 
@@ -487,13 +521,9 @@ mod tests {
                 let want = BatchExecution::earliest_exit(&obs.ramp_observations, thresholds);
                 let got = plan.first_exit(s, thresholds);
                 assert_eq!(got.map(|(i, _)| i), want);
-                if let Some((i, o)) = got {
+                if let Some((i, agrees)) = got {
                     exits += 1;
-                    assert_eq!(
-                        o.entropy.to_bits(),
-                        obs.ramp_observations[i].entropy.to_bits()
-                    );
-                    assert_eq!(o.agrees, obs.ramp_observations[i].agrees);
+                    assert_eq!(agrees, obs.ramp_observations[i].agrees);
                 }
             }
         }

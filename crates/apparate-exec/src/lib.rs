@@ -27,4 +27,4 @@ pub use profiler::{
     FeedbackLink, LinkCost, LinkStats, OverheadReport, ProfileRecord, RequestRelease,
     ThresholdUpdate, WirePayload, RAMP_DEFINITION_BYTES,
 };
-pub use semantics::{RampObservation, SampleSemantics, SemanticsModel};
+pub use semantics::{RampObservation, SampleSemantics, ScanStep, ScanSteps, SemanticsModel};

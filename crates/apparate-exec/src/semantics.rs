@@ -30,13 +30,46 @@
 //!    straddle the comparison. Rounding is monotone, so every answer is the
 //!    exact draw's, and every value a caller keeps is drawn exactly.
 //!
+//! # The first-exit scan
+//!
+//! [`ExecutionPlan::first_exit`](crate::ExecutionPlan::first_exit) releases
+//! a result at the first ramp whose entropy is at or below its threshold,
+//! and reads no entropy. Each site it visits decides in this order, and
+//! stops at the first step that settles it ([`ScanStep`]):
+//!
+//! 1. **Worst-case floor.** The entropy's floor, at the top of the margin
+//!    perturbation's bracket and the worst-case entropy noise, is above the
+//!    threshold: no exit, and the entropy noise is never drawn.
+//! 2. **Own-noise floor.** The same floor at the entropy noise's own bracket
+//!    is above the threshold: no exit.
+//! 3. **Own-noise ceiling.** The entropy's ceiling, at the bottom of the
+//!    margin bracket and the top of the entropy noise's bracket, is at or
+//!    below the threshold: the site exits, and agreement is decided from
+//!    the margin bracket as [`SemanticsModel::agrees_with`] decides it.
+//! 4. **Exact draw.** Both noises are drawn (Box–Muller) and the entropy is
+//!    compared exactly.
+//!
+//! Only the last step pays `ln`, `sqrt` and `cos`, and no step before it
+//! pays an `exp`. The clean entropy is 1/(1 + x) with x = exp(margin/T),
+//! falling as the margin rises. The floor and the ceiling take x as a
+//! product of three factors: exp(power/T), cached per plan ramp;
+//! exp((input noise − difficulty)/T), once per scanned input; and
+//! exp(RAMP_NOISE·n/T) at an end n of the margin perturbation's bracket,
+//! tabulated per [`NormalUnits::bracket_index`]. The product is within
+//! about 1e-15 (relative) of the `exp` of the sum the exact step computes,
+//! far inside the `EXP_GUARD` slack each bound carries, and floating-point
+//! rounding is monotone. So the floor is never above, and the ceiling never
+//! below, the entropy the exact step would compute, and every site decides
+//! as the exact draw does.
+//!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
 //! which is what produces the paper's CV-vs-NLP win gap.
 
-use apparate_sim::{DeterministicRng, KeyChain, NormalUnits, NORMAL_BOUND};
+use apparate_sim::{bracket_at, DeterministicRng, KeyChain, NormalUnits, BRACKETS, NORMAL_BOUND};
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// Semantic description of one input (or one generated token), produced by
 /// the workload generators.
@@ -95,10 +128,32 @@ const AGREEMENT_NOISE: f64 = 0.02;
 /// Temperature of the margin → entropy mapping.
 const TEMPERATURE: f64 = 0.08;
 
-/// Slack below a bound on the entropy, for `exp`'s last-bit error: the
-/// entropy at the top of a margin bracket may round a hair above the
-/// entropy at a margin inside it.
+/// Slack on each bound of the entropy, for the last-bit errors of `exp`
+/// and of the product of factors that stands in for it: the entropy at an
+/// end of a margin bracket may round a hair past the entropy at a margin
+/// inside it.
 const EXP_GUARD: f64 = 1e-9;
+
+/// exp(RAMP_NOISE · n / TEMPERATURE) at the low and the high end `n` of
+/// every bracket [`NormalUnits::bounds`] returns, by
+/// [`NormalUnits::bracket_index`]: the margin perturbation's factor of x
+/// (see the module doc) at either end of a site's margin bracket, without
+/// an `exp` per site. Built once, [`BRACKETS`] × 16 bytes (about 68 KB).
+static RAMP_NOISE_FACTORS: LazyLock<Box<[[f64; 2]]>> = LazyLock::new(|| {
+    let factor = |n: f64| (n * RAMP_NOISE / TEMPERATURE).exp();
+    (0..BRACKETS)
+        .map(|index| {
+            let (lo, hi) = bracket_at(index);
+            [factor(lo), factor(hi)]
+        })
+        .collect()
+});
+
+/// exp(power / TEMPERATURE): a ramp's factor of x in a first-exit scan,
+/// cached per plan ramp.
+pub(crate) fn power_factor(power: f64) -> f64 {
+    (power / TEMPERATURE).exp()
+}
 
 /// Entropy before observation noise: logistic in the negative margin, i.e.
 /// confident (low entropy) when power comfortably exceeds difficulty.
@@ -132,6 +187,54 @@ fn sum_is_positive((x_lo, x_hi): (f64, f64), (n_lo, n_hi): (f64, f64), scale: f6
 /// The bracket every standard-normal draw lies in.
 const ANY_NORMAL: (f64, f64) = (-NORMAL_BOUND, NORMAL_BOUND);
 
+/// Which step of a first-exit scan settled one site, in the order the scan
+/// tries them (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanStep {
+    /// The entropy floor under the worst-case entropy noise is above the
+    /// threshold: no exit.
+    WorstFloor,
+    /// The entropy floor under the entropy noise's own bracket is above the
+    /// threshold: no exit.
+    OwnFloor,
+    /// The entropy ceiling is at or below the threshold: the site exits.
+    Ceiling,
+    /// The brackets straddle the threshold: both noises are drawn.
+    Exact,
+}
+
+/// How many scan sites each [`ScanStep`] settled, as
+/// [`ExecutionPlan::first_exit_counting`](crate::ExecutionPlan::first_exit_counting)
+/// counts them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanSteps {
+    /// Sites settled by [`ScanStep::WorstFloor`].
+    pub worst_floor: u64,
+    /// Sites settled by [`ScanStep::OwnFloor`].
+    pub own_floor: u64,
+    /// Sites settled by [`ScanStep::Ceiling`].
+    pub ceiling: u64,
+    /// Sites settled by [`ScanStep::Exact`].
+    pub exact: u64,
+}
+
+impl ScanSteps {
+    /// Count one site settled by `step`.
+    pub fn record(&mut self, step: ScanStep) {
+        *match step {
+            ScanStep::WorstFloor => &mut self.worst_floor,
+            ScanStep::OwnFloor => &mut self.own_floor,
+            ScanStep::Ceiling => &mut self.ceiling,
+            ScanStep::Exact => &mut self.exact,
+        } += 1;
+    }
+
+    /// Every site counted.
+    pub fn sites(&self) -> u64 {
+        self.worst_floor + self.own_floor + self.ceiling + self.exact
+    }
+}
+
 /// The per-input part of a sample's ramp observations, shared by every ramp:
 /// the sample's key chain, its difficulty and its depth-independent noise.
 /// Built by [`SemanticsModel::input`].
@@ -142,6 +245,15 @@ pub struct InputDraws {
     difficulty: f64,
     /// Per-input margin noise, identical at every depth.
     input_noise: f64,
+}
+
+impl InputDraws {
+    /// exp((input noise − difficulty) / TEMPERATURE): the input's factor of
+    /// x at every site of a first-exit scan, computed once per scanned input.
+    #[inline]
+    pub(crate) fn exp_factor(&self) -> f64 {
+        ((self.input_noise - self.difficulty) / TEMPERATURE).exp()
+    }
 }
 
 /// One (input, ramp) pair's key chain, the part of its latent margin that
@@ -197,6 +309,14 @@ impl RampDraws {
         let noise = self.chain.then(4).normal_units();
         sum_is_positive(bracket, noise.bounds(), AGREEMENT_NOISE)
             .unwrap_or_else(|| margin() + noise.normal() * AGREEMENT_NOISE > 0.0)
+    }
+
+    /// [`RampDraws::agrees`] with the margin bracketed by the margin
+    /// perturbation's bounds, drawn only if they leave the answer open.
+    #[inline]
+    fn agrees_in_bracket(self) -> bool {
+        let (lo, hi) = self.ramp_noise.bounds();
+        self.agrees((self.margin_at(lo), self.margin_at(hi)), || self.margin())
     }
 }
 
@@ -269,40 +389,49 @@ impl SemanticsModel {
         }
     }
 
-    /// The observation of [`SemanticsModel::observe_with`] if its entropy is
-    /// at or below `threshold` (the input exits at this ramp), else `None`.
-    /// A floor on the entropy, from the bounds of the margin perturbation
-    /// and of the entropy noise, rejects most ramps without drawing either;
-    /// the exact observation is drawn only when the floor leaves the answer
-    /// open.
+    /// Whether the input `input` was drawn from exits at the ramp at
+    /// `ramp_key` under `threshold`, as the entropy of
+    /// [`SemanticsModel::observe_with`] decides it, and if so whether the
+    /// ramp agrees with the full model; with the step that settled it. The
+    /// ramp's power comes with its [`power_factor`], and `input_factor` is
+    /// the input's [`InputDraws::exp_factor`]. The steps run in the order
+    /// the module doc gives, and only the last draws a noise.
     #[inline]
-    pub(crate) fn exit_observation(
+    pub(crate) fn exit_at(
         &self,
         input: &InputDraws,
+        input_factor: f64,
         ramp_key: u64,
-        power: f64,
+        (power, power_factor): (f64, f64),
         threshold: f64,
-    ) -> Option<RampObservation> {
+    ) -> (ScanStep, Option<bool>) {
         let ramp = RampDraws::new(input, ramp_key, power);
+        let [lo_factor, hi_factor] = RAMP_NOISE_FACTORS[ramp.ramp_noise.bracket_index()];
+        let scale = power_factor * input_factor;
         // The entropy falls as the margin rises, and the clamp keeps the
         // floor at or below 1, so a threshold of 1 - EXP_GUARD or more always
-        // reaches the exact comparison.
-        let clean_floor = clean_entropy(ramp.margin_at(ramp.ramp_noise.bounds().1));
-        let entropy_floor = |noise_lo| entropy(clean_floor, noise_lo) - EXP_GUARD;
+        // gets past both floors.
+        let clean_floor = 1.0 / (1.0 + scale * hi_factor);
+        let floor = |noise_lo| entropy(clean_floor, noise_lo) - EXP_GUARD;
         // No draw is below -NORMAL_BOUND: this floor needs no entropy noise.
-        if entropy_floor(ANY_NORMAL.0) > threshold {
-            return None;
+        if floor(ANY_NORMAL.0) > threshold {
+            return (ScanStep::WorstFloor, None);
         }
         let noise = ramp.chain.then(3).normal_units();
-        if entropy_floor(noise.bounds().0) > threshold {
-            return None;
+        let (noise_lo, noise_hi) = noise.bounds();
+        if floor(noise_lo) > threshold {
+            return (ScanStep::OwnFloor, None);
+        }
+        let clean_ceiling = 1.0 / (1.0 + scale * lo_factor);
+        if entropy(clean_ceiling, noise_hi) + EXP_GUARD <= threshold {
+            return (ScanStep::Ceiling, Some(ramp.agrees_in_bracket()));
         }
         let margin = ramp.margin();
-        let entropy = entropy(clean_entropy(margin), noise.normal());
-        (entropy <= threshold).then(|| RampObservation {
-            entropy,
-            agrees: ramp.agrees((margin, margin), || margin),
-        })
+        let exits = entropy(clean_entropy(margin), noise.normal()) <= threshold;
+        (
+            ScanStep::Exact,
+            exits.then(|| ramp.agrees((margin, margin), || margin)),
+        )
     }
 
     /// Whether the ramp at `ramp_key` with predictive power `power` agrees
@@ -311,9 +440,7 @@ impl SemanticsModel {
     /// perturbation is drawn only when its bounds leave the answer open.
     #[inline]
     pub fn agrees_with(&self, input: &InputDraws, ramp_key: u64, power: f64) -> bool {
-        let ramp = RampDraws::new(input, ramp_key, power);
-        let (lo, hi) = ramp.ramp_noise.bounds();
-        ramp.agrees((ramp.margin_at(lo), ramp.margin_at(hi)), || ramp.margin())
+        RampDraws::new(input, ramp_key, power).agrees_in_bracket()
     }
 
     /// Observe what the ramp at `ramp_key` (a stable site identifier, e.g. the
@@ -447,76 +574,72 @@ mod tests {
         }
     }
 
+    /// The unit draws of `r`'s agreement noise.
+    fn agreement(r: RampDraws) -> NormalUnits {
+        r.chain.then(4).normal_units()
+    }
+
+    /// The margin at both ends of `r`'s perturbation bracket.
+    fn bracket(r: RampDraws) -> (f64, f64) {
+        let (lo, hi) = r.ramp_noise.bounds();
+        (r.margin_at(lo), r.margin_at(hi))
+    }
+
+    /// The exact margin of `r`, as a bracket.
+    fn exact(r: RampDraws) -> (f64, f64) {
+        (r.margin(), r.margin())
+    }
+
+    /// The agreement sum at the low ends of a margin and a noise bracket.
+    fn lo_sum((x, _): (f64, f64), (n, _): (f64, f64)) -> f64 {
+        x + n * AGREEMENT_NOISE
+    }
+
+    /// The agreement sum at the high ends of a margin and a noise bracket.
+    fn hi_sum((_, x): (f64, f64), (_, n): (f64, f64)) -> f64 {
+        x + n * AGREEMENT_NOISE
+    }
+
+    /// Every edge at which an agreement decision changes path or answer,
+    /// at the exact margin and at the margin's bracket, and margins of 0 and
+    /// ±0.5, where the clamp holds many entropies at 0 or 1.
+    const AGREEMENT_EDGES: [fn(RampDraws) -> f64; 11] = [
+        |r| r.margin(),
+        |r| r.margin() - 0.5,
+        |r| r.margin() + 0.5,
+        |r| lo_sum(exact(r), ANY_NORMAL),
+        |r| hi_sum(exact(r), ANY_NORMAL),
+        |r| lo_sum(exact(r), agreement(r).bounds()),
+        |r| hi_sum(exact(r), agreement(r).bounds()),
+        |r| lo_sum(bracket(r), ANY_NORMAL),
+        |r| hi_sum(bracket(r), ANY_NORMAL),
+        |r| lo_sum(bracket(r), agreement(r).bounds()),
+        |r| hi_sum(bracket(r), agreement(r).bounds()),
+    ];
+
     #[test]
     fn split_draws_match_the_reference_observation_bit_for_bit() {
         let m = model(0.7);
-        // How often each decision is settled by the worst-case bound, by the
-        // draw's own bounds, or by the draw: the exit comparison, agreement
-        // at the exact margin, and agreement at the margin's bracket.
-        let mut paths = [[0usize; 3]; 3];
-        let agreement = |r: RampDraws| r.chain.then(4).normal_units();
-        let bracket = |r: RampDraws| {
-            let (lo, hi) = r.ramp_noise.bounds();
-            (r.margin_at(lo), r.margin_at(hi))
-        };
-        let lo_sum = |(x, _): (f64, f64), (n, _): (f64, f64)| x + n * AGREEMENT_NOISE;
-        let hi_sum = |(_, x): (f64, f64), (_, n): (f64, f64)| x + n * AGREEMENT_NOISE;
-        let exact = |r: RampDraws| (r.margin(), r.margin());
-        // Every edge at which an agreement decision changes path or answer,
-        // and margins of ±0.5, where the clamp holds many entropies at 0 or 1.
-        let edges: [&dyn Fn(RampDraws) -> f64; 11] = [
-            &|r| r.margin(),
-            &|r| r.margin() - 0.5,
-            &|r| r.margin() + 0.5,
-            &|r| lo_sum(exact(r), ANY_NORMAL),
-            &|r| hi_sum(exact(r), ANY_NORMAL),
-            &|r| lo_sum(exact(r), agreement(r).bounds()),
-            &|r| hi_sum(exact(r), agreement(r).bounds()),
-            &|r| lo_sum(bracket(r), ANY_NORMAL),
-            &|r| hi_sum(bracket(r), ANY_NORMAL),
-            &|r| lo_sum(bracket(r), agreement(r).bounds()),
-            &|r| hi_sum(bracket(r), agreement(r).bounds()),
-        ];
+        // How often each agreement decision is settled by the worst-case
+        // bound, by the draw's own bounds, or by the draw: at the exact
+        // margin, and at the margin's bracket.
+        let mut paths = [[0usize; 3]; 2];
         for site in SITES {
             let (key, depth, capacity) = site;
             let power = m.ramp_power(depth, capacity);
-            for edge in edges {
+            for edge in AGREEMENT_EDGES {
                 for offset in [-1e-3, -1e-12, 0.0, 1e-12, 1e-3] {
                     for s in samples_at_edge(&m, site, edge, offset) {
                         let want = reference_observe(&m, &s, key, depth, capacity);
                         let input = m.input(&s);
                         let ramp = RampDraws::new(&input, key, power);
                         let noise = agreement(ramp);
-                        paths[1][deciding_bracket(exact(ramp), noise, AGREEMENT_NOISE)] += 1;
-                        paths[2][deciding_bracket(bracket(ramp), noise, AGREEMENT_NOISE)] += 1;
+                        paths[0][deciding_bracket(exact(ramp), noise, AGREEMENT_NOISE)] += 1;
+                        paths[1][deciding_bracket(bracket(ramp), noise, AGREEMENT_NOISE)] += 1;
                         assert_eq!(m.agrees_with(&input, key, power), want.agrees);
                         let got = m.observe_with(&input, key, power);
                         assert_eq!(got.entropy.to_bits(), want.entropy.to_bits());
                         assert_eq!(got.agrees, want.agrees);
-                        // Thresholds on the edges of both entropy floors
-                        // and of the entropy itself, a hair to either side,
-                        // and where the clamp lets an entropy of 1 exit.
-                        let clean_floor = clean_entropy(bracket(ramp).1);
-                        let floor = |noise_lo| entropy(clean_floor, noise_lo) - EXP_GUARD;
-                        let entropy_lo = ramp.chain.then(3).normal_units().bounds().0;
-                        let worst = floor(ANY_NORMAL.0);
-                        let own = floor(entropy_lo);
-                        for edge in [worst, own, want.entropy, 1.0 - EXP_GUARD, 1.0] {
-                            for threshold in [edge - 1e-12, edge, edge + 1e-12] {
-                                let exit = m.exit_observation(&input, key, power, threshold);
-                                assert_eq!(exit.is_some(), want.entropy <= threshold);
-                                if let Some(obs) = exit {
-                                    assert_eq!(obs.entropy.to_bits(), want.entropy.to_bits());
-                                    assert_eq!(obs.agrees, want.agrees);
-                                }
-                                let path = if worst > threshold {
-                                    0
-                                } else {
-                                    1 + usize::from(own <= threshold)
-                                };
-                                paths[0][path] += 1;
-                            }
-                        }
                     }
                 }
             }
@@ -525,6 +648,124 @@ mod tests {
             paths.iter().flatten().all(|&n| n >= 100),
             "every decision path must be exercised: {paths:?}"
         );
+    }
+
+    #[test]
+    fn scan_steps_match_the_reference_exit_at_every_planted_edge() {
+        let m = model(0.7);
+        // How many sites each step settled, in ScanStep order.
+        let mut steps = [0usize; 4];
+        // How often an exit's agreement is settled by the worst-case bound,
+        // by the noise's own bounds, or by the draw: at an exact-draw exit
+        // (the exact margin) and at a ceiling exit (the margin's bracket).
+        let mut exit_agreement = [[0usize; 3]; 2];
+        // Samples whose margin sits at the end of its bracket that the
+        // floors read (the top) or the ceiling reads (the bottom), at 0 and
+        // where the clamp holds entropies at 0 or 1; and every sample the
+        // agreement test plants, so that the exact draw's agreement and the
+        // ceiling's bracket agreement both run on each of their edges.
+        let bracket_ends: [fn(RampDraws) -> f64; 6] = [
+            |r| bracket(r).1,
+            |r| bracket(r).1 - 0.5,
+            |r| bracket(r).1 + 0.5,
+            |r| bracket(r).0,
+            |r| bracket(r).0 - 0.5,
+            |r| bracket(r).0 + 0.5,
+        ];
+        for site in SITES {
+            let (key, depth, capacity) = site;
+            let power = m.ramp_power(depth, capacity);
+            let factors = (power, power_factor(power));
+            for edge in bracket_ends.into_iter().chain(AGREEMENT_EDGES) {
+                for offset in [-1e-3, -1e-12, 0.0, 1e-12, 1e-3] {
+                    for s in samples_at_edge(&m, site, edge, offset) {
+                        let want = reference_observe(&m, &s, key, depth, capacity);
+                        let input = m.input(&s);
+                        let ramp = RampDraws::new(&input, key, power);
+                        // The bounds, from the tables, as the module doc
+                        // states them.
+                        let [lo_factor, hi_factor] =
+                            RAMP_NOISE_FACTORS[ramp.ramp_noise.bracket_index()];
+                        let scale = factors.1 * input.exp_factor();
+                        let (noise_lo, noise_hi) = ramp.chain.then(3).normal_units().bounds();
+                        let clean_floor = 1.0 / (1.0 + scale * hi_factor);
+                        let worst = entropy(clean_floor, ANY_NORMAL.0) - EXP_GUARD;
+                        let own = entropy(clean_floor, noise_lo) - EXP_GUARD;
+                        let ceiling =
+                            entropy(1.0 / (1.0 + scale * lo_factor), noise_hi) + EXP_GUARD;
+                        assert!(
+                            worst <= own && own < want.entropy && want.entropy < ceiling,
+                            "bounds {worst} <= {own} < {} < {ceiling}",
+                            want.entropy
+                        );
+                        // Thresholds on both floors, on the ceiling and on
+                        // the entropy itself, a hair to either side, and
+                        // where the clamp lets an entropy of 1 exit.
+                        for edge in [worst, own, ceiling, want.entropy, 1.0 - EXP_GUARD, 1.0] {
+                            for threshold in [edge - 1e-12, edge, edge + 1e-12] {
+                                let (step, exit) =
+                                    m.exit_at(&input, input.exp_factor(), key, factors, threshold);
+                                let expected = if worst > threshold {
+                                    ScanStep::WorstFloor
+                                } else if own > threshold {
+                                    ScanStep::OwnFloor
+                                } else if ceiling <= threshold {
+                                    ScanStep::Ceiling
+                                } else {
+                                    ScanStep::Exact
+                                };
+                                assert_eq!(step, expected, "threshold {threshold}");
+                                assert_eq!(exit.is_some(), want.entropy <= threshold);
+                                if let Some(agrees) = exit {
+                                    assert_eq!(agrees, want.agrees);
+                                    let (row, margins) = match step {
+                                        ScanStep::Exact => (0, exact(ramp)),
+                                        _ => (1, bracket(ramp)),
+                                    };
+                                    let noise = agreement(ramp);
+                                    exit_agreement[row]
+                                        [deciding_bracket(margins, noise, AGREEMENT_NOISE)] += 1;
+                                }
+                                steps[step as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            steps.iter().all(|&n| n >= 100),
+            "every step of the scan must be exercised: {steps:?}"
+        );
+        assert!(
+            exit_agreement.iter().flatten().all(|&n| n >= 100),
+            "every agreement path of an exit must be exercised: {exit_agreement:?}"
+        );
+    }
+
+    #[test]
+    fn ramp_noise_factors_bound_the_factor_over_each_bracket() {
+        let factor = |n: f64| (n * RAMP_NOISE / TEMPERATURE).exp();
+        assert_eq!(RAMP_NOISE_FACTORS.len(), BRACKETS);
+        for (index, &[lo_factor, hi_factor]) in RAMP_NOISE_FACTORS.iter().enumerate() {
+            let (lo, hi) = bracket_at(index);
+            for k in 0..=8 {
+                let n = lo + (hi - lo) * k as f64 / 8.0;
+                let f = factor(n.clamp(lo, hi));
+                assert!(
+                    lo_factor <= f && f <= hi_factor,
+                    "bracket {index} [{lo}, {hi}]: factor {f} at {n} outside [{lo_factor}, {hi_factor}]"
+                );
+            }
+        }
+        // And at the draws themselves.
+        let root = DeterministicRng::new(42).child(0x5EED_5EED);
+        for i in 0..200_000u64 {
+            let units = root.keyed(&[i, 2]).normal_units();
+            let [lo_factor, hi_factor] = RAMP_NOISE_FACTORS[units.bracket_index()];
+            let f = factor(units.normal());
+            assert!(lo_factor <= f && f <= hi_factor, "{units:?}: factor {f}");
+        }
     }
 
     #[test]

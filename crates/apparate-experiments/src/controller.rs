@@ -31,11 +31,11 @@
 //! the ramp set each kept record ran under.
 
 use apparate_baselines::{
-    exit_outcome, offline_tuned_thresholds, per_ramp_savings_us, RampDeployment,
+    calibration_window, exit_outcome, per_ramp_savings_us, tune_on_window, RampDeployment,
 };
 use apparate_core::{
     adjust_ramps, greedy_tune, ramp_utilities, AdjustInput, ApparateConfig, GreedyParams,
-    IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp,
+    IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp, TuningWindow,
 };
 use apparate_exec::{
     ExecutionPlan, FeedbackLink, LinkCost, OverheadReport, ProfileRecord, RequestRelease,
@@ -267,11 +267,22 @@ pub(crate) fn warm_start_thresholds(
     reference_batch: u32,
     calibration: &[SampleSemantics],
 ) -> Option<Vec<f64>> {
-    if calibration.is_empty() || plan.num_ramps() == 0 {
+    let window = calibration_window(plan, calibration, reference_batch);
+    warm_start_on(plan, config, reference_batch, &window)
+}
+
+/// [`warm_start_thresholds`] over `window`, the [`calibration_window`] of
+/// `plan` at `reference_batch`, for a caller that tunes it more than once.
+pub(crate) fn warm_start_on(
+    plan: &ExecutionPlan,
+    config: &ApparateConfig,
+    reference_batch: u32,
+    window: &TuningWindow,
+) -> Option<Vec<f64>> {
+    if window.is_empty() || plan.num_ramps() == 0 {
         return None;
     }
-    let outcome =
-        offline_tuned_thresholds(plan, calibration, tuning_params(config), reference_batch);
+    let outcome = tune_on_window(plan, window, tuning_params(config), reference_batch);
     Some(outcome.thresholds)
 }
 
@@ -796,7 +807,7 @@ impl TokenPolicy for ApparatePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apparate_baselines::deploy_budget_sites;
+    use apparate_baselines::{deploy_budget_sites, offline_tuned_thresholds};
     use apparate_core::{ConfigEvaluation, RampArchitecture, RequestFeedback, TuningOutcome};
     use apparate_exec::SemanticsModel;
     use apparate_model::zoo;
@@ -1342,7 +1353,7 @@ mod tests {
         assert_eq!(core.gpu.thresholds, vec![0.2; ramps - 1]);
     }
 
-    /// Compare two tuning outcomes bit for bit (`runtime_us` aside).
+    /// Compare two tuning outcomes bit for bit, every field.
     fn assert_same_outcome(fast: &TuningOutcome, oracle: &TuningOutcome) {
         let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast.thresholds), bits(&oracle.thresholds));
@@ -1400,9 +1411,14 @@ mod tests {
                 .collect();
             let savings = per_ramp_savings_us(plan, *reference_batch);
             let evaluator = ThresholdEvaluator::new(&records, &savings);
+            // Both tunes read one shared calibration window, as a comparison
+            // table's warm start and one-shot row do.
+            let window = calibration_window(plan, calibration, *reference_batch);
             for params in [oneshot, tuning_params(&config)] {
                 let fast = offline_tuned_thresholds(plan, calibration, params, *reference_batch);
                 assert_same_outcome(&fast, &greedy_tune(&evaluator, params));
+                let shared = tune_on_window(plan, &window, params, *reference_batch);
+                assert_same_outcome(&shared, &fast);
                 exits += fast.thresholds.iter().filter(|&&t| t > 0.0).count();
             }
         }

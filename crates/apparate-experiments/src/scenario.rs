@@ -10,8 +10,8 @@
 use std::borrow::Cow;
 
 use apparate_baselines::{
-    batch_time_fn, deploy_all_sites, deploy_budget_sites, offline_tuned_thresholds, vanilla_policy,
-    OracleExitPolicy, RampDeployment, StaticExitPolicy,
+    batch_time_fn, calibration_window, deploy_all_sites, deploy_budget_sites, tune_on_window,
+    vanilla_policy, OracleExitPolicy, RampDeployment, StaticExitPolicy,
 };
 use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
 use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
@@ -19,8 +19,8 @@ use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
     run_queue, shard_arrivals, shard_requests, stream_arrivals, ArrivalTrace,
     ContinuousBatchingConfig, FleetDispatch, GenerativeOutcome, GenerativeSimulator, IngestSession,
-    LatencySummary, ReplicaLoop, ReplicaOutcome, ReplicaPolicy, Request, RequestShard,
-    ServingConfig, ServingOutcome, ServingSimulator, TokenSemantics, TraceShard,
+    LatencySummary, ReplicaLoop, ReplicaPolicy, Request, RequestShard, ServingConfig,
+    ServingOutcome, ServingSimulator, TokenSemantics, TraceShard,
 };
 use apparate_sim::{Cdf, DeterministicRng, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -29,7 +29,7 @@ use apparate_workload::{
     GenerativeWorkload, VideoConfig, Workload,
 };
 
-use crate::controller::ApparatePolicy;
+use crate::controller::{warm_start_on, warm_start_thresholds, ApparatePolicy};
 use crate::report::{ComparisonTable, OverheadRow, OverheadTable};
 
 /// Fixed threshold used by the static baselines: conservative enough to hold
@@ -857,6 +857,19 @@ pub fn run_comparison<S: Scenario>(
     let vanilla_plan = dep_budget.plan.with_ramps(Vec::new());
     let budget_plan = &dep_budget.plan;
     let all_plan = &dep_all.plan;
+    // Apparate's warm start and the one-shot row tune the same calibration
+    // window, each with its own parameters: it is built once, and freed
+    // before any row serves.
+    let reference_batch = scenario.reference_batch();
+    let window = calibration_window(budget_plan, &calibration, reference_batch);
+    let warm = warm_start_on(budget_plan, &config, reference_batch, &window);
+    let oneshot = tune_on_window(
+        budget_plan,
+        &window,
+        oneshot_params(&config),
+        reference_batch,
+    );
+    drop(window);
 
     let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {
         let name = row.name();
@@ -870,7 +883,7 @@ pub fn run_comparison<S: Scenario>(
                     scenario,
                     config,
                     &stream,
-                    &calibration,
+                    warm.clone(),
                     &dep_budget,
                     telemetry,
                 );
@@ -891,13 +904,8 @@ pub fn run_comparison<S: Scenario>(
                 (serve(all_plan, &mut policy), None)
             }
             Row::OneshotTuned => {
-                let tuned = offline_tuned_thresholds(
-                    budget_plan,
-                    &calibration,
-                    oneshot_params(&config),
-                    scenario.reference_batch(),
-                );
-                let mut policy = StaticExitPolicy::new(budget_plan.clone(), tuned.thresholds, name);
+                let thresholds = oneshot.thresholds.clone();
+                let mut policy = StaticExitPolicy::new(budget_plan.clone(), thresholds, name);
                 (serve(budget_plan, &mut policy), None)
             }
             Row::Oracle => {
@@ -907,34 +915,36 @@ pub fn run_comparison<S: Scenario>(
                 (serve(&vanilla_plan, &mut policy), None)
             }
         };
+        let outcomes = std::slice::from_ref(&out);
+        let (summary, cdf) = if row.keeps_cdf() {
+            let (summary, cdf) = LatencySummary::with_cdf(name, outcomes);
+            (summary, Some(cdf))
+        } else {
+            (LatencySummary::of(name, outcomes), None)
+        };
         RowRun {
-            summary: LatencySummary::of(name, std::slice::from_ref(&out)),
-            cdf: row
-                .keeps_cdf()
-                .then(|| Cdf::from_samples(&out.unit_samples_ms())),
+            summary,
+            cdf,
             overhead,
         }
     });
     scenario_run(scenario.name(), S::METRIC, scenario.units(), runs)
 }
 
-/// Serve a scenario with the Apparate policy, warm-started on `calibration`,
-/// over the charged GPU↔CPU link: the policy streams one ProfileRecord per
-/// batch or decode step, and threshold/ramp updates ride the downlink (§4.5).
+/// Serve a scenario with the Apparate policy, warm-started with `warm` (see
+/// [`warm_start_thresholds`]), over the charged GPU↔CPU link: the policy
+/// streams one ProfileRecord per batch or decode step, and threshold/ramp
+/// updates ride the downlink (§4.5).
 fn apparate_run<S: Scenario>(
     scenario: &S,
     config: ApparateConfig,
     stream: &S::Stream,
-    calibration: &[SampleSemantics],
+    warm: Option<Vec<f64>>,
     dep_budget: &RampDeployment,
     telemetry: &Telemetry,
 ) -> (Outcome<S>, OverheadReport) {
-    let mut policy = ApparatePolicy::warm_started(
-        dep_budget.clone(),
-        config,
-        scenario.reference_batch(),
-        calibration,
-    );
+    let mut policy = ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch())
+        .with_warm_start(warm);
     policy.set_telemetry(telemetry.clone());
     let estimate = apparate_estimate(&dep_budget.plan, &config);
     let out = scenario.serve(stream, &mut policy, &estimate, telemetry);
@@ -946,11 +956,17 @@ fn apparate_run<S: Scenario>(
 pub fn apparate_overhead<S: Scenario>(scenario: &S) -> OverheadRow {
     let config = scenario_config();
     let (_, dep_budget) = fixture(scenario, &config);
+    let warm = warm_start_thresholds(
+        &dep_budget.plan,
+        &config,
+        scenario.reference_batch(),
+        &scenario.calibration(),
+    );
     let (_, report) = apparate_run(
         scenario,
         config,
         &scenario.stream(),
-        &scenario.calibration(),
+        warm,
         &dep_budget,
         &Telemetry::disabled(),
     );
@@ -991,15 +1007,13 @@ pub fn run_classification_duel(
         &batch_time_fn(&vanilla_plan),
         &disabled,
     );
-    let calibration = scenario.calibration();
-    let (out, overhead) = apparate_run(
-        scenario,
-        config,
-        &trace,
-        &calibration,
-        &dep_budget,
-        &disabled,
+    let warm = warm_start_thresholds(
+        &dep_budget.plan,
+        &config,
+        scenario.reference_batch(),
+        &scenario.calibration(),
     );
+    let (out, overhead) = apparate_run(scenario, config, &trace, warm, &dep_budget, &disabled);
     DuelRun {
         vanilla: LatencySummary::from_outcome("vanilla", &vanilla),
         apparate: LatencySummary::from_outcome("apparate", &out),
@@ -1055,4 +1069,80 @@ pub fn generative_requests(scenario: &GenerativeScenario) -> Vec<Request> {
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apparate_baselines::offline_tuned_thresholds;
+    use apparate_exec::ScanSteps;
+
+    /// Counts the steps of every first-exit scan a comparison table's
+    /// threshold policies start from: static-EE, uniform-EE, the one-shot
+    /// tuned thresholds and Apparate's warm start, over every unit of the
+    /// scenario's stream.
+    fn table_scan_steps<S: Scenario>(scenario: &S, units: &[SampleSemantics]) -> ScanSteps {
+        let config = scenario_config();
+        let calibration = scenario.calibration();
+        let (semantics, dep_budget) = fixture(scenario, &config);
+        let all_plan = deploy_all_sites(
+            scenario.model(),
+            &semantics,
+            RampArchitecture::Lightweight,
+            scenario.train_len(),
+        )
+        .plan;
+        let budget_plan = &dep_budget.plan;
+        let reference_batch = scenario.reference_batch();
+        let uniform = |plan: &ExecutionPlan| vec![STATIC_THRESHOLD; plan.num_ramps()];
+        let oneshot = offline_tuned_thresholds(
+            budget_plan,
+            &calibration,
+            oneshot_params(&config),
+            reference_batch,
+        );
+        let warm = warm_start_thresholds(budget_plan, &config, reference_batch, &calibration)
+            .expect("the budget plan deploys ramps");
+        let scans = [
+            (budget_plan, uniform(budget_plan)),
+            (&all_plan, uniform(&all_plan)),
+            (budget_plan, oneshot.thresholds),
+            (budget_plan, warm),
+        ];
+        let mut steps = ScanSteps::default();
+        for (plan, thresholds) in &scans {
+            for unit in units {
+                plan.first_exit_counting(unit, thresholds, &mut steps);
+            }
+        }
+        steps
+    }
+
+    #[test]
+    fn the_exact_draw_settles_at_most_two_percent_of_scan_sites() {
+        let sizes = ReproSizes::quick();
+        let cv = cv_scenario(42, sizes.cv_frames);
+        let generative = generative_scenario(42, sizes.gen_requests);
+        let workload = &generative.workload;
+        let tokens: Vec<SampleSemantics> = workload
+            .sequences()
+            .iter()
+            .flat_map(|spec| {
+                (0..spec.output_tokens).map(|t| workload.token_semantics(spec.request_id, t))
+            })
+            .collect();
+        for (name, steps) in [
+            ("cv", table_scan_steps(&cv, cv.shared())),
+            ("generative", table_scan_steps(&generative, &tokens)),
+        ] {
+            assert!(
+                steps.ceiling > 0,
+                "{name}: the ceiling must settle exits: {steps:?}"
+            );
+            assert!(
+                steps.exact * 50 <= steps.sites(),
+                "{name}: the exact draw settled more than 2 % of scan sites: {steps:?}"
+            );
+        }
+    }
 }

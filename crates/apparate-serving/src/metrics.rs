@@ -9,7 +9,7 @@
 
 use crate::generative::GenerativeOutcome;
 use crate::platform::ServingOutcome;
-use apparate_sim::stats::percent_improvement;
+use apparate_sim::stats::{percent_improvement, sort_samples};
 use apparate_sim::{Cdf, Percentiles, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -128,6 +128,27 @@ impl LatencySummary {
     /// the other rates 0.0). Mean batch size weights every launched batch
     /// equally.
     pub fn of<O: ReplicaOutcome>(policy: impl Into<String>, outcomes: &[O]) -> LatencySummary {
+        LatencySummary::over(policy, outcomes, &sorted_unit_samples(outcomes))
+    }
+
+    /// [`LatencySummary::of`] and the CDF of the same samples, sorted once
+    /// for both.
+    pub fn with_cdf<O: ReplicaOutcome>(
+        policy: impl Into<String>,
+        outcomes: &[O],
+    ) -> (LatencySummary, Cdf) {
+        let sorted = sorted_unit_samples(outcomes);
+        let summary = LatencySummary::over(policy, outcomes, &sorted);
+        (summary, Cdf::from_sorted(sorted))
+    }
+
+    /// [`LatencySummary::of`], given the outcomes' unit samples in
+    /// ascending order.
+    fn over<O: ReplicaOutcome>(
+        policy: impl Into<String>,
+        outcomes: &[O],
+        sorted: &[f64],
+    ) -> LatencySummary {
         let units: usize = outcomes.iter().map(O::unit_count).sum();
         let share = |count: fn(&O) -> usize, empty: f64| {
             if units == 0 {
@@ -147,10 +168,9 @@ impl LatencySummary {
             .flat_map(|o| o.batch_sizes())
             .map(|&b| b as u64)
             .sum();
-        let samples: Vec<f64> = outcomes.iter().flat_map(O::unit_samples_ms).collect();
         LatencySummary {
             policy: policy.into(),
-            latency_ms: Percentiles::from_samples(&samples),
+            latency_ms: Percentiles::from_sorted(sorted),
             accuracy: share(O::correct_units, 1.0),
             throughput: if secs <= 0.0 {
                 0.0
@@ -179,6 +199,13 @@ impl LatencySummary {
     ) -> LatencySummary {
         LatencySummary::of(policy, std::slice::from_ref(outcome))
     }
+}
+
+/// Every unit sample of `outcomes`, pooled in replica order, then sorted.
+fn sorted_unit_samples<O: ReplicaOutcome>(outcomes: &[O]) -> Vec<f64> {
+    let mut samples: Vec<f64> = outcomes.iter().flat_map(O::unit_samples_ms).collect();
+    sort_samples(&mut samples);
+    samples
 }
 
 /// Percentage latency wins of a system against a baseline, at the percentiles
@@ -264,6 +291,26 @@ mod tests {
         let wins = LatencyWins::of(&slower, &summary);
         assert!((wins.p50 - 50.0).abs() < 1e-9);
         assert!((wins.p25 - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_sort_summarises_and_builds_the_cdf_bit_for_bit() {
+        let outcome = run_once();
+        let (summary, cdf) = LatencySummary::with_cdf("vanilla", std::slice::from_ref(&outcome));
+        let alone = LatencySummary::from_outcome("vanilla", &outcome);
+        let p = |s: &LatencySummary| {
+            let l = s.latency_ms;
+            [l.p25, l.p50, l.p75, l.p95, l.p99, l.mean, l.max].map(f64::to_bits)
+        };
+        assert_eq!(p(&summary), p(&alone));
+        assert_eq!(summary.latency_ms.count, alone.latency_ms.count);
+        let bits = |c: &Cdf| {
+            c.points()
+                .iter()
+                .map(|&(v, f)| (v.to_bits(), f.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&cdf), bits(&latency_cdf(&outcome)));
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub mod stats;
 pub mod time;
 
 pub use events::{EventQueue, ScheduledEvent};
-pub use rng::{DeterministicRng, KeyChain, NormalUnits, RngStream, NORMAL_BOUND};
+pub use rng::{
+    bracket_at, DeterministicRng, KeyChain, NormalUnits, RngStream, BRACKETS, NORMAL_BOUND,
+};
 pub use series::{ChunkSeries, TimeSeries};
 pub use stats::{Cdf, Histogram, OnlineStats, Percentiles};
 pub use time::{SimDuration, SimTime};

@@ -234,16 +234,53 @@ impl NormalUnits {
     /// monotone arithmetic holds for the draw itself.
     #[inline]
     pub fn bounds(self) -> (f64, f64) {
-        // Unit draws lie in (0, 1], so each index is at most the bin count.
-        let [r_lo, r_hi] = RADIUS_BRACKETS[(self.u1 * RADIUS_BINS as f64) as usize];
-        let [c_lo, c_hi] = COS_BRACKETS[(self.u2 * ANGLE_BINS as f64) as usize];
-        // The radius is never negative: each end of the product takes the
-        // radius end that pushes it outward.
+        let (radius_bin, angle_bin) = self.bins();
+        bracket(radius_bin, angle_bin)
+    }
+
+    /// The flattened (radius bin, angle bin) index of this draw's bracket,
+    /// below [`BRACKETS`]: [`bracket_at`] of it is [`NormalUnits::bounds`].
+    /// A caller that needs a monotone function of a bracket's ends
+    /// tabulates it once per index instead of evaluating it per draw.
+    #[inline]
+    pub fn bracket_index(self) -> usize {
+        let (radius_bin, angle_bin) = self.bins();
+        radius_bin * (ANGLE_BINS + 1) + angle_bin
+    }
+
+    /// The radius draw's bin and the angle draw's bin. Unit draws lie in
+    /// (0, 1], so each is at most its bin count.
+    #[inline]
+    fn bins(self) -> (usize, usize) {
         (
-            (r_lo * c_lo).min(r_hi * c_lo),
-            (r_hi * c_hi).max(r_lo * c_hi),
+            (self.u1 * RADIUS_BINS as f64) as usize,
+            (self.u2 * ANGLE_BINS as f64) as usize,
         )
     }
+}
+
+/// Number of distinct brackets [`NormalUnits::bounds`] returns, one per
+/// (radius bin, angle bin) pair: the range of [`NormalUnits::bracket_index`].
+pub const BRACKETS: usize = (RADIUS_BINS + 1) * (ANGLE_BINS + 1);
+
+/// The bracket of every draw whose [`NormalUnits::bracket_index`] is
+/// `index` (below [`BRACKETS`]).
+pub fn bracket_at(index: usize) -> (f64, f64) {
+    bracket(index / (ANGLE_BINS + 1), index % (ANGLE_BINS + 1))
+}
+
+/// The radius bracket of `radius_bin` times the cosine bracket of
+/// `angle_bin`.
+#[inline]
+fn bracket(radius_bin: usize, angle_bin: usize) -> (f64, f64) {
+    let [r_lo, r_hi] = RADIUS_BRACKETS[radius_bin];
+    let [c_lo, c_hi] = COS_BRACKETS[angle_bin];
+    // The radius is never negative: each end of the product takes the
+    // radius end that pushes it outward.
+    (
+        (r_lo * c_lo).min(r_hi * c_lo),
+        (r_hi * c_hi).max(r_lo * c_hi),
+    )
 }
 
 /// The hashed state of a key sequence, extendable one key at a time and
@@ -457,9 +494,13 @@ mod tests {
         }
     }
 
-    /// Asserts that `units`' bounds contain its normal draw.
+    /// Asserts that `units`' bounds contain its normal draw, and that its
+    /// flattened bracket index reads the same bounds back.
     fn assert_bounds_contain(units: NormalUnits) {
         let (lo, hi) = units.bounds();
+        let index = units.bracket_index();
+        assert!(index < BRACKETS, "{units:?}: bracket index {index}");
+        assert_eq!(bracket_at(index), (lo, hi), "{units:?}: flattened bracket");
         let draw = units.normal();
         assert!(
             lo <= draw && draw <= hi,

@@ -121,22 +121,35 @@ pub struct Percentiles {
     pub count: usize,
 }
 
+/// Sort samples ascending in place, without allocating. Equal samples of a
+/// summary are equal bits (latencies are finite and non-negative), so the
+/// unstable sort leaves the same sequence a stable one would. Panics on NaN.
+pub fn sort_samples(samples: &mut [f64]) {
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+}
+
 impl Percentiles {
     /// Compute percentiles from a set of samples (need not be sorted).
     /// Returns all-zero percentiles for an empty slice.
     pub fn from_samples(samples: &[f64]) -> Percentiles {
-        if samples.is_empty() {
+        let mut sorted: Vec<f64> = samples.to_vec();
+        sort_samples(&mut sorted);
+        Percentiles::from_sorted(&sorted)
+    }
+
+    /// [`Percentiles::from_samples`] of samples already in ascending order
+    /// (see [`sort_samples`]).
+    pub fn from_sorted(sorted: &[f64]) -> Percentiles {
+        if sorted.is_empty() {
             return Percentiles::default();
         }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         Percentiles {
-            p25: quantile_sorted(&sorted, 0.25),
-            p50: quantile_sorted(&sorted, 0.50),
-            p75: quantile_sorted(&sorted, 0.75),
-            p95: quantile_sorted(&sorted, 0.95),
-            p99: quantile_sorted(&sorted, 0.99),
+            p25: quantile_sorted(sorted, 0.25),
+            p50: quantile_sorted(sorted, 0.50),
+            p75: quantile_sorted(sorted, 0.75),
+            p95: quantile_sorted(sorted, 0.95),
+            p99: quantile_sorted(sorted, 0.99),
             mean,
             max: *sorted.last().expect("non-empty"),
             count: sorted.len(),
@@ -164,13 +177,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Quantile of an unsorted slice.
-pub fn quantile(samples: &[f64], q: f64) -> f64 {
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    quantile_sorted(&sorted, q)
-}
-
 /// An empirical CDF, reported as `(value, cumulative fraction)` points.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Cdf {
@@ -181,7 +187,13 @@ impl Cdf {
     /// Build an empirical CDF from samples.
     pub fn from_samples(samples: &[f64]) -> Cdf {
         let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        sort_samples(&mut sorted);
+        Cdf::from_sorted(sorted)
+    }
+
+    /// [`Cdf::from_samples`] of samples already in ascending order (see
+    /// [`sort_samples`]).
+    pub fn from_sorted(sorted: Vec<f64>) -> Cdf {
         let n = sorted.len();
         let points = sorted
             .into_iter()
