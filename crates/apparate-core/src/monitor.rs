@@ -14,8 +14,8 @@
 //!
 //! The tuning window is columnar ([`TuningWindow`]): observations live in
 //! flat per-ramp-strided arrays with per-ramp entropy histograms maintained
-//! as rows enter, so the incremental tuner reads pre-built aggregates
-//! instead of replaying per-request records.
+//! as rows enter, so the incremental tuner buckets each ramp's column by the
+//! histogram it reads instead of sorting it.
 //!
 //! Delivered [`ProfileRecord`]s are ingested with [`Monitor::record_batch`]:
 //! the accuracy window and exit counters take each request at once, while
@@ -55,10 +55,13 @@ pub struct RequestFeedback {
 }
 
 /// Buckets per ramp in the [`TuningWindow`]'s entropy histograms.
-const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
+/// The histogram bucket of `entropy`: `b` holds `[b/64, (b+1)/64)`, the last
+/// bucket also 1.0. Monotone, so `t < e ≤ p` puts `e` in the buckets
+/// `hist_bucket(t)..=hist_bucket(p)`.
 #[inline]
-fn hist_bucket(entropy: f64) -> usize {
+pub(crate) fn hist_bucket(entropy: f64) -> usize {
     // Entropies are clamped to [0, 1] upstream; the min guards 1.0 exactly.
     ((entropy.max(0.0) * HIST_BUCKETS as f64) as usize).min(HIST_BUCKETS - 1)
 }
@@ -67,10 +70,9 @@ fn hist_bucket(entropy: f64) -> usize {
 /// per-ramp entropies/agreements live in flat stride-`num_ramps` arrays,
 /// with per-ramp entropy histograms kept in sync on every push/evict.
 ///
-/// The histograms are the pre-aggregated per-ramp summaries the incremental
-/// tuner consults to skip candidate threshold ranges with no recorded mass;
-/// the version counters let it key its sorted-column caches so only ramps
-/// whose window content changed since the last tune are re-derived.
+/// The histograms give the incremental tuner each ramp's bucket sizes, so it
+/// lays out a ramp's column by counting sort; the `(id, version)` pair keys
+/// its column cache, so a tune over an unchanged window rebuilds nothing.
 #[derive(Debug)]
 pub struct TuningWindow {
     /// Process-unique instance label (see [`WINDOW_IDS`]).
@@ -90,10 +92,8 @@ pub struct TuningWindow {
     /// Physical index of the oldest slot (0 until the ring first wraps).
     head: usize,
     len: usize,
-    /// Bumped on every mutation; cache key for whole-window consumers.
+    /// Bumped on every mutation; cache key for derived state.
     version: u64,
-    /// Per-ramp mutation counters; cache keys for per-ramp derived state.
-    ramp_versions: Vec<u64>,
     /// Per-ramp entropy histograms: ramp `r` bucket `b` at
     /// `r * HIST_BUCKETS + b`.
     hist: Vec<u32>,
@@ -116,7 +116,6 @@ impl Clone for TuningWindow {
             head: self.head,
             len: self.len,
             version: self.version,
-            ramp_versions: self.ramp_versions.clone(),
             hist: self.hist.clone(),
         }
     }
@@ -139,7 +138,6 @@ impl TuningWindow {
             head: 0,
             len: 0,
             version: 0,
-            ramp_versions: vec![0; num_ramps],
             hist: vec![0; num_ramps * HIST_BUCKETS],
         }
     }
@@ -176,12 +174,6 @@ impl TuningWindow {
         self.version
     }
 
-    /// Per-ramp mutation counter: unchanged between two tunes means ramp
-    /// `ramp`'s column (and anything derived from it) is still valid.
-    pub fn ramp_version(&self, ramp: usize) -> u64 {
-        self.ramp_versions[ramp]
-    }
-
     /// Entropy observed at `ramp` for the request in physical slot `slot`.
     ///
     /// Physical slots `0..len()` are always valid; the ring only moves its
@@ -199,14 +191,11 @@ impl TuningWindow {
         self.agrees[slot * self.num_ramps + ramp]
     }
 
-    /// True when the per-ramp histogram proves no recorded entropy at `ramp`
-    /// lies in `(lo, hi]`. A `false` answer is conservative: the bucket
-    /// resolution may include neighbouring mass.
-    pub fn range_provably_empty(&self, ramp: usize, lo: f64, hi: f64) -> bool {
-        let base = ramp * HIST_BUCKETS;
-        let from = hist_bucket(lo);
-        let to = hist_bucket(hi);
-        self.hist[base + from..=base + to].iter().all(|&c| c == 0)
+    /// Ramp `ramp`'s entropy histogram over the held requests: 64 buckets,
+    /// bucket `b` counting entropies in `[b/64, (b+1)/64)` and the last one
+    /// also 1.0.
+    pub fn histogram(&self, ramp: usize) -> &[u32] {
+        &self.hist[ramp * HIST_BUCKETS..(ramp + 1) * HIST_BUCKETS]
     }
 
     /// Append one request's observations, evicting the oldest once full.
@@ -240,7 +229,6 @@ impl TuningWindow {
             self.entropies[base + r] = obs.entropy;
             self.agrees[base + r] = obs.agrees;
             self.hist[r * HIST_BUCKETS + hist_bucket(obs.entropy)] += 1;
-            self.ramp_versions[r] += 1;
         }
         self.exited[slot] = exited;
         self.correct[slot] = correct;
@@ -259,10 +247,6 @@ impl TuningWindow {
         self.head = 0;
         self.len = 0;
         self.version += 1;
-        self.ramp_versions = vec![0; num_ramps];
-        for v in &mut self.ramp_versions {
-            *v = self.version;
-        }
         self.hist = vec![0; num_ramps * HIST_BUCKETS];
     }
 
@@ -822,9 +806,18 @@ mod tests {
                 1,
             );
         }
-        // Mass at 0.1, 0.3, 0.5, 0.7; nothing above 0.8.
-        assert!(!w.range_provably_empty(0, 0.0, 1.0));
-        assert!(w.range_provably_empty(0, 0.8, 1.0));
+        // Mass at 0.1, 0.3, 0.5, 0.7; nothing from 0.8 up.
+        let held = |w: &TuningWindow, lo: f64, hi: f64| -> u32 {
+            w.histogram(0)[hist_bucket(lo)..=hist_bucket(hi)]
+                .iter()
+                .sum()
+        };
+        assert_eq!(w.histogram(0).len(), HIST_BUCKETS);
+        assert_eq!(held(&w, 0.0, 1.0), 4);
+        assert_eq!(held(&w, 0.8, 1.0), 0);
+        for e in [0.1, 0.3, 0.5, 0.7] {
+            assert_eq!(w.histogram(0)[hist_bucket(e)], 1, "entropy {e}");
+        }
         // Evict 0.1 (oldest) by pushing 0.9: low range empties, high fills.
         w.push(
             &[RampObservation {
@@ -835,8 +828,10 @@ mod tests {
             true,
             1,
         );
-        assert!(w.range_provably_empty(0, 0.0, 0.05));
-        assert!(!w.range_provably_empty(0, 0.8, 1.0));
+        assert_eq!(held(&w, 0.0, 0.05), 0);
+        assert_eq!(w.histogram(0)[hist_bucket(0.1)], 0);
+        assert_eq!(held(&w, 0.8, 1.0), 1);
+        assert_eq!(held(&w, 0.0, 1.0), 4);
         assert_eq!(w.len(), 4);
         // The materialised view drops the evicted record.
         let records = w.records();
@@ -864,12 +859,14 @@ mod tests {
             2,
         );
         assert!(w.version() > v0);
-        assert!(w.ramp_version(0) > 0 && w.ramp_version(1) > 0);
+        // One push enters every ramp's histogram.
+        assert_eq!(w.histogram(0)[hist_bucket(0.2)], 1);
+        assert_eq!(w.histogram(1)[hist_bucket(0.4)], 1);
         let v1 = w.version();
         w.clear_for_ramps(3);
         assert!(w.version() > v1);
         assert_eq!(w.num_ramps(), 3);
         assert_eq!(w.len(), 0);
-        assert!(w.range_provably_empty(2, 0.0, 1.0));
+        assert!((0..3).all(|r| w.histogram(r).iter().all(|&c| c == 0)));
     }
 }

@@ -13,7 +13,7 @@
 //! multiplicative-increase / multiplicative-decrease step sizing. A full grid
 //! search is also provided for the Figure 10 comparison.
 
-use crate::monitor::{RequestFeedback, TuningWindow};
+use crate::monitor::{hist_bucket, RequestFeedback, TuningWindow, HIST_BUCKETS};
 use serde::{Deserialize, Serialize};
 
 /// Evaluation of one threshold configuration over a window of records.
@@ -213,19 +213,31 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
     }
 }
 
-/// A per-ramp slot column sorted by entropy, cached across tunes.
-#[derive(Debug, Clone, Default)]
-struct ColumnCache {
-    /// Window instance and ramp-version the column was derived at.
-    window_id: u64,
-    version: u64,
-    /// Window length the column was derived at.
-    len: usize,
-    built: bool,
-    /// `(entropy, physical slot)` for every slot, ascending by this ramp's
-    /// entropy. The entropies sit next to their slots so sorting and range
-    /// searches read the column contiguously.
-    slots: Vec<(f64, u32)>,
+/// Marks a slot that no ramp exits under the committed thresholds.
+const NO_EXIT: u32 = u32::MAX;
+
+/// One ramp's `(entropy, physical slot)` entries, grouped by the window's
+/// entropy histogram bucket, with no order inside a bucket. The entropies
+/// sit next to their slots so scans read the column contiguously.
+#[derive(Debug, Clone)]
+struct Column {
+    entries: Vec<(f64, u32)>,
+    /// Bucket `b` holds `entries[starts[b]..starts[b + 1]]`.
+    starts: [u32; HIST_BUCKETS + 1],
+    /// Bucket `b`'s live entries are `entries[starts[b]..live_end[b]]`; the
+    /// rest of the bucket is dead for this tune: their slots exit at or
+    /// before this ramp, and stay so while thresholds only rise.
+    live_end: [u32; HIST_BUCKETS],
+}
+
+impl Default for Column {
+    fn default() -> Column {
+        Column {
+            entries: Vec::new(),
+            starts: [0; HIST_BUCKETS + 1],
+            live_end: [0; HIST_BUCKETS],
+        }
+    }
 }
 
 /// The most recent tune, for whole-outcome reuse when nothing changed.
@@ -246,35 +258,42 @@ struct CachedTune {
 /// The trick: the greedy search only ever proposes raising a single ramp `r`
 /// from threshold `t` to `p`. The only requests whose outcome can change are
 /// those with `entropy_r ∈ (t, p]` that do not already exit at an earlier
-/// ramp — found by two binary searches on a per-ramp entropy-sorted slot
-/// column. The tuner keeps integer exit counts per ramp and per-slot exit
-/// assignments for the configuration it has committed so far, applies the
-/// delta to a scratch copy, and folds savings with the same ramp-index-order
-/// sum as [`ThresholdEvaluator::evaluate`] — so every candidate evaluation is
-/// **bit-identical** to the full evaluator's, and the search walks the exact
-/// trajectory [`greedy_tune`] walks (including counting the same number of
+/// ramp. Each ramp's column groups its slots by the window's 64-bucket
+/// entropy histogram, so those entries lie in the buckets from `t`'s to
+/// `p`'s. One scan serves both a candidate and the winner's commit: it walks
+/// those buckets, moves the slots in range, and swaps each *dead* entry (its
+/// slot already exits at or before `r`) past its bucket's live end, so a
+/// tune visits a dead entry at most once. The tuner keeps integer exit
+/// counts per ramp and per-slot exit assignments for the configuration it
+/// has committed so far, applies a candidate's delta to a scratch copy, and
+/// folds savings with the same ramp-index-order sum as
+/// [`ThresholdEvaluator::evaluate`]; a scan that moves no slot returns the
+/// committed evaluation. So every candidate evaluation is **bit-identical**
+/// to the full evaluator's, and the search walks the exact trajectory
+/// [`greedy_tune`] walks (including counting the same number of
 /// `evaluations`). Equivalence is asserted against the full-retune oracle in
 /// this module's tests and by the `tuning-equivalence` CI gate.
 ///
 /// Incrementality across tunes:
-/// * the sorted columns are cached keyed on the window's per-ramp versions —
-///   only ramps whose recorded observations changed since the last tune are
-///   re-sorted;
-/// * the window's pre-aggregated per-ramp entropy histograms prove most
-///   candidate ranges empty, skipping their scans outright (the evaluation
-///   then *is* the current one — exactly what the full evaluator returns);
+/// * the columns are cached keyed on the window's `(id, version)` and laid
+///   out by counting sort over its histograms when it changed; every tune
+///   revives the entries the previous one retired;
 /// * a whole-outcome cache returns the previous result when the window,
 ///   savings, and parameters are unchanged (re-tune triggered by an accuracy
 ///   blip with no new records).
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalTuner {
-    columns: Vec<ColumnCache>,
-    /// Per-slot exit assignment under the committed thresholds.
-    current_exit: Vec<Option<usize>>,
+    columns: Vec<Column>,
+    /// The `(id, version)` of the window the columns were built from.
+    columns_of: Option<(u64, u64)>,
+    /// Per-slot exit ramp under the committed thresholds, or [`NO_EXIT`].
+    current_exit: Vec<u32>,
     /// Per-ramp exit counts under the committed thresholds.
     exit_counts: Vec<u64>,
     /// Candidate scratch: `exit_counts` plus the candidate's delta.
     scratch_counts: Vec<u64>,
+    /// Column entries the scans have visited, dead ones included.
+    slots_visited: u64,
     last: Option<CachedTune>,
 }
 
@@ -284,104 +303,119 @@ impl IncrementalTuner {
         IncrementalTuner::default()
     }
 
-    /// Re-derive the sorted slot columns for ramps whose window content
-    /// changed since they were last built.
+    /// Column entries this tuner's scans have visited over all its tunes,
+    /// dead entries included: the tuner's deterministic work count.
+    pub fn slots_visited(&self) -> u64 {
+        self.slots_visited
+    }
+
+    /// Lay out every ramp's column for the window, unless it is the one they
+    /// were built from, and mark every entry live.
     fn ensure_columns(&mut self, window: &TuningWindow) {
         let n = window.num_ramps();
-        self.columns.truncate(n);
-        self.columns.resize_with(n, ColumnCache::default);
-        for (r, col) in self.columns.iter_mut().enumerate() {
-            if col.built
-                && col.window_id == window.id()
-                && col.version == window.ramp_version(r)
-                && col.len == window.len()
-            {
-                continue;
+        let key = Some((window.id(), window.version()));
+        if self.columns_of != key {
+            self.columns.resize_with(n, Column::default);
+            for (r, col) in self.columns.iter_mut().enumerate() {
+                let mut start = 0u32;
+                for (b, &count) in window.histogram(r).iter().enumerate() {
+                    col.starts[b] = start;
+                    col.live_end[b] = start;
+                    start += count;
+                }
+                col.starts[HIST_BUCKETS] = start;
+                debug_assert_eq!(start as usize, window.len());
+                col.entries.resize(window.len(), (0.0, 0));
             }
-            col.slots.clear();
-            col.slots
-                .extend((0..window.len()).map(|s| (window.entropy(s, r), s as u32)));
-            // Every use of a column counts or updates each slot in a range of
-            // entropies, so the order among equal entropies is immaterial.
-            col.slots.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            col.window_id = window.id();
-            col.version = window.ramp_version(r);
-            col.len = window.len();
-            col.built = true;
+            // Counting sort, slot-major: each bucket's live end is its fill
+            // cursor and ends at the bucket's end.
+            for s in 0..window.len() {
+                for (r, col) in self.columns.iter_mut().enumerate() {
+                    let e = window.entropy(s, r);
+                    let end = &mut col.live_end[hist_bucket(e)];
+                    col.entries[*end as usize] = (e, s as u32);
+                    *end += 1;
+                }
+            }
+            self.columns_of = key;
+        } else {
+            for col in &mut self.columns {
+                col.live_end.copy_from_slice(&col.starts[1..]);
+            }
         }
     }
 
-    /// The sub-slice of ramp `r`'s sorted column affected by raising its
-    /// threshold from `t` to `p`: slots with `entropy ∈ (t, p]`, or
-    /// `entropy ∈ [0, p]` when `t == 0` (a zero threshold means the ramp was
-    /// inactive, so even zero-entropy slots change outcome).
-    fn affected_range(&self, r: usize, t: f64, p: f64) -> (usize, usize) {
-        let col = &self.columns[r].slots;
-        let lo = if t == 0.0 {
-            0
-        } else {
-            col.partition_point(|&(e, _)| e <= t)
-        };
-        let hi = col.partition_point(|&(e, _)| e <= p);
-        (lo, hi)
-    }
-
-    /// Evaluate raising ramp `r` from `t` to `p` as a delta against the
-    /// committed state. Bit-identical to
-    /// `ThresholdEvaluator::evaluate(candidate)` over the same records.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate(
+    /// Scan ramp `r`'s column for raising its threshold from `t` to `p`: the
+    /// slots with `entropy ∈ (t, p]`, or `[0, p]` when `t == 0` (a zero
+    /// threshold means the ramp was inactive), that exit after `r` or not at
+    /// all move their exit to `r`. Retires every dead entry it meets. A
+    /// candidate scan adds the moves to `scratch_counts` over a copy of the
+    /// committed counts; a commit applies them to the committed state.
+    /// Returns the change in correct releases and in exits, or `None` when
+    /// no slot moves.
+    fn scan(
         &mut self,
         window: &TuningWindow,
-        savings_us: &[f64],
         r: usize,
         t: f64,
         p: f64,
-        correct: u64,
-        exits: u64,
-        current: ConfigEvaluation,
-    ) -> ConfigEvaluation {
-        let n = window.len() as f64;
-        // The histogram precheck: no recorded entropy in the raised range
-        // means no request changes outcome — the candidate evaluates to the
-        // committed evaluation, floats and all.
-        if window.range_provably_empty(r, t, p) {
-            return current;
-        }
-        let (lo, hi) = self.affected_range(r, t, p);
-        if lo == hi {
-            return current;
-        }
-        self.scratch_counts.clear();
-        self.scratch_counts.extend_from_slice(&self.exit_counts);
-        let mut d_correct: i64 = 0;
-        let mut d_exits: i64 = 0;
-        for &(_, s32) in &self.columns[r].slots[lo..hi] {
-            let s = s32 as usize;
-            match self.current_exit[s] {
-                // Exits at an earlier ramp already; ramp r never sees it.
-                Some(j) if j < r => {}
-                // `j == r` is impossible (its entropy was above `t`), so the
-                // request moves its exit from a later ramp `j` up to `r`.
-                Some(j) => {
-                    self.scratch_counts[j] -= 1;
-                    self.scratch_counts[r] += 1;
-                    d_correct += window.agrees(s, r) as i64 - window.agrees(s, j) as i64;
+        commit: bool,
+    ) -> Option<(i64, i64)> {
+        let IncrementalTuner {
+            columns,
+            current_exit,
+            exit_counts,
+            scratch_counts,
+            slots_visited,
+            ..
+        } = self;
+        let counts = if commit {
+            exit_counts
+        } else {
+            scratch_counts.clear();
+            scratch_counts.extend_from_slice(exit_counts);
+            scratch_counts
+        };
+        let col = &mut columns[r];
+        let ramp = r as u32;
+        let mut moved = false;
+        let (mut d_correct, mut d_exits) = (0i64, 0i64);
+        for b in hist_bucket(t)..=hist_bucket(p) {
+            let mut i = col.starts[b] as usize;
+            let mut live_end = col.live_end[b] as usize;
+            // Each step advances `i` or retires an entry: one visit each.
+            *slots_visited += (live_end - i) as u64;
+            while i < live_end {
+                let (e, s) = col.entries[i];
+                let s = s as usize;
+                let j = current_exit[s];
+                let moves = j > ramp && e <= p && (t < e || t == 0.0);
+                if moves {
+                    moved = true;
+                    counts[r] += 1;
+                    d_correct += window.agrees(s, r) as i64;
+                    if j == NO_EXIT {
+                        // Ran to completion (counted correct by definition).
+                        d_exits += 1;
+                        d_correct -= 1;
+                    } else {
+                        counts[j as usize] -= 1;
+                        d_correct -= window.agrees(s, j as usize) as i64;
+                    }
+                    if commit {
+                        current_exit[s] = ramp;
+                    }
                 }
-                // Previously ran to completion (counted correct by
-                // definition); now exits at `r`.
-                None => {
-                    self.scratch_counts[r] += 1;
-                    d_exits += 1;
-                    d_correct += window.agrees(s, r) as i64 - 1;
+                if j <= ramp || (moves && commit) {
+                    live_end -= 1;
+                    col.entries.swap(i, live_end);
+                } else {
+                    i += 1;
                 }
             }
+            col.live_end[b] = live_end as u32;
         }
-        ConfigEvaluation {
-            accuracy: (correct as i64 + d_correct) as f64 / n,
-            mean_savings_us: mean_savings_from_counts(&self.scratch_counts, savings_us, n),
-            exit_rate: (exits as i64 + d_exits) as f64 / n,
-        }
+        moved.then_some((d_correct, d_exits))
     }
 
     /// Run Algorithm 1 over the window. Produces the same
@@ -406,15 +440,16 @@ impl IncrementalTuner {
         let n = window.num_ramps();
         debug_assert_eq!(savings_us.len(), n);
         let len = window.len();
+        let requests = len as f64;
         self.ensure_columns(window);
         // Committed state for the all-zero starting configuration: nothing
         // exits, every request counts correct.
         self.current_exit.clear();
-        self.current_exit.resize(len, None);
+        self.current_exit.resize(len, NO_EXIT);
         self.exit_counts.clear();
         self.exit_counts.resize(n, 0);
-        let mut correct = len as u64;
-        let mut exits = 0u64;
+        let mut correct = len as i64;
+        let mut exits = 0i64;
         let mut thresholds = vec![0.0f64; n];
         let mut steps = vec![params.initial_step; n];
         let mut evaluations = 1usize;
@@ -422,16 +457,18 @@ impl IncrementalTuner {
         let threshold_cap = params.max_threshold.clamp(0.0, 1.0);
         // `ThresholdEvaluator::evaluate` on an empty window short-circuits to
         // this same constant; on a non-empty window the zero configuration
-        // divides len/len = 1.0 exactly.
+        // divides len/len = 1.0 exactly. An empty window moves no slot, so
+        // every candidate evaluates to it.
         let mut current = ConfigEvaluation {
             accuracy: 1.0,
             mean_savings_us: 0.0,
             exit_rate: 0.0,
         };
+        let mut overstepped: Vec<usize> = Vec::new();
         let max_rounds = 10_000usize;
         for _ in 0..max_rounds {
             let mut best: Option<(usize, f64, ConfigEvaluation)> = None;
-            let mut overstepped: Vec<usize> = Vec::new();
+            overstepped.clear();
             let mut any_candidate = false;
             for ramp in 0..n {
                 let proposed = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
@@ -439,19 +476,17 @@ impl IncrementalTuner {
                     continue; // already saturated
                 }
                 any_candidate = true;
-                let eval = if len == 0 {
-                    current // empty window: every configuration evaluates alike
-                } else {
-                    self.evaluate_candidate(
-                        window,
-                        savings_us,
-                        ramp,
-                        thresholds[ramp],
-                        proposed,
-                        correct,
-                        exits,
-                        current,
-                    )
+                let eval = match self.scan(window, ramp, thresholds[ramp], proposed, false) {
+                    Some((d_correct, d_exits)) => ConfigEvaluation {
+                        accuracy: (correct + d_correct) as f64 / requests,
+                        mean_savings_us: mean_savings_from_counts(
+                            &self.scratch_counts,
+                            savings_us,
+                            requests,
+                        ),
+                        exit_rate: (exits + d_exits) as f64 / requests,
+                    },
+                    None => current,
                 };
                 evaluations += 1;
                 if eval.accuracy + 1e-12 < accuracy_floor {
@@ -477,29 +512,9 @@ impl IncrementalTuner {
                     let old = thresholds[ramp];
                     let new = (old + steps[ramp]).min(threshold_cap);
                     // Commit the winner: replay its delta into the live state.
-                    if len > 0 {
-                        let (lo, hi) = self.affected_range(ramp, old, new);
-                        for i in lo..hi {
-                            let s = self.columns[ramp].slots[i].1 as usize;
-                            match self.current_exit[s] {
-                                Some(j) if j < ramp => {}
-                                Some(j) => {
-                                    self.exit_counts[j] -= 1;
-                                    self.exit_counts[ramp] += 1;
-                                    correct = (correct as i64 + window.agrees(s, ramp) as i64
-                                        - window.agrees(s, j) as i64)
-                                        as u64;
-                                    self.current_exit[s] = Some(ramp);
-                                }
-                                None => {
-                                    self.exit_counts[ramp] += 1;
-                                    exits += 1;
-                                    correct =
-                                        (correct as i64 + window.agrees(s, ramp) as i64 - 1) as u64;
-                                    self.current_exit[s] = Some(ramp);
-                                }
-                            }
-                        }
+                    if let Some((d_correct, d_exits)) = self.scan(window, ramp, old, new, true) {
+                        correct += d_correct;
+                        exits += d_exits;
                     }
                     thresholds[ramp] = new;
                     steps[ramp] *= 2.0;
@@ -819,6 +834,75 @@ mod tests {
                 assert_matches_oracle(&mut tuner, &records, &SAVINGS, params);
             }
         }
+    }
+
+    #[test]
+    fn incremental_matches_oracle_at_bucket_edges() {
+        // Entropies at 0.0, at 1.0, on every histogram bucket edge k/64 and
+        // one ulp either side of it; thresholds start at steps of 1/64 that
+        // halve below it, so candidate ranges start and end on bucket edges
+        // and fit inside one bucket. One tuner re-tunes each window under
+        // new parameters, so its cached columns must revive every entry the
+        // previous tune retired.
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut levels = vec![0.0, below(1.0), 1.0];
+        for k in 1..64 {
+            let edge = k as f64 / 64.0;
+            levels.extend([below(edge), edge, above(edge)]);
+        }
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let eval_bits =
+            |e: &ConfigEvaluation| [e.accuracy, e.mean_savings_us, e.exit_rate].map(f64::to_bits);
+        let savings = [9_000.0, 6_000.0, 2_500.0];
+        let mut tuner = IncrementalTuner::new();
+        let mut split_buckets = 0;
+        for seed in [1, 4, 9, 16] {
+            let rng = DeterministicRng::new(seed);
+            let records: Vec<RequestFeedback> = (0..240u64)
+                .map(|i| {
+                    // Deeper ramps see lower entropies; most of the mass sits
+                    // low, where the search walks.
+                    let base = rng.unit_draw(&[i, 0]).powi(2);
+                    RequestFeedback {
+                        observations: (0..savings.len() as u64)
+                            .map(|r| {
+                                let at = (base - 0.1 * r as f64).max(0.0) * levels.len() as f64;
+                                let jitter = rng.stream(&[i, r + 1]).below(4) as usize;
+                                let entropy = levels[(at as usize + jitter).min(levels.len() - 1)];
+                                RampObservation {
+                                    entropy,
+                                    agrees: rng.unit_draw(&[i, r, 7]) > entropy * 0.6,
+                                }
+                            })
+                            .collect(),
+                        exited: None,
+                        correct: true,
+                        batch_size: 1,
+                    }
+                })
+                .collect();
+            let w = window_of(&records, savings.len());
+            for (budget, initial_step) in [(0.02, 1.0 / 64.0), (0.08, 1.0 / 64.0), (0.04, 0.125)] {
+                let params = GreedyParams {
+                    accuracy_loss_budget: budget,
+                    initial_step,
+                    smallest_step: 1.0 / 1024.0,
+                    max_threshold: 1.0,
+                };
+                let fast = tuner.tune(&w, &savings, params);
+                let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &savings), params);
+                assert_eq!(bits(&fast.thresholds), bits(&oracle.thresholds));
+                assert_eq!(eval_bits(&fast.evaluation), eval_bits(&oracle.evaluation));
+                assert_eq!(fast.evaluations, oracle.evaluations);
+                split_buckets += fast
+                    .thresholds
+                    .iter()
+                    .filter(|&&t| (t * 64.0).fract() != 0.0)
+                    .count();
+            }
+        }
+        assert!(split_buckets > 0, "some threshold must end inside a bucket");
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub struct ControllerStats {
     /// Observation rows built for the tuning window: one per delivered
     /// request still in the window when a tune reads it.
     pub rows_observed: usize,
+    /// Configuration evaluations the online tunes performed
+    /// ([`TuningOutcome::evaluations`](apparate_core::TuningOutcome), summed).
+    pub tune_evaluations: usize,
+    /// Tuning-window column entries the incremental tuner's scans visited
+    /// ([`IncrementalTuner::slots_visited`]); 0 under `full_retune`.
+    pub tune_slots_visited: usize,
 }
 
 /// Fraction of the accuracy budget the tuner may spend *in-window*; the rest
@@ -392,9 +398,14 @@ impl ControllerHalf {
             let evaluator = ThresholdEvaluator::new(&records, &savings);
             greedy_tune(&evaluator, tuning_params(&self.config))
         } else {
-            self.tuner
-                .tune(window, &savings, tuning_params(&self.config))
+            let visited = self.tuner.slots_visited();
+            let outcome = self
+                .tuner
+                .tune(window, &savings, tuning_params(&self.config));
+            self.stats.tune_slots_visited += (self.tuner.slots_visited() - visited) as usize;
+            outcome
         };
+        self.stats.tune_evaluations += outcome.evaluations;
         let thresholds_changed = self.thresholds != outcome.thresholds;
         self.thresholds = outcome.thresholds;
         self.needs_tune = false;

@@ -1074,6 +1074,7 @@ pub fn generative_requests(scenario: &GenerativeScenario) -> Vec<Request> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerStats;
     use apparate_baselines::offline_tuned_thresholds;
     use apparate_exec::ScanSteps;
 
@@ -1142,6 +1143,49 @@ mod tests {
             assert!(
                 steps.exact * 50 <= steps.sites(),
                 "{name}: the exact draw settled more than 2 % of scan sites: {steps:?}"
+            );
+        }
+    }
+
+    /// The controller counters of a scenario's Apparate run, served as its
+    /// comparison table serves it.
+    fn apparate_stats<S: Scenario>(scenario: &S) -> ControllerStats {
+        let config = scenario_config();
+        let (_, dep_budget) = fixture(scenario, &config);
+        let warm = warm_start_thresholds(
+            &dep_budget.plan,
+            &config,
+            scenario.reference_batch(),
+            &scenario.calibration(),
+        );
+        let mut policy =
+            ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch())
+                .with_warm_start(warm);
+        let estimate = apparate_estimate(&dep_budget.plan, &config);
+        let disabled = Telemetry::disabled();
+        scenario.serve(&scenario.stream(), &mut policy, &estimate, &disabled);
+        policy.stats()
+    }
+
+    #[test]
+    fn online_tunes_do_the_pinned_work() {
+        // Exact counts at seed 42, so a change that re-inflates the tuner's
+        // scans fails here even when a timing median hides it.
+        let sizes = ReproSizes::quick();
+        let cv = apparate_stats(&cv_scenario(42, sizes.cv_frames));
+        let generative = apparate_stats(&generative_scenario(42, sizes.gen_requests));
+        for (name, stats, pinned) in [
+            ("cv", cv, (5, 1273, 64992)),
+            ("generative", generative, (5, 1208, 70611)),
+        ] {
+            assert_eq!(
+                (
+                    stats.tuning_rounds,
+                    stats.tune_evaluations,
+                    stats.tune_slots_visited
+                ),
+                pinned,
+                "{name}: (tuning rounds, evaluations, slots visited)"
             );
         }
     }
