@@ -3,7 +3,7 @@
 //! steps, releasing a token by the same rule as a classification result
 //! (§3.4).
 
-use apparate_core::{GreedyParams, IncrementalTuner, TuningOutcome, TuningWindow};
+use apparate_core::{GreedyParams, TuningOutcome, TuningWindow};
 use apparate_exec::{ExecutionPlan, SampleSemantics};
 use apparate_model::LayerId;
 use apparate_serving::{
@@ -164,23 +164,25 @@ impl TokenPolicy for StaticExitPolicy {
 /// outcome. Wrap the result in a [`StaticExitPolicy`] for the "oneshot-tuned"
 /// baseline: optimal for the bootstrap distribution, blind to drift.
 ///
-/// The search runs on the [`IncrementalTuner`], which walks the same
-/// trajectory as [`greedy_tune`](apparate_core::greedy_tune) over the same
-/// records and returns the same outcome, bit for bit.
+/// The search is [`TuningWindow::tune`] over the [`calibration_window`],
+/// which walks the same trajectory as
+/// [`greedy_tune`](apparate_core::greedy_tune) over the same records and
+/// returns the same outcome, bit for bit.
 pub fn offline_tuned_thresholds(
     plan: &ExecutionPlan,
     calibration: &[SampleSemantics],
     params: GreedyParams,
     reference_batch: u32,
 ) -> TuningOutcome {
-    let window = calibration_window(plan, calibration, reference_batch);
-    tune_on_window(plan, &window, params, reference_batch)
+    calibration_window(plan, calibration, reference_batch)
+        .tune(&per_ramp_savings_us(plan, reference_batch), params)
 }
 
 /// The window an offline tune reads: every calibration sample's observation
 /// at every ramp of `plan`, recorded as a correct release at
 /// `reference_batch`. Tunes that share a plan and a calibration set build it
-/// once and each run [`tune_on_window`] over it.
+/// once and each [`TuningWindow::tune`] it with
+/// [`per_ramp_savings_us`] at `reference_batch`, so they share its columns.
 pub fn calibration_window(
     plan: &ExecutionPlan,
     calibration: &[SampleSemantics],
@@ -194,19 +196,6 @@ pub fn calibration_window(
         window.push(&row, None, true, reference_batch);
     }
     window
-}
-
-/// Algorithm 1 over `window`, a [`calibration_window`] of `plan`, with a
-/// tuner of its own: what [`offline_tuned_thresholds`] returns for the
-/// window's calibration set.
-pub fn tune_on_window(
-    plan: &ExecutionPlan,
-    window: &TuningWindow,
-    params: GreedyParams,
-    reference_batch: u32,
-) -> TuningOutcome {
-    let savings = per_ramp_savings_us(plan, reference_batch);
-    IncrementalTuner::new().tune(window, &savings, params)
 }
 
 /// The deterministic hindsight oracle (§2.2's "optimal early exiting").

@@ -44,7 +44,7 @@ pub mod prep;
 
 pub use classification::{
     batch_time_fn, calibration_window, exit_outcome, offline_tuned_thresholds, per_ramp_savings_us,
-    tune_on_window, vanilla_policy, OracleExitPolicy, StaticExitPolicy,
+    vanilla_policy, OracleExitPolicy, StaticExitPolicy,
 };
 pub use generative::{OracleTokenPolicy, StaticTokenPolicy};
 pub use prep::{deploy_all_sites, deploy_budget_sites, RampDeployment};

@@ -17,7 +17,7 @@
 //! them into a live `ExitPolicy` loop lives in `apparate-experiments`, and the
 //! non-adaptive comparison points live in `apparate-baselines`.
 //!
-//! Entry points: [`greedy_tune`] (Algorithm 1), [`adjust_ramps`]
+//! Entry points: [`greedy_tune`] and [`TuningWindow::tune`] (Algorithm 1), [`adjust_ramps`]
 //! (Algorithm 2), [`Monitor`] (the feedback windows they consume), and
 //! [`ApparateConfig`] (the two user-facing knobs).
 
@@ -43,7 +43,6 @@ pub use placement::{
 };
 pub use ramp::{ramp_param_fraction, ramp_spec, RampArchitecture, RampSpec};
 pub use threshold::{
-    greedy_tune, grid_tune, ConfigEvaluation, GreedyParams, IncrementalTuner, ThresholdEvaluator,
-    TuningOutcome,
+    greedy_tune, grid_tune, ConfigEvaluation, GreedyParams, ThresholdEvaluator, TuningOutcome,
 };
 pub use training::{train_ramps, trained_capacity, TrainedRamp, TrainingReport};

@@ -14,8 +14,10 @@
 //!
 //! The tuning window is columnar ([`TuningWindow`]): observations live in
 //! flat per-ramp-strided arrays with per-ramp entropy histograms maintained
-//! as rows enter, so the incremental tuner buckets each ramp's column by the
-//! histogram it reads instead of sorting it.
+//! as rows enter. [`TuningWindow::tune`] runs Algorithm 1 over it; the
+//! window keeps the columns that tune scans as a cache of its own, buckets
+//! each ramp's column by the histogram instead of sorting it, and marks the
+//! cache stale whenever a row enters or the window clears.
 //!
 //! Delivered [`ProfileRecord`]s are ingested with [`Monitor::record_batch`]:
 //! the accuracy window and exit counters take each request at once, while
@@ -25,21 +27,10 @@
 //! drains the queue into the window in arrival order first, so every tune
 //! reads what building each row on arrival would have left there.
 
+use crate::threshold::{ColumnCache, GreedyParams, TuningOutcome};
 use apparate_exec::{ProfileRecord, RampObservation, SampleSemantics};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of unique [`TuningWindow`] instance ids: the tuner's caches key on
-/// `(id, version)`, so two *different* windows that happen to agree on a
-/// version counter can never alias each other's cached state. Never read for
-/// anything observable — a collision-free label only, so the allocation order
-/// being scheduling-dependent is fine.
-static WINDOW_IDS: AtomicU64 = AtomicU64::new(1);
-
-fn next_window_id() -> u64 {
-    WINDOW_IDS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Feedback recorded for one request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -70,13 +61,12 @@ pub(crate) fn hist_bucket(entropy: f64) -> usize {
 /// per-ramp entropies/agreements live in flat stride-`num_ramps` arrays,
 /// with per-ramp entropy histograms kept in sync on every push/evict.
 ///
-/// The histograms give the incremental tuner each ramp's bucket sizes, so it
-/// lays out a ramp's column by counting sort; the `(id, version)` pair keys
-/// its column cache, so a tune over an unchanged window rebuilds nothing.
-#[derive(Debug)]
+/// The histograms give [`TuningWindow::tune`] each ramp's bucket sizes, so
+/// it lays out a ramp's column by counting sort. The columns are the
+/// window's own cache, so a tune over an unchanged window rebuilds nothing,
+/// and a clone carries its source's cache and then goes its own way.
+#[derive(Debug, Clone)]
 pub struct TuningWindow {
-    /// Process-unique instance label (see [`WINDOW_IDS`]).
-    id: u64,
     num_ramps: usize,
     capacity: usize,
     /// Slot-major entropies: slot `s`, ramp `r` at `s * num_ramps + r`.
@@ -92,33 +82,12 @@ pub struct TuningWindow {
     /// Physical index of the oldest slot (0 until the ring first wraps).
     head: usize,
     len: usize,
-    /// Bumped on every mutation; cache key for derived state.
-    version: u64,
     /// Per-ramp entropy histograms: ramp `r` bucket `b` at
     /// `r * HIST_BUCKETS + b`.
     hist: Vec<u32>,
-}
-
-impl Clone for TuningWindow {
-    fn clone(&self) -> TuningWindow {
-        // A clone may diverge from its source while both keep counting
-        // versions from the same point, so it must not share the source's
-        // cache identity.
-        TuningWindow {
-            id: next_window_id(),
-            num_ramps: self.num_ramps,
-            capacity: self.capacity,
-            entropies: self.entropies.clone(),
-            agrees: self.agrees.clone(),
-            exited: self.exited.clone(),
-            correct: self.correct.clone(),
-            batch_size: self.batch_size.clone(),
-            head: self.head,
-            len: self.len,
-            version: self.version,
-            hist: self.hist.clone(),
-        }
-    }
+    /// The columns [`TuningWindow::tune`] scans, stale after every push and
+    /// clear.
+    columns: ColumnCache,
 }
 
 impl TuningWindow {
@@ -127,7 +96,6 @@ impl TuningWindow {
     pub fn new(num_ramps: usize, capacity: usize) -> TuningWindow {
         assert!(capacity > 0);
         TuningWindow {
-            id: next_window_id(),
             num_ramps,
             capacity,
             entropies: vec![0.0; capacity * num_ramps],
@@ -137,8 +105,8 @@ impl TuningWindow {
             batch_size: vec![0; capacity],
             head: 0,
             len: 0,
-            version: 0,
             hist: vec![0; num_ramps * HIST_BUCKETS],
+            columns: ColumnCache::default(),
         }
     }
 
@@ -162,16 +130,26 @@ impl TuningWindow {
         self.num_ramps
     }
 
-    /// Process-unique instance id; combined with [`TuningWindow::version`]
-    /// it identifies window *content* for caching.
-    pub fn id(&self) -> u64 {
-        self.id
+    /// Algorithm 1 over the held requests: the same [`TuningOutcome`]
+    /// (thresholds, evaluation, evaluation count) as
+    /// [`greedy_tune`](crate::greedy_tune) over [`TuningWindow::records`],
+    /// bit for bit, with each candidate scored by a scan of the window's
+    /// bucketed columns. `savings_us[r]` is the latency an exit at ramp `r`
+    /// saves. A tune of an unchanged window with the same savings and
+    /// parameters returns the previous outcome.
+    pub fn tune(&mut self, savings_us: &[f64], params: GreedyParams) -> TuningOutcome {
+        // The columns read the slots they index, so they leave the window
+        // for the tune.
+        let mut columns = std::mem::take(&mut self.columns);
+        let outcome = columns.tune(self, savings_us, params);
+        self.columns = columns;
+        outcome
     }
 
-    /// Monotone counter bumped on every mutation: equal `(id, version)`
-    /// pairs guarantee identical window content.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// Column entries this window's tunes have scanned, dead entries
+    /// included: the tunes' deterministic work count.
+    pub fn slots_visited(&self) -> u64 {
+        self.columns.slots_visited
     }
 
     /// Entropy observed at `ramp` for the request in physical slot `slot`.
@@ -233,7 +211,7 @@ impl TuningWindow {
         self.exited[slot] = exited;
         self.correct[slot] = correct;
         self.batch_size[slot] = batch_size;
-        self.version += 1;
+        self.columns.mark_stale();
     }
 
     /// Clear the window for a new ramp set of `num_ramps` ramps.
@@ -246,8 +224,8 @@ impl TuningWindow {
         self.batch_size.fill(0);
         self.head = 0;
         self.len = 0;
-        self.version += 1;
         self.hist = vec![0; num_ramps * HIST_BUCKETS];
+        self.columns.mark_stale();
     }
 
     /// Materialise the window as per-request records, oldest first (the
@@ -410,7 +388,7 @@ impl Monitor {
     pub fn tuning_window(
         &mut self,
         mut observe: impl FnMut(&SampleSemantics, &mut Vec<RampObservation>),
-    ) -> &TuningWindow {
+    ) -> &mut TuningWindow {
         let mut row = Vec::with_capacity(self.num_ramps);
         for pending in self.pending.drain(..) {
             row.clear();
@@ -418,7 +396,7 @@ impl Monitor {
             self.tuning_window
                 .push(&row, pending.exited, pending.correct, pending.batch_size);
         }
-        &self.tuning_window
+        &mut self.tuning_window
     }
 
     /// Number of requests in the tuning window, pending rows included.
@@ -447,6 +425,14 @@ impl Monitor {
         self.requests_since_adjust
     }
 
+    /// Start a new ramp-adjustment window: zero the per-ramp exit counts and
+    /// the request count. The accuracy trigger window and the tuning window
+    /// keep their contents.
+    pub fn restart_adjust_window(&mut self) {
+        self.ramp_exits.fill(0);
+        self.requests_since_adjust = 0;
+    }
+
     /// Total requests observed.
     pub fn total_requests(&self) -> u64 {
         self.total_requests
@@ -468,10 +454,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threshold::{
-        greedy_tune, ConfigEvaluation, GreedyParams, IncrementalTuner, ThresholdEvaluator,
-        TuningOutcome,
-    };
+    use crate::threshold::{greedy_tune, ConfigEvaluation, ThresholdEvaluator};
     use apparate_exec::RequestRelease;
     use apparate_sim::DeterministicRng;
 
@@ -566,6 +549,29 @@ mod tests {
     }
 
     #[test]
+    fn restart_adjust_window_zeroes_the_counts_and_keeps_both_windows() {
+        let mut m = Monitor::new(2, 4, 8);
+        for i in 0..6 {
+            m.record(feedback(&[0.1, 0.6], Some(i % 2), i != 0));
+        }
+        let records = format!("{:?}", m.tuning_window(no_rows).records());
+        let accuracy = m.windowed_accuracy();
+        m.restart_adjust_window();
+        assert_eq!(m.exit_counts(), &[0, 0]);
+        assert_eq!(m.requests_since_adjust(), 0);
+        assert_eq!(m.exit_rates(), vec![0.0, 0.0]);
+        assert_eq!(m.windowed_accuracy(), accuracy);
+        assert!(m.accuracy_window_full());
+        assert_eq!(m.tuning_window_len(), 6);
+        assert_eq!(format!("{:?}", m.tuning_window(no_rows).records()), records);
+        assert_eq!(m.total_requests(), 6);
+        // The next request counts from zero.
+        m.record(feedback(&[0.1, 0.6], Some(1), true));
+        assert_eq!(m.exit_counts(), &[0, 1]);
+        assert_eq!(m.requests_since_adjust(), 1);
+    }
+
+    #[test]
     fn empty_exit_rates_are_zero() {
         let m = Monitor::new(2, 16, 64);
         assert_eq!(m.exit_rates(), vec![0.0, 0.0]);
@@ -629,8 +635,7 @@ mod tests {
             row.extend_from_slice(&rows[sample.seed as usize].observations);
         });
         let a = window.records();
-        // Only the rows the 8-slot window keeps are built, one push each.
-        assert_eq!(window.version(), 8);
+        // Only the rows the 8-slot window keeps are built.
         assert_eq!(built, 8);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
@@ -672,15 +677,14 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
     }
 
-    /// Tune an eagerly fed monitor and a lazily fed one, each with its own
-    /// incremental tuner, and the greedy oracle over the lazy window's
-    /// records: every answer, both windows' records and both lengths must
-    /// agree. Returns the rows `lazy` built, its window's version and the
-    /// number of ramps the tune opened.
+    /// Tune an eagerly fed monitor's window and a lazily fed one's, and the
+    /// greedy oracle over the lazy window's records: every answer, both
+    /// windows' records, lengths and scan counts must agree. Returns the rows
+    /// `lazy` built, the column entries its tune scanned and the number of
+    /// ramps the tune opened.
     fn tune_both(
         eager: &mut Monitor,
         lazy: &mut Monitor,
-        tuners: &mut [IncrementalTuner; 2],
         table: &DeterministicRng,
     ) -> (usize, u64, usize) {
         assert_eq!(lazy.tuning_window_len(), eager.tuning_window_len());
@@ -695,10 +699,13 @@ mod tests {
             built += 1;
             table_row(table, sample.seed, num_ramps, row);
         });
-        let lazy_tune = tuners[1].tune(window, &savings, params);
-        let (records, version) = (window.records(), window.version());
+        let visited = window.slots_visited();
+        let lazy_tune = window.tune(&savings, params);
+        let (records, scanned) = (window.records(), window.slots_visited() - visited);
         let window = eager.tuning_window(no_rows);
-        let eager_tune = tuners[0].tune(window, &savings, params);
+        let visited = window.slots_visited();
+        let eager_tune = window.tune(&savings, params);
+        assert_eq!(window.slots_visited() - visited, scanned);
         assert_eq!(format!("{records:?}"), format!("{:?}", window.records()));
         assert_eq!(lazy.tuning_window_len(), eager.tuning_window_len());
         assert_eq!(lazy.tuning_window_len(), records.len());
@@ -706,7 +713,7 @@ mod tests {
         let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &savings), params);
         assert_same_outcome(&lazy_tune, &oracle);
         let opened = lazy_tune.thresholds.iter().filter(|&&t| t > 0.0).count();
-        (built, version, opened)
+        (built, scanned, opened)
     }
 
     #[test]
@@ -725,7 +732,6 @@ mod tests {
             let read_odds = 1 + case % 4;
             let mut eager = Monitor::new(num_ramps, 16, capacity);
             let mut lazy = Monitor::new(num_ramps, 16, capacity);
-            let mut tuners = [IncrementalTuner::new(), IncrementalTuner::new()];
             let mut seed = 0u64;
             let mut delivered = 0;
             for _ in 0..80 {
@@ -774,13 +780,13 @@ mod tests {
                 let full = lazy.tuning_window_len() == capacity;
                 covered[0] += usize::from(!full);
                 covered[1] += usize::from(delivered > capacity);
-                let (built, version, open) = tune_both(&mut eager, &mut lazy, &mut tuners, &table);
+                let (built, _, open) = tune_both(&mut eager, &mut lazy, &table);
                 assert_eq!(built, delivered.min(capacity), "one row per kept request");
                 delivered = 0;
                 opened += open;
                 if draws.chance(0.5) {
-                    let again = tune_both(&mut eager, &mut lazy, &mut tuners, &table);
-                    assert_eq!(again, (0, version, open), "no new row, no new version");
+                    let again = tune_both(&mut eager, &mut lazy, &table);
+                    assert_eq!(again, (0, 0, open), "no new row, no scan");
                     covered[3] += 1;
                 }
             }
@@ -840,9 +846,8 @@ mod tests {
     }
 
     #[test]
-    fn window_versions_advance_on_every_mutation() {
+    fn pushes_and_clears_keep_every_ramp_histogram() {
         let mut w = TuningWindow::new(2, 4);
-        let v0 = w.version();
         w.push(
             &[
                 RampObservation {
@@ -858,13 +863,10 @@ mod tests {
             true,
             2,
         );
-        assert!(w.version() > v0);
         // One push enters every ramp's histogram.
         assert_eq!(w.histogram(0)[hist_bucket(0.2)], 1);
         assert_eq!(w.histogram(1)[hist_bucket(0.4)], 1);
-        let v1 = w.version();
         w.clear_for_ramps(3);
-        assert!(w.version() > v1);
         assert_eq!(w.num_ramps(), 3);
         assert_eq!(w.len(), 0);
         assert!((0..3).all(|r| w.histogram(r).iter().all(|&c| c == 0)));

@@ -10,8 +10,14 @@
 //! The search itself is the paper's greedy hill climb: thresholds start at 0,
 //! each round raises the single threshold that buys the most additional
 //! latency savings per unit of additional accuracy loss, with
-//! multiplicative-increase / multiplicative-decrease step sizing. A full grid
-//! search is also provided for the Figure 10 comparison.
+//! multiplicative-increase / multiplicative-decrease step sizing. Its round
+//! loop is written once, generic over how a candidate configuration is
+//! scored. [`greedy_tune`] scores each candidate by a full pass of a
+//! [`ThresholdEvaluator`] over per-request records, and is the reference.
+//! [`TuningWindow::tune`] scores it as a delta over the window's bucketed
+//! columns, which the window keeps as its own cache; the two return the
+//! same outcome bit for bit. A full grid search is also provided for the
+//! Figure 10 comparison.
 
 use crate::monitor::{hist_bucket, RequestFeedback, TuningWindow, HIST_BUCKETS};
 use serde::{Deserialize, Serialize};
@@ -26,6 +32,15 @@ pub struct ConfigEvaluation {
     /// Fraction of requests that exit at some ramp.
     pub exit_rate: f64,
 }
+
+/// The all-zero configuration's evaluation of any window: nothing exits, so
+/// every request counts correct. [`ThresholdEvaluator::evaluate`] returns
+/// it bit for bit (`len / len` is exactly 1).
+const NOTHING_EXITS: ConfigEvaluation = ConfigEvaluation {
+    accuracy: 1.0,
+    mean_savings_us: 0.0,
+    exit_rate: 0.0,
+};
 
 /// Evaluator over a recorded window.
 pub struct ThresholdEvaluator<'a> {
@@ -54,11 +69,7 @@ impl<'a> ThresholdEvaluator<'a> {
     pub fn evaluate(&self, thresholds: &[f64]) -> ConfigEvaluation {
         debug_assert_eq!(thresholds.len(), self.savings_us.len());
         if self.records.is_empty() {
-            return ConfigEvaluation {
-                accuracy: 1.0,
-                mean_savings_us: 0.0,
-                exit_rate: 0.0,
-            };
+            return NOTHING_EXITS;
         }
         let mut correct = 0usize;
         let mut exit_counts = vec![0u64; self.savings_us.len()];
@@ -91,7 +102,7 @@ impl<'a> ThresholdEvaluator<'a> {
 
 /// Fold per-ramp exit counts into a mean-savings figure. Summing in ramp
 /// index order (not record order) makes the result independent of how the
-/// window was traversed, so the incremental tuner reproduces the full
+/// window was traversed, so [`TuningWindow::tune`] reproduces the full
 /// evaluator bit for bit.
 pub(crate) fn mean_savings_from_counts(exit_counts: &[u64], savings_us: &[f64], n: f64) -> f64 {
     let mut savings = 0.0f64;
@@ -142,32 +153,62 @@ impl Default for GreedyParams {
     }
 }
 
-/// Algorithm 1: greedy hill-climbing threshold tuning.
+/// Algorithm 1: greedy hill-climbing threshold tuning, each candidate scored
+/// by a full pass of `evaluator`. The reference [`TuningWindow::tune`] is
+/// checked against.
 pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> TuningOutcome {
-    let n = evaluator.num_ramps();
-    let mut thresholds = vec![0.0f64; n];
-    let mut steps = vec![params.initial_step; n];
-    let mut evaluations = 0usize;
+    climb(evaluator.num_ramps(), params, evaluator)
+}
+
+/// How [`climb`] scores a candidate: the configuration committed so far with
+/// one ramp's threshold raised.
+trait Scorer {
+    /// Score `thresholds`, the committed configuration with `ramp` raised
+    /// from `from`; `None` when it scores as the committed one.
+    fn score(&mut self, thresholds: &[f64], ramp: usize, from: f64) -> Option<ConfigEvaluation>;
+
+    /// Commit the round's winner, scored like a candidate.
+    fn commit(&mut self, _thresholds: &[f64], _ramp: usize, _from: f64) {}
+}
+
+impl Scorer for &ThresholdEvaluator<'_> {
+    fn score(&mut self, thresholds: &[f64], _: usize, _: f64) -> Option<ConfigEvaluation> {
+        Some(self.evaluate(thresholds))
+    }
+}
+
+/// Algorithm 1's round loop over `num_ramps` thresholds that start at 0 (the
+/// first evaluation). Each round scores raising every unsaturated ramp by its
+/// step, up to the cap. Among the candidates that keep accuracy within the
+/// budget it commits the one that buys the most savings per unit of accuracy
+/// loss and doubles that ramp's step; a round with none halves the steps of
+/// the ramps that overstepped. The search stops once every threshold is
+/// saturated, or when a round commits nothing and either every step is at
+/// its smallest or no ramp overstepped.
+fn climb(num_ramps: usize, params: GreedyParams, mut scorer: impl Scorer) -> TuningOutcome {
+    let mut thresholds = vec![0.0f64; num_ramps];
+    let mut steps = vec![params.initial_step; num_ramps];
+    let mut current = NOTHING_EXITS;
+    let mut evaluations = 1usize;
     let accuracy_floor = 1.0 - params.accuracy_loss_budget;
     let threshold_cap = params.max_threshold.clamp(0.0, 1.0);
-    let mut current = evaluator.evaluate(&thresholds);
-    evaluations += 1;
+    let mut overstepped: Vec<usize> = Vec::new();
     // Safety bound far above anything the algorithm needs; prevents a
     // pathological window from spinning forever.
-    let max_rounds = 10_000usize;
-    for _ in 0..max_rounds {
+    for _ in 0..10_000 {
         let mut best: Option<(usize, f64, ConfigEvaluation)> = None;
-        let mut overstepped: Vec<usize> = Vec::new();
+        overstepped.clear();
         let mut any_candidate = false;
-        for ramp in 0..n {
-            let proposed = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
-            if proposed <= thresholds[ramp] {
-                continue; // already saturated at 1.0
+        for ramp in 0..num_ramps {
+            let from = thresholds[ramp];
+            let proposed = (from + steps[ramp]).min(threshold_cap);
+            if proposed <= from {
+                continue; // already saturated at the cap
             }
             any_candidate = true;
-            let mut candidate = thresholds.clone();
-            candidate[ramp] = proposed;
-            let eval = evaluator.evaluate(&candidate);
+            thresholds[ramp] = proposed;
+            let eval = scorer.score(&thresholds, ramp, from).unwrap_or(current);
+            thresholds[ramp] = from;
             evaluations += 1;
             if eval.accuracy + 1e-12 < accuracy_floor {
                 overstepped.push(ramp);
@@ -176,11 +217,7 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
             let extra_savings = eval.mean_savings_us - current.mean_savings_us;
             let extra_loss = (current.accuracy - eval.accuracy).max(1e-6);
             let score = extra_savings / extra_loss;
-            let better = match &best {
-                None => true,
-                Some((_, best_score, _)) => score > *best_score,
-            };
-            if better {
+            if best.is_none_or(|(_, best_score, _)| score > best_score) {
                 best = Some((ramp, score, eval));
             }
         }
@@ -189,7 +226,9 @@ pub fn greedy_tune(evaluator: &ThresholdEvaluator<'_>, params: GreedyParams) -> 
         }
         match best {
             Some((ramp, _, eval)) => {
-                thresholds[ramp] = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
+                let from = thresholds[ramp];
+                thresholds[ramp] = (from + steps[ramp]).min(threshold_cap);
+                scorer.commit(&thresholds, ramp, from);
                 steps[ramp] *= 2.0; // multiplicative increase on a promising path
                 current = eval;
             }
@@ -243,17 +282,15 @@ impl Default for Column {
 /// The most recent tune, for whole-outcome reuse when nothing changed.
 #[derive(Debug, Clone)]
 struct CachedTune {
-    window_id: u64,
-    window_version: u64,
     params: GreedyParams,
     savings_us: Vec<f64>,
     outcome: TuningOutcome,
 }
 
-/// Incremental Algorithm 1: the same greedy hill climb as [`greedy_tune`],
-/// restated over the columnar [`TuningWindow`] so each candidate is evaluated
-/// as a *delta* against the current configuration instead of a full pass over
-/// the window.
+/// A [`TuningWindow`]'s column cache: the columns [`TuningWindow::tune`]
+/// scans to score each candidate as a *delta* against the committed
+/// configuration instead of a full pass over the window, and the state of
+/// those scans.
 ///
 /// The trick: the greedy search only ever proposes raising a single ramp `r`
 /// from threshold `t` to `p`. The only requests whose outcome can change are
@@ -263,86 +300,88 @@ struct CachedTune {
 /// `p`'s. One scan serves both a candidate and the winner's commit: it walks
 /// those buckets, moves the slots in range, and swaps each *dead* entry (its
 /// slot already exits at or before `r`) past its bucket's live end, so a
-/// tune visits a dead entry at most once. The tuner keeps integer exit
-/// counts per ramp and per-slot exit assignments for the configuration it
-/// has committed so far, applies a candidate's delta to a scratch copy, and
+/// tune visits a dead entry at most once. The cache keeps integer exit
+/// counts per ramp and per-slot exit assignments for the configuration
+/// committed so far, applies a candidate's delta to a scratch copy, and
 /// folds savings with the same ramp-index-order sum as
 /// [`ThresholdEvaluator::evaluate`]; a scan that moves no slot returns the
 /// committed evaluation. So every candidate evaluation is **bit-identical**
-/// to the full evaluator's, and the search walks the exact trajectory
-/// [`greedy_tune`] walks (including counting the same number of
+/// to the full evaluator's, and [`climb`] walks the exact trajectory it
+/// walks for [`greedy_tune`] (including counting the same number of
 /// `evaluations`). Equivalence is asserted against the full-retune oracle in
 /// this module's tests and by the `tuning-equivalence` CI gate.
 ///
-/// Incrementality across tunes:
-/// * the columns are cached keyed on the window's `(id, version)` and laid
-///   out by counting sort over its histograms when it changed; every tune
-///   revives the entries the previous one retired;
-/// * a whole-outcome cache returns the previous result when the window,
-///   savings, and parameters are unchanged (re-tune triggered by an accuracy
-///   blip with no new records).
+/// Incrementality across tunes: the window marks the cache stale on every
+/// push and clear. A stale cache lays its columns out again by counting sort
+/// over the window's histograms, reusing their allocations; a fresh one
+/// revives the entries the previous tune retired, or returns the previous
+/// outcome outright when the savings and parameters are unchanged (a re-tune
+/// triggered by an accuracy blip with no new records).
 #[derive(Debug, Clone, Default)]
-pub struct IncrementalTuner {
+pub(crate) struct ColumnCache {
+    /// One column per ramp of the widest layout so far; a layout uses the
+    /// first `num_ramps`.
     columns: Vec<Column>,
-    /// The `(id, version)` of the window the columns were built from.
-    columns_of: Option<(u64, u64)>,
+    /// The columns lay out the window's current slots, and `last` is a tune
+    /// of them.
+    fresh: bool,
     /// Per-slot exit ramp under the committed thresholds, or [`NO_EXIT`].
     current_exit: Vec<u32>,
     /// Per-ramp exit counts under the committed thresholds.
     exit_counts: Vec<u64>,
+    /// Correct releases and exits under the committed thresholds.
+    correct: i64,
+    exits: i64,
     /// Candidate scratch: `exit_counts` plus the candidate's delta.
     scratch_counts: Vec<u64>,
-    /// Column entries the scans have visited, dead ones included.
-    slots_visited: u64,
+    /// Column entries the scans have visited over all the window's tunes,
+    /// dead ones included.
+    pub(crate) slots_visited: u64,
     last: Option<CachedTune>,
 }
 
-impl IncrementalTuner {
-    /// Create a tuner with empty caches.
-    pub fn new() -> IncrementalTuner {
-        IncrementalTuner::default()
+impl ColumnCache {
+    /// The window changed: lay the columns out again at the next tune.
+    pub(crate) fn mark_stale(&mut self) {
+        self.fresh = false;
     }
 
-    /// Column entries this tuner's scans have visited over all its tunes,
-    /// dead entries included: the tuner's deterministic work count.
-    pub fn slots_visited(&self) -> u64 {
-        self.slots_visited
-    }
-
-    /// Lay out every ramp's column for the window, unless it is the one they
-    /// were built from, and mark every entry live.
-    fn ensure_columns(&mut self, window: &TuningWindow) {
+    /// Lay out the first `num_ramps` columns for `window` when stale, else
+    /// mark every entry live again.
+    fn lay_out(&mut self, window: &TuningWindow) {
         let n = window.num_ramps();
-        let key = Some((window.id(), window.version()));
-        if self.columns_of != key {
+        if self.columns.len() < n {
             self.columns.resize_with(n, Column::default);
-            for (r, col) in self.columns.iter_mut().enumerate() {
-                let mut start = 0u32;
-                for (b, &count) in window.histogram(r).iter().enumerate() {
-                    col.starts[b] = start;
-                    col.live_end[b] = start;
-                    start += count;
-                }
-                col.starts[HIST_BUCKETS] = start;
-                debug_assert_eq!(start as usize, window.len());
-                col.entries.resize(window.len(), (0.0, 0));
-            }
-            // Counting sort, slot-major: each bucket's live end is its fill
-            // cursor and ends at the bucket's end.
-            for s in 0..window.len() {
-                for (r, col) in self.columns.iter_mut().enumerate() {
-                    let e = window.entropy(s, r);
-                    let end = &mut col.live_end[hist_bucket(e)];
-                    col.entries[*end as usize] = (e, s as u32);
-                    *end += 1;
-                }
-            }
-            self.columns_of = key;
-        } else {
-            for col in &mut self.columns {
+        }
+        let columns = &mut self.columns[..n];
+        if self.fresh {
+            for col in columns {
                 col.live_end.copy_from_slice(&col.starts[1..]);
             }
+            return;
         }
+        for (r, col) in columns.iter_mut().enumerate() {
+            let mut start = 0u32;
+            for (b, &count) in window.histogram(r).iter().enumerate() {
+                col.starts[b] = start;
+                col.live_end[b] = start;
+                start += count;
+            }
+            col.starts[HIST_BUCKETS] = start;
+            debug_assert_eq!(start as usize, window.len());
+            col.entries.resize(window.len(), (0.0, 0));
+        }
+        // Counting sort, slot-major: each bucket's live end is its fill
+        // cursor and ends at the bucket's end.
+        for s in 0..window.len() {
+            for (r, col) in columns.iter_mut().enumerate() {
+                let e = window.entropy(s, r);
+                let end = &mut col.live_end[hist_bucket(e)];
+                col.entries[*end as usize] = (e, s as u32);
+                *end += 1;
+            }
+        }
+        self.fresh = true;
     }
 
     /// Scan ramp `r`'s column for raising its threshold from `t` to `p`: the
@@ -361,12 +400,14 @@ impl IncrementalTuner {
         p: f64,
         commit: bool,
     ) -> Option<(i64, i64)> {
-        let IncrementalTuner {
+        let ColumnCache {
             columns,
             current_exit,
             exit_counts,
             scratch_counts,
             slots_visited,
+            correct,
+            exits,
             ..
         } = self;
         let counts = if commit {
@@ -415,137 +456,77 @@ impl IncrementalTuner {
             }
             col.live_end[b] = live_end as u32;
         }
+        if commit {
+            *correct += d_correct;
+            *exits += d_exits;
+        }
         moved.then_some((d_correct, d_exits))
     }
 
-    /// Run Algorithm 1 over the window. Produces the same
-    /// [`TuningOutcome`] (thresholds, evaluation, evaluation count) as
-    /// `greedy_tune(&ThresholdEvaluator::new(&window.records(), savings_us), params)`,
-    /// exactly.
-    pub fn tune(
+    /// [`TuningWindow::tune`] over `window`, the window this cache belongs
+    /// to.
+    pub(crate) fn tune(
         &mut self,
         window: &TuningWindow,
         savings_us: &[f64],
         params: GreedyParams,
     ) -> TuningOutcome {
-        if let Some(cache) = &self.last {
-            if cache.window_id == window.id()
-                && cache.window_version == window.version()
-                && cache.params == params
-                && cache.savings_us == savings_us
-            {
-                return cache.outcome.clone();
+        if let Some(last) = self.last.as_ref().filter(|_| self.fresh) {
+            if last.params == params && last.savings_us == savings_us {
+                return last.outcome.clone();
             }
         }
         let n = window.num_ramps();
         debug_assert_eq!(savings_us.len(), n);
-        let len = window.len();
-        let requests = len as f64;
-        self.ensure_columns(window);
+        self.lay_out(window);
         // Committed state for the all-zero starting configuration: nothing
         // exits, every request counts correct.
         self.current_exit.clear();
-        self.current_exit.resize(len, NO_EXIT);
+        self.current_exit.resize(window.len(), NO_EXIT);
         self.exit_counts.clear();
         self.exit_counts.resize(n, 0);
-        let mut correct = len as i64;
-        let mut exits = 0i64;
-        let mut thresholds = vec![0.0f64; n];
-        let mut steps = vec![params.initial_step; n];
-        let mut evaluations = 1usize;
-        let accuracy_floor = 1.0 - params.accuracy_loss_budget;
-        let threshold_cap = params.max_threshold.clamp(0.0, 1.0);
-        // `ThresholdEvaluator::evaluate` on an empty window short-circuits to
-        // this same constant; on a non-empty window the zero configuration
-        // divides len/len = 1.0 exactly. An empty window moves no slot, so
-        // every candidate evaluates to it.
-        let mut current = ConfigEvaluation {
-            accuracy: 1.0,
-            mean_savings_us: 0.0,
-            exit_rate: 0.0,
+        (self.correct, self.exits) = (window.len() as i64, 0);
+        let scorer = ColumnScorer {
+            cache: self,
+            window,
+            savings_us,
         };
-        let mut overstepped: Vec<usize> = Vec::new();
-        let max_rounds = 10_000usize;
-        for _ in 0..max_rounds {
-            let mut best: Option<(usize, f64, ConfigEvaluation)> = None;
-            overstepped.clear();
-            let mut any_candidate = false;
-            for ramp in 0..n {
-                let proposed = (thresholds[ramp] + steps[ramp]).min(threshold_cap);
-                if proposed <= thresholds[ramp] {
-                    continue; // already saturated
-                }
-                any_candidate = true;
-                let eval = match self.scan(window, ramp, thresholds[ramp], proposed, false) {
-                    Some((d_correct, d_exits)) => ConfigEvaluation {
-                        accuracy: (correct + d_correct) as f64 / requests,
-                        mean_savings_us: mean_savings_from_counts(
-                            &self.scratch_counts,
-                            savings_us,
-                            requests,
-                        ),
-                        exit_rate: (exits + d_exits) as f64 / requests,
-                    },
-                    None => current,
-                };
-                evaluations += 1;
-                if eval.accuracy + 1e-12 < accuracy_floor {
-                    overstepped.push(ramp);
-                    continue;
-                }
-                let extra_savings = eval.mean_savings_us - current.mean_savings_us;
-                let extra_loss = (current.accuracy - eval.accuracy).max(1e-6);
-                let score = extra_savings / extra_loss;
-                let better = match &best {
-                    None => true,
-                    Some((_, best_score, _)) => score > *best_score,
-                };
-                if better {
-                    best = Some((ramp, score, eval));
-                }
-            }
-            if !any_candidate {
-                break;
-            }
-            match best {
-                Some((ramp, _, eval)) => {
-                    let old = thresholds[ramp];
-                    let new = (old + steps[ramp]).min(threshold_cap);
-                    // Commit the winner: replay its delta into the live state.
-                    if let Some((d_correct, d_exits)) = self.scan(window, ramp, old, new, true) {
-                        correct += d_correct;
-                        exits += d_exits;
-                    }
-                    thresholds[ramp] = new;
-                    steps[ramp] *= 2.0;
-                    current = eval;
-                }
-                None => {
-                    if steps.iter().all(|&s| s <= params.smallest_step) {
-                        break;
-                    }
-                    for &ramp in &overstepped {
-                        steps[ramp] /= 2.0;
-                    }
-                    if overstepped.is_empty() {
-                        break;
-                    }
-                }
-            }
-        }
-        let outcome = TuningOutcome {
-            thresholds,
-            evaluation: current,
-            evaluations,
-        };
+        let outcome = climb(n, params, scorer);
         self.last = Some(CachedTune {
-            window_id: window.id(),
-            window_version: window.version(),
             params,
             savings_us: savings_us.to_vec(),
             outcome: outcome.clone(),
         });
         outcome
+    }
+}
+
+/// [`climb`]'s scorer over a window's columns.
+struct ColumnScorer<'a> {
+    cache: &'a mut ColumnCache,
+    window: &'a TuningWindow,
+    savings_us: &'a [f64],
+}
+
+impl Scorer for ColumnScorer<'_> {
+    fn score(&mut self, thresholds: &[f64], ramp: usize, from: f64) -> Option<ConfigEvaluation> {
+        let cache = &mut *self.cache;
+        let (d_correct, d_exits) = cache.scan(self.window, ramp, from, thresholds[ramp], false)?;
+        let requests = self.window.len() as f64;
+        Some(ConfigEvaluation {
+            accuracy: (cache.correct + d_correct) as f64 / requests,
+            mean_savings_us: mean_savings_from_counts(
+                &cache.scratch_counts,
+                self.savings_us,
+                requests,
+            ),
+            exit_rate: (cache.exits + d_exits) as f64 / requests,
+        })
+    }
+
+    fn commit(&mut self, thresholds: &[f64], ramp: usize, from: f64) {
+        self.cache
+            .scan(self.window, ramp, from, thresholds[ramp], true);
     }
 }
 
@@ -760,34 +741,36 @@ mod tests {
 
     /// Load records into a `num_ramps`-wide columnar window (capacity =
     /// record count).
-    fn window_of(records: &[RequestFeedback], num_ramps: usize) -> crate::monitor::TuningWindow {
-        let mut w = crate::monitor::TuningWindow::new(num_ramps, records.len().max(1));
+    fn window_of(records: &[RequestFeedback], num_ramps: usize) -> TuningWindow {
+        let mut w = TuningWindow::new(num_ramps, records.len().max(1));
         for r in records {
             w.push(&r.observations, r.exited, r.correct, r.batch_size);
         }
         w
     }
 
-    /// The incremental tuner must reproduce the full-retune oracle *exactly*:
-    /// same thresholds, same (bit-identical) evaluation, same evaluation
-    /// count.
-    fn assert_matches_oracle(
-        tuner: &mut IncrementalTuner,
-        records: &[RequestFeedback],
+    /// `w`'s tune must reproduce the full-retune oracle over its records
+    /// *exactly*: same thresholds, same (bit-identical) evaluation, same
+    /// evaluation count.
+    fn assert_tunes_like_oracle(
+        w: &mut TuningWindow,
         savings: &[f64],
         params: GreedyParams,
-    ) {
-        let w = window_of(records, savings.len());
-        let fast = tuner.tune(&w, savings, params);
-        let oracle = greedy_tune(&ThresholdEvaluator::new(records, savings), params);
+    ) -> TuningOutcome {
+        let fast = w.tune(savings, params);
+        let oracle = greedy_tune(&ThresholdEvaluator::new(&w.records(), savings), params);
         assert_eq!(fast.thresholds, oracle.thresholds);
         assert_eq!(fast.evaluation, oracle.evaluation);
         assert_eq!(fast.evaluations, oracle.evaluations);
+        fast
+    }
+
+    fn assert_matches_oracle(records: &[RequestFeedback], savings: &[f64], params: GreedyParams) {
+        assert_tunes_like_oracle(&mut window_of(records, savings.len()), savings, params);
     }
 
     #[test]
     fn incremental_matches_oracle_on_every_fixture() {
-        let mut tuner = IncrementalTuner::new();
         for seed in [1, 2, 3, 4, 5, 7, 11] {
             for n in [1, 17, 200, 500] {
                 for budget in [0.005, 0.01, 0.05] {
@@ -798,7 +781,7 @@ mod tests {
                             ..Default::default()
                         };
                         let records = window(n, seed);
-                        assert_matches_oracle(&mut tuner, &records, &SAVINGS, params);
+                        assert_matches_oracle(&records, &SAVINGS, params);
                     }
                 }
             }
@@ -808,10 +791,9 @@ mod tests {
     #[test]
     fn incremental_matches_oracle_with_many_ramps() {
         let savings = [20_000.0, 14_000.0, 9_000.0, 5_000.0, 2_000.0];
-        let mut tuner = IncrementalTuner::new();
         for seed in [3, 8, 21] {
             let records = window_k(400, seed, savings.len());
-            assert_matches_oracle(&mut tuner, &records, &savings, GreedyParams::default());
+            assert_matches_oracle(&records, &savings, GreedyParams::default());
         }
     }
 
@@ -820,7 +802,6 @@ mod tests {
         // Entropies rounded to twentieths put many slots on one value, some
         // exactly on a candidate threshold, so a column's order among equal
         // entropies and its `<=` range boundary both come into play.
-        let mut tuner = IncrementalTuner::new();
         for seed in [2, 5, 9] {
             let mut records = window(300, seed);
             for obs in records.iter_mut().flat_map(|r| &mut r.observations) {
@@ -831,7 +812,7 @@ mod tests {
                     accuracy_loss_budget: budget,
                     ..Default::default()
                 };
-                assert_matches_oracle(&mut tuner, &records, &SAVINGS, params);
+                assert_matches_oracle(&records, &SAVINGS, params);
             }
         }
     }
@@ -841,8 +822,8 @@ mod tests {
         // Entropies at 0.0, at 1.0, on every histogram bucket edge k/64 and
         // one ulp either side of it; thresholds start at steps of 1/64 that
         // halve below it, so candidate ranges start and end on bucket edges
-        // and fit inside one bucket. One tuner re-tunes each window under
-        // new parameters, so its cached columns must revive every entry the
+        // and fit inside one bucket. Each window re-tunes under new
+        // parameters, so its cached columns must revive every entry the
         // previous tune retired.
         let below = |x: f64| f64::from_bits(x.to_bits() - 1);
         let above = |x: f64| f64::from_bits(x.to_bits() + 1);
@@ -855,7 +836,6 @@ mod tests {
         let eval_bits =
             |e: &ConfigEvaluation| [e.accuracy, e.mean_savings_us, e.exit_rate].map(f64::to_bits);
         let savings = [9_000.0, 6_000.0, 2_500.0];
-        let mut tuner = IncrementalTuner::new();
         let mut split_buckets = 0;
         for seed in [1, 4, 9, 16] {
             let rng = DeterministicRng::new(seed);
@@ -882,7 +862,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let w = window_of(&records, savings.len());
+            let mut w = window_of(&records, savings.len());
             for (budget, initial_step) in [(0.02, 1.0 / 64.0), (0.08, 1.0 / 64.0), (0.04, 0.125)] {
                 let params = GreedyParams {
                     accuracy_loss_budget: budget,
@@ -890,7 +870,7 @@ mod tests {
                     smallest_step: 1.0 / 1024.0,
                     max_threshold: 1.0,
                 };
-                let fast = tuner.tune(&w, &savings, params);
+                let fast = w.tune(&savings, params);
                 let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &savings), params);
                 assert_eq!(bits(&fast.thresholds), bits(&oracle.thresholds));
                 assert_eq!(eval_bits(&fast.evaluation), eval_bits(&oracle.evaluation));
@@ -907,17 +887,21 @@ mod tests {
 
     #[test]
     fn incremental_matches_oracle_on_empty_window() {
-        let mut tuner = IncrementalTuner::new();
-        assert_matches_oracle(&mut tuner, &[], &SAVINGS, GreedyParams::default());
+        assert_matches_oracle(&[], &SAVINGS, GreedyParams::default());
     }
 
     #[test]
     fn incremental_tuner_caches_unchanged_windows() {
         let records = window(300, 9);
-        let w = window_of(&records, SAVINGS.len());
-        let mut tuner = IncrementalTuner::new();
-        let first = tuner.tune(&w, &SAVINGS, GreedyParams::default());
-        let again = tuner.tune(&w, &SAVINGS, GreedyParams::default());
+        let mut w = window_of(&records, SAVINGS.len());
+        let first = w.tune(&SAVINGS, GreedyParams::default());
+        let visited = w.slots_visited();
+        let again = w.tune(&SAVINGS, GreedyParams::default());
+        assert_eq!(
+            w.slots_visited(),
+            visited,
+            "an unchanged window scans nothing"
+        );
         assert_eq!(first.thresholds, again.thresholds);
         assert_eq!(first.evaluation, again.evaluation);
         assert_eq!(first.evaluations, again.evaluations);
@@ -927,46 +911,68 @@ mod tests {
             accuracy_loss_budget: 0.002,
             ..Default::default()
         };
-        let fast = tuner.tune(&w, &SAVINGS, tight);
-        let oracle = greedy_tune(&ThresholdEvaluator::new(&records, &SAVINGS), tight);
-        assert_eq!(fast.thresholds, oracle.thresholds);
-        assert_eq!(fast.evaluation, oracle.evaluation);
+        assert_tunes_like_oracle(&mut w, &SAVINGS, tight);
+        assert!(w.slots_visited() > visited);
     }
 
     #[test]
     fn incremental_tuner_tracks_a_sliding_window() {
-        // One tuner, one ring: keep pushing past capacity and re-tune after
-        // each eviction burst — every tune must match a fresh oracle over the
+        // One ring: keep pushing past capacity and re-tune after each
+        // eviction burst — every tune must match a fresh oracle over the
         // ring's current contents.
         let stream = window(600, 13);
-        let mut w = crate::monitor::TuningWindow::new(2, 128);
-        let mut tuner = IncrementalTuner::new();
+        let mut w = TuningWindow::new(2, 128);
         for (i, r) in stream.iter().enumerate() {
             w.push(&r.observations, r.exited, r.correct, r.batch_size);
             if i % 150 == 149 {
-                let fast = tuner.tune(&w, &SAVINGS, GreedyParams::default());
-                let records = w.records();
-                let oracle = greedy_tune(
-                    &ThresholdEvaluator::new(&records, &SAVINGS),
-                    Default::default(),
-                );
-                assert_eq!(fast.thresholds, oracle.thresholds);
-                assert_eq!(fast.evaluation, oracle.evaluation);
-                assert_eq!(fast.evaluations, oracle.evaluations);
+                assert_tunes_like_oracle(&mut w, &SAVINGS, GreedyParams::default());
             }
         }
     }
 
     #[test]
     fn incremental_tuner_survives_ramp_set_changes() {
-        // Re-using one tuner across windows of different widths (a ramp-set
-        // change clears the window) must not leave stale columns behind.
-        let mut tuner = IncrementalTuner::new();
-        let wide = window_k(200, 5, 4);
+        // A ramp-set change clears the window for a new ramp count; neither
+        // the cleared window's tune nor the refilled one's may read columns
+        // of the old layout.
         let savings4 = [12_000.0, 8_000.0, 5_000.0, 2_500.0];
-        assert_matches_oracle(&mut tuner, &wide, &savings4, GreedyParams::default());
-        let narrow = window(200, 5);
-        assert_matches_oracle(&mut tuner, &narrow, &SAVINGS, GreedyParams::default());
+        let mut w = window_of(&window_k(200, 5, 4), savings4.len());
+        assert_tunes_like_oracle(&mut w, &savings4, GreedyParams::default());
+        w.clear_for_ramps(SAVINGS.len());
+        assert_tunes_like_oracle(&mut w, &SAVINGS, GreedyParams::default());
+        for r in &window(200, 5) {
+            w.push(&r.observations, r.exited, r.correct, r.batch_size);
+        }
+        assert_tunes_like_oracle(&mut w, &SAVINGS, GreedyParams::default());
+    }
+
+    #[test]
+    fn a_cloned_window_tunes_like_its_source_and_apart_from_it() {
+        // A clone carries its source's cached tune; from then on each window
+        // owns its cache, so a push to either leaves the other's valid.
+        let stream = window(300, 17);
+        let params = GreedyParams::default();
+        let push = |w: &mut TuningWindow, rows: &[RequestFeedback]| {
+            for r in rows {
+                w.push(&r.observations, r.exited, r.correct, r.batch_size);
+            }
+        };
+        let mut source = window_of(&stream[..200], SAVINGS.len());
+        let first = assert_tunes_like_oracle(&mut source, &SAVINGS, params);
+        let mut clone = source.clone();
+        let visited = clone.slots_visited();
+        assert_eq!(clone.tune(&SAVINGS, params).thresholds, first.thresholds);
+        assert_eq!(clone.slots_visited(), visited, "the clone's tune is cached");
+        push(&mut clone, &stream[200..250]);
+        let visited = source.slots_visited();
+        assert_eq!(source.tune(&SAVINGS, params).thresholds, first.thresholds);
+        assert_eq!(source.slots_visited(), visited, "a push to the clone");
+        assert_tunes_like_oracle(&mut clone, &SAVINGS, params);
+        push(&mut source, &stream[250..]);
+        let visited = clone.slots_visited();
+        clone.tune(&SAVINGS, params);
+        assert_eq!(clone.slots_visited(), visited, "a push to the source");
+        assert_tunes_like_oracle(&mut source, &SAVINGS, params);
     }
 
     #[test]

@@ -30,12 +30,10 @@
 //! under the controller's plan, which ingestion asserts (in every build) is
 //! the ramp set each kept record ran under.
 
-use apparate_baselines::{
-    calibration_window, exit_outcome, per_ramp_savings_us, tune_on_window, RampDeployment,
-};
+use apparate_baselines::{calibration_window, exit_outcome, per_ramp_savings_us, RampDeployment};
 use apparate_core::{
-    adjust_ramps, greedy_tune, ramp_utilities, AdjustInput, ApparateConfig, GreedyParams,
-    IncrementalTuner, Monitor, ThresholdEvaluator, TrainedRamp, TuningWindow,
+    adjust_ramps, greedy_tune, ramp_utilities, AdjustInput, ApparateConfig, GreedyParams, Monitor,
+    ThresholdEvaluator, TrainedRamp, TuningWindow,
 };
 use apparate_exec::{
     ExecutionPlan, FeedbackLink, LinkCost, OverheadReport, ProfileRecord, RequestRelease,
@@ -67,8 +65,8 @@ pub struct ControllerStats {
     /// Configuration evaluations the online tunes performed
     /// ([`TuningOutcome::evaluations`](apparate_core::TuningOutcome), summed).
     pub tune_evaluations: usize,
-    /// Tuning-window column entries the incremental tuner's scans visited
-    /// ([`IncrementalTuner::slots_visited`]); 0 under `full_retune`.
+    /// Tuning-window column entries the online tunes' scans visited
+    /// ([`TuningWindow::slots_visited`]); 0 under `full_retune`.
     pub tune_slots_visited: usize,
 }
 
@@ -209,19 +207,8 @@ struct ControllerHalf {
     reference_batch: u32,
     /// Per-feasible-site per-exit savings (µs) at the reference batch.
     site_savings_us: Vec<f64>,
-    /// Per-active-ramp exit counts since the last adjustment round. Tracked
-    /// here (not via the monitor) so a no-op adjustment round does not have to
-    /// clear the threshold-tuning window.
-    adjust_exits: Vec<u64>,
-    /// Requests observed since the last adjustment round.
-    adjust_requests: u64,
     needs_tune: bool,
     records_since_tune: usize,
-    /// The incremental Algorithm 1 implementation (delta evaluation over the
-    /// monitor's columnar window). Produces the exact configurations the
-    /// full greedy re-tune would; `config.full_retune` switches tuning back
-    /// to the materialising oracle path.
-    tuner: IncrementalTuner,
     /// Epoch of the last issued update; every publish bumps it.
     config_epoch: u64,
     /// Records stamped with an epoch below this predate a ramp-set change and
@@ -273,8 +260,8 @@ pub(crate) fn warm_start_thresholds(
     reference_batch: u32,
     calibration: &[SampleSemantics],
 ) -> Option<Vec<f64>> {
-    let window = calibration_window(plan, calibration, reference_batch);
-    warm_start_on(plan, config, reference_batch, &window)
+    let mut window = calibration_window(plan, calibration, reference_batch);
+    warm_start_on(plan, config, reference_batch, &mut window)
 }
 
 /// [`warm_start_thresholds`] over `window`, the [`calibration_window`] of
@@ -283,13 +270,13 @@ pub(crate) fn warm_start_on(
     plan: &ExecutionPlan,
     config: &ApparateConfig,
     reference_batch: u32,
-    window: &TuningWindow,
+    window: &mut TuningWindow,
 ) -> Option<Vec<f64>> {
     if window.is_empty() || plan.num_ramps() == 0 {
         return None;
     }
-    let outcome = tune_on_window(plan, window, tuning_params(config), reference_batch);
-    Some(outcome.thresholds)
+    let savings = per_ramp_savings_us(plan, reference_batch);
+    Some(window.tune(&savings, tuning_params(config)).thresholds)
 }
 
 impl ControllerHalf {
@@ -346,18 +333,9 @@ impl ControllerHalf {
                 "a kept record ran under the controller's ramp set"
             );
             self.stats.records_ingested += 1;
-            // Batched ingestion: the monitor queues the record's requests for
-            // its tuning window, then the adjustment counters absorb the
-            // per-request exits as plain integer loops.
+            // The monitor counts the record's exits for ramp adjustment and
+            // queues its requests for the tuning window.
             self.monitor.record_batch(&record);
-            for release in &record.releases {
-                if let Some(ramp) = release.exit {
-                    if ramp < self.adjust_exits.len() {
-                        self.adjust_exits[ramp] += 1;
-                    }
-                }
-            }
-            self.adjust_requests += record.releases.len() as u64;
             self.records_since_tune += record.releases.len();
         }
         self.telemetry
@@ -398,11 +376,8 @@ impl ControllerHalf {
             let evaluator = ThresholdEvaluator::new(&records, &savings);
             greedy_tune(&evaluator, tuning_params(&self.config))
         } else {
-            let visited = self.tuner.slots_visited();
-            let outcome = self
-                .tuner
-                .tune(window, &savings, tuning_params(&self.config));
-            self.stats.tune_slots_visited += (self.tuner.slots_visited() - visited) as usize;
+            let outcome = window.tune(&savings, tuning_params(&self.config));
+            self.stats.tune_slots_visited = window.slots_visited() as usize;
             outcome
         };
         self.stats.tune_evaluations += outcome.evaluations;
@@ -412,8 +387,7 @@ impl ControllerHalf {
         self.records_since_tune = 0;
         // Restart the adjustment window: utilities must describe the ramps'
         // behaviour under the thresholds actually deployed.
-        self.adjust_exits = vec![0; self.plan.num_ramps()];
-        self.adjust_requests = 0;
+        self.monitor.restart_adjust_window();
         self.stats.tuning_rounds += 1;
         self.publish(now, false);
         let epoch = self.config_epoch;
@@ -428,9 +402,10 @@ impl ControllerHalf {
         // all-zero thresholds nothing exits, every ramp's utility is pure
         // overhead, and the adjuster would (correctly, but uselessly)
         // deactivate the entire deployment before it ever got a chance.
+        let window_requests = self.monitor.requests_since_adjust();
         if self.needs_tune
             || self.plan.num_ramps() == 0
-            || self.adjust_requests < self.config.ramp_adjust_period as u64
+            || window_requests < self.config.ramp_adjust_period as u64
         {
             return;
         }
@@ -443,24 +418,19 @@ impl ControllerHalf {
             .map(|r| r.cost.latency_us(self.reference_batch))
             .collect();
         let utilities = ramp_utilities(
-            &self.adjust_exits,
-            self.adjust_requests,
+            self.monitor.exit_counts(),
+            window_requests,
             &active_savings,
             &active_overheads,
         );
         let nets: Vec<f64> = utilities.iter().map(|u| u.net_us()).collect();
         let per_request_overhead_us = active_overheads.iter().copied().fold(0.0f64, f64::max);
-        let exit_rates: Vec<f64> = self
-            .adjust_exits
-            .iter()
-            .map(|&e| e as f64 / self.adjust_requests.max(1) as f64)
-            .collect();
         let decision = adjust_ramps(&AdjustInput {
             num_sites: self.all_sites.len(),
             active_sites: &self.active_sites,
             utilities_us: &nets,
-            exit_rates: &exit_rates,
-            window_requests: self.adjust_requests,
+            exit_rates: &self.monitor.exit_rates(),
+            window_requests,
             per_exit_saving_us: &self.site_savings_us,
             per_request_overhead_us,
             max_active: self.max_active,
@@ -525,8 +495,7 @@ impl ControllerHalf {
             self.monitor.reset_for_new_ramps(self.plan.num_ramps());
             self.publish(now, true);
         }
-        self.adjust_exits = vec![0; self.plan.num_ramps()];
-        self.adjust_requests = 0;
+        self.monitor.restart_adjust_window();
     }
 }
 
@@ -580,11 +549,8 @@ impl CoordinatedCore {
                 capacity,
                 reference_batch,
                 site_savings_us,
-                adjust_exits: vec![0; num_ramps],
-                adjust_requests: 0,
                 needs_tune: true,
                 records_since_tune: 0,
-                tuner: IncrementalTuner::new(),
                 config_epoch: 0,
                 min_ingest_epoch: 0,
                 uplink: FeedbackLink::new(link),
@@ -1424,11 +1390,11 @@ mod tests {
             let evaluator = ThresholdEvaluator::new(&records, &savings);
             // Both tunes read one shared calibration window, as a comparison
             // table's warm start and one-shot row do.
-            let window = calibration_window(plan, calibration, *reference_batch);
+            let mut window = calibration_window(plan, calibration, *reference_batch);
             for params in [oneshot, tuning_params(&config)] {
                 let fast = offline_tuned_thresholds(plan, calibration, params, *reference_batch);
                 assert_same_outcome(&fast, &greedy_tune(&evaluator, params));
-                let shared = tune_on_window(plan, &window, params, *reference_batch);
+                let shared = window.tune(&savings, params);
                 assert_same_outcome(&shared, &fast);
                 exits += fast.thresholds.iter().filter(|&&t| t > 0.0).count();
             }

@@ -91,9 +91,11 @@ fn service_estimate(dep_budget: &RampDeployment) -> SimDuration {
 /// a scenario's shared stream. Every replica runs the scenario's serving
 /// loop; each Apparate replica is warm-started on the scenario's
 /// calibration samples and coordinates over its own link, running the full
-/// controller loop, ramp-set adjustment included. The three families'
-/// replicas share one work queue of up to `threads` workers (`1` ⇒ the
-/// sequential path); the merged outcome is identical for any thread count.
+/// controller loop, ramp-set adjustment included. The stream is sharded
+/// once: sharding depends only on arrivals and dispatch, so the three
+/// families serve the same shards. Their replicas share one work queue of up
+/// to `threads` workers (`1` ⇒ the sequential path), Apparate's first, as
+/// they take longest; the merged outcome is identical for any thread count.
 ///
 /// `telemetry` is attached to the Apparate fleet's run: every replica's
 /// dispatch and serving events land in that replica's buffer (derived via
@@ -106,59 +108,10 @@ pub fn run_fleet<S: Scenario>(
     telemetry: &Telemetry,
     threads: usize,
 ) -> FleetRun {
-    fleet_over_shards(scenario, replicas, dispatch, telemetry, threads, false)
-}
-
-/// Like [`run_fleet`], untraced, with the replay sharding step replaced by
-/// streaming ingest: requests are offered one at a time through an
-/// [`IngestSession`](apparate_serving::IngestSession) in passthrough mode (no
-/// admission), which makes *exactly* the replay path's dispatch decisions —
-/// so the resulting table is byte-identical to [`run_fleet`] on the same
-/// scenario. This is the determinism fence `tests/parallel.rs` diffs at
-/// every thread count.
-pub fn run_fleet_streamed<S: Scenario>(
-    scenario: &S,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    let disabled = Telemetry::disabled();
-    fleet_over_shards(scenario, replicas, dispatch, &disabled, threads, true)
-}
-
-/// [`run_fleet`] over a classification scenario, untraced.
-pub fn run_classification_fleet_threaded(
-    scenario: &ClassificationScenario,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    threads: usize,
-) -> FleetRun {
-    run_fleet(
-        scenario,
-        replicas,
-        dispatch,
-        &Telemetry::disabled(),
-        threads,
-    )
-}
-
-/// Shard the scenario's stream once, replayed or `streamed`, and serve the
-/// shards with the Apparate, static-EE and vanilla fleets, every replica of
-/// the three one item of one work queue (Apparate's first: its replicas take
-/// longest). Sharding depends only on arrivals and dispatch, so identical
-/// shards produce byte-identical tables however the stream was consumed.
-fn fleet_over_shards<S: Scenario>(
-    scenario: &S,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    telemetry: &Telemetry,
-    threads: usize,
-    streamed: bool,
-) -> FleetRun {
     let config = scenario_config();
     let (_, dep_budget) = fixture(scenario, &config);
     let estimate = service_estimate(&dep_budget);
-    let shards = scenario.shards(&scenario.stream(), replicas, dispatch, estimate, streamed);
+    let shards = scenario.shards(&scenario.stream(), replicas, dispatch, estimate);
     let fleet = ReplicaFleet::new(replicas, dispatch, scenario.replica_loop().clone());
     // Only the Apparate fleet is traced: the sink goes on a clone of the
     // (config-only) fleet handle, so the baseline families stay untraced.
@@ -233,6 +186,22 @@ fn fleet_over_shards<S: Scenario>(
         },
         shard_sizes: apparate_out.shard_sizes,
     }
+}
+
+/// [`run_fleet`] over a classification scenario, untraced.
+pub fn run_classification_fleet_threaded(
+    scenario: &ClassificationScenario,
+    replicas: usize,
+    dispatch: FleetDispatch,
+    threads: usize,
+) -> FleetRun {
+    run_fleet(
+        scenario,
+        replicas,
+        dispatch,
+        &Telemetry::disabled(),
+        threads,
+    )
 }
 
 /// One unit per policy, named `{family}-{replica}`, over the family's
@@ -345,7 +314,7 @@ pub fn run_admission_fleet(
 
     // Pass 1 serves plain replay shards: every arrival dispatched, queues
     // unbounded.
-    let replay_shards = scenario.shards(&trace, replicas, dispatch, service_estimate, false);
+    let replay_shards = scenario.shards(&trace, replicas, dispatch, service_estimate);
     // Pass 2 serves the shards the admission front end dispatches. Queue
     // bound: the number of batch-1 service slots that fit in one SLO — a
     // request admitted behind a full queue is exactly the request the model

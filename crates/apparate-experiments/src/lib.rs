@@ -13,7 +13,7 @@
 //!   the [`Scenario`] trait, so each runner is written once for the
 //!   classification and the decode path: [`run_table`] /
 //!   [`run_comparison`] (the six-policy table), [`apparate_overhead`] (one
-//!   §4.5 row) and, in [`fleet`], [`run_fleet`] / [`run_fleet_streamed`].
+//!   §4.5 row) and, in [`fleet`], [`run_fleet`].
 //! * [`fleet`] — multi-replica scale-out runs: N replicas behind one
 //!   dispatcher, one warm-started controller per replica over its own
 //!   charged link, fleet-level win tables, and the overload admission run
@@ -39,7 +39,7 @@ pub mod sweep;
 pub use controller::{ApparatePolicy, ApparateTokenPolicy, ControllerStats};
 pub use fleet::{
     render_admission_summary, render_fleet_summary, run_admission_fleet,
-    run_classification_fleet_threaded, run_fleet, run_fleet_streamed, AdmissionFleetRun, FleetRun,
+    run_classification_fleet_threaded, run_fleet, AdmissionFleetRun, FleetRun,
 };
 pub use report::{ComparisonTable, OverheadRow, OverheadTable, PolicyRow};
 pub use scenario::{

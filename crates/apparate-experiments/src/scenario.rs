@@ -10,17 +10,17 @@
 use std::borrow::Cow;
 
 use apparate_baselines::{
-    batch_time_fn, calibration_window, deploy_all_sites, deploy_budget_sites, tune_on_window,
+    batch_time_fn, calibration_window, deploy_all_sites, deploy_budget_sites, per_ramp_savings_us,
     vanilla_policy, OracleExitPolicy, RampDeployment, StaticExitPolicy,
 };
 use apparate_core::{ApparateConfig, GreedyParams, RampArchitecture};
 use apparate_exec::{ExecutionPlan, OverheadReport, SampleSemantics, SemanticsModel};
 use apparate_model::{zoo, LayerId, ZooModel};
 use apparate_serving::{
-    run_queue, shard_arrivals, shard_requests, stream_arrivals, ArrivalTrace,
-    ContinuousBatchingConfig, FleetDispatch, GenerativeOutcome, GenerativeSimulator, IngestSession,
-    LatencySummary, ReplicaLoop, ReplicaPolicy, Request, RequestShard, ServingConfig,
-    ServingOutcome, ServingSimulator, TokenSemantics, TraceShard,
+    run_queue, shard_arrivals, shard_requests, ArrivalTrace, ContinuousBatchingConfig,
+    FleetDispatch, GenerativeOutcome, GenerativeSimulator, LatencySummary, ReplicaLoop,
+    ReplicaPolicy, Request, RequestShard, ServingConfig, ServingOutcome, ServingSimulator,
+    TokenSemantics, TraceShard,
 };
 use apparate_sim::{Cdf, DeterministicRng, SimDuration};
 use apparate_telemetry::Telemetry;
@@ -490,18 +490,15 @@ pub trait Scenario: Sync {
         estimate: &dyn Fn(u32) -> SimDuration,
         telemetry: &Telemetry,
     ) -> Outcome<Self>;
-    /// Shard the stream across `replicas` replicas, either replayed in one
-    /// pass or offered one request at a time through an [`IngestSession`] in
-    /// passthrough mode (`streamed`), which makes exactly the same dispatch
-    /// decisions. `service_estimate` is the front end's per-request
-    /// estimate, per token on the decode path.
+    /// Shard the stream across `replicas` replicas in one replay pass.
+    /// `service_estimate` is the front end's per-request estimate, per token
+    /// on the decode path.
     fn shards(
         &self,
         stream: &Self::Stream,
         replicas: usize,
         dispatch: FleetDispatch,
         service_estimate: SimDuration,
-        streamed: bool,
     ) -> Vec<Shard<Self>>;
 }
 
@@ -581,14 +578,8 @@ impl Scenario for ClassificationScenario {
         replicas: usize,
         dispatch: FleetDispatch,
         service_estimate: SimDuration,
-        streamed: bool,
     ) -> Vec<TraceShard> {
-        if streamed {
-            let disabled = Telemetry::disabled();
-            stream_arrivals(trace, replicas, dispatch, service_estimate, None, &disabled).shards
-        } else {
-            shard_arrivals(trace, replicas, dispatch, service_estimate)
-        }
+        shard_arrivals(trace, replicas, dispatch, service_estimate)
     }
 }
 
@@ -657,29 +648,8 @@ impl Scenario for GenerativeScenario {
         replicas: usize,
         dispatch: FleetDispatch,
         per_token_estimate: SimDuration,
-        streamed: bool,
     ) -> Vec<RequestShard> {
-        if !streamed {
-            return shard_requests(requests, replicas, dispatch, per_token_estimate);
-        }
-        let mut session = IngestSession::new(replicas, dispatch, per_token_estimate);
-        for request in requests {
-            session.offer_weighted(
-                request.arrival,
-                request.projected_decode(per_token_estimate),
-            );
-        }
-        // Rebuild whole-sequence shards from the streamed dispatch decisions:
-        // the shard carries the actual requests, not just arrival times.
-        session
-            .finish()
-            .shards
-            .into_iter()
-            .map(|shard| RequestShard {
-                requests: shard.indices.iter().map(|&i| requests[i].clone()).collect(),
-                indices: shard.indices,
-            })
-            .collect()
+        shard_requests(requests, replicas, dispatch, per_token_estimate)
     }
 }
 
@@ -858,17 +828,13 @@ pub fn run_comparison<S: Scenario>(
     let budget_plan = &dep_budget.plan;
     let all_plan = &dep_all.plan;
     // Apparate's warm start and the one-shot row tune the same calibration
-    // window, each with its own parameters: it is built once, and freed
-    // before any row serves.
+    // window, each with its own parameters: it is built and laid out once,
+    // and freed before any row serves.
     let reference_batch = scenario.reference_batch();
-    let window = calibration_window(budget_plan, &calibration, reference_batch);
-    let warm = warm_start_on(budget_plan, &config, reference_batch, &window);
-    let oneshot = tune_on_window(
-        budget_plan,
-        &window,
-        oneshot_params(&config),
-        reference_batch,
-    );
+    let mut window = calibration_window(budget_plan, &calibration, reference_batch);
+    let warm = warm_start_on(budget_plan, &config, reference_batch, &mut window);
+    let savings = per_ramp_savings_us(budget_plan, reference_batch);
+    let oneshot = window.tune(&savings, oneshot_params(&config));
     drop(window);
 
     let runs = run_queue(threads, Row::QUEUE.to_vec(), |_, row| {

@@ -10,8 +10,8 @@
 
 use apparate_experiments::{
     cv_scenario, diurnal_scenario, generative_scenario, render_admission_summary,
-    run_admission_fleet, run_classification_fleet_threaded, run_fleet, run_fleet_streamed,
-    run_scenarios_traced_config, scenario_config, OverheadTable, ReproSizes, ScenarioSelect,
+    run_admission_fleet, run_classification_fleet_threaded, run_fleet, run_scenarios_traced_config,
+    scenario_config, OverheadTable, ReproSizes, ScenarioSelect,
 };
 use apparate_serving::FleetDispatch;
 use apparate_telemetry::{
@@ -174,64 +174,20 @@ fn admission_artifacts_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn streamed_classification_ingest_matches_trace_replay_at_every_thread_count() {
-    // One-event-at-a-time ingest (passthrough, no admission) must reproduce
-    // the batch sharding path's dispatch decisions exactly, so the whole win
-    // table — title, rows, wins — is byte-identical to replay, at every
-    // thread count and under both dispatch policies.
-    for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-        let scenario = cv_scenario(42, 1_500);
-        let replayed = run_classification_fleet_threaded(&scenario, 4, dispatch, 1)
-            .table
-            .render();
-        for threads in [1, 2, 8] {
-            let streamed = run_fleet_streamed(&scenario, 4, dispatch, threads)
-                .table
-                .render();
-            assert_eq!(
-                replayed, streamed,
-                "streamed ingest diverged from trace replay ({dispatch}, {threads} threads)"
-            );
-        }
-    }
-}
-
-#[test]
-fn streamed_generative_ingest_matches_request_replay_at_every_thread_count() {
-    // Decode-loop counterpart: whole sequences offered one at a time, each
-    // weighted by projected decode time, must shard exactly like the batch
-    // `shard_requests` path — byte-identical TPT tables at every thread count.
-    for dispatch in [FleetDispatch::RoundRobin, FleetDispatch::LeastLoaded] {
-        let scenario = generative_scenario(42, 48);
-        let replayed = run_fleet(&scenario, 4, dispatch, &Telemetry::disabled(), 1)
-            .table
-            .render();
-        for threads in [1, 2, 8] {
-            let streamed = run_fleet_streamed(&scenario, 4, dispatch, threads)
-                .table
-                .render();
-            assert_eq!(
-                replayed, streamed,
-                "streamed ingest diverged from request replay ({dispatch}, {threads} threads)"
-            );
-        }
-    }
-}
-
-#[test]
-fn traced_streamed_run_diff_matches_untraced_replay() {
-    // Turning telemetry on must not perturb the simulation, and streaming
-    // must not perturb it either: a traced replay run and an untraced
-    // streamed run of the same scenario render the same table.
+fn traced_run_diff_matches_untraced_replay() {
+    // Turning telemetry on must not perturb the simulation: a traced run and
+    // an untraced run of the same scenario render the same table.
     let scenario = cv_scenario(42, 1_500);
     let telemetry = Telemetry::recording(TelemetryConfig::default());
     let traced = run_fleet(&scenario, 4, FleetDispatch::LeastLoaded, &telemetry, 2)
         .table
         .render();
-    let streamed = run_fleet_streamed(&scenario, 4, FleetDispatch::LeastLoaded, 8)
+    let snapshot = telemetry.snapshot().expect("recording sink");
+    assert!(!render_trace_json_lines(&snapshot).is_empty());
+    let untraced = run_classification_fleet_threaded(&scenario, 4, FleetDispatch::LeastLoaded, 8)
         .table
         .render();
-    assert_eq!(traced, streamed);
+    assert_eq!(traced, untraced);
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! | D001 | no wall-clock (`Instant::now`/`SystemTime`) outside `bench`      |
 //! | D002 | no `HashMap`/`HashSet` in table/export-producing crates          |
 //! | D003 | no ambient randomness or env-dependent values                    |
+//! | D004 | no process-global mutable state outside perfbench                |
 //! | C001 | no lock guard held across a `spawn`/`scope` call                 |
 //! | C002 | telemetry replicas via `for_replica`, never `set_replica`        |
 //! | C003 | `#![forbid(unsafe_code)]` in every non-compat crate root         |
@@ -97,6 +98,13 @@ pub fn registry() -> Vec<Rule> {
                       env::var, thread::current().id())",
             applies: |ctx| !ctx.is_compat,
             check: check_d003,
+        },
+        Rule {
+            id: "D004",
+            summary: "no process-global mutable state: static mut, thread_local!, or a static \
+                      whose type names an Atomic*, Mutex, RwLock, Cell or RefCell",
+            applies: |ctx| !ctx.is_compat && ctx.crate_name != "perfbench",
+            check: check_d004,
         },
         Rule {
             id: "C001",
@@ -224,6 +232,46 @@ fn check_d003(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 "D003",
                 &ctx.tokens[i],
                 "thread identity (`thread::current().id()`) is scheduling-dependent".to_string(),
+            ));
+        }
+    }
+}
+
+/// D004: process-global mutable state — `static mut`, `thread_local!`, and
+/// any `static` whose type names an atomic, a lock or a cell. Such state is
+/// shared by every run in the process, so what one run reads can depend on
+/// what runs before or beside it did; state lives in the value that owns
+/// it. An immutable `static` (a `LazyLock` table) is fine. The benchmark
+/// package is exempt: its per-thread span log observes the program from
+/// outside, through public entry points it cannot thread a handle through.
+fn check_d004(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let t = ctx.tokens;
+    let shared_mutable = |token: &&Token| {
+        token.kind == crate::lexer::TokenKind::Ident
+            && (token.text.starts_with("Atomic")
+                || ["Mutex", "RwLock", "Cell", "RefCell"].contains(&token.text.as_str()))
+    };
+    for i in 0..t.len() {
+        let found = if ctx.id(i, "thread_local") && ctx.punct(i + 1, "!") {
+            Some("`thread_local!`".to_string())
+        } else if ctx.id(i, "static") && ctx.id(i + 1, "mut") {
+            Some("`static mut`".to_string())
+        } else if ctx.id(i, "static") && ctx.punct(i + 2, ":") {
+            // The item's type: every token up to its `=`.
+            let mut ty = t[i + 3..].iter().take_while(|token| !token.is_punct("="));
+            ty.find(shared_mutable)
+                .map(|cell| format!("`static {}` of a `{}` type", t[i + 1].text, cell.text))
+        } else {
+            None
+        };
+        if let Some(found) = found {
+            out.push(ctx.diag(
+                "D004",
+                &t[i],
+                format!(
+                    "process-global mutable state ({found}): every run in the process shares \
+                     it; keep the state in the value that owns it"
+                ),
             ));
         }
     }

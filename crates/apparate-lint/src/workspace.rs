@@ -13,8 +13,9 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Repo-relative path with forward slashes (diagnostic anchor).
     pub rel: String,
-    /// Owning crate: `apparate-core`, `bench`, `compat/serde`, or
-    /// `apparate` for the root facade (`src/`, `examples/`).
+    /// Owning crate: `apparate-core`, `bench`, `compat/serde`, `perfbench`
+    /// for the benchmark package, or `apparate` for the root facade (`src/`,
+    /// `examples/`).
     pub crate_name: String,
     /// True for `crates/compat/*` registry stand-ins.
     pub is_compat: bool,
@@ -72,6 +73,7 @@ pub fn classify(rel: &str) -> (String, bool) {
     match parts.as_slice() {
         ["crates", "compat", name, ..] => (format!("compat/{name}"), true),
         ["crates", name, ..] => (name.to_string(), false),
+        ["perfbench", ..] => ("perfbench".to_string(), false),
         // Root facade sources and its examples.
         _ => ("apparate".to_string(), false),
     }
@@ -95,6 +97,10 @@ mod tests {
         assert_eq!(
             classify("examples/quickstart.rs"),
             ("apparate".to_string(), false)
+        );
+        assert_eq!(
+            classify("perfbench/src/trace.rs"),
+            ("perfbench".to_string(), false)
         );
     }
 }

@@ -111,6 +111,73 @@ fn d003_is_silent_on_seeded_rng_and_plain_vars() {
     assert!(lint(r#"let var = environment.lookup(key);"#).is_empty());
 }
 
+// ---- D004: process-global mutable state -------------------------------------
+
+#[test]
+fn d004_flags_static_mut_thread_locals_and_shared_mutable_statics() {
+    assert_eq!(lint(r#"static mut COUNT: u64 = 0;"#), ["D004@1"]);
+    assert_eq!(
+        lint(r#"static WINDOW_IDS: AtomicU64 = AtomicU64::new(1);"#),
+        ["D004@1"]
+    );
+    assert_eq!(
+        lint(
+            r#"pub(crate) static SEEN: LazyLock<Mutex<Vec<u64>>> = LazyLock::new(Default::default);"#
+        ),
+        ["D004@1"]
+    );
+    assert_eq!(
+        lint(r#"static SLOTS: [RwLock<u8>; 2] = [RwLock::new(0), RwLock::new(0)];"#),
+        ["D004@1"]
+    );
+    assert_eq!(
+        lint(r#"static ROWS: Lazy<Box<[(u8, RefCell<u8>)]>> = Lazy::new(build);"#),
+        ["D004@1"]
+    );
+    // The macro and its cell-typed static are each a finding.
+    assert_eq!(
+        lint(r#"thread_local! { static LAST: Cell<u64> = Cell::new(0); }"#),
+        ["D004@1", "D004@1"]
+    );
+}
+
+#[test]
+fn d004_is_silent_on_immutable_statics_and_local_cells() {
+    assert!(lint(
+        r#"static RAMP_NOISE_FACTORS: LazyLock<Box<[[f64; 2]]>> = LazyLock::new(|| table());"#
+    )
+    .is_empty());
+    assert!(lint(r#"static NAMES: &[&str] = &["Mutex", "Cell"]; const MAX: u64 = 3;"#).is_empty());
+    // A lock named only in the initialiser is not the static's type.
+    assert!(lint(r#"static N: usize = size_of::<Mutex<u8>>();"#).is_empty());
+    assert!(lint(r#"fn f(name: &'static str) { let seen = Cell::new(0); }"#).is_empty());
+    assert!(lint(r#"fn f(x: &Mutex<u8>) -> impl Fn() + 'static { move || {} }"#).is_empty());
+}
+
+#[test]
+fn d004_is_silent_in_the_benchmark_package() {
+    let (diags, _) = lint_in(
+        "perfbench",
+        "perfbench/src/trace.rs",
+        r#"thread_local! { static LOG: RefCell<Log> = RefCell::new(Log::default()); }"#,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn d004_allow_with_reason_suppresses() {
+    let (diags, suppressed) = lint_in(
+        "apparate-core",
+        "crates/apparate-core/src/x.rs",
+        r#"
+// lint:allow(D004, reason = "a process-wide counter no output reads")
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+"#,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+    assert_eq!(suppressed, 1);
+}
+
 // ---- C001: lock guard across spawn ------------------------------------------
 
 #[test]
@@ -292,7 +359,8 @@ fn compat_crates_are_exempt() {
         "crates/compat/rand/src/lib.rs",
         "compat/rand",
         true,
-        r#"pub fn thread_rng() -> ThreadRng { ThreadRng::new(Instant::now()) }"#,
+        r#"pub fn thread_rng() -> ThreadRng { ThreadRng::new(Instant::now()) }
+static mut STATE: u64 = 0;"#,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }

@@ -33,8 +33,8 @@
 //! the front end's own queue model and its static per-request service
 //! estimate. With admission disabled the session is a pure
 //! passthrough: forwarded times equal arrival times and the produced shards
-//! are byte-identical to the batch sharding path, which is what lets the
-//! determinism suite diff streamed ingest against trace replay.
+//! are byte-identical to the batch sharding path, which this module's tests
+//! pin shard for shard.
 
 use std::collections::VecDeque;
 
@@ -440,17 +440,11 @@ impl IngestSession {
         self
     }
 
-    /// Offer one arrival with the session's default service estimate
-    /// (classification: every request costs one batch-1 pass).
+    /// Offer one arrival, charged the session's service estimate (every
+    /// request costs one batch-1 pass). Arrival times must be offered in
+    /// non-decreasing order.
     pub fn offer(&mut self, at: SimTime) -> AdmissionDecision {
-        self.offer_weighted(at, self.service_estimate)
-    }
-
-    /// Offer one arrival with an explicit service weight (generative:
-    /// [`Request::projected_decode`](crate::request::Request::projected_decode),
-    /// as in [`shard_requests`](crate::fleet::shard_requests)). Arrival times
-    /// must be offered in non-decreasing order.
-    pub fn offer_weighted(&mut self, at: SimTime, service: SimDuration) -> AdmissionDecision {
+        let service = self.service_estimate;
         let index = self.dispatcher.offered();
         let decision = match &mut self.admission {
             None => {

@@ -26,8 +26,7 @@ use apparate_baselines::{
 };
 use apparate_core::{
     adjust_ramps, feasible_sites, grid_tune, ramp_utilities, AdjustInput, ApparateConfig,
-    GreedyParams, IncrementalTuner, RampArchitecture, RequestFeedback, ThresholdEvaluator,
-    TuningWindow,
+    GreedyParams, RampArchitecture, RequestFeedback, ThresholdEvaluator, TuningWindow,
 };
 use apparate_exec::{SampleSemantics, SemanticsModel};
 use apparate_experiments::{
@@ -206,10 +205,11 @@ fn tuning(ctx: &BenchContext) -> Vec<BenchReport> {
         .collect();
     let grid_savings: Vec<f64> = savings.iter().take(2).copied().collect();
 
-    // The controller's live tuning path: the incremental Algorithm 1 over
-    // the monitor's columnar window. A fresh tuner per iteration keeps the
-    // measurement cold (no cross-tune outcome/column cache) — this is the
-    // cost of the first tune after a window change, the worst case.
+    // The controller's live tuning path: Algorithm 1 over the monitor's
+    // columnar window. Each iteration tunes a fresh copy of the window, whose
+    // column cache is stale, so the measurement stays cold (no cross-tune
+    // outcome or column reuse) — the cost of the first tune after a window
+    // change, the worst case.
     let window = {
         let mut w = TuningWindow::new(plan.num_ramps(), records.len().max(1));
         for r in &records {
@@ -220,8 +220,7 @@ fn tuning(ctx: &BenchContext) -> Vec<BenchReport> {
 
     vec![
         ctx.bench(SUITE, "greedy_tune/validation-window", || {
-            let mut tuner = IncrementalTuner::new();
-            tuner.tune(&window, &savings, greedy_params(0.01))
+            window.clone().tune(&savings, greedy_params(0.01))
         }),
         ctx.bench(SUITE, "grid_tune/2-ramps-step-0.25", || {
             let evaluator = ThresholdEvaluator::new(&grid_records, &grid_savings);
