@@ -266,6 +266,9 @@ pub struct Monitor {
     num_ramps: usize,
     accuracy_capacity: usize,
     accuracy_window: VecDeque<bool>,
+    /// Correct results in `accuracy_window`, kept as results enter and
+    /// leave it.
+    accuracy_correct: usize,
     tuning_window: TuningWindow,
     /// Requests delivered since the window was last read, oldest first; at
     /// most the window's capacity.
@@ -273,7 +276,6 @@ pub struct Monitor {
     ramp_exits: Vec<u64>,
     requests_since_adjust: u64,
     total_requests: u64,
-    total_correct: u64,
 }
 
 impl Monitor {
@@ -284,12 +286,12 @@ impl Monitor {
             num_ramps,
             accuracy_capacity,
             accuracy_window: VecDeque::with_capacity(accuracy_capacity),
+            accuracy_correct: 0,
             tuning_window: TuningWindow::new(num_ramps, tuning_capacity),
             pending: VecDeque::new(),
             ramp_exits: vec![0; num_ramps],
             requests_since_adjust: 0,
             total_requests: 0,
-            total_correct: 0,
         }
     }
 
@@ -303,9 +305,11 @@ impl Monitor {
     #[inline]
     fn note_request(&mut self, exited: Option<usize>, correct: bool) {
         if self.accuracy_window.len() == self.accuracy_capacity {
-            self.accuracy_window.pop_front();
+            let evicted = self.accuracy_window.pop_front();
+            self.accuracy_correct -= usize::from(evicted == Some(true));
         }
         self.accuracy_window.push_back(correct);
+        self.accuracy_correct += usize::from(correct);
         if let Some(idx) = exited {
             if idx < self.num_ramps {
                 self.ramp_exits[idx] += 1;
@@ -313,15 +317,14 @@ impl Monitor {
         }
         self.requests_since_adjust += 1;
         self.total_requests += 1;
-        if correct {
-            self.total_correct += 1;
-        }
     }
 
-    /// Record feedback for one request, row included. Only a monitor with
-    /// no delivered request pending takes one, so rows always enter the
-    /// window in arrival order.
-    pub fn record(&mut self, feedback: RequestFeedback) {
+    /// Record feedback for one request, row included: the eager reference
+    /// [`Monitor::record_batch`]'s lazy rows are tested against. Only a
+    /// monitor with no delivered request pending takes one, so rows always
+    /// enter the window in arrival order.
+    #[cfg(test)]
+    pub(crate) fn record(&mut self, feedback: RequestFeedback) {
         debug_assert_eq!(feedback.observations.len(), self.num_ramps);
         assert!(
             self.pending.is_empty(),
@@ -359,26 +362,18 @@ impl Monitor {
         }
     }
 
-    /// Accuracy over the short trigger window (1.0 when empty).
+    /// Accuracy over the short trigger window (1.0 when empty): the
+    /// window's running count of correct results over its length.
     pub fn windowed_accuracy(&self) -> f64 {
         if self.accuracy_window.is_empty() {
             return 1.0;
         }
-        self.accuracy_window.iter().filter(|&&c| c).count() as f64
-            / self.accuracy_window.len() as f64
+        self.accuracy_correct as f64 / self.accuracy_window.len() as f64
     }
 
     /// True once the trigger window has filled at least once.
     pub fn accuracy_window_full(&self) -> bool {
         self.accuracy_window.len() == self.accuracy_capacity
-    }
-
-    /// Cumulative accuracy since the monitor was created.
-    pub fn cumulative_accuracy(&self) -> f64 {
-        if self.total_requests == 0 {
-            return 1.0;
-        }
-        self.total_correct as f64 / self.total_requests as f64
     }
 
     /// The columnar tuning window (the tuners' input), after the rows of
@@ -496,7 +491,46 @@ mod tests {
             m.record(feedback(&[0.1, 0.1], None, true));
         }
         assert_eq!(m.windowed_accuracy(), 1.0);
-        assert!(m.cumulative_accuracy() < 1.0);
+    }
+
+    #[test]
+    fn trigger_count_matches_a_recount_under_seeded_ingest() {
+        let mut draws = DeterministicRng::new(5).stream(&[0]);
+        let mut m = Monitor::new(3, 16, 32);
+        let (mut evictions, mut resets, mut restarts, mut seed) = (0, 0, 0, 0u64);
+        for _ in 0..400 {
+            match draws.below(10) {
+                0 => {
+                    m.reset_for_new_ramps(1 + draws.below(4) as usize);
+                    resets += 1;
+                }
+                1 => {
+                    m.restart_adjust_window();
+                    restarts += 1;
+                }
+                _ => {
+                    let batch = 1 + draws.below(8) as usize;
+                    let rows: Vec<RequestFeedback> = (0..batch)
+                        .map(|_| {
+                            let correct = draws.chance(0.7);
+                            feedback(&vec![0.5; m.num_ramps()], None, correct)
+                        })
+                        .collect();
+                    evictions += (m.accuracy_window.len() + batch).saturating_sub(16);
+                    m.record_batch(&profile_record(&rows, seed));
+                    seed += batch as u64;
+                }
+            }
+            let recount = m.accuracy_window.iter().filter(|&&c| c).count();
+            assert_eq!(m.accuracy_correct, recount);
+            let want = if m.accuracy_window.is_empty() {
+                1.0
+            } else {
+                recount as f64 / m.accuracy_window.len() as f64
+            };
+            assert_eq!(m.windowed_accuracy().to_bits(), want.to_bits());
+        }
+        assert!(evictions > 100 && resets > 10 && restarts > 10);
     }
 
     #[test]
@@ -575,7 +609,6 @@ mod tests {
     fn empty_exit_rates_are_zero() {
         let m = Monitor::new(2, 16, 64);
         assert_eq!(m.exit_rates(), vec![0.0, 0.0]);
-        assert_eq!(m.cumulative_accuracy(), 1.0);
     }
 
     /// Build a ProfileRecord carrying the given per-request feedback; request
@@ -624,10 +657,6 @@ mod tests {
         assert_eq!(batched.windowed_accuracy(), one_by_one.windowed_accuracy());
         assert_eq!(batched.exit_counts(), one_by_one.exit_counts());
         assert_eq!(batched.total_requests(), one_by_one.total_requests());
-        assert_eq!(
-            batched.cumulative_accuracy(),
-            one_by_one.cumulative_accuracy()
-        );
         let b = one_by_one.tuning_window(no_rows).records();
         let mut built = 0;
         let window = batched.tuning_window(|sample, row| {

@@ -14,7 +14,7 @@
 //! controller in `apparate-core` and the baselines in `apparate-baselines`.
 
 use crate::semantics::{
-    power_factor, RampObservation, SampleSemantics, ScanStep, ScanSteps, SemanticsModel,
+    power_factor, RampObservation, SampleSemantics, ScanStep, ScanSteps, SemanticsModel, ROW_CHUNK,
 };
 use apparate_model::{LayerId, LayerLatency, ModelLatency, ZooModel};
 use serde::{Deserialize, Serialize};
@@ -211,15 +211,25 @@ impl ExecutionPlan {
 
     /// Append `sample`'s observation at every active ramp, in ramp order, to
     /// `out`: one request's row of [`ExecutionPlan::execute_batch`], for
-    /// callers that build rows one at a time into a buffer they reuse.
+    /// callers that build rows one at a time into a buffer they reuse (the
+    /// controller's tuning-window rows and every calibration window).
+    ///
+    /// Each cell is bit for bit [`SemanticsModel::observe_with`]'s. The row
+    /// is built 16 ramps at a time, with each chunk's draws in stack arrays,
+    /// and in phases within a chunk: every cell's unit draws, then every
+    /// margin, then every entropy, then every agreement (see the *Rows*
+    /// section of [`crate::semantics`]).
     pub fn observe_into(&self, sample: &SampleSemantics, out: &mut Vec<RampObservation>) {
         let input = self.semantics.input(sample);
-        out.extend(
-            self.ramps
-                .iter()
-                .zip(&self.ramp_powers)
-                .map(|(r, &power)| self.semantics.observe_with(&input, r.site.0 as u64, power)),
-        );
+        for (ramps, powers) in self
+            .ramps
+            .chunks(ROW_CHUNK)
+            .zip(self.ramp_powers.chunks(ROW_CHUNK))
+        {
+            let keys = ramps.iter().map(|r| r.site.0 as u64);
+            self.semantics
+                .observe_chunk(&input, keys.zip(powers.iter().copied()), out);
+        }
     }
 
     /// The earliest active ramp at which `sample` exits under per-ramp
@@ -493,6 +503,80 @@ mod tests {
                 assert_eq!(
                     plan.ramp_offset_us(i, batch).to_bits(),
                     (prefix + costs(i + 1)).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phased_rows_match_per_cell_observations_bit_for_bit() {
+        // Every chunk boundary (0, 1, 15, 16 and 17 ramps) and multi-chunk
+        // rows with a tail: the all-sites plans of ResNet-50 and Llama2-7B.
+        let all_sites = |model: ZooModel| {
+            let semantics = SemanticsModel::new(11, model.descriptor.overparameterization);
+            let ramps = model
+                .graph
+                .feasible_ramp_sites(None)
+                .into_iter()
+                .map(|site| RampPlacement {
+                    site,
+                    cost: lightweight_cost(),
+                    capacity: 0.95,
+                })
+                .collect();
+            ExecutionPlan::new(model, semantics, ramps)
+        };
+        let mut plans: Vec<ExecutionPlan> = [0, 1, 15, 16, 17]
+            .into_iter()
+            .map(plan_with_ramps)
+            .collect();
+        plans.push(all_sites(zoo::resnet(50)));
+        plans.push(all_sites(zoo::llama2_7b()));
+        assert_eq!(
+            plans.iter().map(|p| p.num_ramps()).collect::<Vec<_>>(),
+            [0, 1, 15, 16, 17, 37, 129]
+        );
+        let samples: Vec<SampleSemantics> = (0..200)
+            .map(|i| SampleSemantics::new(i * 6151 + 3, (i as f64 * 0.2718) % 1.0))
+            .collect();
+        let ahead = RampObservation {
+            entropy: 0.5,
+            agrees: false,
+        };
+        let mut row = Vec::new();
+        for plan in &plans {
+            let (mut agree, mut clamped) = (0, 0);
+            for s in &samples {
+                // A row appends: what the buffer held stays ahead of it.
+                row.clear();
+                row.push(ahead);
+                plan.observe_into(s, &mut row);
+                assert_eq!(row.len(), 1 + plan.num_ramps());
+                assert_eq!(row[0], ahead);
+                let input = plan.semantics().input(s);
+                for (i, (ramp, got)) in plan.ramps().iter().zip(&row[1..]).enumerate() {
+                    let want = plan.semantics().observe_with(
+                        &input,
+                        ramp.site.0 as u64,
+                        plan.ramp_powers[i],
+                    );
+                    assert_eq!(got.entropy.to_bits(), want.entropy.to_bits(), "ramp {i}");
+                    assert_eq!(got.agrees, want.agrees, "ramp {i}");
+                    agree += usize::from(got.agrees);
+                    clamped += usize::from(got.entropy == 0.0 || got.entropy == 1.0);
+                }
+            }
+            let cells = samples.len() * plan.num_ramps();
+            if cells > 0 {
+                assert!(
+                    agree > 0 && agree < cells,
+                    "{} ramps: agreement varies",
+                    plan.num_ramps()
+                );
+                assert!(
+                    clamped < cells,
+                    "{} ramps: entropies vary",
+                    plan.num_ramps()
                 );
             }
         }

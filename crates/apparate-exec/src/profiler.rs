@@ -54,8 +54,8 @@ pub struct ProfileRecord {
     /// Each request's semantics, in batch order (parallel to `releases`).
     pub samples: Vec<SampleSemantics>,
     /// Per-request release metadata, in batch order. One packed vector
-    /// rather than parallel id/exit/correct vectors, so a record costs two
-    /// allocations however large the batch.
+    /// rather than parallel id/exit/correct vectors, so a record holds two
+    /// buffers however large the batch.
     pub releases: Vec<RequestRelease>,
     /// Configuration epoch the GPU was running when it produced this record
     /// (incremented by every applied [`ThresholdUpdate`]). Lets the controller
@@ -280,17 +280,18 @@ impl<T: WirePayload> FeedbackLink<T> {
         deliver_at
     }
 
-    /// Hand out every message *delivered* by `now` (transfer latency already
-    /// accounted for), in `(deliver_at, seq)` order: a message sent later
-    /// but (being smaller) landing earlier comes first, and simultaneous
-    /// deliveries keep their send order. Messages still in flight stay on
-    /// the wire.
-    pub fn poll(&mut self, now: SimTime) -> Vec<T> {
+    /// Append every message *delivered* by `now` (transfer latency already
+    /// accounted for) to `into`, in `(deliver_at, seq)` order: a message
+    /// sent later but (being smaller) landing earlier comes first, and
+    /// simultaneous deliveries keep their send order. Messages still in
+    /// flight stay on the wire, and what `into` already held stays ahead of
+    /// the new messages. The caller owns the buffer, so a poll allocates
+    /// only when the buffer must grow, and every delivered message is in
+    /// the buffer once the poll returns, however the caller then consumes
+    /// it.
+    pub fn poll(&mut self, now: SimTime, into: &mut Vec<T>) {
         let ready = self.wire.partition_point(|&(at, _, _)| at <= now);
-        self.wire
-            .drain(..ready)
-            .map(|(_, _, payload)| payload)
-            .collect()
+        into.extend(self.wire.drain(..ready).map(|(_, _, payload)| payload));
     }
 
     /// Number of messages still on the wire.
@@ -327,6 +328,13 @@ mod tests {
         }
     }
 
+    /// Every message `link` delivers by `now`, polled into a fresh buffer.
+    fn delivered<T: WirePayload>(link: &mut FeedbackLink<T>, now: SimTime) -> Vec<T> {
+        let mut into = Vec::new();
+        link.poll(now, &mut into);
+        into
+    }
+
     #[test]
     fn link_cost_matches_paper_scale() {
         let cost = LinkCost::default();
@@ -341,10 +349,10 @@ mod tests {
         let deliver_at = link.send(record(4), SimTime::from_millis(10));
         assert!(deliver_at > SimTime::from_millis(10));
         // Not yet delivered at completion time.
-        assert!(link.poll(SimTime::from_millis(10)).is_empty());
+        assert!(delivered(&mut link, SimTime::from_millis(10)).is_empty());
         assert_eq!(link.in_flight(), 1);
         // Delivered once the link latency has elapsed.
-        let got = link.poll(deliver_at);
+        let got = delivered(&mut link, deliver_at);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].batch_size, 4);
         assert_eq!(link.in_flight(), 0);
@@ -459,7 +467,7 @@ mod tests {
         let big_at = link.send(record(64), SimTime::from_millis(10)); // slow transfer
         let small_at = link.send(record(1), SimTime::from_millis(11)); // lands almost at once
         assert!(small_at < big_at, "the later-sent record lands first");
-        let got = link.poll(big_at);
+        let got = delivered(&mut link, big_at);
         assert_eq!(got.len(), 2);
         assert_eq!(
             got[0].batch_size, 1,
@@ -478,11 +486,11 @@ mod tests {
             per_kib_us: 0.0,
         });
         link.send(record(2), SimTime::from_millis(20)); // lands at 21 ms
-        assert!(link.poll(SimTime::from_millis(5)).is_empty());
+        assert!(delivered(&mut link, SimTime::from_millis(5)).is_empty());
         assert_eq!(link.in_flight(), 1);
         // Now send a second record that lands at the same time.
         link.send(record(3), SimTime::from_millis(20)); // also lands at 21 ms
-        let got = link.poll(SimTime::from_millis(30));
+        let got = delivered(&mut link, SimTime::from_millis(30));
         assert_eq!(got.len(), 2);
         // Identical deliver_at: send order (= sequence) breaks the tie, so the
         // waiting record is delivered first.
@@ -496,7 +504,7 @@ mod tests {
         for i in 0..4 {
             link.send(record(i + 1), SimTime::from_millis(7));
         }
-        let got = link.poll(SimTime::from_millis(7));
+        let got = delivered(&mut link, SimTime::from_millis(7));
         let sizes: Vec<u32> = got.iter().map(|r| r.batch_size).collect();
         assert_eq!(sizes, vec![1, 2, 3, 4]);
     }
@@ -513,21 +521,31 @@ mod tests {
         }
     }
 
-    /// Poll `link` at `now` and check the result against the reference:
-    /// `wire` (each message still on the wire as `(deliver_at, send index)`)
-    /// sorted, up to `now`. Returns whether the poll handed out a later send
-    /// first.
+    /// Poll `link` at `now` into a buffer that already holds `held`
+    /// messages and check the result against the reference: the held
+    /// messages, in order, then `wire` (each message still on the wire as
+    /// `(deliver_at, send index)`) sorted, up to `now`. Returns whether the
+    /// poll handed out a later send first.
     fn poll_matches_reference(
         link: &mut FeedbackLink<Message>,
         wire: &mut Vec<(SimTime, usize)>,
         now: SimTime,
+        held: usize,
         label: &str,
     ) -> bool {
         wire.sort_unstable();
         let ready = wire.iter().take_while(|(at, _)| *at <= now).count();
-        let want: Vec<usize> = wire.drain(..ready).map(|(_, index)| index).collect();
-        let got: Vec<usize> = link.poll(now).iter().map(|m| m.index).collect();
-        assert_eq!(got, want, "{label}: poll at {now:?}");
+        // Held messages carry indices no send uses.
+        let mut want: Vec<usize> = (0..held).map(|k| usize::MAX - k).collect();
+        let mut into: Vec<Message> = want
+            .iter()
+            .map(|&index| Message { index, bytes: 0 })
+            .collect();
+        want.extend(wire.drain(..ready).map(|(_, index)| index));
+        link.poll(now, &mut into);
+        let got: Vec<usize> = into.iter().map(|m| m.index).collect();
+        assert_eq!(got, want, "{label}: poll at {now:?} behind {held} held");
+        let got = &got[held..];
         assert_eq!(
             link.in_flight(),
             wire.len(),
@@ -569,11 +587,13 @@ mod tests {
                     wire.push((deliver_at, index));
                     if rng.chance(0.4) {
                         let now = sent_at + SimDuration::from_micros(rng.below(5_000));
-                        reordered +=
-                            usize::from(poll_matches_reference(&mut link, &mut wire, now, &label));
+                        let held = index % 3;
+                        reordered += usize::from(poll_matches_reference(
+                            &mut link, &mut wire, now, held, &label,
+                        ));
                     }
                 }
-                poll_matches_reference(&mut link, &mut wire, SimTime::from_secs(3_600), &label);
+                poll_matches_reference(&mut link, &mut wire, SimTime::from_secs(3_600), 2, &label);
                 assert_eq!(link.in_flight(), 0, "{label}");
             }
         }

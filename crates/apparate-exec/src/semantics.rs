@@ -62,6 +62,28 @@
 //! below, the entropy the exact step would compute, and every site decides
 //! as the exact draw does.
 //!
+//! # Rows
+//!
+//! A tuning-window or calibration-window row
+//! ([`ExecutionPlan::observe_into`](crate::ExecutionPlan::observe_into))
+//! keeps every ramp's entropy, so every cell is drawn exactly: each pays
+//! two Box–Muller draws and one `exp`. The row is built `ROW_CHUNK` (16)
+//! ramps at a time, in stack arrays, and each chunk runs in four phases,
+//! each a loop over cells that do not depend on one another:
+//!
+//! 1. every cell's key chain, base margin and unit draws (the margin
+//!    perturbation's and the entropy noise's);
+//! 2. every margin: the margin perturbation's Box–Muller draw;
+//! 3. every entropy: the `exp`, the entropy noise's Box–Muller draw and the
+//!    clamp;
+//! 4. every agreement, bracketed as above.
+//!
+//! So the `ln`, `cos` and `exp` calls of different cells overlap instead of
+//! waiting on one another. Each cell keeps [`SemanticsModel::observe_with`]'s
+//! expressions and operand order, which stays as the per-cell reference:
+//! only the order in which the cells' steps run changes, and every row is
+//! bit for bit the per-cell one.
+//!
 //! Calibration knob: the model descriptor's `overparameterization` value. High
 //! values (CV models) mean most inputs are predictable very early; lower
 //! values (BERT/GPT2 sentiment) push exits towards the middle of the model,
@@ -186,6 +208,11 @@ fn sum_is_positive((x_lo, x_hi): (f64, f64), (n_lo, n_hi): (f64, f64), scale: f6
 
 /// The bracket every standard-normal draw lies in.
 const ANY_NORMAL: (f64, f64) = (-NORMAL_BOUND, NORMAL_BOUND);
+
+/// Ramps per chunk of a phased row (see
+/// [`ExecutionPlan::observe_into`](crate::ExecutionPlan::observe_into)):
+/// one chunk's draws live in stack arrays of this length.
+pub(crate) const ROW_CHUNK: usize = 16;
 
 /// Which step of a first-exit scan settled one site, in the order the scan
 /// tries them (see the module doc).
@@ -387,6 +414,49 @@ impl SemanticsModel {
             entropy: entropy(clean_entropy(margin), ramp.chain.then(3).normal()),
             agrees: ramp.agrees((margin, margin), || margin),
         }
+    }
+
+    /// [`SemanticsModel::observe_with`] at each `(ramp key, power)` of
+    /// `ramps`, at most [`ROW_CHUNK`] of them (more panic), appended to
+    /// `out` in order: one chunk of a row, built in the phases the module
+    /// doc's *Rows* section gives, bit for bit the per-cell observations.
+    pub(crate) fn observe_chunk(
+        &self,
+        input: &InputDraws,
+        ramps: impl IntoIterator<Item = (u64, f64)>,
+        out: &mut Vec<RampObservation>,
+    ) {
+        let mut ramps = ramps.into_iter();
+        let Some((key, power)) = ramps.next() else {
+            return;
+        };
+        // The first cell's draws fill the arrays; only the first `n` slots
+        // are read.
+        let first = RampDraws::new(input, key, power);
+        let mut draws = [first; ROW_CHUNK];
+        let mut noises = [first.chain.then(3).normal_units(); ROW_CHUNK];
+        let mut n = 1;
+        for (key, power) in ramps {
+            let ramp = RampDraws::new(input, key, power);
+            draws[n] = ramp;
+            noises[n] = ramp.chain.then(3).normal_units();
+            n += 1;
+        }
+        let draws = &draws[..n];
+        let mut margins = [0.0; ROW_CHUNK];
+        for (margin, ramp) in margins.iter_mut().zip(draws) {
+            *margin = ramp.margin();
+        }
+        let mut entropies = [0.0; ROW_CHUNK];
+        for ((e, &margin), noise) in entropies.iter_mut().zip(&margins).zip(&noises[..n]) {
+            *e = entropy(clean_entropy(margin), noise.normal());
+        }
+        out.extend(draws.iter().zip(&margins).zip(&entropies).map(
+            |((ramp, &margin), &entropy)| RampObservation {
+                entropy,
+                agrees: ramp.agrees((margin, margin), || margin),
+            },
+        ));
     }
 
     /// Whether the input `input` was drawn from exits at the ramp at

@@ -29,6 +29,13 @@
 //! carry each request's semantics; a tune rebuilds delivered requests' rows
 //! under the controller's plan, which ingestion asserts (in every build) is
 //! the ramp set each kept record ran under.
+//!
+//! Records are recycled after ingestion. The controller half polls the
+//! uplink into one inbox it reuses, and keeps the last record it ingested
+//! or dropped as stale; the GPU half clears and refills that record's
+//! buffers for its next batch. The GPU half polls the downlink straight into
+//! its held updates. So a batch's profile and both polls allocate only
+//! when a buffer must grow.
 
 use apparate_baselines::{calibration_window, exit_outcome, per_ramp_savings_us, RampDeployment};
 use apparate_core::{
@@ -111,7 +118,7 @@ impl GpuHalf {
     /// before the larger ramp-set update issued just ahead of it, and is
     /// held until that one lands (its thresholds index the new ramp set).
     fn sync(&mut self, downlink: &mut FeedbackLink<ThresholdUpdate>, now: SimTime) {
-        self.held.extend(downlink.poll(now));
+        downlink.poll(now, &mut self.held);
         while let Some(next) = self
             .held
             .iter()
@@ -149,14 +156,19 @@ impl GpuHalf {
     /// [`CoordinatedCore::stream`] stamps with its completion time. A
     /// release reads only its exit ramp's observation; the controller
     /// rebuilds a request's full row from its semantics if a tune reads it.
+    /// The record refills `spare`'s buffers, a record the controller half
+    /// has done with, when there is one.
     fn execute(
         &self,
         requests: impl ExactSizeIterator<Item = (u64, SampleSemantics)>,
+        spare: Option<ProfileRecord>,
     ) -> (BatchOutcome, ProfileRecord) {
         let b = requests.len();
+        let (mut samples, mut releases) =
+            spare.map_or_else(Default::default, |r| (r.samples, r.releases));
+        samples.clear();
+        releases.clear();
         let mut per_request = Vec::with_capacity(b);
-        let mut samples = Vec::with_capacity(b);
-        let mut releases = Vec::with_capacity(b);
         for (id, sample) in requests {
             let outcome = exit_outcome(
                 &self.plan,
@@ -216,6 +228,12 @@ struct ControllerHalf {
     min_ingest_epoch: u64,
     uplink: FeedbackLink<ProfileRecord>,
     downlink: FeedbackLink<ThresholdUpdate>,
+    /// The records of one uplink poll, in delivery order; empty between
+    /// ingests.
+    inbox: Vec<ProfileRecord>,
+    /// The last record ingested or dropped as stale, whose buffers the GPU
+    /// half refills for its next batch.
+    spare: Option<ProfileRecord>,
     stats: ControllerStats,
     telemetry: Telemetry,
 }
@@ -314,7 +332,8 @@ impl ControllerHalf {
     /// controller: nothing the GPU produced after `now` (or still on the wire
     /// at `now`) can influence decisions made here.
     fn ingest(&mut self, now: SimTime) {
-        for record in self.uplink.poll(now) {
+        self.uplink.poll(now, &mut self.inbox);
+        for record in self.inbox.drain(..) {
             if record.config_epoch < self.min_ingest_epoch {
                 self.stats.records_dropped += 1;
                 if self.telemetry.is_enabled() {
@@ -324,19 +343,20 @@ impl ControllerHalf {
                     });
                     self.telemetry.counter("stale_records_dropped", 1);
                 }
-                continue;
+            } else {
+                // The monitor rebuilds this record's rows under `self.plan`.
+                assert_eq!(
+                    (record.ramp_epoch, record.num_ramps),
+                    (self.min_ingest_epoch, self.plan.num_ramps()),
+                    "a kept record ran under the controller's ramp set"
+                );
+                self.stats.records_ingested += 1;
+                // The monitor counts the record's exits for ramp adjustment
+                // and queues its requests for the tuning window.
+                self.monitor.record_batch(&record);
+                self.records_since_tune += record.releases.len();
             }
-            // The monitor rebuilds this record's rows under `self.plan`.
-            assert_eq!(
-                (record.ramp_epoch, record.num_ramps),
-                (self.min_ingest_epoch, self.plan.num_ramps()),
-                "a kept record ran under the controller's ramp set"
-            );
-            self.stats.records_ingested += 1;
-            // The monitor counts the record's exits for ramp adjustment and
-            // queues its requests for the tuning window.
-            self.monitor.record_batch(&record);
-            self.records_since_tune += record.releases.len();
+            self.spare = Some(record);
         }
         self.telemetry
             .gauge(now, "link_up_in_flight", self.uplink.in_flight() as f64);
@@ -555,6 +575,8 @@ impl CoordinatedCore {
                 min_ingest_epoch: 0,
                 uplink: FeedbackLink::new(link),
                 downlink: FeedbackLink::new(link),
+                inbox: Vec::new(),
+                spare: None,
                 stats: ControllerStats::default(),
                 telemetry: Telemetry::disabled(),
             },
@@ -596,7 +618,7 @@ impl CoordinatedCore {
     ) -> (BatchOutcome, ProfileRecord) {
         self.controller.ingest(now);
         self.gpu.sync(&mut self.controller.downlink, now);
-        self.gpu.execute(requests)
+        self.gpu.execute(requests, self.controller.spare.take())
     }
 
     /// Stream a batch's or step's record over the uplink the instant it
@@ -1091,6 +1113,97 @@ mod tests {
     }
 
     #[test]
+    fn recycled_records_carry_exactly_their_own_batch() {
+        // Batches of 8, 3, 1 and 5 requests, over a free link (each record
+        // lands by the next batch) and over one slower than a batch whose
+        // transfer time grows with the record, so one poll may land several
+        // records, a later send first. Each batch runs the three stages of
+        // `CoordinatedCore::step`, with checks between them.
+        let slow = LinkCost {
+            fixed_us: 20_000.0,
+            per_kib_us: 20_000.0,
+        };
+        for link in [LinkCost::FREE, slow] {
+            let mut core = CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, link);
+            // Every record sent, with when it lands.
+            let mut sent: Vec<(SimTime, ProfileRecord)> = Vec::new();
+            // Records landed so far; what ingesting each once should count.
+            let (mut landed, mut ingested, mut dropped, mut requests) = (0, 0, 0, 0);
+            let mut multi_polls = 0;
+            let mut now = SimTime::ZERO;
+            let mut next_id = 0;
+            for (step, size) in [8u64, 3, 1, 5].into_iter().cycle().take(400).enumerate() {
+                let fence = core.controller.min_ingest_epoch;
+                core.controller.ingest(now);
+                // The link's order: delivery time, then send order.
+                let mut by_landing: Vec<&(SimTime, ProfileRecord)> =
+                    sent.iter().filter(|(at, _)| *at <= now).collect();
+                by_landing.sort_by_key(|(at, r)| (*at, r.releases[0].id));
+                let new = &by_landing[landed..];
+                for (_, record) in new {
+                    if record.config_epoch < fence {
+                        dropped += 1;
+                    } else {
+                        ingested += 1;
+                        requests += record.releases.len() as u64;
+                    }
+                }
+                let stats = core.controller.stats;
+                assert_eq!(
+                    (stats.records_ingested, stats.records_dropped),
+                    (ingested, dropped),
+                    "step {step}: every landed record is taken once"
+                );
+                assert_eq!(
+                    core.controller.monitor.total_requests(),
+                    requests,
+                    "step {step}: every ingested request counts once"
+                );
+                if let Some((_, last)) = new.last() {
+                    // The spare is the last record the poll landed.
+                    let spare = core.controller.spare.as_ref().expect("a spare record");
+                    assert_eq!(format!("{spare:?}"), format!("{last:?}"), "step {step}");
+                    multi_polls += usize::from(new.len() > 1);
+                }
+                landed = by_landing.len();
+                core.gpu.sync(&mut core.controller.downlink, now);
+                let batch: Vec<Request> = (next_id..next_id + size)
+                    .map(|i| request(i, 0.15 + 0.1 * ((i % 4) as f64 / 4.0)))
+                    .collect();
+                next_id += size;
+                let spare = core.controller.spare.take();
+                let (outcome, record) = core
+                    .gpu
+                    .execute(batch.iter().map(|r| (r.id, r.semantics)), spare);
+                assert_eq!(record.batch_size as u64, size);
+                assert_eq!(record.num_ramps, core.gpu.plan.num_ramps());
+                assert_eq!(
+                    (record.config_epoch, record.ramp_epoch),
+                    (core.gpu.config_epoch, core.gpu.ramp_epoch)
+                );
+                assert!(record
+                    .releases
+                    .iter()
+                    .map(|r| r.id)
+                    .eq(batch.iter().map(|r| r.id)));
+                assert!(record.samples.iter().eq(batch.iter().map(|r| &r.semantics)));
+                let completed = now + outcome.gpu_time;
+                let deliver_at = core.controller.uplink.send(record.clone(), completed);
+                sent.push((deliver_at, record));
+                now = completed;
+            }
+            let stats = core.controller.stats;
+            assert!(landed > 300 && stats.ramp_changes >= 1, "{stats:?}");
+            if link.fixed_us > 0.0 {
+                assert!(
+                    multi_polls > 0 && dropped > 0,
+                    "a poll must land several records, and stale ones drop: {stats:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn apparate_decode_step_releases_like_a_batch() {
         // Two fresh controllers over one warm start: one serves the samples
         // as a batch, the other as a decode step. The step must release each
@@ -1129,10 +1242,11 @@ mod tests {
             let stats = uplink.stats();
             assert_eq!(stats.messages, 1);
             let deliver_at = SimTime::ZERO + gpu_time + stats.total_latency;
-            assert!(uplink
-                .poll(deliver_at - SimDuration::from_micros(1))
-                .is_empty());
-            assert_eq!(uplink.poll(deliver_at).len(), 1);
+            let mut delivered = Vec::new();
+            uplink.poll(deliver_at - SimDuration::from_micros(1), &mut delivered);
+            assert!(delivered.is_empty());
+            uplink.poll(deliver_at, &mut delivered);
+            assert_eq!(delivered.len(), 1);
         }
     }
 

@@ -1136,22 +1136,35 @@ mod tests {
     #[test]
     fn online_tunes_do_the_pinned_work() {
         // Exact counts at seed 42, so a change that re-inflates the tuner's
-        // scans fails here even when a timing median hides it.
+        // scans, builds rows no tune reads, or ingests a recycled record
+        // twice (or loses one) fails here even when a timing median hides it.
         let sizes = ReproSizes::quick();
         let cv = apparate_stats(&cv_scenario(42, sizes.cv_frames));
         let generative = apparate_stats(&generative_scenario(42, sizes.gen_requests));
         for (name, stats, pinned) in [
-            ("cv", cv, (5, 1273, 64992)),
-            ("generative", generative, (5, 1208, 70611)),
+            ("cv", cv, ((5, 1273, 64992), (1595, 2697, 2))),
+            (
+                "generative",
+                generative,
+                ((5, 1208, 70611), (1856, 3163, 7)),
+            ),
         ] {
             assert_eq!(
                 (
-                    stats.tuning_rounds,
-                    stats.tune_evaluations,
-                    stats.tune_slots_visited
+                    (
+                        stats.tuning_rounds,
+                        stats.tune_evaluations,
+                        stats.tune_slots_visited
+                    ),
+                    (
+                        stats.rows_observed,
+                        stats.records_ingested,
+                        stats.records_dropped
+                    )
                 ),
                 pinned,
-                "{name}: (tuning rounds, evaluations, slots visited)"
+                "{name}: ((tuning rounds, evaluations, slots visited), \
+                 (rows observed, records ingested, records dropped))"
             );
         }
     }

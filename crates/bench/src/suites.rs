@@ -602,7 +602,9 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
             for i in 0..256u64 {
                 link.send(record(i), SimTime::from_micros(i * 100));
             }
-            link.poll(SimTime::from_secs(3600)).len()
+            let mut delivered = Vec::new();
+            link.poll(SimTime::from_secs(3600), &mut delivered);
+            delivered.len()
         }),
         ctx.bench(SUITE, "feedback_link/threshold-updates-64", || {
             let mut link = FeedbackLink::new(LinkCost::default());
@@ -611,7 +613,9 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
                 let at = upd.issued_at;
                 link.send(upd, at);
             }
-            link.poll(SimTime::from_secs(3600)).len()
+            let mut delivered = Vec::new();
+            link.poll(SimTime::from_secs(3600), &mut delivered);
+            delivered.len()
         }),
         ctx.bench(SUITE, "controller_in_loop/nlp-apparate", || {
             apparate_experiments::apparate_overhead(&nlp)
