@@ -357,7 +357,7 @@ impl Monitor {
                 sample: *sample,
                 exited: release.exit,
                 correct: release.correct,
-                batch_size: record.batch_size,
+                batch_size: record.releases.len() as u32,
             });
         }
     }
@@ -616,7 +616,6 @@ mod tests {
     fn profile_record(rows: &[RequestFeedback], first_seed: u64) -> ProfileRecord {
         let num_ramps = rows.first().map(|r| r.observations.len()).unwrap_or(0);
         ProfileRecord {
-            batch_size: rows.first().map(|r| r.batch_size).unwrap_or(0),
             num_ramps,
             samples: (first_seed..)
                 .take(rows.len())
@@ -638,9 +637,12 @@ mod tests {
 
     #[test]
     fn record_batch_matches_per_request_ingest() {
+        // Rows 0..12 and 12..20 arrive as two records, so each row carries
+        // its record's batch size.
         let rows: Vec<RequestFeedback> = (0..20)
-            .map(|i| {
-                feedback(
+            .map(|i| RequestFeedback {
+                batch_size: if i < 12 { 12 } else { 8 },
+                ..feedback(
                     &[i as f64 / 20.0, 1.0 - i as f64 / 20.0],
                     if i % 3 == 0 { Some(i % 2) } else { None },
                     i % 5 != 0,
@@ -787,7 +789,6 @@ mod tests {
                     seed += 1;
                 }
                 lazy.record_batch(&ProfileRecord {
-                    batch_size: batch,
                     num_ramps,
                     samples,
                     releases,

@@ -46,8 +46,6 @@ pub trait WirePayload {
 /// [`ProfileRecord::wire_bytes`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfileRecord {
-    /// Batch size.
-    pub batch_size: u32,
     /// Number of active ramps the batch ran: the length of each request's
     /// row.
     pub num_ramps: usize,
@@ -97,8 +95,6 @@ pub const RAMP_DEFINITION_BYTES: u64 = 10 * 1024;
 /// when the ramp set changed, the replacement ramp definitions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ThresholdUpdate {
-    /// When the controller issued the update.
-    pub issued_at: SimTime,
     /// Configuration epoch this update establishes on the GPU.
     pub config_epoch: u64,
     /// New per-ramp exit thresholds (one per active ramp, in ramp order).
@@ -311,7 +307,6 @@ mod tests {
 
     fn record(batch: u32) -> ProfileRecord {
         ProfileRecord {
-            batch_size: batch,
             num_ramps: 2,
             samples: (0..batch as u64)
                 .map(|id| SampleSemantics::new(id, 0.2))
@@ -354,7 +349,7 @@ mod tests {
         // Delivered once the link latency has elapsed.
         let got = delivered(&mut link, deliver_at);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].batch_size, 4);
+        assert_eq!(got[0].releases.len(), 4);
         assert_eq!(link.in_flight(), 0);
     }
 
@@ -393,7 +388,6 @@ mod tests {
         // requests over 4 ramps must stay in that ballpark. A record carries
         // each request's semantics but is charged for its observation rows.
         let rec = |requests: u64, num_ramps: usize| ProfileRecord {
-            batch_size: requests as u32,
             num_ramps,
             samples: (0..requests)
                 .map(|i| SampleSemantics::new(i, 0.1))
@@ -424,7 +418,6 @@ mod tests {
         let mut link = FeedbackLink::<ThresholdUpdate>::new(LinkCost::default());
         // Thresholds-only update: small.
         let small = ThresholdUpdate {
-            issued_at: SimTime::from_millis(5),
             config_epoch: 1,
             thresholds: vec![0.2; 6],
             ramps: None,
@@ -470,10 +463,11 @@ mod tests {
         let got = delivered(&mut link, big_at);
         assert_eq!(got.len(), 2);
         assert_eq!(
-            got[0].batch_size, 1,
+            got[0].releases.len(),
+            1,
             "the earlier-landing record is delivered first"
         );
-        assert_eq!(got[1].batch_size, 64);
+        assert_eq!(got[1].releases.len(), 64);
     }
 
     #[test]
@@ -494,8 +488,8 @@ mod tests {
         assert_eq!(got.len(), 2);
         // Identical deliver_at: send order (= sequence) breaks the tie, so the
         // waiting record is delivered first.
-        assert_eq!(got[0].batch_size, 2);
-        assert_eq!(got[1].batch_size, 3);
+        assert_eq!(got[0].releases.len(), 2);
+        assert_eq!(got[1].releases.len(), 3);
     }
 
     #[test]
@@ -505,7 +499,7 @@ mod tests {
             link.send(record(i + 1), SimTime::from_millis(7));
         }
         let got = delivered(&mut link, SimTime::from_millis(7));
-        let sizes: Vec<u32> = got.iter().map(|r| r.batch_size).collect();
+        let sizes: Vec<usize> = got.iter().map(|r| r.releases.len()).collect();
         assert_eq!(sizes, vec![1, 2, 3, 4]);
     }
 

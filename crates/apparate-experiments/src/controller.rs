@@ -30,6 +30,13 @@
 //! under the controller's plan, which ingestion asserts (in every build) is
 //! the ramp set each kept record ran under.
 //!
+//! Thresholds tuned offline on bootstrap data (§3.1) are part of the
+//! deployment: [`ApparatePolicy::new`] builds both halves with them, so the
+//! initial configuration reaches the GPU together with the model and no link
+//! transfer is charged. Once built, the GPU half's configuration changes
+//! only where a downlink delivery is polled (lint rule W001), with no
+//! escape.
+//!
 //! Records are recycled after ingestion. The controller half polls the
 //! uplink into one inbox it reuses, and keeps the last record it ingested
 //! or dropped as stale; the GPU half clears and refills that record's
@@ -152,8 +159,8 @@ impl GpuHalf {
 
     /// Execute one batch of `(request id, semantics)` pairs, in batch order,
     /// under the deployed configuration: release decisions for the platform
-    /// plus the record to stream to the controller, which
-    /// [`CoordinatedCore::stream`] stamps with its completion time. A
+    /// plus the record to stream to the controller, which the policy sends
+    /// on the uplink at its completion time. A
     /// release reads only its exit ramp's observation; the controller
     /// rebuilds a request's full row from its semantics if a tune reads it.
     /// The record refills `spare`'s buffers, a record the controller half
@@ -188,7 +195,6 @@ impl GpuHalf {
             per_request,
         };
         let record = ProfileRecord {
-            batch_size: b as u32,
             num_ramps: self.plan.num_ramps(),
             samples,
             releases,
@@ -311,7 +317,6 @@ impl ControllerHalf {
             self.min_ingest_epoch = self.config_epoch;
         }
         let update = ThresholdUpdate {
-            issued_at: now,
             config_epoch: self.config_epoch,
             thresholds: self.thresholds.clone(),
             ramps: ramps_changed.then(|| self.plan.ramps().to_vec()),
@@ -519,19 +524,66 @@ impl ControllerHalf {
     }
 }
 
-/// Both halves of one replica's controller loop.
-struct CoordinatedCore {
+/// The name both policy hooks report.
+const NAME: &str = "apparate";
+
+/// Apparate's adaptive policy: the [`ExitPolicy`] for classification
+/// serving and the [`TokenPolicy`] for generative decode steps, over one
+/// replica's GPU half and controller half. Both halves are built with the
+/// warm start, if any ([`ApparatePolicy::new`]), so it costs no link
+/// transfer.
+///
+/// Both paths run the full loop: profiling records arrive over the charged
+/// uplink, thresholds are re-tuned, and every `ramp_adjust_period` delivered
+/// observations the controller re-selects the active ramp set by hindsight
+/// latency savings vs. overhead (Algorithm 2) — deactivating negative-utility
+/// ramps, trialling replacements, probing earlier sites. Generative ramps
+/// reuse the decoder head at every block (§3.1), so training a candidate is
+/// free, but which decoder depths pay for their evaluation overhead still
+/// depends on the token stream. Every ramp-set change ships over the
+/// downlink with epoch gating (batches or steps completed before delivery
+/// still ran the old set; stale-epoch records are dropped) and is followed
+/// by a threshold re-tune once the window refills with new-epoch records.
+pub struct ApparatePolicy {
     gpu: GpuHalf,
     controller: ControllerHalf,
 }
 
-impl CoordinatedCore {
-    fn new(
+/// The token-path name of [`ApparatePolicy`].
+pub type ApparateTokenPolicy = ApparatePolicy;
+
+impl ApparatePolicy {
+    /// Deploy Apparate over a prepared ramp deployment, with the paper's
+    /// default PCIe link cost. `warm` holds thresholds tuned offline on the
+    /// bootstrap validation split or calibration tokens (§3.1), one per
+    /// deployed ramp: both halves start from them, loaded with the model so
+    /// no link transfer is charged, and the warm start counts as the first
+    /// tuning round. With `None` every threshold starts at 0 and the first
+    /// tune happens online, once the window fills.
+    pub fn new(
         deployment: RampDeployment,
         config: ApparateConfig,
         reference_batch: u32,
+        warm: Option<Vec<f64>>,
+    ) -> ApparatePolicy {
+        ApparatePolicy::with_link(
+            deployment,
+            config,
+            reference_batch,
+            warm,
+            LinkCost::default(),
+        )
+    }
+
+    /// [`ApparatePolicy::new`] over an explicit GPU ↔ controller link cost
+    /// model.
+    fn with_link(
+        deployment: RampDeployment,
+        config: ApparateConfig,
+        reference_batch: u32,
+        warm: Option<Vec<f64>>,
         link: LinkCost,
-    ) -> CoordinatedCore {
+    ) -> ApparatePolicy {
         config.validate().expect("valid Apparate configuration");
         let RampDeployment {
             plan,
@@ -549,17 +601,19 @@ impl CoordinatedCore {
             })
             .collect();
         let num_ramps = plan.num_ramps();
-        CoordinatedCore {
+        let needs_tune = warm.is_none();
+        let thresholds = warm.unwrap_or_else(|| vec![0.0; num_ramps]);
+        ApparatePolicy {
             gpu: GpuHalf {
                 plan: plan.clone(),
-                thresholds: vec![0.0; num_ramps],
+                thresholds: thresholds.clone(),
                 config_epoch: 0,
                 ramp_epoch: 0,
                 held: Vec::new(),
                 telemetry: Telemetry::disabled(),
             },
             controller: ControllerHalf {
-                thresholds: vec![0.0; num_ramps],
+                thresholds,
                 monitor: Monitor::new(num_ramps, config.accuracy_window, config.tuning_window),
                 plan,
                 config,
@@ -569,7 +623,7 @@ impl CoordinatedCore {
                 capacity,
                 reference_batch,
                 site_savings_us,
-                needs_tune: true,
+                needs_tune,
                 records_since_tune: 0,
                 config_epoch: 0,
                 min_ingest_epoch: 0,
@@ -577,110 +631,12 @@ impl CoordinatedCore {
                 downlink: FeedbackLink::new(link),
                 inbox: Vec::new(),
                 spare: None,
-                stats: ControllerStats::default(),
+                stats: ControllerStats {
+                    tuning_rounds: usize::from(!needs_tune),
+                    ..ControllerStats::default()
+                },
                 telemetry: Telemetry::disabled(),
             },
-        }
-    }
-
-    /// Attach a telemetry sink to both halves and both link directions. Must
-    /// be called before [`CoordinatedCore::step`] runs, so every message of
-    /// the run is traced.
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.controller
-            .uplink
-            .set_telemetry(telemetry.clone(), LinkDirection::Up);
-        self.controller
-            .downlink
-            .set_telemetry(telemetry.clone(), LinkDirection::Down);
-        self.gpu.telemetry = telemetry.clone();
-        self.controller.telemetry = telemetry;
-    }
-
-    /// Load thresholds tuned offline by [`warm_start_thresholds`]. This
-    /// happens offline — the initial configuration is loaded onto the GPU
-    /// together with the model, so no link transfer is charged.
-    fn warm_start(&mut self, thresholds: Vec<f64>) {
-        self.controller.thresholds = thresholds.clone();
-        // lint:allow(W001, reason = "offline warm start: the initial configuration is loaded onto the GPU together with the model, before serving begins — no wire delivery exists to poll")
-        self.gpu.thresholds = thresholds;
-        self.controller.needs_tune = false;
-        self.controller.stats.tuning_rounds += 1;
-    }
-
-    /// One batch/step at simulated time `now`: the controller half acts on
-    /// everything delivered by `now`, the GPU half applies every
-    /// configuration update delivered by `now`, then executes `requests`.
-    fn step(
-        &mut self,
-        requests: impl ExactSizeIterator<Item = (u64, SampleSemantics)>,
-        now: SimTime,
-    ) -> (BatchOutcome, ProfileRecord) {
-        self.controller.ingest(now);
-        self.gpu.sync(&mut self.controller.downlink, now);
-        self.gpu.execute(requests, self.controller.spare.take())
-    }
-
-    /// Stream a batch's or step's record over the uplink the instant it
-    /// completes on the GPU, non-blocking for serving; the controller half
-    /// sees it one link latency later (§3, §4.5).
-    fn stream(&mut self, record: ProfileRecord, completed_at: SimTime) {
-        self.controller.uplink.send(record, completed_at);
-    }
-
-    fn overhead_report(&self) -> OverheadReport {
-        OverheadReport {
-            uplink: self.controller.uplink.stats(),
-            downlink: self.controller.downlink.stats(),
-        }
-    }
-}
-
-/// Apparate's adaptive policy: the [`ExitPolicy`] for classification
-/// serving and the [`TokenPolicy`] for generative decode steps, over one
-/// GPU-half/controller-half pair.
-///
-/// Both paths run the full loop: profiling records arrive over the charged
-/// uplink, thresholds are re-tuned, and every `ramp_adjust_period` delivered
-/// observations the controller re-selects the active ramp set by hindsight
-/// latency savings vs. overhead (Algorithm 2) — deactivating negative-utility
-/// ramps, trialling replacements, probing earlier sites. Generative ramps
-/// reuse the decoder head at every block (§3.1), so training a candidate is
-/// free, but which decoder depths pay for their evaluation overhead still
-/// depends on the token stream. Every ramp-set change ships over the
-/// downlink with epoch gating (batches or steps completed before delivery
-/// still ran the old set; stale-epoch records are dropped) and is followed
-/// by a threshold re-tune once the window refills with new-epoch records.
-pub struct ApparatePolicy {
-    core: CoordinatedCore,
-    name: String,
-}
-
-/// The token-path name of [`ApparatePolicy`].
-pub type ApparateTokenPolicy = ApparatePolicy;
-
-impl ApparatePolicy {
-    /// Deploy Apparate over a prepared ramp deployment with all-zero initial
-    /// thresholds (the first tune happens online, once the window fills) and
-    /// the paper's default PCIe link cost.
-    pub fn new(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-    ) -> ApparatePolicy {
-        ApparatePolicy::with_link(deployment, config, reference_batch, LinkCost::default())
-    }
-
-    /// Deploy Apparate with an explicit GPU ↔ controller link cost model.
-    pub fn with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        link: LinkCost,
-    ) -> ApparatePolicy {
-        ApparatePolicy {
-            core: CoordinatedCore::new(deployment, config, reference_batch, link),
-            name: "apparate".to_string(),
         }
     }
 
@@ -693,69 +649,62 @@ impl ApparatePolicy {
         reference_batch: u32,
         calibration: &[SampleSemantics],
     ) -> ApparatePolicy {
-        ApparatePolicy::warm_started_with_link(
-            deployment,
-            config,
-            reference_batch,
-            calibration,
-            LinkCost::default(),
-        )
+        let warm = warm_start_thresholds(&deployment.plan, &config, reference_batch, calibration);
+        ApparatePolicy::new(deployment, config, reference_batch, warm)
     }
 
-    /// Warm-started deployment with an explicit link cost model.
-    pub fn warm_started_with_link(
-        deployment: RampDeployment,
-        config: ApparateConfig,
-        reference_batch: u32,
-        calibration: &[SampleSemantics],
-        link: LinkCost,
-    ) -> ApparatePolicy {
-        let policy = ApparatePolicy::with_link(deployment, config, reference_batch, link);
-        let thresholds = warm_start_thresholds(
-            &policy.core.controller.plan,
-            &config,
-            reference_batch,
-            calibration,
-        );
-        policy.with_warm_start(thresholds)
-    }
-
-    /// Load offline-tuned thresholds from [`warm_start_thresholds`], if any.
-    pub(crate) fn with_warm_start(mut self, thresholds: Option<Vec<f64>>) -> ApparatePolicy {
-        if let Some(thresholds) = thresholds {
-            self.core.warm_start(thresholds);
-        }
-        self
+    /// One batch/step at simulated time `now`: the controller half acts on
+    /// everything delivered by `now`, the GPU half applies every
+    /// configuration update delivered by `now`, then executes `requests`.
+    /// The caller sends the returned record on the uplink the instant the
+    /// batch or step completes on the GPU, non-blocking for serving; the
+    /// controller half sees it one link latency later (§3, §4.5).
+    fn step(
+        &mut self,
+        requests: impl ExactSizeIterator<Item = (u64, SampleSemantics)>,
+        now: SimTime,
+    ) -> (BatchOutcome, ProfileRecord) {
+        self.controller.ingest(now);
+        self.gpu.sync(&mut self.controller.downlink, now);
+        self.gpu.execute(requests, self.controller.spare.take())
     }
 
     /// Current per-ramp thresholds *as deployed on the GPU* (the controller's
     /// latest decision may still be on the wire).
     pub fn thresholds(&self) -> &[f64] {
-        &self.core.gpu.thresholds
+        &self.gpu.thresholds
     }
 
     /// Currently active feasible-site indices (controller view).
     pub fn active_sites(&self) -> &[usize] {
-        &self.core.controller.active_sites
+        &self.controller.active_sites
     }
 
     /// Number of ramps in the plan the GPU is *currently executing* — trails
     /// [`ApparatePolicy::active_sites`] by the downlink latency after a
     /// ramp-set change.
     pub fn deployed_ramps(&self) -> usize {
-        self.core.gpu.plan.num_ramps()
+        self.gpu.plan.num_ramps()
     }
 
     /// Adaptation counters.
     pub fn stats(&self) -> ControllerStats {
-        self.core.controller.stats
+        self.controller.stats
     }
 
     /// Attach a telemetry sink: the controller traces ramp-set changes,
     /// update issue/delivery, stale-record drops and tuning rounds, and both
-    /// link directions trace their messages. Call before serving.
+    /// link directions trace their messages. Call before serving, so every
+    /// message of the run is traced.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.core.set_telemetry(telemetry);
+        self.controller
+            .uplink
+            .set_telemetry(telemetry.clone(), LinkDirection::Up);
+        self.controller
+            .downlink
+            .set_telemetry(telemetry.clone(), LinkDirection::Down);
+        self.gpu.telemetry = telemetry.clone();
+        self.controller.telemetry = telemetry;
     }
 
     /// An empty handle: the policy streams its own profiles. Kept only for
@@ -765,22 +714,25 @@ impl ApparatePolicy {
 
     /// Coordination charges accumulated so far, both directions (§4.5).
     pub fn overhead_report(&self) -> OverheadReport {
-        self.core.overhead_report()
+        OverheadReport {
+            uplink: self.controller.uplink.stats(),
+            downlink: self.controller.downlink.stats(),
+        }
     }
 }
 
 impl ExitPolicy for ApparatePolicy {
     /// The batch's record is streamed last, when the batch frees the GPU.
     fn process_batch(&mut self, batch: &[Request], batch_start: SimTime) -> BatchOutcome {
-        let (outcome, record) = self
-            .core
-            .step(batch.iter().map(|r| (r.id, r.semantics)), batch_start);
-        self.core.stream(record, batch_start + outcome.gpu_time);
+        let (outcome, record) = self.step(batch.iter().map(|r| (r.id, r.semantics)), batch_start);
+        self.controller
+            .uplink
+            .send(record, batch_start + outcome.gpu_time);
         outcome
     }
 
     fn name(&self) -> &str {
-        &self.name
+        NAME
     }
 }
 
@@ -789,17 +741,19 @@ impl TokenPolicy for ApparatePolicy {
     /// releases: the step completes there, not at the batch's full GPU time
     /// (§3.4).
     fn process_step(&mut self, slots: &[TokenSlot], step_start: SimTime) -> StepOutcome {
-        let (outcome, record) = self.core.step(
+        let (outcome, record) = self.step(
             slots.iter().map(|s| (s.request_id, s.semantics)),
             step_start,
         );
         let step = StepOutcome::from(outcome);
-        self.core.stream(record, step_start + step.gpu_time);
+        self.controller
+            .uplink
+            .send(record, step_start + step.gpu_time);
         step
     }
 
     fn name(&self) -> &str {
-        &self.name
+        NAME
     }
 }
 
@@ -846,7 +800,7 @@ mod tests {
 
     #[test]
     fn controller_starts_conservative_then_tunes_up() {
-        let mut policy = ApparatePolicy::new(deployment(3), ApparateConfig::default(), 4);
+        let mut policy = ApparatePolicy::new(deployment(3), ApparateConfig::default(), 4, None);
         assert!(policy.thresholds().iter().all(|&t| t == 0.0));
         // Feed easy traffic in batches of 8 until past the first tuning round.
         let mut exited_late = 0usize;
@@ -880,7 +834,7 @@ mod tests {
     #[test]
     fn controller_runs_ramp_adjustment_rounds() {
         let config = ApparateConfig::default();
-        let mut policy = ApparatePolicy::new(deployment(9), config, 4);
+        let mut policy = ApparatePolicy::new(deployment(9), config, 4, None);
         let mut now = SimTime::ZERO;
         for round in 0..150u64 {
             let batch: Vec<Request> = (0..8)
@@ -899,7 +853,7 @@ mod tests {
 
     #[test]
     fn accuracy_stays_near_constraint_under_drift() {
-        let mut policy = ApparatePolicy::new(deployment(11), ApparateConfig::default(), 4);
+        let mut policy = ApparatePolicy::new(deployment(11), ApparateConfig::default(), 4, None);
         let mut correct = 0usize;
         let mut total = 0usize;
         let mut now = SimTime::ZERO;
@@ -933,7 +887,7 @@ mod tests {
             per_kib_us: 0.0,
         };
         let mut policy =
-            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, slow);
+            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, None, slow);
         let mut now = SimTime::ZERO;
         for round in 0..40u64 {
             let batch: Vec<Request> = (0..8)
@@ -1061,7 +1015,8 @@ mod tests {
         // worth; nothing else builds rows.
         let config = ApparateConfig::default();
         let window = config.tuning_window;
-        let mut policy = ApparatePolicy::with_link(token_deployment(3), config, 8, LinkCost::FREE);
+        let mut policy =
+            ApparatePolicy::with_link(token_deployment(3), config, 8, None, LinkCost::FREE);
         let mut now = SimTime::ZERO;
         // Requests delivered since the last tune or ramp-set change.
         let mut unread = 0;
@@ -1069,11 +1024,11 @@ mod tests {
         let mut short_tunes = 0;
         for step in 0..600u64 {
             let before = policy.stats();
-            let delivered = policy.core.controller.monitor.total_requests();
+            let delivered = policy.controller.monitor.total_requests();
             let (_, completed) = drive_token(&mut policy, &slots(step, 7), now);
             now = completed;
             let after = policy.stats();
-            unread += (policy.core.controller.monitor.total_requests() - delivered) as usize;
+            unread += (policy.controller.monitor.total_requests() - delivered) as usize;
             let built = after.rows_observed - before.rows_observed;
             if after.ramp_changes > before.ramp_changes {
                 assert_eq!(
@@ -1100,7 +1055,7 @@ mod tests {
             }
             // Three steps after the first tune, force one that reads 28 rows.
             if after.tuning_rounds == 1 && unread == 21 {
-                policy.core.controller.needs_tune = true;
+                policy.controller.needs_tune = true;
             }
         }
         let stats = policy.stats();
@@ -1118,13 +1073,14 @@ mod tests {
         // lands by the next batch) and over one slower than a batch whose
         // transfer time grows with the record, so one poll may land several
         // records, a later send first. Each batch runs the three stages of
-        // `CoordinatedCore::step`, with checks between them.
+        // `ApparatePolicy::step`, with checks between them.
         let slow = LinkCost {
             fixed_us: 20_000.0,
             per_kib_us: 20_000.0,
         };
         for link in [LinkCost::FREE, slow] {
-            let mut core = CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, link);
+            let mut policy =
+                ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, None, link);
             // Every record sent, with when it lands.
             let mut sent: Vec<(SimTime, ProfileRecord)> = Vec::new();
             // Records landed so far; what ingesting each once should count.
@@ -1133,8 +1089,8 @@ mod tests {
             let mut now = SimTime::ZERO;
             let mut next_id = 0;
             for (step, size) in [8u64, 3, 1, 5].into_iter().cycle().take(400).enumerate() {
-                let fence = core.controller.min_ingest_epoch;
-                core.controller.ingest(now);
+                let fence = policy.controller.min_ingest_epoch;
+                policy.controller.ingest(now);
                 // The link's order: delivery time, then send order.
                 let mut by_landing: Vec<&(SimTime, ProfileRecord)> =
                     sent.iter().filter(|(at, _)| *at <= now).collect();
@@ -1148,38 +1104,38 @@ mod tests {
                         requests += record.releases.len() as u64;
                     }
                 }
-                let stats = core.controller.stats;
+                let stats = policy.controller.stats;
                 assert_eq!(
                     (stats.records_ingested, stats.records_dropped),
                     (ingested, dropped),
                     "step {step}: every landed record is taken once"
                 );
                 assert_eq!(
-                    core.controller.monitor.total_requests(),
+                    policy.controller.monitor.total_requests(),
                     requests,
                     "step {step}: every ingested request counts once"
                 );
                 if let Some((_, last)) = new.last() {
                     // The spare is the last record the poll landed.
-                    let spare = core.controller.spare.as_ref().expect("a spare record");
+                    let spare = policy.controller.spare.as_ref().expect("a spare record");
                     assert_eq!(format!("{spare:?}"), format!("{last:?}"), "step {step}");
                     multi_polls += usize::from(new.len() > 1);
                 }
                 landed = by_landing.len();
-                core.gpu.sync(&mut core.controller.downlink, now);
+                policy.gpu.sync(&mut policy.controller.downlink, now);
                 let batch: Vec<Request> = (next_id..next_id + size)
                     .map(|i| request(i, 0.15 + 0.1 * ((i % 4) as f64 / 4.0)))
                     .collect();
                 next_id += size;
-                let spare = core.controller.spare.take();
-                let (outcome, record) = core
+                let spare = policy.controller.spare.take();
+                let (outcome, record) = policy
                     .gpu
                     .execute(batch.iter().map(|r| (r.id, r.semantics)), spare);
-                assert_eq!(record.batch_size as u64, size);
-                assert_eq!(record.num_ramps, core.gpu.plan.num_ramps());
+                assert_eq!(record.releases.len() as u64, size);
+                assert_eq!(record.num_ramps, policy.gpu.plan.num_ramps());
                 assert_eq!(
                     (record.config_epoch, record.ramp_epoch),
-                    (core.gpu.config_epoch, core.gpu.ramp_epoch)
+                    (policy.gpu.config_epoch, policy.gpu.ramp_epoch)
                 );
                 assert!(record
                     .releases
@@ -1188,11 +1144,11 @@ mod tests {
                     .eq(batch.iter().map(|r| r.id)));
                 assert!(record.samples.iter().eq(batch.iter().map(|r| &r.semantics)));
                 let completed = now + outcome.gpu_time;
-                let deliver_at = core.controller.uplink.send(record.clone(), completed);
+                let deliver_at = policy.controller.uplink.send(record.clone(), completed);
                 sent.push((deliver_at, record));
                 now = completed;
             }
-            let stats = core.controller.stats;
+            let stats = policy.controller.stats;
             assert!(landed > 300 && stats.ramp_changes >= 1, "{stats:?}");
             if link.fixed_us > 0.0 {
                 assert!(
@@ -1201,6 +1157,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn warm_start_is_part_of_the_deployment() {
+        // Warm thresholds reach both halves at construction, before any
+        // batch: the warm start counts as the first tuning round and ships
+        // nothing over the link.
+        let deployment = deployment(3);
+        let ramps = deployment.plan.num_ramps();
+        assert!(ramps >= 2, "the fixture must deploy several ramps");
+        let warm: Vec<f64> = (1..=ramps).map(|r| 0.01 * r as f64).collect();
+        let config = ApparateConfig::default();
+        let policy = ApparatePolicy::new(deployment.clone(), config, 4, Some(warm.clone()));
+        assert_eq!(policy.thresholds(), warm.as_slice());
+        assert_eq!(policy.controller.thresholds, warm);
+        assert_eq!(policy.stats().tuning_rounds, 1);
+        assert_eq!(policy.overhead_report().total_messages(), 0);
+        // Without a warm start every ramp starts closed and untuned.
+        let cold = ApparatePolicy::new(deployment, config, 4, None);
+        assert_eq!(cold.thresholds(), vec![0.0; ramps].as_slice());
+        assert_eq!(cold.stats().tuning_rounds, 0);
     }
 
     #[test]
@@ -1213,8 +1190,7 @@ mod tests {
         let deployment = token_deployment(3);
         let warm = warm_start_thresholds(&deployment.plan, &config, 8, &token_calibration(256));
         assert!(warm.is_some(), "the warm start must tune");
-        let fresh =
-            || ApparatePolicy::new(deployment.clone(), config, 8).with_warm_start(warm.clone());
+        let fresh = || ApparatePolicy::new(deployment.clone(), config, 8, warm.clone());
         let step_slots = slots(0, 8);
         let batch: Vec<Request> = step_slots
             .iter()
@@ -1238,7 +1214,7 @@ mod tests {
             (&mut batch_policy, batch_out.gpu_time),
             (&mut step_policy, step_out.gpu_time),
         ] {
-            let uplink = &mut policy.core.controller.uplink;
+            let uplink = &mut policy.controller.uplink;
             let stats = uplink.stats();
             assert_eq!(stats.messages, 1);
             let deliver_at = SimTime::ZERO + gpu_time + stats.total_latency;
@@ -1311,14 +1287,10 @@ mod tests {
             fixed_us: 250_000.0,
             per_kib_us: 0.0,
         };
-        let calibration = token_calibration(256);
-        let mut policy = ApparateTokenPolicy::warm_started_with_link(
-            token_deployment(3),
-            ApparateConfig::default(),
-            8,
-            &calibration,
-            slow,
-        );
+        let config = ApparateConfig::default();
+        let deployment = token_deployment(3);
+        let warm = warm_start_thresholds(&deployment.plan, &config, 8, &token_calibration(256));
+        let mut policy = ApparateTokenPolicy::with_link(deployment, config, 8, warm, slow);
         let mut now = SimTime::ZERO;
         let mut decision: Option<(SimTime, usize)> = None;
         for step in 0..3_000u64 {
@@ -1363,7 +1335,7 @@ mod tests {
             per_kib_us: 0.0,
         };
         let mut policy =
-            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, slow);
+            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, None, slow);
         let mut now = SimTime::ZERO;
         let mut tuned_at: Option<SimTime> = None;
         for round in 0..200u64 {
@@ -1406,15 +1378,16 @@ mod tests {
             fixed_us: 10.0,
             per_kib_us: 1_000.0,
         };
-        let mut core = CoordinatedCore::new(deployment(3), ApparateConfig::default(), 4, link);
-        let ramps = core.gpu.plan.num_ramps();
+        let mut policy =
+            ApparatePolicy::with_link(deployment(3), ApparateConfig::default(), 4, None, link);
+        let ramps = policy.gpu.plan.num_ramps();
         assert!(
             ramps >= 2,
             "the fixture must leave a ramp after dropping one"
         );
-        let epoch0 = core.gpu.thresholds.clone();
+        let epoch0 = policy.gpu.thresholds.clone();
         let issued = SimTime::from_millis(5);
-        let controller = &mut core.controller;
+        let controller = &mut policy.controller;
         let mut kept = controller.plan.ramps().to_vec();
         kept.pop();
         controller.plan = controller.plan.with_ramps(kept);
@@ -1425,23 +1398,25 @@ mod tests {
         controller.publish(issued + SimDuration::from_micros(1), false);
 
         for at_ms in [6, 10, 14] {
-            core.gpu
-                .sync(&mut core.controller.downlink, SimTime::from_millis(at_ms));
+            policy
+                .gpu
+                .sync(&mut policy.controller.downlink, SimTime::from_millis(at_ms));
             assert_eq!(
-                core.controller.downlink.in_flight(),
+                policy.controller.downlink.in_flight(),
                 1,
                 "at {at_ms} ms only the ramp-set update is still on the wire"
             );
-            assert_eq!(core.gpu.config_epoch, 0, "at {at_ms} ms");
-            assert_eq!(core.gpu.thresholds, epoch0, "at {at_ms} ms");
-            assert_eq!(core.gpu.plan.num_ramps(), ramps, "at {at_ms} ms");
+            assert_eq!(policy.gpu.config_epoch, 0, "at {at_ms} ms");
+            assert_eq!(policy.gpu.thresholds, epoch0, "at {at_ms} ms");
+            assert_eq!(policy.gpu.plan.num_ramps(), ramps, "at {at_ms} ms");
         }
-        core.gpu
-            .sync(&mut core.controller.downlink, SimTime::from_millis(1_000));
-        assert_eq!(core.controller.downlink.in_flight(), 0);
-        assert_eq!(core.gpu.config_epoch, 2);
-        assert_eq!(core.gpu.plan.num_ramps(), ramps - 1);
-        assert_eq!(core.gpu.thresholds, vec![0.2; ramps - 1]);
+        policy
+            .gpu
+            .sync(&mut policy.controller.downlink, SimTime::from_millis(1_000));
+        assert_eq!(policy.controller.downlink.in_flight(), 0);
+        assert_eq!(policy.gpu.config_epoch, 2);
+        assert_eq!(policy.gpu.plan.num_ramps(), ramps - 1);
+        assert_eq!(policy.gpu.thresholds, vec![0.2; ramps - 1]);
     }
 
     /// Compare two tuning outcomes bit for bit, every field.

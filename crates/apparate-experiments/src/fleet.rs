@@ -231,8 +231,8 @@ fn apparate_replicas(
 ) -> Vec<ApparatePolicy> {
     (0..replicas)
         .map(|r| {
-            let mut policy = ApparatePolicy::new(dep_budget.clone(), config, reference_batch)
-                .with_warm_start(warm.clone());
+            let mut policy =
+                ApparatePolicy::new(dep_budget.clone(), config, reference_batch, warm.clone());
             // Controller events carry this replica's tag and land in its
             // per-replica buffer, so parallel replicas never contend.
             policy.set_telemetry(telemetry.for_replica(r as u32));
@@ -255,7 +255,8 @@ pub struct AdmissionFleetRun {
     /// request's *original* arrival (pacing delay included), with shed
     /// requests counting against attainment, never hidden.
     pub table: ComparisonTable,
-    /// Front-end counters from the admission-controlled ingest session.
+    /// Front-end counters from the admission-controlled ingest
+    /// ([`stream_arrivals`]).
     pub ingest: IngestStats,
     /// Hysteresis oscillations in the admission decision log (pinned at zero
     /// by `tests/admission.rs`).

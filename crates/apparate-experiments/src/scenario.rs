@@ -909,8 +909,8 @@ fn apparate_run<S: Scenario>(
     dep_budget: &RampDeployment,
     telemetry: &Telemetry,
 ) -> (Outcome<S>, OverheadReport) {
-    let mut policy = ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch())
-        .with_warm_start(warm);
+    let mut policy =
+        ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch(), warm);
     policy.set_telemetry(telemetry.clone());
     let estimate = apparate_estimate(&dep_budget.plan, &config);
     let out = scenario.serve(stream, &mut policy, &estimate, telemetry);
@@ -1125,8 +1125,7 @@ mod tests {
             &scenario.calibration(),
         );
         let mut policy =
-            ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch())
-                .with_warm_start(warm);
+            ApparatePolicy::new(dep_budget.clone(), config, scenario.reference_batch(), warm);
         let estimate = apparate_estimate(&dep_budget.plan, &config);
         let disabled = Telemetry::disabled();
         scenario.serve(&scenario.stream(), &mut policy, &estimate, &disabled);

@@ -46,11 +46,6 @@ pub struct SweepTable {
 }
 
 impl SweepTable {
-    /// The point with the given label, if present.
-    pub fn point(&self, label: &str) -> Option<&SweepPoint> {
-        self.points.iter().find(|p| p.label == label)
-    }
-
     /// Render as fixed-width text (deterministic).
     pub fn render(&self) -> String {
         let mut out = crate::report::title_rule(&self.title);

@@ -308,6 +308,28 @@ impl Controller {
 }
 
 #[test]
+fn w001_is_silent_when_a_gpu_half_is_built_with_its_configuration() {
+    // A warm start loaded when the GPU half is built is a struct field, not
+    // an assignment; a later write onto the built half is still fenced.
+    let diags = lint(
+        r#"
+fn deploy(plan: Plan, warm: Vec<f64>) -> Policy {
+    let mut policy = Policy {
+        gpu: GpuHalf {
+            plan,
+            thresholds: warm.clone(),
+            config_epoch: 0,
+        },
+    };
+    policy.gpu.thresholds = warm;
+    policy
+}
+"#,
+    );
+    assert_eq!(diags, ["W001@10"]);
+}
+
+#[test]
 fn w001_allow_covers_offline_initialisation() {
     let (diags, suppressed) = lint_in(
         "apparate-experiments",

@@ -144,11 +144,6 @@ impl ModelLatency {
         &self.per_layer
     }
 
-    /// Latency of the layer at topological position `pos` for a given batch.
-    pub fn layer_latency_us(&self, pos: usize, batch: u32) -> f64 {
-        self.per_layer[pos].latency_us(batch)
-    }
-
     /// Total model latency for a batch, in microseconds.
     pub fn total_us(&self, batch: u32) -> f64 {
         match self.prefix_row(batch).and_then(|row| row.last()) {

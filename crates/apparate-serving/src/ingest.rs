@@ -19,7 +19,7 @@
 //!   falls inside the stop threshold the loop stops slewing and the pace
 //!   snaps back to base, and it does not slew again until the offset exceeds
 //!   the (larger) start threshold.
-//! * [`IngestSession`] — per-replica *bounded* admission queues over a
+//! * [`stream_arrivals`] — per-replica *bounded* admission queues over a
 //!   single-server backlog model, pacing actuation (admitted arrivals are
 //!   forwarded no faster than the slewed rate), and load shedding: when the
 //!   selected replica's queue is at its bound the request is rejected
@@ -29,9 +29,9 @@
 //!   (`admission` trace events, `admission_queue_depth` / `admission_pace_ppm`
 //!   gauges, `ingest_admitted` / `ingest_shed` counters).
 //!
-//! The session is deliberately causal: decisions use only the arrival prefix,
-//! the front end's own queue model and its static per-request service
-//! estimate. With admission disabled the session is a pure
+//! The front end is deliberately causal: each decision reads only the
+//! current arrival, the front end's own queue model and its static
+//! per-request service estimate. With admission disabled it is a pure
 //! passthrough: forwarded times equal arrival times and the produced shards
 //! are byte-identical to the batch sharding path, which this module's tests
 //! pin shard for shard.
@@ -80,11 +80,6 @@ impl IncrementalDispatcher {
             offered: 0,
             backlog: vec![SimTime::ZERO; replicas],
         }
-    }
-
-    /// Number of replicas dispatched across.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// Arrivals offered so far (admitted and shed).
@@ -206,7 +201,7 @@ impl AdmissionController {
     }
 }
 
-/// Configuration of the admission/pacing layer of an [`IngestSession`].
+/// Configuration of the admission/pacing layer of [`stream_arrivals`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Per-replica admission-queue bound: an arrival whose selected replica
@@ -265,7 +260,7 @@ pub struct AdmissionDecision {
     pub admitted: bool,
 }
 
-/// Aggregate counters over one ingest session.
+/// Aggregate counters over one streamed trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestStats {
     /// Arrivals offered to the front end.
@@ -333,7 +328,7 @@ pub fn count_oscillations(decisions: &[AdmissionDecision], stop_slew: SimDuratio
     oscillations
 }
 
-/// Everything an [`IngestSession`] produced: the admitted per-replica shards
+/// Everything [`stream_arrivals`] produced: the admitted per-replica shards
 /// (forwarded arrival times, original stream indices), the full decision log,
 /// and the aggregate counters.
 #[derive(Debug, Clone)]
@@ -346,13 +341,13 @@ pub struct IngestOutcome {
     pub decisions: Vec<AdmissionDecision>,
     /// Aggregate counters.
     pub stats: IngestStats,
-    /// The stop-slew threshold the session ran with (for oscillation
+    /// The stop-slew threshold the front end ran with (for oscillation
     /// counting); `None` when admission was disabled.
     pub stop_slew: Option<SimDuration>,
 }
 
 impl IngestOutcome {
-    /// Hysteresis oscillations in this session's decision log (see
+    /// Hysteresis oscillations in this decision log (see
     /// [`count_oscillations`]); zero when admission was disabled.
     pub fn oscillations(&self) -> usize {
         match self.stop_slew {
@@ -362,7 +357,7 @@ impl IngestOutcome {
     }
 }
 
-/// Admission-layer state of a session (absent = passthrough streaming).
+/// Admission-layer state of the front end (absent = passthrough streaming).
 #[derive(Debug)]
 struct AdmissionState {
     config: AdmissionConfig,
@@ -373,84 +368,51 @@ struct AdmissionState {
     prev_fwd: SimTime,
 }
 
-/// A streaming front end over one shared arrival stream: consumes arrivals
-/// one at a time (no knowledge of the future), dispatches them incrementally,
-/// and — when an [`AdmissionConfig`] is attached — paces and sheds to defend
-/// the SLO. See the [module docs](self) for the model.
-pub struct IngestSession {
-    dispatcher: IncrementalDispatcher,
+/// Stream a whole arrival trace through the front end, one arrival at a time
+/// (no knowledge of the future): dispatch each incrementally across
+/// `replicas` replicas and, when `admission` is `Some`, pace and shed to
+/// defend the SLO. Every arrival is charged `service_estimate`, the
+/// dispatcher's per-request service-time estimate — the same coarse batch-1
+/// execution time the batch sharding path uses. Without admission the front
+/// end is a pure passthrough whose shards match the batch path byte for
+/// byte. When `telemetry` is enabled, per-decision `admission` events and
+/// queue-depth gauges land in the selected replica's buffer (derived via
+/// [`Telemetry::for_replica`]), pace gauges and admitted/shed counters on
+/// `telemetry` itself. See the [module docs](self) for the model.
+pub fn stream_arrivals(
+    trace: &ArrivalTrace,
+    replicas: usize,
+    dispatch: FleetDispatch,
     service_estimate: SimDuration,
-    admission: Option<AdmissionState>,
-    times: Vec<Vec<SimTime>>,
-    indices: Vec<Vec<usize>>,
-    decisions: Vec<AdmissionDecision>,
-    stats: IngestStats,
-    telemetry: Telemetry,
-    replica_telemetry: Vec<Telemetry>,
-}
-
-impl IngestSession {
-    /// Create a session dispatching across `replicas` replicas.
-    /// `service_estimate` is the dispatcher's per-request service-time
-    /// estimate — the same coarse batch-1 execution time the batch sharding
-    /// path uses. Without an [`AdmissionConfig`]
-    /// (see [`IngestSession::with_admission`]) the session is a pure
-    /// passthrough whose shards match the batch path byte for byte.
-    pub fn new(
-        replicas: usize,
-        dispatch: FleetDispatch,
-        service_estimate: SimDuration,
-    ) -> IngestSession {
-        IngestSession {
-            dispatcher: IncrementalDispatcher::new(replicas, dispatch),
-            service_estimate,
-            admission: None,
-            times: vec![Vec::new(); replicas],
-            indices: vec![Vec::new(); replicas],
-            decisions: Vec::new(),
-            stats: IngestStats::new(),
-            telemetry: Telemetry::disabled(),
-            replica_telemetry: Vec::new(),
-        }
-    }
-
-    /// Enable SLO-driven admission: bounded per-replica queues, the
-    /// rate-slew pacing loop, and load shedding at the queue bound.
-    pub fn with_admission(mut self, config: AdmissionConfig) -> IngestSession {
-        let replicas = self.dispatcher.replicas();
-        self.admission = Some(AdmissionState {
-            config,
-            controller: AdmissionController::new(config.start_slew, config.stop_slew),
-            queues: (0..replicas).map(|_| VecDeque::new()).collect(),
-            prev_at: None,
-            prev_fwd: SimTime::ZERO,
-        });
-        self
-    }
-
-    /// Attach a telemetry sink: per-decision `admission` events and
-    /// queue-depth gauges land in the selected replica's buffer (derived via
-    /// [`Telemetry::for_replica`]), pace gauges and admitted/shed counters on
-    /// the root handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> IngestSession {
-        self.replica_telemetry = (0..self.dispatcher.replicas())
+    admission: Option<AdmissionConfig>,
+    telemetry: &Telemetry,
+) -> IngestOutcome {
+    let mut dispatcher = IncrementalDispatcher::new(replicas, dispatch);
+    let mut admission = admission.map(|config| AdmissionState {
+        config,
+        controller: AdmissionController::new(config.start_slew, config.stop_slew),
+        queues: vec![VecDeque::new(); replicas],
+        prev_at: None,
+        prev_fwd: SimTime::ZERO,
+    });
+    let replica_telemetry: Vec<Telemetry> = if telemetry.is_enabled() {
+        (0..replicas)
             .map(|r| telemetry.for_replica(r as u32))
-            .collect();
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Offer one arrival, charged the session's service estimate (every
-    /// request costs one batch-1 pass). Arrival times must be offered in
-    /// non-decreasing order.
-    pub fn offer(&mut self, at: SimTime) -> AdmissionDecision {
-        let service = self.service_estimate;
-        let index = self.dispatcher.offered();
-        let decision = match &mut self.admission {
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut times = vec![Vec::new(); replicas];
+    let mut indices = vec![Vec::new(); replicas];
+    let mut decisions = Vec::new();
+    let mut stats = IngestStats::new();
+    for &at in trace.times() {
+        let index = dispatcher.offered();
+        let decision = match &mut admission {
             None => {
                 // Passthrough: the batch sharding path, one event at a time.
-                let replica = self.dispatcher.select();
-                self.dispatcher.commit(replica, at, service, true);
+                let replica = dispatcher.select();
+                dispatcher.commit(replica, at, service_estimate, true);
                 AdmissionDecision {
                     index,
                     at,
@@ -491,26 +453,24 @@ impl IngestSession {
                     }
                 }
 
-                let replica = self.dispatcher.select();
-                let delay_us = self
-                    .dispatcher
+                let replica = dispatcher.select();
+                let delay_us = dispatcher
                     .backlog(replica)
                     .saturating_since(forwarded_at)
                     .as_micros();
                 // SLO headroom: how much queueing delay a request can absorb
                 // and still be served inside the SLO, under the static
                 // service estimate.
-                let service_us = self.service_estimate.as_micros() as f64;
+                let service_us = service_estimate.as_micros() as f64;
                 let headroom_us = (admission.config.slo.as_micros() as f64 - service_us).max(0.0);
                 let offset_us = delay_us as i64 - headroom_us.round() as i64;
                 let nudge_ppm = admission.controller.observe(offset_us);
 
                 let queue_depth = admission.queues[replica].len();
                 let admitted = queue_depth < admission.config.queue_bound;
-                self.dispatcher
-                    .commit(replica, forwarded_at, service, admitted);
+                dispatcher.commit(replica, forwarded_at, service_estimate, admitted);
                 if admitted {
-                    admission.queues[replica].push_back(self.dispatcher.backlog(replica));
+                    admission.queues[replica].push_back(dispatcher.backlog(replica));
                 }
                 AdmissionDecision {
                     index,
@@ -527,26 +487,26 @@ impl IngestSession {
             }
         };
 
-        self.stats.offered += 1;
+        stats.offered += 1;
         if decision.admitted {
-            self.stats.admitted += 1;
-            self.times[decision.replica].push(decision.forwarded_at);
-            self.indices[decision.replica].push(index);
+            stats.admitted += 1;
+            times[decision.replica].push(decision.forwarded_at);
+            indices[decision.replica].push(index);
         } else {
-            self.stats.shed += 1;
+            stats.shed += 1;
         }
-        if let Some(admission) = &self.admission {
+        if let Some(admission) = &admission {
             let depth_after = admission.queues[decision.replica].len();
-            self.stats.max_depth = self.stats.max_depth.max(depth_after);
+            stats.max_depth = stats.max_depth.max(depth_after);
         }
         if decision.nudge_ppm.is_some() {
-            self.stats.nudges += 1;
+            stats.nudges += 1;
         }
-        self.stats.min_pace_ppm = self.stats.min_pace_ppm.min(decision.pace_ppm);
-        self.stats.max_pace_ppm = self.stats.max_pace_ppm.max(decision.pace_ppm);
+        stats.min_pace_ppm = stats.min_pace_ppm.min(decision.pace_ppm);
+        stats.max_pace_ppm = stats.max_pace_ppm.max(decision.pace_ppm);
 
-        if self.telemetry.is_enabled() {
-            let replica_telemetry = &self.replica_telemetry[decision.replica];
+        if telemetry.is_enabled() {
+            let replica_telemetry = &replica_telemetry[decision.replica];
             replica_telemetry.emit(decision.forwarded_at, || EventKind::Admission {
                 request_id: index as u64,
                 replica: decision.replica as u32,
@@ -559,12 +519,12 @@ impl IngestSession {
                 "admission_queue_depth",
                 decision.queue_depth as f64,
             );
-            self.telemetry.gauge(
+            telemetry.gauge(
                 decision.forwarded_at,
                 "admission_pace_ppm",
                 decision.pace_ppm as f64,
             );
-            self.telemetry.counter(
+            telemetry.counter(
                 if decision.admitted {
                     "ingest_admitted"
                 } else {
@@ -574,53 +534,22 @@ impl IngestSession {
             );
         }
 
-        self.decisions.push(decision);
-        decision
+        decisions.push(decision);
     }
-
-    /// Finish the session: per-replica shards of the admitted arrivals (at
-    /// their forwarded times), the decision log, and the counters.
-    pub fn finish(self) -> IngestOutcome {
-        let shards = self
-            .times
-            .into_iter()
-            .zip(self.indices)
-            .map(|(times, indices)| TraceShard {
-                trace: ArrivalTrace::from_times(times),
-                indices,
-            })
-            .collect();
-        IngestOutcome {
-            shards,
-            decisions: self.decisions,
-            stats: self.stats,
-            stop_slew: self.admission.map(|a| a.config.stop_slew),
-        }
+    let shards = times
+        .into_iter()
+        .zip(indices)
+        .map(|(times, indices)| TraceShard {
+            trace: ArrivalTrace::from_times(times),
+            indices,
+        })
+        .collect();
+    IngestOutcome {
+        shards,
+        decisions,
+        stats,
+        stop_slew: admission.map(|a| a.config.stop_slew),
     }
-}
-
-/// Stream a whole arrival trace through an [`IngestSession`] — the
-/// convenience wrapper the experiment runners use. Admission is enabled when
-/// `admission` is `Some`; the telemetry sink receives the per-decision trace.
-pub fn stream_arrivals(
-    trace: &ArrivalTrace,
-    replicas: usize,
-    dispatch: FleetDispatch,
-    service_estimate: SimDuration,
-    admission: Option<AdmissionConfig>,
-    telemetry: &Telemetry,
-) -> IngestOutcome {
-    let mut session = IngestSession::new(replicas, dispatch, service_estimate);
-    if let Some(config) = admission {
-        session = session.with_admission(config);
-    }
-    if telemetry.is_enabled() {
-        session = session.with_telemetry(telemetry.clone());
-    }
-    for &at in trace.times() {
-        session.offer(at);
-    }
-    session.finish()
 }
 
 #[cfg(test)]
@@ -804,12 +733,17 @@ mod tests {
     fn forwarded_times_are_monotone_and_never_early() {
         let trace = ArrivalTrace::maf_like(600, 300.0, 21);
         let config = AdmissionConfig::for_slo(SimDuration::from_millis(40), 16);
-        let mut session =
-            IngestSession::new(2, FleetDispatch::LeastLoaded, SimDuration::from_millis(8))
-                .with_admission(config);
+        let out = stream_arrivals(
+            &trace,
+            2,
+            FleetDispatch::LeastLoaded,
+            SimDuration::from_millis(8),
+            Some(config),
+            &Telemetry::disabled(),
+        );
+        assert_eq!(out.decisions.len(), trace.len());
         let mut prev_fwd = SimTime::ZERO;
-        for &at in trace.times() {
-            let d = session.offer(at);
+        for (d, &at) in out.decisions.iter().zip(trace.times()) {
             assert!(d.forwarded_at >= at, "pacing may only delay arrivals");
             assert!(d.forwarded_at >= prev_fwd, "forwarded times are monotone");
             prev_fwd = d.forwarded_at;

@@ -57,8 +57,7 @@ pub use generative::{
 };
 pub use ingest::{
     count_oscillations, stream_arrivals, AdmissionConfig, AdmissionController, AdmissionDecision,
-    IncrementalDispatcher, IngestOutcome, IngestSession, IngestStats, PACE_BASE_PPM, PACE_MAX_PPM,
-    PACE_MIN_PPM,
+    IncrementalDispatcher, IngestOutcome, IngestStats, PACE_BASE_PPM, PACE_MAX_PPM, PACE_MIN_PPM,
 };
 pub use metrics::{latency_cdf, tpt_cdf, LatencySummary, LatencyWins, ReplicaOutcome};
 pub use platform::{

@@ -124,11 +124,6 @@ impl SimDuration {
         SimDuration::from_micros_f64(self.0 as f64 * factor.max(0.0))
     }
 
-    /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))

@@ -569,7 +569,6 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
     // charged for 6 ramps' observations each) and a ramp-definition update
     // (~10 KB per ramp).
     let record = |i: u64| ProfileRecord {
-        batch_size: 8,
         num_ramps: 6,
         samples: (i * 8..i * 8 + 8)
             .map(|seed| SampleSemantics::new(seed, 0.2))
@@ -585,7 +584,6 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
         ramp_epoch: 0,
     };
     let update = |i: u64| ThresholdUpdate {
-        issued_at: SimTime::from_micros(i * 100),
         config_epoch: i,
         thresholds: vec![0.3; 6],
         ramps: None,
@@ -609,9 +607,7 @@ fn overhead(ctx: &BenchContext) -> Vec<BenchReport> {
         ctx.bench(SUITE, "feedback_link/threshold-updates-64", || {
             let mut link = FeedbackLink::new(LinkCost::default());
             for i in 0..64u64 {
-                let upd = update(i);
-                let at = upd.issued_at;
-                link.send(upd, at);
+                link.send(update(i), SimTime::from_micros(i * 100));
             }
             let mut delivered = Vec::new();
             link.poll(SimTime::from_secs(3600), &mut delivered);
